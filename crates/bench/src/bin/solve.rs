@@ -57,13 +57,14 @@
 //!   single-process run.
 
 use ppa_graph::{gen, io, WeightMatrix, INF};
-use ppa_machine::{Executor, PackedBackend, ThreadedBackend, WordWidth, W256};
+use ppa_machine::{BackendSpec, BackendVisitor, Executor};
+use ppa_mcp::batch::replicate;
 use ppa_mcp::closure::{hop_levels, reachability};
-use ppa_mcp::mcp::fit_word_bits;
 use ppa_mcp::path::extract_path;
 use ppa_mcp::widest::widest_path;
-use ppa_mcp::McpSession;
+use ppa_mcp::{BatchSession, McpSession, Redundancy};
 use ppa_ppc::Ppa;
+use ppa_serve::ServeConfig;
 use std::process::exit;
 
 struct Options {
@@ -72,16 +73,14 @@ struct Options {
     dest: Option<usize>,
     problem: String,
     source_mode: bool,
-    backend: String,
-    threads: usize,
-    word: WordWidth,
+    backend: BackendSpec,
     show_steps: bool,
     show_paths: bool,
     trace_file: Option<String>,
     metrics_file: Option<String>,
     serve: bool,
     batch: Option<usize>,
-    redundancy: ppa_mcp::Redundancy,
+    redundancy: Redundancy,
     workers: usize,
     deadline_ms: Option<u64>,
     budget: Option<u64>,
@@ -110,22 +109,23 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Options {
+    // `--backend/--word/--threads` arrive in any order and combine into
+    // one spec once every flag has been read.
+    let (mut kind, mut word, mut threads) = ("scalar".to_owned(), "64".to_owned(), "4".to_owned());
     let mut opts = Options {
         file: None,
         demo: false,
         dest: None,
         problem: "shortest".into(),
         source_mode: false,
-        backend: "scalar".into(),
-        threads: 4,
-        word: WordWidth::W64,
+        backend: BackendSpec::Scalar,
         show_steps: false,
         show_paths: false,
         trace_file: None,
         metrics_file: None,
         serve: false,
         batch: None,
-        redundancy: ppa_mcp::Redundancy::Off,
+        redundancy: Redundancy::Off,
         workers: 3,
         deadline_ms: None,
         budget: None,
@@ -142,22 +142,9 @@ fn parse_args() -> Options {
                 opts.dest = Some(v.parse().unwrap_or_else(|_| usage()));
             }
             "--problem" => opts.problem = args.next().unwrap_or_else(|| usage()),
-            "--backend" => opts.backend = args.next().unwrap_or_else(|| usage()),
-            "--threads" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.threads = v.parse().unwrap_or_else(|_| usage());
-                if opts.threads == 0 {
-                    eprintln!("--threads must be at least 1");
-                    usage()
-                }
-            }
-            "--word" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.word = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--word takes 64 or 256, got `{v}`");
-                    usage()
-                });
-            }
+            "--backend" => kind = args.next().unwrap_or_else(|| usage()),
+            "--threads" => threads = args.next().unwrap_or_else(|| usage()),
+            "--word" => word = args.next().unwrap_or_else(|| usage()),
             "--source" => opts.source_mode = true,
             "--steps" => opts.show_steps = true,
             "--paths" => opts.show_paths = true,
@@ -210,6 +197,10 @@ fn parse_args() -> Options {
             _ => usage(),
         }
     }
+    opts.backend = BackendSpec::from_flags(&kind, &word, &threads).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
     opts
 }
 
@@ -310,25 +301,14 @@ fn main() {
         w.edge_count(),
         opts.problem
     );
-
-    let backend = match opts.backend.as_str() {
-        "scalar" => Backend::Scalar,
-        "packed" => Backend::Packed,
-        "threaded" => Backend::Threaded,
-        other => {
-            eprintln!("unknown backend `{other}`");
-            usage()
-        }
-    };
     if let Some(addr) = &opts.connect {
         run_connect(addr, &w, d, &opts);
         return;
     }
     if opts.serve {
-        run_serve(w, d, backend, &opts);
+        run_serve(w, d, &opts);
         return;
     }
-    let k = opts.threads;
     if opts.batch.is_some() && opts.problem != "shortest" {
         eprintln!("--batch without --serve supports only --problem shortest");
         exit(2);
@@ -342,131 +322,103 @@ fn main() {
             eprintln!("--batch and --redundancy cannot be combined inline; use --serve for both");
             exit(2);
         }
-        return run_shortest_redundant(backend, &w, d, &opts);
+        return solve_inline(Inline::Voted(opts.redundancy), &w, d, &opts);
     }
-    match opts.problem.as_str() {
-        "shortest" => {
-            if let Some(lanes) = opts.batch {
-                return run_shortest_batched(backend, &w, d, lanes, &opts);
-            }
-            let h = fit_word_bits(&w).clamp(2, 62);
-            match (backend, opts.word) {
-                (Backend::Scalar, _) => {
-                    run_shortest(Ppa::square(w.n()).with_word_bits(h), &w, d, &opts)
-                }
-                (Backend::Packed, WordWidth::W64) => run_shortest(
-                    Ppa::<PackedBackend>::packed(w.n()).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-                (Backend::Packed, WordWidth::W256) => run_shortest(
-                    Ppa::<PackedBackend<W256>>::packed_wide(w.n()).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-                (Backend::Threaded, WordWidth::W64) => run_shortest(
-                    Ppa::<ThreadedBackend>::threaded(w.n(), k).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-                (Backend::Threaded, WordWidth::W256) => run_shortest(
-                    Ppa::<ThreadedBackend<W256>>::threaded_wide(w.n(), k).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-            }
-        }
-        "widest" => {
-            let h = w.required_word_bits().clamp(4, 62);
-            match (backend, opts.word) {
-                (Backend::Scalar, _) => {
-                    run_widest(Ppa::square(w.n()).with_word_bits(h), &w, d, &opts)
-                }
-                (Backend::Packed, WordWidth::W64) => run_widest(
-                    Ppa::<PackedBackend>::packed(w.n()).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-                (Backend::Packed, WordWidth::W256) => run_widest(
-                    Ppa::<PackedBackend<W256>>::packed_wide(w.n()).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-                (Backend::Threaded, WordWidth::W64) => run_widest(
-                    Ppa::<ThreadedBackend>::threaded(w.n(), k).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-                (Backend::Threaded, WordWidth::W256) => run_widest(
-                    Ppa::<ThreadedBackend<W256>>::threaded_wide(w.n(), k).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-            }
-        }
-        "hops" => match (backend, opts.word) {
-            (Backend::Scalar, _) => run_hops(Ppa::square(w.n()), &w, d, &opts),
-            (Backend::Packed, WordWidth::W64) => {
-                run_hops(Ppa::<PackedBackend>::packed(w.n()), &w, d, &opts)
-            }
-            (Backend::Packed, WordWidth::W256) => {
-                run_hops(Ppa::<PackedBackend<W256>>::packed_wide(w.n()), &w, d, &opts)
-            }
-            (Backend::Threaded, WordWidth::W64) => {
-                run_hops(Ppa::<ThreadedBackend>::threaded(w.n(), k), &w, d, &opts)
-            }
-            (Backend::Threaded, WordWidth::W256) => run_hops(
-                Ppa::<ThreadedBackend<W256>>::threaded_wide(w.n(), k),
-                &w,
-                d,
-                &opts,
-            ),
+    let run = match opts.problem.as_str() {
+        "shortest" => match opts.batch {
+            // A wavefront of destinations `d`, `d+1`, … (mod `n`).
+            Some(lanes) => Inline::Batched(lanes.min(64).min(w.n())),
+            None => Inline::Shortest,
         },
-        "reach" => match (backend, opts.word) {
-            (Backend::Scalar, _) => run_reach(Ppa::square(w.n()), &w, d, &opts),
-            (Backend::Packed, WordWidth::W64) => {
-                run_reach(Ppa::<PackedBackend>::packed(w.n()), &w, d, &opts)
-            }
-            (Backend::Packed, WordWidth::W256) => {
-                run_reach(Ppa::<PackedBackend<W256>>::packed_wide(w.n()), &w, d, &opts)
-            }
-            (Backend::Threaded, WordWidth::W64) => {
-                run_reach(Ppa::<ThreadedBackend>::threaded(w.n(), k), &w, d, &opts)
-            }
-            (Backend::Threaded, WordWidth::W256) => run_reach(
-                Ppa::<ThreadedBackend<W256>>::threaded_wide(w.n(), k),
-                &w,
-                d,
-                &opts,
-            ),
-        },
+        "widest" => Inline::Widest,
+        "hops" => Inline::Hops,
+        "reach" => Inline::Reach,
         other => {
             eprintln!("unknown problem `{other}`");
             usage()
         }
-    }
+    };
+    solve_inline(run, &w, d, &opts);
 }
 
-/// The execution backend selected by `--backend`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Scalar,
-    Packed,
-    Threaded,
+/// An inline (non-served) run of one problem.
+#[derive(Clone, Copy)]
+enum Inline {
+    Shortest,
+    Widest,
+    Hops,
+    Reach,
+    /// Shortest paths for a wavefront of this many destinations on one
+    /// lane-batched machine.
+    Batched(usize),
+    /// A vote-screened shortest-path solve on replicated lanes.
+    Voted(Redundancy),
+}
+
+/// Runs `run` on the backend `--backend/--word/--threads` selected.
+fn solve_inline(run: Inline, w: &WeightMatrix, d: usize, opts: &Options) {
+    struct Solve<'a> {
+        run: Inline,
+        w: &'a WeightMatrix,
+        d: usize,
+        opts: &'a Options,
+    }
+
+    impl BackendVisitor for Solve<'_> {
+        type Output = ();
+
+        fn run<E: Executor>(self, exec: E) {
+            let Solve { run, w, d, opts } = self;
+            let die = |e: ppa_mcp::McpError| -> ! {
+                eprintln!("solver error: {e}");
+                exit(1)
+            };
+            match run {
+                Inline::Shortest => {
+                    let session = McpSession::with_backend(w, exec).unwrap_or_else(|e| die(e));
+                    run_shortest(session, w, d, opts)
+                }
+                Inline::Widest => {
+                    let h = w.required_word_bits().clamp(4, 62);
+                    run_widest(Ppa::with_backend(w.n(), exec).with_word_bits(h), w, d, opts)
+                }
+                Inline::Hops => run_hops(Ppa::with_backend(w.n(), exec), w, d, opts),
+                Inline::Reach => run_reach(Ppa::with_backend(w.n(), exec), w, d, opts),
+                Inline::Batched(lanes) => {
+                    let dests: Vec<usize> = (0..lanes).map(|l| (d + l) % w.n()).collect();
+                    let batch = BatchSession::with_backend(&replicate(w, lanes), exec);
+                    drive_batch(batch.unwrap_or_else(|e| die(e)), &dests, w, opts)
+                }
+                Inline::Voted(mode) => {
+                    let batch = BatchSession::with_backend(&replicate(w, mode.replicas()), exec);
+                    drive_redundant(batch.unwrap_or_else(|e| die(e)), w, d, mode, opts)
+                }
+            }
+        }
+    }
+
+    opts.backend.dispatch(Solve { run, w, d, opts });
+}
+
+/// The service configuration `--serve` and `--listen` share.
+fn serve_config(opts: &Options) -> ServeConfig {
+    let mut config = ServeConfig {
+        workers: opts.workers.max(1),
+        backend: opts.backend,
+        redundancy: opts.redundancy,
+        ..ServeConfig::default()
+    };
+    if let Some(lanes) = opts.batch {
+        config.batching.enabled = true;
+        config.batching.max_lanes = lanes;
+    }
+    config
 }
 
 /// Serve-mode runner: one job through a [`ppa_serve::SolveService`]
 /// worker pool, then the job report and the service's own counters.
-fn run_serve(w: WeightMatrix, d: usize, backend: Backend, opts: &Options) {
-    use ppa_serve::{ApspCheckpoint, JobKind, JobOutcome, JobSpec, ServeConfig, SolveService};
+fn run_serve(w: WeightMatrix, d: usize, opts: &Options) {
+    use ppa_serve::{ApspCheckpoint, JobKind, JobOutcome, JobSpec, SolveService};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -482,20 +434,7 @@ fn run_serve(w: WeightMatrix, d: usize, backend: Backend, opts: &Options) {
             exit(2)
         }
     };
-    let mut config = ServeConfig {
-        workers: opts.workers.max(1),
-        prefer_packed: backend == Backend::Packed,
-        prefer_threaded: backend == Backend::Threaded,
-        threads: opts.threads,
-        word: opts.word,
-        ..ServeConfig::default()
-    };
-    if let Some(lanes) = opts.batch {
-        config.batching.enabled = true;
-        config.batching.max_lanes = lanes;
-    }
-    config.redundancy = opts.redundancy;
-    let svc = Arc::new(SolveService::start(config));
+    let svc = Arc::new(SolveService::start(serve_config(opts)));
     // `--status-every MS`: a StatusReporter dumps introspection
     // snapshots (compact JSON, one line, `status:` prefix) to stderr at
     // the requested period, and guarantees one `status-final:` snapshot
@@ -533,9 +472,7 @@ fn run_serve(w: WeightMatrix, d: usize, backend: Backend, opts: &Options) {
         "job {}: {} attempt(s), backend {}, latency {:?}",
         report.id,
         report.attempts,
-        report
-            .backend
-            .map_or_else(|| "-".into(), |b| format!("{b:?}")),
+        report.backend.map_or_else(|| "-".into(), |b| b.to_string()),
         report.latency
     );
     match report.outcome {
@@ -627,24 +564,11 @@ fn start_status_reporter(
 /// parent that asked for an OS-assigned port (`--listen 127.0.0.1:0`)
 /// can discover where to connect.
 fn run_listen(addr: &str, opts: &Options) {
-    use ppa_serve::{NetConfig, NetServer, ServeConfig, SolveService};
+    use ppa_serve::{NetConfig, NetServer, SolveService};
     use std::io::{BufRead, Write};
     use std::sync::Arc;
 
-    let mut config = ServeConfig {
-        workers: opts.workers.max(1),
-        prefer_packed: opts.backend == "packed",
-        prefer_threaded: opts.backend == "threaded",
-        threads: opts.threads,
-        word: opts.word,
-        ..ServeConfig::default()
-    };
-    if let Some(lanes) = opts.batch {
-        config.batching.enabled = true;
-        config.batching.max_lanes = lanes;
-    }
-    config.redundancy = opts.redundancy;
-    let svc = Arc::new(SolveService::start(config));
+    let svc = Arc::new(SolveService::start(serve_config(opts)));
     let server = NetServer::start(
         Arc::clone(&svc),
         NetConfig {
@@ -788,7 +712,7 @@ fn run_connect(addr: &str, w: &WeightMatrix, d: usize, opts: &Options) {
 /// from the persisted prefix and refuses a checkpoint that belongs to a
 /// different campaign.
 fn run_shard_worker_cli(args: &[String]) {
-    use ppa_serve::{run_shard_worker, ServeConfig};
+    use ppa_serve::run_shard_worker;
     use std::time::Duration;
 
     let mut file = None;
@@ -906,11 +830,12 @@ fn run_shard_merge_cli(args: &[String]) {
 /// Shortest-path runner, generic over the execution backend. Uses an
 /// [`McpSession`] so the destination-independent setup is prepared once —
 /// the CLI is a batched consumer like the all-pairs driver.
-fn run_shortest<E: Executor>(ppa: Ppa<E>, w: &WeightMatrix, d: usize, opts: &Options) {
-    let mut session = McpSession::from_ppa(ppa, w).unwrap_or_else(|e| {
-        eprintln!("solver error: {e}");
-        exit(1)
-    });
+fn run_shortest<E: Executor>(
+    mut session: McpSession<E>,
+    w: &WeightMatrix,
+    d: usize,
+    opts: &Options,
+) {
     let sink = attach_observers(session.ppa_mut(), opts);
     let out = session.solve(d).unwrap_or_else(|e| {
         eprintln!("solver error: {e}");
@@ -946,129 +871,13 @@ fn print_shortest_rows(out: &ppa_mcp::McpOutput, n: usize, opts: &Options) {
     }
 }
 
-/// `--batch L` without `--serve`: replicate the graph into `L` lanes of
-/// one [`BatchSession`](ppa_mcp::BatchSession) and solve the wavefront
-/// of destinations `d`, `d+1`, … (mod `n`) in a single micro-op stream.
-/// Lane 0 is the requested destination and prints exactly like a solo
-/// run; the extra lanes ride along to demonstrate amortization and are
-/// summarized on one line.
-fn run_shortest_batched(
-    backend: Backend,
-    w: &WeightMatrix,
-    d: usize,
-    lanes: usize,
-    opts: &Options,
-) {
-    use ppa_mcp::batch::replicate;
-    use ppa_mcp::BatchSession;
-
-    let lanes = lanes.min(64).min(w.n());
-    let graphs = replicate(w, lanes);
-    let dests: Vec<usize> = (0..lanes).map(|l| (d + l) % w.n()).collect();
-    let die = |e: ppa_mcp::McpError| -> ! {
-        eprintln!("solver error: {e}");
-        exit(1)
-    };
-    match (backend, opts.word) {
-        (Backend::Scalar, _) => drive_batch(
-            BatchSession::new(&graphs).unwrap_or_else(|e| die(e)),
-            &dests,
-            w,
-            opts,
-        ),
-        (Backend::Packed, WordWidth::W64) => drive_batch(
-            BatchSession::new_packed(&graphs).unwrap_or_else(|e| die(e)),
-            &dests,
-            w,
-            opts,
-        ),
-        (Backend::Packed, WordWidth::W256) => drive_batch(
-            BatchSession::<PackedBackend<W256>>::new_packed_wide(&graphs)
-                .unwrap_or_else(|e| die(e)),
-            &dests,
-            w,
-            opts,
-        ),
-        (Backend::Threaded, WordWidth::W64) => drive_batch(
-            BatchSession::new_threaded(&graphs, opts.threads).unwrap_or_else(|e| die(e)),
-            &dests,
-            w,
-            opts,
-        ),
-        (Backend::Threaded, WordWidth::W256) => drive_batch(
-            BatchSession::<ThreadedBackend<W256>>::new_threaded_wide(&graphs, opts.threads)
-                .unwrap_or_else(|e| die(e)),
-            &dests,
-            w,
-            opts,
-        ),
-    }
-}
-
-/// `--redundancy dmr|tmr|tmr-detect` without `--serve`: replicate the
-/// graph into `mode.replicas()` voting lanes of one
-/// [`BatchSession`](ppa_mcp::BatchSession) and accept only a
-/// vote-screened result. The voted output prints exactly like a solo
-/// run plus a one-line vote summary; a detected-but-uncorrectable
-/// disagreement exits nonzero with the suspect lanes and column bands.
-fn run_shortest_redundant(backend: Backend, w: &WeightMatrix, d: usize, opts: &Options) {
-    use ppa_mcp::batch::replicate;
-    use ppa_mcp::BatchSession;
-
-    let mode = opts.redundancy;
-    let graphs = replicate(w, mode.replicas());
-    let die = |e: ppa_mcp::McpError| -> ! {
-        eprintln!("solver error: {e}");
-        exit(1)
-    };
-    match (backend, opts.word) {
-        (Backend::Scalar, _) => drive_redundant(
-            BatchSession::new(&graphs).unwrap_or_else(|e| die(e)),
-            w,
-            d,
-            mode,
-            opts,
-        ),
-        (Backend::Packed, WordWidth::W64) => drive_redundant(
-            BatchSession::new_packed(&graphs).unwrap_or_else(|e| die(e)),
-            w,
-            d,
-            mode,
-            opts,
-        ),
-        (Backend::Packed, WordWidth::W256) => drive_redundant(
-            BatchSession::<PackedBackend<W256>>::new_packed_wide(&graphs)
-                .unwrap_or_else(|e| die(e)),
-            w,
-            d,
-            mode,
-            opts,
-        ),
-        (Backend::Threaded, WordWidth::W64) => drive_redundant(
-            BatchSession::new_threaded(&graphs, opts.threads).unwrap_or_else(|e| die(e)),
-            w,
-            d,
-            mode,
-            opts,
-        ),
-        (Backend::Threaded, WordWidth::W256) => drive_redundant(
-            BatchSession::<ThreadedBackend<W256>>::new_threaded_wide(&graphs, opts.threads)
-                .unwrap_or_else(|e| die(e)),
-            w,
-            d,
-            mode,
-            opts,
-        ),
-    }
-}
-
 /// Solves one redundant wave on an already-built replicated session and
 /// prints the voted lane plus the vote summary.
 fn drive_redundant<E: Executor>(
-    mut batch: ppa_mcp::BatchSession<E>,
+    mut batch: BatchSession<E>,
     w: &WeightMatrix,
     d: usize,
-    mode: ppa_mcp::Redundancy,
+    mode: Redundancy,
     opts: &Options,
 ) {
     let sink = attach_observers(batch.ppa_mut(), opts);
@@ -1115,7 +924,7 @@ fn drive_redundant<E: Executor>(
 /// Solves one wavefront on an already-built batch session and prints
 /// lane 0 plus the batch summary.
 fn drive_batch<E: Executor>(
-    mut batch: ppa_mcp::BatchSession<E>,
+    mut batch: BatchSession<E>,
     dests: &[usize],
     w: &WeightMatrix,
     opts: &Options,

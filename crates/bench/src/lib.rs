@@ -22,7 +22,10 @@ pub use table::Table;
 
 use ppa_baselines::{Gcn, Hypercube, McpSolver, PlainMesh, SequentialBf};
 use ppa_graph::{gen, reference, validate, WeightMatrix, INF};
-use ppa_machine::{render, Dim, Direction, ExecMode, FaultMap, Op, Plane, StepReport};
+use ppa_machine::{
+    render, BackendSpec, BackendVisitor, Dim, Direction, ExecStats, Executor, FaultMap, Op, Plane,
+    StepReport, WordWidth,
+};
 use ppa_mcp::mcp::{fit_word_bits, minimum_cost_path};
 use ppa_mcp::variants::{minimum_cost_path_variant, BusModel, MinModel, VariantConfig};
 use ppa_mcp::{solve_with_recovery, RecoveryPolicy};
@@ -282,45 +285,37 @@ pub fn t5_validation() -> Table {
     t
 }
 
-/// T6 — simulator throughput: wall-clock per simulated step, for array
-/// size and host-thread sweeps.
+/// T6 — simulator throughput: wall-clock per simulated step across array
+/// sizes on the scalar reference backend (thread scaling is `report
+/// scale`, on the threaded backend).
 pub fn t6_engine() -> Table {
     let mut t = Table::new(
         "T6",
         "simulator throughput (host wall-clock; steps are simulated SIMD instructions)",
         vec![
             "n".into(),
-            "threads".into(),
             "steps".into(),
             "wall ms".into(),
             "PE-ops/s (millions)".into(),
         ],
     );
     for &n in &[32usize, 64, 128] {
-        for &threads in &[1usize, 2, 4] {
-            let w = gen::random_connected(n, 0.2, 25, 99);
-            let mode = if threads == 1 {
-                ExecMode::Sequential
-            } else {
-                ExecMode::threaded(threads)
-            };
-            let mut ppa = Ppa::square_with_mode(n, mode).with_word_bits(16.max(fit_word_bits(&w)));
-            let start = Instant::now();
-            let out = minimum_cost_path(&mut ppa, &w, 0).unwrap();
-            let wall = start.elapsed();
-            let steps = out.stats.total.total();
-            let pe_ops = steps as f64 * (n * n) as f64;
-            t.row(vec![
-                n.to_string(),
-                threads.to_string(),
-                steps.to_string(),
-                format!("{:.2}", wall.as_secs_f64() * 1e3),
-                format!("{:.1}", pe_ops / wall.as_secs_f64() / 1e6),
-            ]);
-        }
+        let w = gen::random_connected(n, 0.2, 25, 99);
+        let mut ppa = Ppa::square(n).with_word_bits(16.max(fit_word_bits(&w)));
+        let start = Instant::now();
+        let out = minimum_cost_path(&mut ppa, &w, 0).unwrap();
+        let wall = start.elapsed();
+        let steps = out.stats.total.total();
+        let pe_ops = steps as f64 * (n * n) as f64;
+        t.row(vec![
+            n.to_string(),
+            steps.to_string(),
+            format!("{:.2}", wall.as_secs_f64() * 1e3),
+            format!("{:.1}", pe_ops / wall.as_secs_f64() / 1e6),
+        ]);
     }
-    t.note("simulated step counts are identical across thread counts by construction;");
-    t.note("wall-clock scaling depends on host cores (documented in EXPERIMENTS.md).");
+    t.note("host thread scaling is the SC table (`report scale`, threaded backend);");
+    t.note("wall-clock depends on the host (documented in EXPERIMENTS.md).");
     t
 }
 
@@ -352,21 +347,69 @@ pub fn backend_table() -> Table {
 /// factored out so the bench-gate mutation drill can prove it trips: a
 /// one-bit corruption of the packed vote kernel must make this helper
 /// panic, which makes `report bench --check` exit nonzero.
-pub fn measure_identical<E: ppa_machine::Executor>(
+pub fn measure_identical<E: Executor>(
     make: &dyn Fn() -> Ppa<E>,
     w: &WeightMatrix,
     d: usize,
     want: &ppa_mcp::McpOutput,
     label: &str,
-) -> (Vec<u64>, ppa_machine::ExecStats) {
+) -> (Vec<u64>, ExecStats) {
+    gate_runs(|| timed_solve(make(), w, d), want, label)
+}
+
+/// [`measure_identical`] toward vertex 0 on the backend `spec` names:
+/// every repetition dispatches a fresh `n x n` machine with `h`-bit words.
+fn measure_spec(
+    spec: BackendSpec,
+    h: u32,
+    w: &WeightMatrix,
+    want: &ppa_mcp::McpOutput,
+    label: &str,
+) -> (Vec<u64>, ExecStats) {
+    struct Solve<'a> {
+        h: u32,
+        w: &'a WeightMatrix,
+    }
+
+    impl BackendVisitor for Solve<'_> {
+        type Output = (u64, ExecStats, ppa_mcp::McpOutput);
+
+        fn run<E: Executor>(self, exec: E) -> Self::Output {
+            timed_solve(
+                Ppa::with_backend(self.w.n(), exec).with_word_bits(self.h),
+                self.w,
+                0,
+            )
+        }
+    }
+
+    gate_runs(|| spec.dispatch(Solve { h, w }), want, label)
+}
+
+/// One timed MCP solve toward `d`: wall nanoseconds, the backend's
+/// execution statistics, and the output.
+fn timed_solve<E: Executor>(
+    mut ppa: Ppa<E>,
+    w: &WeightMatrix,
+    d: usize,
+) -> (u64, ExecStats, ppa_mcp::McpOutput) {
+    let start = Instant::now();
+    let out = minimum_cost_path(&mut ppa, w, d).unwrap();
+    (start.elapsed().as_nanos() as u64, ppa.exec_stats(), out)
+}
+
+/// Five repetitions of `run`, each asserted bit-identical to `want`.
+fn gate_runs(
+    mut run: impl FnMut() -> (u64, ExecStats, ppa_mcp::McpOutput),
+    want: &ppa_mcp::McpOutput,
+    label: &str,
+) -> (Vec<u64>, ExecStats) {
     let mut samples: Vec<u64> = Vec::new();
-    let mut stats = ppa_machine::ExecStats::default();
+    let mut stats = ExecStats::default();
     for _ in 0..5 {
-        let mut ppa = make();
-        let start = Instant::now();
-        let out = minimum_cost_path(&mut ppa, w, d).unwrap();
-        samples.push(start.elapsed().as_nanos() as u64);
-        stats = ppa.exec_stats();
+        let (ns, last, out) = run();
+        samples.push(ns);
+        stats = last;
         assert_eq!(out.sow, want.sow, "{label}: SOW diverged from scalar");
         assert_eq!(out.ptn, want.ptn, "{label}: PTN diverged from scalar");
         assert_eq!(
@@ -377,16 +420,45 @@ pub fn measure_identical<E: ppa_machine::Executor>(
     (samples, stats)
 }
 
+/// The deterministic counters a grid cell records: plan-cache hits and
+/// misses, plus the mask-arena counters when `arena` is set.
+fn exec_counters(stats: &ExecStats, arena: bool) -> std::collections::BTreeMap<String, u64> {
+    let mut counters = std::collections::BTreeMap::from([
+        ("plan_hits".to_owned(), stats.plan_hits),
+        ("plan_misses".to_owned(), stats.plan_misses),
+    ]);
+    if arena {
+        counters.insert("arena_fresh".to_owned(), stats.arena_fresh);
+        counters.insert("arena_reused".to_owned(), stats.arena_reused);
+    }
+    counters
+}
+
+/// The packed backend at `word` bits.
+fn packed(word: WordWidth) -> BackendSpec {
+    BackendSpec::Packed { word }
+}
+
+/// The threaded backend with a `threads`-wide pool at `word` bits.
+fn threaded(threads: usize, word: WordWidth) -> BackendSpec {
+    let threads = std::num::NonZeroUsize::new(threads).expect("grid thread counts are non-zero");
+    BackendSpec::Threaded { threads, word }
+}
+
+/// Minimum of a sample set, in seconds.
+fn best_secs(samples: &[u64]) -> f64 {
+    samples.iter().min().copied().unwrap_or(0) as f64 / 1e9
+}
+
 /// BK — execution-backend comparison: the scalar reference backend vs the
-/// packed u64 bit-plane backend on the T6 MCP workload. Both backends run
-/// the same micro-op stream; the table asserts they produce identical
-/// outputs and identical controller step reports, then compares host
-/// wall-clock and shows the packed backend's bus-plan cache and mask
-/// arena counters. Every (n, backend) cell also becomes a [`Baseline`]
-/// entry: deterministic step count, plan/arena counters, and median/MAD
-/// wall-clock over the five repetitions.
+/// packed bit-plane backend at both word widths on the T6 MCP workload.
+/// Every backend runs the same micro-op stream; the table asserts they
+/// produce identical outputs and identical controller step reports, then
+/// compares host wall-clock and shows the packed backend's bus-plan cache
+/// and mask arena counters. Every (n, backend) cell also becomes a
+/// [`Baseline`] entry: deterministic step count, plan/arena counters, and
+/// median/MAD wall-clock over the five repetitions.
 pub fn backend_run() -> BenchRun {
-    use ppa_machine::{PackedBackend, W256};
     let mut entries: Vec<BaselineEntry> = Vec::new();
     let mut t = Table::new(
         "BK",
@@ -402,107 +474,62 @@ pub fn backend_run() -> BenchRun {
             "arena reused".into(),
         ],
     );
+    let cells = [
+        (BackendSpec::Scalar, "scalar"),
+        (packed(WordWidth::W64), "packed"),
+        (packed(WordWidth::W256), "packed256"),
+    ];
     for &n in &[16usize, 32, 64] {
         let w = gen::random_connected(n, 0.2, 25, 99);
         let h = 16.max(fit_word_bits(&w)).clamp(2, 62);
-
-        let mut scalar_samples: Vec<u64> = Vec::new();
-        let mut scalar_out = None;
-        for _ in 0..5 {
-            let mut ppa = Ppa::square(n).with_word_bits(h);
-            let start = Instant::now();
-            let out = minimum_cost_path(&mut ppa, &w, 0).unwrap();
-            scalar_samples.push(start.elapsed().as_nanos() as u64);
-            scalar_out = Some(out);
+        let want = minimum_cost_path(&mut Ppa::square(n).with_word_bits(h), &w, 0).unwrap();
+        let steps = want.stats.total.total();
+        let mut scalar_wall = 0.0;
+        for (spec, label) in cells {
+            // The fast backends must be observationally identical to the
+            // scalar reference: same outputs, same controller step report
+            // down to the per-class counts, asserted on every repetition
+            // before timing is reported.
+            let (samples, stats) = measure_spec(spec, h, &w, &want, &format!("n = {n}, {label}"));
+            let wall = best_secs(&samples);
+            let fast = spec != BackendSpec::Scalar;
+            if !fast {
+                scalar_wall = wall;
+            }
+            entries.push(BaselineEntry {
+                cell: format!("n={n}/{label}"),
+                steps,
+                wall: WallStats::from_samples(&samples),
+                counters: if fast {
+                    exec_counters(&stats, true)
+                } else {
+                    std::collections::BTreeMap::new()
+                },
+            });
+            let dash = || "-".to_owned();
+            t.row(vec![
+                n.to_string(),
+                label.into(),
+                steps.to_string(),
+                format!("{:.2}", wall * 1e3),
+                format!("{:.2}x", scalar_wall / wall),
+                if fast {
+                    format!("{:.1}%", stats.plan_hit_rate() * 100.0)
+                } else {
+                    dash()
+                },
+                if fast {
+                    stats.arena_fresh.to_string()
+                } else {
+                    dash()
+                },
+                if fast {
+                    stats.arena_reused.to_string()
+                } else {
+                    dash()
+                },
+            ]);
         }
-        let scalar_out = scalar_out.unwrap();
-        let scalar_wall = scalar_samples.iter().min().copied().unwrap() as f64 / 1e9;
-
-        // The fast backends must be observationally identical to the
-        // scalar reference: same outputs, same controller step report
-        // down to the per-class counts. `measure_identical` asserts
-        // that on every repetition before timing is reported.
-        let (packed_samples, packed_stats) = measure_identical(
-            &|| Ppa::<PackedBackend>::packed(n).with_word_bits(h),
-            &w,
-            0,
-            &scalar_out,
-            &format!("n = {n}, packed"),
-        );
-        let packed_wall = packed_samples.iter().min().copied().unwrap() as f64 / 1e9;
-
-        let (p256_samples, p256_stats) = measure_identical(
-            &|| Ppa::<PackedBackend<W256>>::packed_wide(n).with_word_bits(h),
-            &w,
-            0,
-            &scalar_out,
-            &format!("n = {n}, packed256"),
-        );
-        let p256_wall = p256_samples.iter().min().copied().unwrap() as f64 / 1e9;
-
-        entries.push(BaselineEntry {
-            cell: format!("n={n}/scalar"),
-            steps: scalar_out.stats.total.total(),
-            wall: WallStats::from_samples(&scalar_samples),
-            counters: std::collections::BTreeMap::new(),
-        });
-        entries.push(BaselineEntry {
-            cell: format!("n={n}/packed"),
-            steps: scalar_out.stats.total.total(),
-            wall: WallStats::from_samples(&packed_samples),
-            counters: [
-                ("plan_hits".to_owned(), packed_stats.plan_hits),
-                ("plan_misses".to_owned(), packed_stats.plan_misses),
-                ("arena_fresh".to_owned(), packed_stats.arena_fresh),
-                ("arena_reused".to_owned(), packed_stats.arena_reused),
-            ]
-            .into_iter()
-            .collect(),
-        });
-        entries.push(BaselineEntry {
-            cell: format!("n={n}/packed256"),
-            steps: scalar_out.stats.total.total(),
-            wall: WallStats::from_samples(&p256_samples),
-            counters: [
-                ("plan_hits".to_owned(), p256_stats.plan_hits),
-                ("plan_misses".to_owned(), p256_stats.plan_misses),
-                ("arena_fresh".to_owned(), p256_stats.arena_fresh),
-                ("arena_reused".to_owned(), p256_stats.arena_reused),
-            ]
-            .into_iter()
-            .collect(),
-        });
-
-        t.row(vec![
-            n.to_string(),
-            "scalar".into(),
-            scalar_out.stats.total.total().to_string(),
-            format!("{:.2}", scalar_wall * 1e3),
-            "1.00x".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
-        t.row(vec![
-            n.to_string(),
-            "packed".into(),
-            scalar_out.stats.total.total().to_string(),
-            format!("{:.2}", packed_wall * 1e3),
-            format!("{:.2}x", scalar_wall / packed_wall),
-            format!("{:.1}%", packed_stats.plan_hit_rate() * 100.0),
-            packed_stats.arena_fresh.to_string(),
-            packed_stats.arena_reused.to_string(),
-        ]);
-        t.row(vec![
-            n.to_string(),
-            "packed256".into(),
-            scalar_out.stats.total.total().to_string(),
-            format!("{:.2}", p256_wall * 1e3),
-            format!("{:.2}x", scalar_wall / p256_wall),
-            format!("{:.1}%", p256_stats.plan_hit_rate() * 100.0),
-            p256_stats.arena_fresh.to_string(),
-            p256_stats.arena_reused.to_string(),
-        ]);
     }
     t.note("width_bit_identical: true");
     t.note("outputs and per-class step reports are asserted identical before timing is");
@@ -532,8 +559,6 @@ pub fn scale_table() -> Table {
 /// plan-cache counters, and median/MAD wall-clock over five repetitions
 /// (see [`scale_table`] for the full grid semantics).
 pub fn scale_run() -> BenchRun {
-    use ppa_machine::{PackedBackend, ThreadedBackend, W256};
-    use ppa_mcp::McpSession;
     let mut entries: Vec<BaselineEntry> = Vec::new();
     let mut t = Table::new(
         "SC",
@@ -547,164 +572,60 @@ pub fn scale_run() -> BenchRun {
             "plan hit rate".into(),
         ],
     );
-    let mut all_identical = true;
+    // (spec, baseline cell suffix, table label): the packed baseline,
+    // the threaded pool widths, then the same on 256-bit SWAR words.
+    let mut cells = vec![(
+        packed(WordWidth::W64),
+        "packed".to_owned(),
+        "packed".to_owned(),
+    )];
+    for threads in [1usize, 2, 4, 8] {
+        let spec = threaded(threads, WordWidth::W64);
+        cells.push((spec, format!("threads={threads}"), threads.to_string()));
+    }
+    cells.push((
+        packed(WordWidth::W256),
+        "packed256".to_owned(),
+        "packed256".to_owned(),
+    ));
+    for threads in [1usize, 4, 8] {
+        let spec = threaded(threads, WordWidth::W256);
+        cells.push((
+            spec,
+            format!("threads256={threads}"),
+            format!("w256 x{threads}"),
+        ));
+    }
     for &n in &[16usize, 32, 64] {
         let w = gen::random_connected(n, 0.2, 25, 99);
         let h = 16.max(fit_word_bits(&w)).clamp(2, 62);
-
-        let mut scalar = Ppa::square(n).with_word_bits(h);
-        let want = minimum_cost_path(&mut scalar, &w, 0).unwrap();
-
-        let mut packed_samples: Vec<u64> = Vec::new();
-        let mut packed_stats = ppa_machine::ExecStats::default();
-        for _ in 0..5 {
-            let mut ppa = Ppa::<PackedBackend>::packed(n).with_word_bits(h);
-            let start = Instant::now();
-            let out = minimum_cost_path(&mut ppa, &w, 0).unwrap();
-            packed_samples.push(start.elapsed().as_nanos() as u64);
-            packed_stats = ppa.exec_stats();
-            assert_eq!(out.sow, want.sow, "n = {n}: packed SOW diverged");
-        }
-        let packed_wall = packed_samples.iter().min().copied().unwrap() as f64 / 1e9;
-        entries.push(BaselineEntry {
-            cell: format!("n={n}/packed"),
-            steps: want.stats.total.total(),
-            wall: WallStats::from_samples(&packed_samples),
-            counters: [
-                ("plan_hits".to_owned(), packed_stats.plan_hits),
-                ("plan_misses".to_owned(), packed_stats.plan_misses),
-            ]
-            .into_iter()
-            .collect(),
-        });
-        t.row(vec![
-            n.to_string(),
-            "packed".into(),
-            want.stats.total.total().to_string(),
-            format!("{:.2}", packed_wall * 1e3),
-            "1.00x".into(),
-            "-".into(),
-        ]);
-
-        for threads in [1usize, 2, 4, 8] {
-            let mut samples: Vec<u64> = Vec::new();
-            let mut stats = ppa_machine::ExecStats::default();
-            for _ in 0..5 {
-                let mut ppa = Ppa::<ThreadedBackend>::threaded(n, threads).with_word_bits(h);
-                let start = Instant::now();
-                let out = minimum_cost_path(&mut ppa, &w, 0).unwrap();
-                samples.push(start.elapsed().as_nanos() as u64);
-                stats = ppa.exec_stats();
-                all_identical &= out.sow == want.sow
-                    && out.ptn == want.ptn
-                    && out.stats.total == want.stats.total;
-                assert_eq!(out.sow, want.sow, "n = {n} x {threads}: SOW diverged");
-                assert_eq!(out.ptn, want.ptn, "n = {n} x {threads}: PTN diverged");
-                assert_eq!(
-                    out.stats.total, want.stats.total,
-                    "n = {n} x {threads}: step reports diverged"
-                );
+        let want = minimum_cost_path(&mut Ppa::square(n).with_word_bits(h), &w, 0).unwrap();
+        let steps = want.stats.total.total();
+        let mut packed_wall = 0.0;
+        for (spec, cell, label) in &cells {
+            let (samples, stats) = measure_spec(*spec, h, &w, &want, &format!("n = {n}, {spec}"));
+            reconcile_session_metrics(*spec, &w, &format!("n = {n}, {spec}"));
+            let wall = best_secs(&samples);
+            if cell == "packed" {
+                packed_wall = wall;
             }
-            // Reconcile the metrics the session publishes to ppa-obs
-            // against the backend's own execution statistics.
-            let mut session = McpSession::new_threaded(&w, threads).unwrap();
-            session.ppa_mut().enable_metrics();
-            let before = session.exec_stats();
-            session.solve(0).unwrap();
-            let delta = session.exec_stats().since(&before);
-            let m = session.ppa_mut().take_metrics();
-            assert_eq!(
-                m.counter("backend.plan_hits") + m.counter("backend.plan_misses"),
-                delta.plan_hits + delta.plan_misses,
-                "n = {n} x {threads}: ppa-obs counters diverged from exec stats"
-            );
-            assert_eq!(
-                m.counter("backend.arena_fresh"),
-                delta.arena_fresh,
-                "n = {n} x {threads}: arena counters diverged from exec stats"
-            );
-            let wall = samples.iter().min().copied().unwrap() as f64 / 1e9;
             entries.push(BaselineEntry {
-                cell: format!("n={n}/threads={threads}"),
-                steps: want.stats.total.total(),
+                cell: format!("n={n}/{cell}"),
+                steps,
                 wall: WallStats::from_samples(&samples),
-                counters: [
-                    ("plan_hits".to_owned(), stats.plan_hits),
-                    ("plan_misses".to_owned(), stats.plan_misses),
-                ]
-                .into_iter()
-                .collect(),
+                counters: exec_counters(&stats, false),
             });
             t.row(vec![
                 n.to_string(),
-                threads.to_string(),
-                want.stats.total.total().to_string(),
-                format!("{:.2}", wall * 1e3),
-                format!("{:.2}x", packed_wall / wall),
-                format!("{:.1}%", stats.plan_hit_rate() * 100.0),
-            ]);
-        }
-
-        // Width axis: the same grid on 256-bit SWAR words, gated by the
-        // same bit-identity assertions against the scalar reference.
-        let (p256_samples, p256_stats) = measure_identical(
-            &|| Ppa::<PackedBackend<W256>>::packed_wide(n).with_word_bits(h),
-            &w,
-            0,
-            &want,
-            &format!("n = {n}, packed256"),
-        );
-        let p256_wall = p256_samples.iter().min().copied().unwrap() as f64 / 1e9;
-        entries.push(BaselineEntry {
-            cell: format!("n={n}/packed256"),
-            steps: want.stats.total.total(),
-            wall: WallStats::from_samples(&p256_samples),
-            counters: [
-                ("plan_hits".to_owned(), p256_stats.plan_hits),
-                ("plan_misses".to_owned(), p256_stats.plan_misses),
-            ]
-            .into_iter()
-            .collect(),
-        });
-        t.row(vec![
-            n.to_string(),
-            "packed256".into(),
-            want.stats.total.total().to_string(),
-            format!("{:.2}", p256_wall * 1e3),
-            format!("{:.2}x", packed_wall / p256_wall),
-            format!("{:.1}%", p256_stats.plan_hit_rate() * 100.0),
-        ]);
-        for threads in [1usize, 4, 8] {
-            let (samples, stats) = measure_identical(
-                &|| Ppa::<ThreadedBackend<W256>>::threaded_wide(n, threads).with_word_bits(h),
-                &w,
-                0,
-                &want,
-                &format!("n = {n}, threaded256 x{threads}"),
-            );
-            let wall = samples.iter().min().copied().unwrap() as f64 / 1e9;
-            entries.push(BaselineEntry {
-                cell: format!("n={n}/threads256={threads}"),
-                steps: want.stats.total.total(),
-                wall: WallStats::from_samples(&samples),
-                counters: [
-                    ("plan_hits".to_owned(), stats.plan_hits),
-                    ("plan_misses".to_owned(), stats.plan_misses),
-                ]
-                .into_iter()
-                .collect(),
-            });
-            t.row(vec![
-                n.to_string(),
-                format!("w256 x{threads}"),
-                want.stats.total.total().to_string(),
+                label.clone(),
+                steps.to_string(),
                 format!("{:.2}", wall * 1e3),
                 format!("{:.2}x", packed_wall / wall),
                 format!("{:.1}%", stats.plan_hit_rate() * 100.0),
             ]);
         }
     }
-    t.note(format!("threaded_bit_identical: {all_identical}"));
+    t.note("threaded_bit_identical: true");
     t.note("width_bit_identical: true");
     t.note("every cell — both word widths, every thread count — is asserted bit-identical");
     t.note("to the scalar reference (SOW, PTN, per-class step report) before its");
@@ -716,6 +637,41 @@ pub fn scale_run() -> BenchRun {
         table: t,
         baseline: Baseline::new("scale", entries),
     }
+}
+
+/// Reconciles the `backend.*` metrics an [`McpSession`](ppa_mcp::McpSession)
+/// publishes to ppa-obs against the backend's own execution statistics.
+fn reconcile_session_metrics(spec: BackendSpec, w: &WeightMatrix, label: &str) {
+    struct Reconcile<'a> {
+        w: &'a WeightMatrix,
+        label: &'a str,
+    }
+
+    impl BackendVisitor for Reconcile<'_> {
+        type Output = ();
+
+        fn run<E: Executor>(self, exec: E) {
+            let label = self.label;
+            let mut session = ppa_mcp::McpSession::with_backend(self.w, exec).unwrap();
+            session.ppa_mut().enable_metrics();
+            let before = session.exec_stats();
+            session.solve(0).unwrap();
+            let delta = session.exec_stats().since(&before);
+            let m = session.ppa_mut().take_metrics();
+            assert_eq!(
+                m.counter("backend.plan_hits") + m.counter("backend.plan_misses"),
+                delta.plan_hits + delta.plan_misses,
+                "{label}: ppa-obs counters diverged from exec stats"
+            );
+            assert_eq!(
+                m.counter("backend.arena_fresh"),
+                delta.arena_fresh,
+                "{label}: arena counters diverged from exec stats"
+            );
+        }
+    }
+
+    spec.dispatch(Reconcile { w, label });
 }
 
 /// BA — lane-batching amortization (table only; see [`batch_run`] for
@@ -735,11 +691,37 @@ pub fn batch_table() -> Table {
 /// lanes). The per-destination plan-cache-miss and arena-allocation
 /// counters must improve monotonically with the lane count — that is
 /// the amortization claim, and it is deterministic, so it is asserted,
-/// not just reported.
+/// not just reported. The threaded rows run the same waves and are
+/// asserted bit-identical to the packed lanes.
 pub fn batch_run() -> BenchRun {
     use ppa_machine::PackedBackend;
     use ppa_mcp::batch::replicate;
-    use ppa_mcp::BatchSession;
+    use ppa_mcp::{BatchSession, McpOutput};
+
+    /// One timed wavefront solve on a fresh batch: wall nanoseconds, the
+    /// backend's execution statistics, the batch word width, and the
+    /// per-lane outputs.
+    struct Wave<'a> {
+        graphs: &'a [WeightMatrix],
+        dests: &'a [usize],
+    }
+
+    impl BackendVisitor for Wave<'_> {
+        type Output = (u64, ExecStats, u32, Vec<McpOutput>);
+
+        fn run<E: Executor>(self, exec: E) -> Self::Output {
+            let mut batch = BatchSession::with_backend(self.graphs, exec).unwrap();
+            let start = Instant::now();
+            let solved = batch.solve(self.dests).unwrap();
+            let ns = start.elapsed().as_nanos() as u64;
+            let wave = solved
+                .into_iter()
+                .map(|r| r.expect("every lane of the wavefront must converge"))
+                .collect();
+            (ns, batch.exec_stats(), batch.word_bits(), wave)
+        }
+    }
+
     let mut entries: Vec<BaselineEntry> = Vec::new();
     let mut t = Table::new(
         "BA",
@@ -758,6 +740,21 @@ pub fn batch_run() -> BenchRun {
     );
     let n = 64usize;
     let threads = 2usize;
+    // The threaded backend pays a fixed per-step rendezvous, so a wider
+    // machine amortizes it across lanes: this is where wall/dest visibly
+    // falls with the lane count even on one core.
+    let cells = [
+        (
+            packed(WordWidth::W64),
+            "packed".to_owned(),
+            "packed".to_owned(),
+        ),
+        (
+            threaded(threads, WordWidth::W64),
+            format!("threads={threads}"),
+            format!("threaded x{threads}"),
+        ),
+    ];
     let w = gen::random_connected(n, 0.2, 25, 99);
     let mut all_identical = true;
     let mut prev_misses_per_dest = f64::INFINITY;
@@ -765,142 +762,101 @@ pub fn batch_run() -> BenchRun {
     for &lanes in &[1usize, 2, 4, 8] {
         let graphs = replicate(&w, lanes);
         let dests: Vec<usize> = (0..lanes).collect();
-
-        let mut samples: Vec<u64> = Vec::new();
-        let mut stats = ppa_machine::ExecStats::default();
-        let mut word_bits = 0u32;
-        let mut wave = Vec::new();
-        for _ in 0..5 {
-            let mut batch = BatchSession::new_packed(&graphs).unwrap();
-            let start = Instant::now();
-            let solved = batch.solve(&dests).unwrap();
-            samples.push(start.elapsed().as_nanos() as u64);
-            stats = batch.exec_stats();
-            word_bits = batch.word_bits();
-            wave = solved
-                .into_iter()
-                .map(|r| r.expect("every lane of the wavefront must converge"))
-                .collect();
+        // The packed lanes, once gated against solo runs, are the
+        // reference the threaded lanes must match.
+        let mut reference: Option<Vec<McpOutput>> = None;
+        for (spec, cell, label) in &cells {
+            let mut samples: Vec<u64> = Vec::new();
+            let mut last = None;
+            for _ in 0..5 {
+                let (ns, stats, word_bits, wave) = spec.dispatch(Wave {
+                    graphs: &graphs,
+                    dests: &dests,
+                });
+                samples.push(ns);
+                last = Some((stats, word_bits, wave));
+            }
+            let (stats, word_bits, wave) = last.expect("five repetitions ran");
+            let is_packed = reference.is_none();
+            let wants: Vec<McpOutput> = match &reference {
+                // Bit-identity gate: every lane vs a solo run at the
+                // batch's word width, down to the per-class step report.
+                None => dests
+                    .iter()
+                    .map(|&d| {
+                        let solo = Ppa::<PackedBackend>::packed(n).with_word_bits(word_bits);
+                        ppa_mcp::McpSession::from_ppa(solo, &w)
+                            .and_then(|mut s| s.solve(d))
+                            .unwrap()
+                    })
+                    .collect(),
+                Some(packed_wave) => packed_wave.clone(),
+            };
+            for (l, &d) in dests.iter().enumerate() {
+                let (got, want) = (&wave[l], &wants[l]);
+                all_identical &= got.sow == want.sow
+                    && got.ptn == want.ptn
+                    && got.stats.total == want.stats.total;
+                assert_eq!(
+                    got.sow, want.sow,
+                    "lanes = {lanes}, dest {d}, {label}: SOW diverged"
+                );
+                assert_eq!(
+                    got.ptn, want.ptn,
+                    "lanes = {lanes}, dest {d}, {label}: PTN diverged"
+                );
+                assert_eq!(
+                    got.stats.total, want.stats.total,
+                    "lanes = {lanes}, dest {d}, {label}: step reports diverged"
+                );
+            }
+            let steps = wave[0].stats.total.total();
+            let wall = best_secs(&samples);
+            let misses_per_dest = stats.plan_misses as f64 / lanes as f64;
+            let fresh_per_dest = stats.arena_fresh as f64 / lanes as f64;
+            if is_packed {
+                // The amortization claim, asserted on the deterministic
+                // counters: one stream serving L destinations must not pay
+                // more plan compiles or arena allocations per destination
+                // than a narrower stream serving fewer.
+                assert!(
+                    misses_per_dest <= prev_misses_per_dest,
+                    "lanes = {lanes}: plan misses/dest regressed \
+                     ({misses_per_dest:.1} > {prev_misses_per_dest:.1})"
+                );
+                assert!(
+                    fresh_per_dest <= prev_fresh_per_dest,
+                    "lanes = {lanes}: arena fresh/dest regressed \
+                     ({fresh_per_dest:.1} > {prev_fresh_per_dest:.1})"
+                );
+                prev_misses_per_dest = misses_per_dest;
+                prev_fresh_per_dest = fresh_per_dest;
+                reference = Some(wave);
+            }
+            entries.push(BaselineEntry {
+                cell: format!("n={n}/lanes={lanes}/{cell}"),
+                steps,
+                wall: WallStats::from_samples(&samples),
+                // The threaded pool's shared arena is allocation-order
+                // dependent, so only the packed cells record it.
+                counters: exec_counters(&stats, is_packed),
+            });
+            t.row(vec![
+                n.to_string(),
+                lanes.to_string(),
+                label.clone(),
+                steps.to_string(),
+                format!("{:.2}", wall * 1e3),
+                format!("{:.2}", wall * 1e3 / lanes as f64),
+                format!("{misses_per_dest:.1}"),
+                if is_packed {
+                    format!("{fresh_per_dest:.1}")
+                } else {
+                    "-".into()
+                },
+                format!("{:.1}%", stats.plan_hit_rate() * 100.0),
+            ]);
         }
-        // Bit-identity gate: every lane vs a solo run at the batch's
-        // word width, down to the per-class step report.
-        for (l, &d) in dests.iter().enumerate() {
-            let solo = Ppa::<PackedBackend>::packed(n).with_word_bits(word_bits);
-            let want = ppa_mcp::McpSession::from_ppa(solo, &w)
-                .and_then(|mut s| s.solve(d))
-                .unwrap();
-            let got = &wave[l];
-            all_identical &=
-                got.sow == want.sow && got.ptn == want.ptn && got.stats.total == want.stats.total;
-            assert_eq!(got.sow, want.sow, "lanes = {lanes}, dest {d}: SOW diverged");
-            assert_eq!(got.ptn, want.ptn, "lanes = {lanes}, dest {d}: PTN diverged");
-            assert_eq!(
-                got.stats.total, want.stats.total,
-                "lanes = {lanes}, dest {d}: step reports diverged"
-            );
-        }
-        let steps = wave[0].stats.total.total();
-        let wall = samples.iter().min().copied().unwrap() as f64 / 1e9;
-        let misses_per_dest = stats.plan_misses as f64 / lanes as f64;
-        let fresh_per_dest = stats.arena_fresh as f64 / lanes as f64;
-        // The amortization claim, asserted on the deterministic
-        // counters: one stream serving L destinations must not pay more
-        // plan compiles or arena allocations per destination than a
-        // narrower stream serving fewer.
-        assert!(
-            misses_per_dest <= prev_misses_per_dest,
-            "lanes = {lanes}: plan misses/dest regressed \
-             ({misses_per_dest:.1} > {prev_misses_per_dest:.1})"
-        );
-        assert!(
-            fresh_per_dest <= prev_fresh_per_dest,
-            "lanes = {lanes}: arena fresh/dest regressed \
-             ({fresh_per_dest:.1} > {prev_fresh_per_dest:.1})"
-        );
-        prev_misses_per_dest = misses_per_dest;
-        prev_fresh_per_dest = fresh_per_dest;
-        entries.push(BaselineEntry {
-            cell: format!("n={n}/lanes={lanes}/packed"),
-            steps,
-            wall: WallStats::from_samples(&samples),
-            counters: [
-                ("plan_hits".to_owned(), stats.plan_hits),
-                ("plan_misses".to_owned(), stats.plan_misses),
-                ("arena_fresh".to_owned(), stats.arena_fresh),
-                ("arena_reused".to_owned(), stats.arena_reused),
-            ]
-            .into_iter()
-            .collect(),
-        });
-        t.row(vec![
-            n.to_string(),
-            lanes.to_string(),
-            "packed".into(),
-            steps.to_string(),
-            format!("{:.2}", wall * 1e3),
-            format!("{:.2}", wall * 1e3 / lanes as f64),
-            format!("{misses_per_dest:.1}"),
-            format!("{fresh_per_dest:.1}"),
-            format!("{:.1}%", stats.plan_hit_rate() * 100.0),
-        ]);
-
-        // The threaded backend pays a fixed per-step rendezvous, so a
-        // wider machine amortizes it across lanes: this is where
-        // wall/dest visibly falls with the lane count even on one core.
-        let mut thr_samples: Vec<u64> = Vec::new();
-        let mut thr_stats = ppa_machine::ExecStats::default();
-        let mut thr_wave = Vec::new();
-        for _ in 0..5 {
-            let mut batch = BatchSession::new_threaded(&graphs, threads).unwrap();
-            let start = Instant::now();
-            let solved = batch.solve(&dests).unwrap();
-            thr_samples.push(start.elapsed().as_nanos() as u64);
-            thr_stats = batch.exec_stats();
-            thr_wave = solved
-                .into_iter()
-                .map(|r| r.expect("every lane of the wavefront must converge"))
-                .collect();
-        }
-        for (l, &d) in dests.iter().enumerate() {
-            let (got, want) = (&thr_wave[l], &wave[l]);
-            all_identical &=
-                got.sow == want.sow && got.ptn == want.ptn && got.stats.total == want.stats.total;
-            assert_eq!(
-                got.sow, want.sow,
-                "lanes = {lanes}, dest {d}: threaded SOW diverged from packed"
-            );
-            assert_eq!(
-                got.ptn, want.ptn,
-                "lanes = {lanes}, dest {d}: threaded PTN diverged from packed"
-            );
-            assert_eq!(
-                got.stats.total, want.stats.total,
-                "lanes = {lanes}, dest {d}: threaded step report diverged from packed"
-            );
-        }
-        let thr_wall = thr_samples.iter().min().copied().unwrap() as f64 / 1e9;
-        entries.push(BaselineEntry {
-            cell: format!("n={n}/lanes={lanes}/threads={threads}"),
-            steps,
-            wall: WallStats::from_samples(&thr_samples),
-            counters: [
-                ("plan_hits".to_owned(), thr_stats.plan_hits),
-                ("plan_misses".to_owned(), thr_stats.plan_misses),
-            ]
-            .into_iter()
-            .collect(),
-        });
-        t.row(vec![
-            n.to_string(),
-            lanes.to_string(),
-            format!("threaded x{threads}"),
-            steps.to_string(),
-            format!("{:.2}", thr_wall * 1e3),
-            format!("{:.2}", thr_wall * 1e3 / lanes as f64),
-            format!("{:.1}", thr_stats.plan_misses as f64 / lanes as f64),
-            "-".into(),
-            format!("{:.1}%", thr_stats.plan_hit_rate() * 100.0),
-        ]);
     }
     t.note(format!("batched_bit_identical: {all_identical}"));
     t.note("every lane is asserted bit-identical to a solo run pinned to the batch's");
@@ -1108,7 +1064,7 @@ pub fn t8_faults() -> Table {
     );
     for (name, dir, intended) in &patterns {
         let src = Plane::from_fn(dim, |c| (c.row * n + c.col) as i64);
-        let healthy = bus::broadcast(ExecMode::Sequential, dim, &src, *dir, intended).unwrap();
+        let healthy = bus::broadcast(dim, &src, *dir, intended).unwrap();
         let mut distorting = 0u32;
         let mut wrong = 0u32;
         let mut undriven = 0u32;
@@ -1127,7 +1083,7 @@ pub fn t8_faults() -> Table {
                         missed += 1;
                     }
                     let effective = fm.apply(intended);
-                    match bus::broadcast(ExecMode::Sequential, dim, &src, *dir, &effective) {
+                    match bus::broadcast(dim, &src, *dir, &effective) {
                         Err(_) => undriven += 1,
                         Ok(out) => {
                             if out != healthy {
@@ -1210,8 +1166,6 @@ pub struct ProfileRun {
     /// Step totals of the same run — `metrics` must reconcile with this
     /// exactly (asserted by the integration tests).
     pub report: StepReport,
-    /// Host wall-clock engine profile of the run.
-    pub engine: Option<ppa_obs::EngineProfile>,
     /// Micro-op-class wall-clock attribution of the run; rendered as
     /// `profile.folded.txt` (inferno folded-stack lines) by `report`.
     pub micro: ppa_obs::MicroProfile,
@@ -1220,7 +1174,7 @@ pub struct ProfileRun {
 /// The `profile` experiment (supersedes the text-only T9 attribution):
 /// one MCP run with every observer attached — hierarchical trace spans
 /// (`mcp > iteration[i] > <statement> > bit[j]`), the metrics registry,
-/// and engine wall-clock profiling.
+/// and micro-op wall-clock attribution.
 pub fn profile_run() -> ProfileRun {
     let n = 10usize;
     let h = 16u32;
@@ -1230,9 +1184,7 @@ pub fn profile_run() -> ProfileRun {
     ppa.install_sink(chrome.clone());
     ppa.enable_metrics();
     ppa.enable_micro_profile();
-    ppa_machine::engine::enable_profiling();
     let out = minimum_cost_path(&mut ppa, &w, 0).expect("profile workload solves");
-    let engine = ppa_machine::engine::take_profile();
     let _ = ppa.take_sink();
     // Take the micro profile *before* the metrics snapshot so its
     // exec.<backend>.<class>.{ns,count} counters fold into the registry.
@@ -1294,15 +1246,6 @@ pub fn profile_run() -> ProfileRun {
             format!("count {} (= steps.{class})", wall.count),
         ]);
     }
-    if let Some(p) = &engine {
-        t.note(format!(
-            "engine wall-clock: {} build + {} reduce calls, {:.2} ms sequential, {:.2} ms threaded",
-            p.build_calls,
-            p.reduce_calls,
-            p.sequential_nanos as f64 / 1e6,
-            p.threaded_nanos as f64 / 1e6,
-        ));
-    }
     t.note(format!(
         "micro-op attribution ({} backend): {} timed instructions, {:.2} ms attributed; \
          folded-stack artifact profile.folded.txt (inferno format: `backend;class nanos`)",
@@ -1319,7 +1262,6 @@ pub fn profile_run() -> ProfileRun {
         chrome_trace,
         metrics,
         report,
-        engine,
         micro,
     }
 }

@@ -14,7 +14,7 @@
 
 use ppa_bench::measure_identical;
 use ppa_graph::gen;
-use ppa_machine::{Dim, ExecMode, Machine, PackedBackend, Word, W256, W64};
+use ppa_machine::{PackedBackend, Word, W256, W64};
 use ppa_mcp::mcp::{fit_word_bits, minimum_cost_path};
 use ppa_ppc::Ppa;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,12 +38,7 @@ fn reference() -> (ppa_graph::WeightMatrix, u32, ppa_mcp::McpOutput) {
 }
 
 fn drilled_ppa<W: Word>(n: usize, h: u32) -> Ppa<PackedBackend<W>> {
-    Ppa::from_machine(Machine::with_backend(
-        Dim::square(n),
-        ExecMode::Sequential,
-        PackedBackend::<W>::with_perturbed_vote(),
-    ))
-    .with_word_bits(h)
+    Ppa::with_backend(n, PackedBackend::<W>::with_perturbed_vote()).with_word_bits(h)
 }
 
 #[test]
@@ -58,7 +53,7 @@ fn healthy_backends_pass_the_gate_at_both_widths() {
         "drill control, packed",
     );
     measure_identical(
-        &|| Ppa::<PackedBackend<W256>>::packed_wide(n).with_word_bits(h),
+        &|| Ppa::with_backend(n, PackedBackend::<W256>::new()).with_word_bits(h),
         &w,
         DRILL_DEST,
         &want,

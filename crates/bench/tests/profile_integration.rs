@@ -5,7 +5,7 @@
 //! snapshot survives a JSON round-trip byte-exactly.
 
 use ppa_bench::profile_run;
-use ppa_machine::Op;
+use ppa_machine::{Op, ThreadedBackend, W64};
 use ppa_obs::{validate_chrome_trace, Json, Metrics};
 
 #[test]
@@ -49,13 +49,6 @@ fn profile_artifacts_reconcile_and_validate() {
     let text = run.metrics.to_json().to_string_pretty();
     let back = Metrics::from_json(&Json::parse(&text).unwrap()).unwrap();
     assert_eq!(back, run.metrics);
-
-    // The wall-clock engine hooks observed the same run.
-    let engine = run
-        .engine
-        .expect("engine profiling enabled during profile_run");
-    assert!(engine.build_calls > 0);
-    assert!(engine.reduce_calls > 0);
 
     // Micro-op attribution observed the same run: per-class counts equal
     // the controller report, and the exec.* counters folded into the
@@ -127,7 +120,7 @@ fn micro_profile_reconciles_on_packed_backend() {
 #[test]
 fn micro_profile_reconciles_on_threaded_backend() {
     let w = ppa_graph::gen::ring(6);
-    let mut ppa = ppa_ppc::Ppa::threaded(6, 2).with_word_bits(10);
+    let mut ppa = ppa_ppc::Ppa::with_backend(6, ThreadedBackend::<W64>::new(2)).with_word_bits(10);
     ppa.enable_metrics();
     ppa.enable_micro_profile();
     let out = ppa_mcp::mcp::minimum_cost_path(&mut ppa, &w, 0).expect("threaded MCP solves");

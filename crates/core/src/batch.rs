@@ -3,7 +3,7 @@
 //!
 //! The bit-plane representation is wider than one problem needs: one
 //! machine word of the packed backend (64 or 256 PEs, depending on the
-//! [`Word`] parameter) holds PEs of *one* solve. A
+//! [`Word`](ppa_machine::Word) parameter) holds PEs of *one* solve. A
 //! [`BatchSession`] lifts that assumption by packing `L` independent
 //! `n x n` problems side by side into one `n x (n * L)` machine (lane
 //! `l` owns columns `l*n .. (l+1)*n`, see
@@ -58,8 +58,8 @@ use crate::stats::McpStats;
 use crate::Result;
 use ppa_graph::{Weight, WeightMatrix, INF};
 use ppa_machine::{
-    CancelToken, Direction, ExecStats, Executor, LaneLayout, Machine, MachineError, PackedBackend,
-    ScalarBackend, StepReport, ThreadedBackend, Word,
+    CancelToken, Dim, Direction, ExecStats, Executor, LaneLayout, Machine, MachineError,
+    PackedBackend, ScalarBackend, StepReport,
 };
 use ppa_ppc::{Parallel, Ppa, PpcError};
 
@@ -162,13 +162,9 @@ impl BatchSession<ScalarBackend> {
     /// Builds a scalar-backend batch sized and word-fitted for `graphs`.
     ///
     /// # Errors
-    /// [`McpError::BatchShape`] for an empty, oversized, or mixed-size
-    /// batch.
+    /// See [`BatchSession::with_backend`].
     pub fn new(graphs: &[WeightMatrix]) -> Result<Self> {
-        let n = check_graphs(graphs)?;
-        let ppa = Ppa::from_machine(Machine::new(n, n * graphs.len()))
-            .with_word_bits(batch_word_bits(graphs));
-        Self::from_ppa(ppa, graphs)
+        Self::with_backend(graphs, ScalarBackend)
     }
 }
 
@@ -176,61 +172,25 @@ impl BatchSession<PackedBackend> {
     /// Builds a packed-backend batch sized and word-fitted for `graphs`.
     ///
     /// # Errors
-    /// [`McpError::BatchShape`] for an empty, oversized, or mixed-size
-    /// batch.
+    /// See [`BatchSession::with_backend`].
     pub fn new_packed(graphs: &[WeightMatrix]) -> Result<Self> {
-        let n = check_graphs(graphs)?;
-        let ppa = Ppa::from_machine(Machine::new_packed(n, n * graphs.len()))
-            .with_word_bits(batch_word_bits(graphs));
-        Self::from_ppa(ppa, graphs)
-    }
-}
-
-impl BatchSession<ThreadedBackend> {
-    /// Builds a threaded-backend batch sized and word-fitted for
-    /// `graphs`, sharding each bit-plane micro-op over a `threads`-wide
-    /// pool.
-    ///
-    /// # Errors
-    /// [`McpError::BatchShape`] for an empty, oversized, or mixed-size
-    /// batch.
-    pub fn new_threaded(graphs: &[WeightMatrix], threads: usize) -> Result<Self> {
-        let n = check_graphs(graphs)?;
-        let ppa = Ppa::from_machine(Machine::new_threaded(n, n * graphs.len(), threads))
-            .with_word_bits(batch_word_bits(graphs));
-        Self::from_ppa(ppa, graphs)
-    }
-}
-
-impl<W: Word> BatchSession<PackedBackend<W>> {
-    /// [`BatchSession::new_packed`] with an explicit machine word `W`.
-    ///
-    /// # Errors
-    /// [`McpError::BatchShape`] for an empty, oversized, or mixed-size
-    /// batch.
-    pub fn new_packed_wide(graphs: &[WeightMatrix]) -> Result<Self> {
-        let n = check_graphs(graphs)?;
-        let ppa = Ppa::from_machine(Machine::new_packed_wide(n, n * graphs.len()))
-            .with_word_bits(batch_word_bits(graphs));
-        Self::from_ppa(ppa, graphs)
-    }
-}
-
-impl<W: Word> BatchSession<ThreadedBackend<W>> {
-    /// [`BatchSession::new_threaded`] with an explicit machine word `W`.
-    ///
-    /// # Errors
-    /// [`McpError::BatchShape`] for an empty, oversized, or mixed-size
-    /// batch.
-    pub fn new_threaded_wide(graphs: &[WeightMatrix], threads: usize) -> Result<Self> {
-        let n = check_graphs(graphs)?;
-        let ppa = Ppa::from_machine(Machine::new_threaded_wide(n, n * graphs.len(), threads))
-            .with_word_bits(batch_word_bits(graphs));
-        Self::from_ppa(ppa, graphs)
+        Self::with_backend(graphs, PackedBackend::new())
     }
 }
 
 impl<E: Executor> BatchSession<E> {
+    /// Builds a batch on `exec`, sized and word-fitted for `graphs`.
+    ///
+    /// # Errors
+    /// [`McpError::BatchShape`] for an empty, oversized, or mixed-size
+    /// batch.
+    pub fn with_backend(graphs: &[WeightMatrix], exec: E) -> Result<Self> {
+        let n = check_graphs(graphs)?;
+        let machine = Machine::with_backend(Dim::new(n, n * graphs.len()), exec);
+        let ppa = Ppa::from_machine(machine).with_word_bits(batch_word_bits(graphs));
+        Self::from_ppa(ppa, graphs)
+    }
+
     /// Wraps an existing runtime, preparing the shared planes for
     /// `graphs`. The machine must be `n x (n * lanes)` and at least as
     /// wide as the widest lane's required word.

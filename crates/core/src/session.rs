@@ -22,7 +22,7 @@ use crate::apsp::AllPairs;
 use crate::mcp::{self, McpOutput, Prepared};
 use crate::Result;
 use ppa_graph::WeightMatrix;
-use ppa_machine::{ExecStats, Executor, PackedBackend, ScalarBackend, ThreadedBackend, Word};
+use ppa_machine::{ExecStats, Executor, PackedBackend, ScalarBackend};
 use ppa_ppc::Ppa;
 
 /// A minimum-cost-path solver session: a runtime plus the prepared
@@ -38,11 +38,9 @@ impl McpSession<ScalarBackend> {
     /// Builds a scalar-backend session sized and word-fitted for `w`.
     ///
     /// # Errors
-    /// Propagates the solver's size/word-width contract checks (which
-    /// cannot fire for the auto-fitted machine built here).
+    /// See [`McpSession::with_backend`].
     pub fn new(w: &WeightMatrix) -> Result<Self> {
-        let ppa = Ppa::square(w.n()).with_word_bits(mcp::fit_word_bits(w).clamp(2, 62));
-        Self::from_ppa(ppa, w)
+        Self::with_backend(w, ScalarBackend)
     }
 }
 
@@ -50,57 +48,23 @@ impl McpSession<PackedBackend> {
     /// Builds a packed-backend session sized and word-fitted for `w`.
     ///
     /// # Errors
-    /// Propagates the solver's size/word-width contract checks (which
-    /// cannot fire for the auto-fitted machine built here).
+    /// See [`McpSession::with_backend`].
     pub fn new_packed(w: &WeightMatrix) -> Result<Self> {
-        let ppa =
-            Ppa::<PackedBackend>::packed(w.n()).with_word_bits(mcp::fit_word_bits(w).clamp(2, 62));
-        Self::from_ppa(ppa, w)
-    }
-}
-
-impl McpSession<ThreadedBackend> {
-    /// Builds a threaded-backend session sized and word-fitted for `w`,
-    /// sharding each bit-plane micro-op over a `threads`-wide pool.
-    ///
-    /// # Errors
-    /// Propagates the solver's size/word-width contract checks (which
-    /// cannot fire for the auto-fitted machine built here).
-    pub fn new_threaded(w: &WeightMatrix, threads: usize) -> Result<Self> {
-        let ppa = Ppa::<ThreadedBackend>::threaded(w.n(), threads)
-            .with_word_bits(mcp::fit_word_bits(w).clamp(2, 62));
-        Self::from_ppa(ppa, w)
-    }
-}
-
-impl<W: Word> McpSession<PackedBackend<W>> {
-    /// [`McpSession::new_packed`] with an explicit machine word `W` (e.g.
-    /// `McpSession::<PackedBackend<W256>>::new_packed_wide`).
-    ///
-    /// # Errors
-    /// Propagates the solver's size/word-width contract checks (which
-    /// cannot fire for the auto-fitted machine built here).
-    pub fn new_packed_wide(w: &WeightMatrix) -> Result<Self> {
-        let ppa = Ppa::<PackedBackend<W>>::packed_wide(w.n())
-            .with_word_bits(mcp::fit_word_bits(w).clamp(2, 62));
-        Self::from_ppa(ppa, w)
-    }
-}
-
-impl<W: Word> McpSession<ThreadedBackend<W>> {
-    /// [`McpSession::new_threaded`] with an explicit machine word `W`.
-    ///
-    /// # Errors
-    /// Propagates the solver's size/word-width contract checks (which
-    /// cannot fire for the auto-fitted machine built here).
-    pub fn new_threaded_wide(w: &WeightMatrix, threads: usize) -> Result<Self> {
-        let ppa = Ppa::<ThreadedBackend<W>>::threaded_wide(w.n(), threads)
-            .with_word_bits(mcp::fit_word_bits(w).clamp(2, 62));
-        Self::from_ppa(ppa, w)
+        Self::with_backend(w, PackedBackend::new())
     }
 }
 
 impl<E: Executor> McpSession<E> {
+    /// Builds a session on `exec`, sized and word-fitted for `w`.
+    ///
+    /// # Errors
+    /// Propagates the solver's size/word-width contract checks (which
+    /// cannot fire for the auto-fitted machine built here).
+    pub fn with_backend(w: &WeightMatrix, exec: E) -> Result<Self> {
+        let ppa = Ppa::with_backend(w.n(), exec).with_word_bits(mcp::fit_word_bits(w).clamp(2, 62));
+        Self::from_ppa(ppa, w)
+    }
+
     /// Wraps an existing runtime, preparing the shared planes for `w`.
     ///
     /// The preparation costs five ALU steps on `ppa` (the `ROW`/`COL`

@@ -18,7 +18,6 @@
 //! These functions are *uncosted* mechanics; issue them through
 //! [`Machine`](crate::Machine) to have the controller count steps.
 
-use crate::engine::{self, ExecMode};
 use crate::error::MachineError;
 use crate::geometry::{Dim, Direction};
 use crate::isa::Fill;
@@ -74,7 +73,6 @@ pub fn cluster_heads(
 /// The `broadcast(src, dir, L)` primitive: every node receives the `src`
 /// value held by the Open node heading its cluster.
 pub fn broadcast<T: Copy + Send + Sync>(
-    mode: ExecMode,
     dim: Dim,
     src: &Plane<T>,
     dir: Direction,
@@ -87,7 +85,7 @@ pub fn broadcast<T: Copy + Send + Sync>(
         lines,
     })?;
     let s = src.as_slice();
-    let data = engine::build(mode, dim.len(), |i| s[heads[i]]);
+    let data = (0..dim.len()).map(|i| s[heads[i]]).collect();
     Ok(Plane::from_vec(dim, data))
 }
 
@@ -139,7 +137,6 @@ pub fn cluster_keys(dim: Dim, dir: Direction, open: &[bool]) -> (Vec<u32>, Vec<u
 /// The wired-OR primitive: every node receives the OR of `values` over all
 /// nodes of its cluster. A line with no Open node forms a single cluster.
 pub fn bus_or(
-    mode: ExecMode,
     dim: Dim,
     values: &Plane<bool>,
     dir: Direction,
@@ -155,7 +152,7 @@ pub fn bus_or(
             acc[key[idx] as usize] = true;
         }
     }
-    let data = engine::build(mode, dim.len(), |i| acc[key[i] as usize]);
+    let data = (0..dim.len()).map(|i| acc[key[i] as usize]).collect();
     Ok(Plane::from_vec(dim, data))
 }
 
@@ -164,7 +161,6 @@ pub fn bus_or(
 /// (i.e. data moves one step towards `dir`); upstream-edge nodes receive
 /// the fill value, or the wrapped neighbour's value under [`Fill::Wrap`].
 pub fn shift_with<T: Copy + Send + Sync>(
-    mode: ExecMode,
     dim: Dim,
     src: &Plane<T>,
     dir: Direction,
@@ -172,39 +168,39 @@ pub fn shift_with<T: Copy + Send + Sync>(
 ) -> Result<Plane<T>, MachineError> {
     check_dim(dim, src.dim())?;
     let s = src.as_slice();
-    let data = engine::build(mode, dim.len(), |i| {
-        let c = dim.coord(i);
-        match fill {
-            Fill::Value(v) => match c.neighbor(dir.opposite(), dim) {
-                Some(n) => s[dim.index(n)],
-                None => v,
-            },
-            Fill::Wrap => s[dim.index(c.neighbor_wrapping(dir.opposite(), dim))],
-        }
-    });
+    let data = (0..dim.len())
+        .map(|i| {
+            let c = dim.coord(i);
+            match fill {
+                Fill::Value(v) => match c.neighbor(dir.opposite(), dim) {
+                    Some(n) => s[dim.index(n)],
+                    None => v,
+                },
+                Fill::Wrap => s[dim.index(c.neighbor_wrapping(dir.opposite(), dim))],
+            }
+        })
+        .collect();
     Ok(Plane::from_vec(dim, data))
 }
 
 /// The `shift(src, dir)` primitive with a constant edge fill.
 pub fn shift<T: Copy + Send + Sync>(
-    mode: ExecMode,
     dim: Dim,
     src: &Plane<T>,
     dir: Direction,
     fill: T,
 ) -> Result<Plane<T>, MachineError> {
-    shift_with(mode, dim, src, dir, Fill::Value(fill))
+    shift_with(dim, src, dir, Fill::Value(fill))
 }
 
 /// Toroidal variant of [`shift`]: edge nodes receive the wrapped neighbour's
 /// value instead of a fill.
 pub fn shift_wrapping<T: Copy + Send + Sync>(
-    mode: ExecMode,
     dim: Dim,
     src: &Plane<T>,
     dir: Direction,
 ) -> Result<Plane<T>, MachineError> {
-    shift_with(mode, dim, src, dir, Fill::Wrap)
+    shift_with(dim, src, dir, Fill::Wrap)
 }
 
 fn check_dim(expected: Dim, found: Dim) -> Result<(), MachineError> {
@@ -220,8 +216,6 @@ mod tests {
     use super::*;
     use crate::geometry::Coord;
 
-    const SEQ: ExecMode = ExecMode::Sequential;
-
     fn dim4() -> Dim {
         Dim::square(4)
     }
@@ -232,7 +226,7 @@ mod tests {
         let src = Plane::from_fn(dim, |c| (c.row * 10 + c.col) as i64);
         // Open only column 1; broadcast East along rows.
         let open = Plane::from_fn(dim, |c| c.col == 1);
-        let out = broadcast(SEQ, dim, &src, Direction::East, &open).unwrap();
+        let out = broadcast(dim, &src, Direction::East, &open).unwrap();
         for r in 0..4 {
             for c in 0..4 {
                 assert_eq!(*out.at(r, c), (r * 10 + 1) as i64, "at ({r},{c})");
@@ -247,7 +241,7 @@ mod tests {
         // Row 0: open at cols 0 and 2, movement East.
         // Clusters (cyclic): {0,1} headed by 0, {2,3} headed by 2.
         let open = Plane::from_fn(dim, |c| c.row == 0 && (c.col == 0 || c.col == 2));
-        let out = broadcast(SEQ, dim, &src, Direction::East, &open);
+        let out = broadcast(dim, &src, Direction::East, &open);
         // Rows 1..3 have no open node -> fault listing those lines.
         match out {
             Err(MachineError::BusFault { lines, .. }) => assert_eq!(lines, vec![1, 2, 3]),
@@ -261,7 +255,7 @@ mod tests {
                 c.col == 0
             }
         });
-        let out = broadcast(SEQ, dim, &src, Direction::East, &open).unwrap();
+        let out = broadcast(dim, &src, Direction::East, &open).unwrap();
         assert_eq!(out.row(0), &[0, 0, 2, 2]);
         assert_eq!(out.row(1), &[0, 0, 0, 0]);
     }
@@ -273,7 +267,7 @@ mod tests {
         // Row 0: single open at col 2, movement East: cols 3, 0, 1 are all
         // downstream of col 2 on the circular bus.
         let open = Plane::from_fn(dim, |c| c.col == 2);
-        let out = broadcast(SEQ, dim, &src, Direction::East, &open).unwrap();
+        let out = broadcast(dim, &src, Direction::East, &open).unwrap();
         assert_eq!(out.row(0), &[2, 2, 2, 2]);
     }
 
@@ -282,10 +276,10 @@ mod tests {
         let dim = dim4();
         let src = Plane::from_fn(dim, |c| c.col as i64);
         let open = Plane::from_fn(dim, |c| c.col == 0 || c.col == 2);
-        let east = broadcast(SEQ, dim, &src, Direction::East, &open).unwrap();
+        let east = broadcast(dim, &src, Direction::East, &open).unwrap();
         // East: col1 <- col0, col3 <- col2.
         assert_eq!(east.row(0), &[0, 0, 2, 2]);
-        let west = broadcast(SEQ, dim, &src, Direction::West, &open).unwrap();
+        let west = broadcast(dim, &src, Direction::West, &open).unwrap();
         // West (movement towards decreasing cols): col1 <- col2, col3 <- col0 (cyclic).
         assert_eq!(west.row(0), &[0, 2, 2, 0]);
     }
@@ -295,7 +289,7 @@ mod tests {
         let dim = dim4();
         let src = Plane::from_fn(dim, |c| (c.row * 4 + c.col) as i64);
         let open = Plane::filled(dim, true); // every node its own cluster
-        let out = broadcast(SEQ, dim, &src, Direction::South, &open).unwrap();
+        let out = broadcast(dim, &src, Direction::South, &open).unwrap();
         assert_eq!(out, src);
     }
 
@@ -305,7 +299,7 @@ mod tests {
         let dim = dim4();
         let src = Plane::from_fn(dim, |c| if c.row == c.col { c.col as i64 } else { -1 });
         let open = Plane::from_fn(dim, |c| c.row == c.col);
-        let out = broadcast(SEQ, dim, &src, Direction::South, &open).unwrap();
+        let out = broadcast(dim, &src, Direction::South, &open).unwrap();
         // Every column j is driven entirely by (j, j).
         for r in 0..4 {
             for c in 0..4 {
@@ -320,7 +314,7 @@ mod tests {
         let open = Plane::from_fn(dim, |c| c.col == 0 || c.col == 2);
         // Row 0: value true only at col 1 (cluster {0,1}).
         let vals = Plane::from_fn(dim, |c| c.row == 0 && c.col == 1);
-        let out = bus_or(SEQ, dim, &vals, Direction::East, &open).unwrap();
+        let out = bus_or(dim, &vals, Direction::East, &open).unwrap();
         assert_eq!(out.row(0), &[true, true, false, false]);
         assert_eq!(out.row(1), &[false, false, false, false]);
     }
@@ -330,7 +324,7 @@ mod tests {
         let dim = dim4();
         let open = Plane::filled(dim, false);
         let vals = Plane::from_fn(dim, |c| c.row == 2 && c.col == 3);
-        let out = bus_or(SEQ, dim, &vals, Direction::East, &open).unwrap();
+        let out = bus_or(dim, &vals, Direction::East, &open).unwrap();
         assert_eq!(out.row(2), &[true, true, true, true]);
         assert_eq!(out.row(0), &[false, false, false, false]);
     }
@@ -339,7 +333,7 @@ mod tests {
     fn shift_east_moves_data_right_with_fill() {
         let dim = dim4();
         let src = Plane::from_fn(dim, |c| c.col as i64);
-        let out = shift(SEQ, dim, &src, Direction::East, -7).unwrap();
+        let out = shift(dim, &src, Direction::East, -7).unwrap();
         assert_eq!(out.row(1), &[-7, 0, 1, 2]);
     }
 
@@ -347,7 +341,7 @@ mod tests {
     fn shift_north_moves_data_up() {
         let dim = dim4();
         let src = Plane::from_fn(dim, |c| c.row as i64);
-        let out = shift(SEQ, dim, &src, Direction::North, 99).unwrap();
+        let out = shift(dim, &src, Direction::North, 99).unwrap();
         // Node (r, c) receives from (r+1, c); bottom row gets fill.
         assert_eq!(out.col(0), vec![1, 2, 3, 99]);
     }
@@ -356,12 +350,12 @@ mod tests {
     fn shift_wrapping_is_a_rotation() {
         let dim = dim4();
         let src = Plane::from_fn(dim, |c| c.col as i64);
-        let out = shift_wrapping(SEQ, dim, &src, Direction::East).unwrap();
+        let out = shift_wrapping(dim, &src, Direction::East).unwrap();
         assert_eq!(out.row(0), &[3, 0, 1, 2]);
         // Four shifts restore the original.
         let mut p = src.clone();
         for _ in 0..4 {
-            p = shift_wrapping(SEQ, dim, &p, Direction::East).unwrap();
+            p = shift_wrapping(dim, &p, Direction::East).unwrap();
         }
         assert_eq!(p, src);
     }
@@ -371,7 +365,7 @@ mod tests {
         let dim = dim4();
         let src = Plane::filled(Dim::new(2, 4), 0i64);
         let open = Plane::filled(dim, true);
-        let err = broadcast(SEQ, dim, &src, Direction::East, &open).unwrap_err();
+        let err = broadcast(dim, &src, Direction::East, &open).unwrap_err();
         assert!(matches!(err, MachineError::DimMismatch { .. }));
     }
 
@@ -391,25 +385,11 @@ mod tests {
     }
 
     #[test]
-    fn threaded_mode_matches_sequential() {
-        let dim = Dim::square(48); // big enough to cross the chunk threshold
-        let src = Plane::from_fn(dim, |c| (c.row * 31 + c.col * 7) as i64);
-        let open = Plane::from_fn(dim, |c| (c.row + c.col) % 5 == 0 || c.col == 0);
-        let a = broadcast(SEQ, dim, &src, Direction::East, &open).unwrap();
-        let b = broadcast(ExecMode::threaded(3), dim, &src, Direction::East, &open).unwrap();
-        assert_eq!(a, b);
-        let va = Plane::from_fn(dim, |c| c.row % 3 == 0);
-        let oa = bus_or(SEQ, dim, &va, Direction::South, &open).unwrap();
-        let ob = bus_or(ExecMode::threaded(3), dim, &va, Direction::South, &open).unwrap();
-        assert_eq!(oa, ob);
-    }
-
-    #[test]
     fn broadcast_column_axis_uses_column_lines() {
         let dim = Dim::new(3, 2);
         let src = Plane::from_fn(dim, |c| (c.row * 2 + c.col) as i64);
         let open = Plane::from_fn(dim, |c| c.row == 1);
-        let out = broadcast(SEQ, dim, &src, Direction::North, &open).unwrap();
+        let out = broadcast(dim, &src, Direction::North, &open).unwrap();
         for r in 0..3 {
             assert_eq!(*out.at(r, 0), 2);
             assert_eq!(*out.at(r, 1), 3);

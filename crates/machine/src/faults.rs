@@ -419,7 +419,6 @@ impl fmt::Display for FaultReport {
 mod tests {
     use super::*;
     use crate::bus;
-    use crate::engine::ExecMode;
 
     fn dim() -> Dim {
         Dim::square(4)
@@ -552,22 +551,8 @@ mod tests {
         let intended = Plane::from_fn(dim(), |c| c.col == 0 || c.col == 2);
         let effective = fm.apply(&intended);
         let src = Plane::from_fn(dim(), |c| c.col as i64);
-        let healthy = bus::broadcast(
-            ExecMode::Sequential,
-            dim(),
-            &src,
-            Direction::East,
-            &intended,
-        )
-        .unwrap();
-        let faulty = bus::broadcast(
-            ExecMode::Sequential,
-            dim(),
-            &src,
-            Direction::East,
-            &effective,
-        )
-        .unwrap();
+        let healthy = bus::broadcast(dim(), &src, Direction::East, &intended).unwrap();
+        let faulty = bus::broadcast(dim(), &src, Direction::East, &effective).unwrap();
         assert_eq!(healthy.row(0), &[0, 0, 2, 2]);
         assert_eq!(faulty.row(0), &[0, 0, 0, 0], "row 0 lost its second head");
         assert_eq!(faulty.row(1), healthy.row(1), "other rows unaffected");
@@ -580,14 +565,7 @@ mod tests {
         let intended = Plane::from_fn(dim(), |c| c.col == 0);
         let effective = fm.apply(&intended);
         let src = Plane::from_fn(dim(), |c| (c.row * 10 + c.col) as i64);
-        let faulty = bus::broadcast(
-            ExecMode::Sequential,
-            dim(),
-            &src,
-            Direction::East,
-            &effective,
-        )
-        .unwrap();
+        let faulty = bus::broadcast(dim(), &src, Direction::East, &effective).unwrap();
         // Row 1 now has heads at cols 0 and 2.
         assert_eq!(faulty.row(1), &[10, 10, 12, 12]);
     }

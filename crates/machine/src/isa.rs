@@ -14,7 +14,6 @@
 //! host-side wall-clock may differ.
 
 use crate::bus;
-use crate::engine::{self, ExecMode};
 use crate::error::MachineError;
 use crate::geometry::{Axis, Dim, Direction};
 use crate::plane::Plane;
@@ -166,13 +165,12 @@ pub trait Executor: std::fmt::Debug + Clone {
     fn mask_count(&self, dim: Dim, mask: &Self::Mask) -> usize;
 
     /// Extracts bit `j` of every (non-negative) PE value as a mask.
-    fn bit_plane(&mut self, mode: ExecMode, dim: Dim, src: &Plane<i64>, j: u32) -> Self::Mask;
+    fn bit_plane(&mut self, dim: Dim, src: &Plane<i64>, j: u32) -> Self::Mask;
 
     /// The bit-serial voting step: `keep_low` selects the Min rule
     /// `enable && !bit`; otherwise the Max rule `enable && bit`.
     fn vote(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         enable: &Self::Mask,
         bit: &Self::Mask,
@@ -184,7 +182,6 @@ pub trait Executor: std::fmt::Debug + Clone {
     /// `enable && (!present || bit)`.
     fn knockout(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         enable: &Self::Mask,
         present: &Self::Mask,
@@ -195,7 +192,6 @@ pub trait Executor: std::fmt::Debug + Clone {
     /// Wired-OR of `values` over the clusters induced by the `open` mask.
     fn mask_bus_or(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         values: &Self::Mask,
         dir: Direction,
@@ -209,20 +205,18 @@ pub trait Executor: std::fmt::Debug + Clone {
     /// threads; every plane in the instruction set holds owned values.
     fn broadcast<T: Copy + Send + Sync + 'static>(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
         open: &Plane<bool>,
     ) -> Result<Plane<T>, MachineError> {
-        bus::broadcast(mode, dim, src, dir, open)
+        bus::broadcast(dim, src, dir, open)
     }
 
     /// Cluster-head broadcast with the switch pattern given as a backend
     /// mask.
     fn broadcast_masked<T: Copy + Send + Sync + 'static>(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
@@ -232,34 +226,23 @@ pub trait Executor: std::fmt::Debug + Clone {
     /// Wired-OR with both operands as planes.
     fn bus_or(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         values: &Plane<bool>,
         dir: Direction,
         open: &Plane<bool>,
     ) -> Result<Plane<bool>, MachineError> {
-        bus::bus_or(mode, dim, values, dir, open)
+        bus::bus_or(dim, values, dir, open)
     }
 
     /// Nearest-neighbour shift with an edge fill policy.
     fn shift<T: Copy + Send + Sync + 'static>(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
         fill: Fill<T>,
     ) -> Result<Plane<T>, MachineError> {
-        bus::shift_with(mode, dim, src, dir, fill)
-    }
-
-    /// Per-PE plane builder for generic ALU micro-ops.
-    fn build<U, F>(&mut self, mode: ExecMode, len: usize, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        engine::build(mode, len, f)
+        bus::shift_with(dim, src, dir, fill)
     }
 
     /// Backend resource counters (cache hits, arena recycling).
@@ -301,19 +284,20 @@ impl Executor for ScalarBackend {
         mask.count_true()
     }
 
-    fn bit_plane(&mut self, mode: ExecMode, dim: Dim, src: &Plane<i64>, j: u32) -> Plane<bool> {
-        let s = src.as_slice();
-        let data = engine::build(mode, dim.len(), |i| {
-            let x = s[i];
-            debug_assert!(x >= 0, "bit-serial scan expects non-negative values");
-            (x >> j) & 1 == 1
-        });
+    fn bit_plane(&mut self, dim: Dim, src: &Plane<i64>, j: u32) -> Plane<bool> {
+        let data = src
+            .as_slice()
+            .iter()
+            .map(|&x| {
+                debug_assert!(x >= 0, "bit-serial scan expects non-negative values");
+                (x >> j) & 1 == 1
+            })
+            .collect();
         Plane::from_vec(dim, data)
     }
 
     fn vote(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         enable: &Plane<bool>,
         bit: &Plane<bool>,
@@ -321,16 +305,15 @@ impl Executor for ScalarBackend {
     ) -> Plane<bool> {
         let (e, b) = (enable.as_slice(), bit.as_slice());
         let data = if keep_low {
-            engine::build(mode, dim.len(), |i| e[i] && !b[i])
+            (0..dim.len()).map(|i| e[i] && !b[i]).collect()
         } else {
-            engine::build(mode, dim.len(), |i| e[i] && b[i])
+            (0..dim.len()).map(|i| e[i] && b[i]).collect()
         };
         Plane::from_vec(dim, data)
     }
 
     fn knockout(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         enable: &Plane<bool>,
         present: &Plane<bool>,
@@ -339,33 +322,31 @@ impl Executor for ScalarBackend {
     ) -> Plane<bool> {
         let (e, p, b) = (enable.as_slice(), present.as_slice(), bit.as_slice());
         let data = if keep_low {
-            engine::build(mode, dim.len(), |i| e[i] && !(p[i] && b[i]))
+            (0..dim.len()).map(|i| e[i] && !(p[i] && b[i])).collect()
         } else {
-            engine::build(mode, dim.len(), |i| e[i] && (!p[i] || b[i]))
+            (0..dim.len()).map(|i| e[i] && (!p[i] || b[i])).collect()
         };
         Plane::from_vec(dim, data)
     }
 
     fn mask_bus_or(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         values: &Plane<bool>,
         dir: Direction,
         open: &Plane<bool>,
     ) -> Result<Plane<bool>, MachineError> {
-        bus::bus_or(mode, dim, values, dir, open)
+        bus::bus_or(dim, values, dir, open)
     }
 
     fn broadcast_masked<T: Copy + Send + Sync + 'static>(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
         open: &Plane<bool>,
     ) -> Result<Plane<T>, MachineError> {
-        bus::broadcast(mode, dim, src, dir, open)
+        bus::broadcast(dim, src, dir, open)
     }
 }
 
@@ -402,14 +383,14 @@ mod tests {
         let mut be = ScalarBackend;
         let e = Plane::from_vec(dim, vec![true, true, true, false]);
         let b = Plane::from_vec(dim, vec![false, true, false, true]);
-        let min_votes = be.vote(ExecMode::Sequential, dim, &e, &b, true);
+        let min_votes = be.vote(dim, &e, &b, true);
         assert_eq!(min_votes.as_slice(), &[true, false, true, false]);
-        let max_votes = be.vote(ExecMode::Sequential, dim, &e, &b, false);
+        let max_votes = be.vote(dim, &e, &b, false);
         assert_eq!(max_votes.as_slice(), &[false, true, false, false]);
         let p = Plane::from_vec(dim, vec![true, true, false, false]);
-        let min_keep = be.knockout(ExecMode::Sequential, dim, &e, &p, &b, true);
+        let min_keep = be.knockout(dim, &e, &p, &b, true);
         assert_eq!(min_keep.as_slice(), &[true, false, true, false]);
-        let max_keep = be.knockout(ExecMode::Sequential, dim, &e, &p, &b, false);
+        let max_keep = be.knockout(dim, &e, &p, &b, false);
         assert_eq!(max_keep.as_slice(), &[false, true, true, false]);
     }
 

@@ -25,11 +25,12 @@
 //! * [`bus`] — the reconfigurable bus semantics (broadcast, wired-OR);
 //! * [`Controller`] — SIMD step accounting: every controller instruction
 //!   (parallel ALU op, shift, broadcast, bus OR, global OR) costs one step;
-//! * [`Machine`] — the assembled machine: geometry + execution engine +
+//! * [`Machine`] — the assembled machine: geometry + execution backend +
 //!   controller, exposing the primitive instruction set;
-//! * [`engine`] — sequential or multi-threaded execution of the per-PE
-//!   data-parallel loops (threads only affect host wall-clock, never the
-//!   simulated step counts);
+//! * [`BackendSpec`] — the runtime choice of host execution backend
+//!   (scalar, packed, or threaded, at either word width), dispatched to a
+//!   concrete [`Executor`] in one place (backends only affect host
+//!   wall-clock, never the simulated step counts);
 //! * [`render`] — ASCII visualization of switch settings and bus clusters
 //!   (used to reproduce Figure 1 of the paper).
 //!
@@ -64,10 +65,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod backend;
 pub mod budget;
 pub mod bus;
 pub mod controller;
-pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod geometry;
@@ -81,9 +82,9 @@ pub mod switch;
 pub mod threaded;
 pub mod word;
 
+pub use backend::{BackendSpec, BackendVisitor};
 pub use budget::CancelToken;
 pub use controller::{Controller, Op, StepReport};
-pub use engine::ExecMode;
 pub use error::MachineError;
 pub use faults::{FaultMap, FaultReport, SwitchFault, TransientFaults};
 pub use geometry::{Axis, Coord, Dim, Direction};

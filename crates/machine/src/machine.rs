@@ -12,7 +12,6 @@
 use crate::budget::CancelToken;
 use crate::bus;
 use crate::controller::{Controller, Op};
-use crate::engine::ExecMode;
 use crate::error::MachineError;
 use crate::faults::{bist_sweep, FaultMap, FaultReport, SwitchFault, TransientFaults};
 use crate::geometry::{Axis, Dim, Direction};
@@ -26,7 +25,6 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct Machine<E: Executor = ScalarBackend> {
     dim: Dim,
-    mode: ExecMode,
     controller: Controller,
     faults: FaultMap,
     transient: Option<TransientFaults>,
@@ -38,9 +36,9 @@ pub struct Machine<E: Executor = ScalarBackend> {
 }
 
 impl Machine<ScalarBackend> {
-    /// Creates a `rows x cols` machine running per-PE loops sequentially.
+    /// Creates a `rows x cols` machine on the scalar reference backend.
     pub fn new(rows: usize, cols: usize) -> Self {
-        Machine::with_mode(Dim::new(rows, cols), ExecMode::Sequential)
+        Machine::with_backend(Dim::new(rows, cols), ScalarBackend)
     }
 
     /// Creates a square `n x n` machine (the shape used by all the graph
@@ -48,19 +46,13 @@ impl Machine<ScalarBackend> {
     pub fn square(n: usize) -> Self {
         Machine::new(n, n)
     }
-
-    /// Creates a machine with an explicit host execution mode.
-    pub fn with_mode(dim: Dim, mode: ExecMode) -> Self {
-        Machine::with_backend(dim, mode, ScalarBackend)
-    }
 }
 
 impl<E: Executor> Machine<E> {
     /// Creates a machine on an explicit execution backend.
-    pub fn with_backend(dim: Dim, mode: ExecMode, exec: E) -> Self {
+    pub fn with_backend(dim: Dim, exec: E) -> Self {
         Machine {
             dim,
-            mode,
             controller: Controller::new(),
             faults: FaultMap::new(),
             transient: None,
@@ -265,16 +257,6 @@ impl<E: Executor> Machine<E> {
         self.dim
     }
 
-    /// The host execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// Changes the host execution mode (does not affect step counts).
-    pub fn set_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
-    }
-
     /// Read access to the step-counting controller.
     pub fn controller(&self) -> &Controller {
         &self.controller
@@ -419,7 +401,7 @@ impl<E: Executor> Machine<E> {
         let (occ, clusters) = self.plane_activity(Some(dir), open);
         self.issue(MicroOp::Broadcast(dir), occ, clusters);
         let t = self.micro_start();
-        let out = self.exec.broadcast(self.mode, self.dim, src, dir, open);
+        let out = self.exec.broadcast(self.dim, src, dir, open);
         self.micro_stop(Op::Broadcast, t);
         out
     }
@@ -437,7 +419,7 @@ impl<E: Executor> Machine<E> {
         let (occ, clusters) = self.plane_activity(Some(dir), open);
         self.issue(MicroOp::BusOr(dir), occ, clusters);
         let t = self.micro_start();
-        let out = self.exec.bus_or(self.mode, self.dim, values, dir, open);
+        let out = self.exec.bus_or(self.dim, values, dir, open);
         self.micro_stop(Op::BusOr, t);
         out
     }
@@ -455,9 +437,7 @@ impl<E: Executor> Machine<E> {
             let (occ, clusters) = self.mask_activity(Some(dir), open);
             self.issue(MicroOp::Broadcast(dir), occ, clusters);
             let t = self.micro_start();
-            let out = self
-                .exec
-                .broadcast_masked(self.mode, self.dim, src, dir, open);
+            let out = self.exec.broadcast_masked(self.dim, src, dir, open);
             self.micro_stop(Op::Broadcast, t);
             return out;
         }
@@ -467,9 +447,7 @@ impl<E: Executor> Machine<E> {
         let (occ, clusters) = self.plane_activity(Some(dir), open_plane);
         self.issue(MicroOp::Broadcast(dir), occ, clusters);
         let t = self.micro_start();
-        let out = self
-            .exec
-            .broadcast(self.mode, self.dim, src, dir, open_plane);
+        let out = self.exec.broadcast(self.dim, src, dir, open_plane);
         self.micro_stop(Op::Broadcast, t);
         out
     }
@@ -488,9 +466,7 @@ impl<E: Executor> Machine<E> {
             let (occ, clusters) = self.mask_activity(Some(dir), open);
             self.issue(MicroOp::BusOr(dir), occ, clusters);
             let t = self.micro_start();
-            let out = self
-                .exec
-                .mask_bus_or(self.mode, self.dim, values, dir, open);
+            let out = self.exec.mask_bus_or(self.dim, values, dir, open);
             self.micro_stop(Op::BusOr, t);
             return out;
         }
@@ -501,9 +477,7 @@ impl<E: Executor> Machine<E> {
         self.issue(MicroOp::BusOr(dir), occ, clusters);
         let t = self.micro_start();
         let routed = self.exec.mask_from_plane(self.dim, open_plane);
-        let out = self
-            .exec
-            .mask_bus_or(self.mode, self.dim, values, dir, &routed);
+        let out = self.exec.mask_bus_or(self.dim, values, dir, &routed);
         self.micro_stop(Op::BusOr, t);
         out
     }
@@ -519,7 +493,7 @@ impl<E: Executor> Machine<E> {
         self.guard()?;
         self.issue(MicroOp::Shift(dir), None, None);
         let t = self.micro_start();
-        let out = self.exec.shift(self.mode, self.dim, src, dir, fill);
+        let out = self.exec.shift(self.dim, src, dir, fill);
         self.micro_stop(Op::Shift, t);
         out
     }
@@ -553,8 +527,8 @@ impl<E: Executor> Machine<E> {
         let (occ, _) = self.plane_activity(None, flags);
         self.issue(MicroOp::GlobalOr, occ, None);
         let t = self.micro_start();
-        let f = flags.as_slice();
-        let any = crate::engine::reduce(self.mode, self.dim.len(), false, |i| f[i], |a, b| a || b);
+        // A branch-free fold vectorizes; a short-circuiting `any` does not.
+        let any = flags.as_slice().iter().fold(false, |acc, &b| acc | b);
         self.micro_stop(Op::GlobalOr, t);
         Ok(any)
     }
@@ -607,7 +581,7 @@ impl<E: Executor> Machine<E> {
         self.check(src)?;
         self.issue(MicroOp::Map, None, None);
         let t = self.micro_start();
-        let out = self.exec.bit_plane(self.mode, self.dim, src, j);
+        let out = self.exec.bit_plane(self.dim, src, j);
         self.micro_stop(Op::Alu, t);
         Ok(out)
     }
@@ -617,7 +591,7 @@ impl<E: Executor> Machine<E> {
     pub fn mask_vote(&mut self, enable: &E::Mask, bit: &E::Mask, keep_low: bool) -> E::Mask {
         self.issue(MicroOp::Zip, None, None);
         let t = self.micro_start();
-        let out = self.exec.vote(self.mode, self.dim, enable, bit, keep_low);
+        let out = self.exec.vote(self.dim, enable, bit, keep_low);
         self.micro_stop(Op::Alu, t);
         out
     }
@@ -634,9 +608,7 @@ impl<E: Executor> Machine<E> {
     ) -> E::Mask {
         self.issue(MicroOp::Zip3, None, None);
         let t = self.micro_start();
-        let out = self
-            .exec
-            .knockout(self.mode, self.dim, enable, present, bit, keep_low);
+        let out = self.exec.knockout(self.dim, enable, present, bit, keep_low);
         self.micro_stop(Op::Alu, t);
         out
     }
@@ -690,7 +662,7 @@ impl<E: Executor> Machine<E> {
             report.patterns_run += 1;
             // The healthy expectation is computed by the controller host on
             // the *intended* mask — no array steps, no fault application.
-            let expected = bus::broadcast(self.mode, self.dim, &ident, pattern.dir, &pattern.open)
+            let expected = bus::broadcast(self.dim, &ident, pattern.dir, &pattern.open)
                 .expect("bist patterns drive every line");
             let heads = bus::cluster_heads(self.dim, pattern.dir, &pattern.open)
                 .expect("bist patterns drive every line");
@@ -752,16 +724,14 @@ impl<E: Executor> Machine<E> {
     /// Elementwise unary operation: one controller step.
     pub fn map<T, U, F>(&mut self, src: &Plane<T>, f: F) -> Result<Plane<U>, MachineError>
     where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
+        F: Fn(&T) -> U,
     {
         self.guard()?;
         self.check(src)?;
         self.issue(MicroOp::Map, None, None);
         let t = self.micro_start();
         let s = src.as_slice();
-        let data = self.exec.build(self.mode, self.dim.len(), |i| f(&s[i]));
+        let data = s.iter().map(f).collect();
         let out = Plane::from_vec(self.dim, data);
         self.micro_stop(Op::Alu, t);
         Ok(out)
@@ -775,10 +745,7 @@ impl<E: Executor> Machine<E> {
         f: F,
     ) -> Result<Plane<U>, MachineError>
     where
-        A: Sync,
-        B: Sync,
-        U: Send,
-        F: Fn(&A, &B) -> U + Sync,
+        F: Fn(&A, &B) -> U,
     {
         self.guard()?;
         self.check(a)?;
@@ -786,9 +753,7 @@ impl<E: Executor> Machine<E> {
         self.issue(MicroOp::Zip, None, None);
         let t = self.micro_start();
         let (sa, sb) = (a.as_slice(), b.as_slice());
-        let data = self
-            .exec
-            .build(self.mode, self.dim.len(), |i| f(&sa[i], &sb[i]));
+        let data = sa.iter().zip(sb).map(|(x, y)| f(x, y)).collect();
         let out = Plane::from_vec(self.dim, data);
         self.micro_stop(Op::Alu, t);
         Ok(out)
@@ -803,11 +768,7 @@ impl<E: Executor> Machine<E> {
         f: F,
     ) -> Result<Plane<U>, MachineError>
     where
-        A: Sync,
-        B: Sync,
-        C: Sync,
-        U: Send,
-        F: Fn(&A, &B, &C) -> U + Sync,
+        F: Fn(&A, &B, &C) -> U,
     {
         self.guard()?;
         self.check(a)?;
@@ -816,16 +777,16 @@ impl<E: Executor> Machine<E> {
         self.issue(MicroOp::Zip3, None, None);
         let t = self.micro_start();
         let (sa, sb, sc) = (a.as_slice(), b.as_slice(), c.as_slice());
-        let data = self
-            .exec
-            .build(self.mode, self.dim.len(), |i| f(&sa[i], &sb[i], &sc[i]));
+        let data = (0..self.dim.len())
+            .map(|i| f(&sa[i], &sb[i], &sc[i]))
+            .collect();
         let out = Plane::from_vec(self.dim, data);
         self.micro_stop(Op::Alu, t);
         Ok(out)
     }
 
     /// Loads an immediate into every PE: one controller step.
-    pub fn imm<T: Clone + Send + Sync>(&mut self, value: T) -> Plane<T> {
+    pub fn imm<T: Clone>(&mut self, value: T) -> Plane<T> {
         self.issue(MicroOp::Imm, None, None);
         let t = self.micro_start();
         let out = Plane::filled(self.dim, value);
@@ -861,7 +822,7 @@ impl<E: Executor> Machine<E> {
     /// # Panics
     /// If `lane_cols` is zero, does not divide the column count, or
     /// `values` does not cover every lane.
-    pub fn lane_imm<T: Clone + Send + Sync>(&mut self, values: &[T], lane_cols: usize) -> Plane<T> {
+    pub fn lane_imm<T: Clone>(&mut self, values: &[T], lane_cols: usize) -> Plane<T> {
         assert!(lane_cols > 0, "lane_cols must be positive");
         assert_eq!(
             self.dim.cols % lane_cols,
@@ -914,7 +875,7 @@ impl<E: Executor> Machine<E> {
         mask: &Plane<bool>,
     ) -> Result<(), MachineError>
     where
-        T: Copy + Send + Sync,
+        T: Copy,
     {
         self.guard()?;
         self.check(dst)?;
@@ -924,11 +885,9 @@ impl<E: Executor> Machine<E> {
         self.issue(MicroOp::AssignMasked, occ, None);
         let t = self.micro_start();
         let (d, s, m) = (dst.as_slice(), src.as_slice(), mask.as_slice());
-        let data = self.exec.build(
-            self.mode,
-            self.dim.len(),
-            |i| if m[i] { s[i] } else { d[i] },
-        );
+        let data = (0..self.dim.len())
+            .map(|i| if m[i] { s[i] } else { d[i] })
+            .collect();
         *dst = Plane::from_vec(self.dim, data);
         self.micro_stop(Op::Alu, t);
         Ok(())

@@ -29,7 +29,6 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::bus;
-use crate::engine::{self, ExecMode};
 use crate::error::MachineError;
 use crate::geometry::{Axis, Dim, Direction};
 use crate::isa::{ExecStats, Executor};
@@ -528,7 +527,7 @@ impl<W: Word> Executor for PackedBackend<W> {
         mask.count()
     }
 
-    fn bit_plane(&mut self, _mode: ExecMode, dim: Dim, src: &Plane<i64>, j: u32) -> PackedMask<W> {
+    fn bit_plane(&mut self, dim: Dim, src: &Plane<i64>, j: u32) -> PackedMask<W> {
         let mut mask = self.alloc_mask(dim);
         bit_plane_range(src.as_slice(), j, 0, &mut mask.words);
         mask
@@ -536,7 +535,6 @@ impl<W: Word> Executor for PackedBackend<W> {
 
     fn vote(
         &mut self,
-        _mode: ExecMode,
         dim: Dim,
         enable: &PackedMask<W>,
         bit: &PackedMask<W>,
@@ -553,7 +551,6 @@ impl<W: Word> Executor for PackedBackend<W> {
 
     fn knockout(
         &mut self,
-        _mode: ExecMode,
         dim: Dim,
         enable: &PackedMask<W>,
         present: &PackedMask<W>,
@@ -574,7 +571,6 @@ impl<W: Word> Executor for PackedBackend<W> {
 
     fn mask_bus_or(
         &mut self,
-        _mode: ExecMode,
         dim: Dim,
         values: &PackedMask<W>,
         dir: Direction,
@@ -602,7 +598,6 @@ impl<W: Word> Executor for PackedBackend<W> {
 
     fn broadcast<T: Copy + Send + Sync + 'static>(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
@@ -629,13 +624,12 @@ impl<W: Word> Executor for PackedBackend<W> {
         }
         let s = src.as_slice();
         let keys = &plan.keys;
-        let data = engine::build(mode, dim.len(), |i| s[keys[i] as usize]);
+        let data = (0..dim.len()).map(|i| s[keys[i] as usize]).collect();
         Ok(Plane::from_vec(dim, data))
     }
 
     fn broadcast_masked<T: Copy + Send + Sync + 'static>(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
@@ -656,13 +650,12 @@ impl<W: Word> Executor for PackedBackend<W> {
         }
         let s = src.as_slice();
         let keys = &plan.keys;
-        let data = engine::build(mode, dim.len(), |i| s[keys[i] as usize]);
+        let data = (0..dim.len()).map(|i| s[keys[i] as usize]).collect();
         Ok(Plane::from_vec(dim, data))
     }
 
     fn bus_or(
         &mut self,
-        mode: ExecMode,
         dim: Dim,
         values: &Plane<bool>,
         dir: Direction,
@@ -689,7 +682,7 @@ impl<W: Word> Executor for PackedBackend<W> {
                 acc[keys[i] as usize] = true;
             }
         }
-        let data = engine::build(mode, dim.len(), |i| acc[keys[i] as usize]);
+        let data = (0..dim.len()).map(|i| acc[keys[i] as usize]).collect();
         Ok(Plane::from_vec(dim, data))
     }
 
@@ -715,30 +708,12 @@ impl<W: Word> Executor for PackedBackend<W> {
 impl Machine<PackedBackend> {
     /// Creates a `rows x cols` machine on the packed backend (64-bit words).
     pub fn new_packed(rows: usize, cols: usize) -> Self {
-        Machine::new_packed_wide(rows, cols)
+        Machine::with_backend(Dim::new(rows, cols), PackedBackend::new())
     }
 
     /// Creates a square `n x n` machine on the packed backend (64-bit words).
     pub fn packed_square(n: usize) -> Self {
         Machine::new_packed(n, n)
-    }
-}
-
-impl<W: Word> Machine<PackedBackend<W>> {
-    /// Creates a `rows x cols` machine on the packed backend with machine
-    /// word `W`.
-    pub fn new_packed_wide(rows: usize, cols: usize) -> Self {
-        Machine::with_backend(
-            Dim::new(rows, cols),
-            ExecMode::Sequential,
-            PackedBackend::new(),
-        )
-    }
-
-    /// Creates a square `n x n` machine on the packed backend with machine
-    /// word `W`.
-    pub fn packed_square_wide(n: usize) -> Self {
-        Machine::new_packed_wide(n, n)
     }
 }
 
@@ -854,12 +829,8 @@ mod tests {
             let vals = plane_of(dim, |i| (i * seed) % 5 == 0);
             let pm = packed.mask_from_plane(dim, &open);
             let pv = packed.mask_from_plane(dim, &vals);
-            let got = packed
-                .mask_bus_or(ExecMode::Sequential, dim, &pv, dir, &pm)
-                .unwrap();
-            let want = scalar
-                .mask_bus_or(ExecMode::Sequential, dim, &vals, dir, &open)
-                .unwrap();
+            let got = packed.mask_bus_or(dim, &pv, dir, &pm).unwrap();
+            let want = scalar.mask_bus_or(dim, &vals, dir, &open).unwrap();
             assert_eq!(packed.mask_to_plane(dim, &got), want, "dir {dir:?}");
         }
     }
@@ -881,12 +852,8 @@ mod tests {
             let vals = plane_of(dim, |i| (i * seed) % 5 == 0);
             let pm = packed.mask_from_plane(dim, &open);
             let pv = packed.mask_from_plane(dim, &vals);
-            let got = packed
-                .mask_bus_or(ExecMode::Sequential, dim, &pv, dir, &pm)
-                .unwrap();
-            let want = scalar
-                .mask_bus_or(ExecMode::Sequential, dim, &vals, dir, &open)
-                .unwrap();
+            let got = packed.mask_bus_or(dim, &pv, dir, &pm).unwrap();
+            let want = scalar.mask_bus_or(dim, &vals, dir, &open).unwrap();
             assert_eq!(packed.mask_to_plane(dim, &got), want, "dir {dir:?}");
         }
     }
@@ -905,12 +872,11 @@ mod tests {
             packed.mask_from_plane(dim, &bit),
         );
         for keep_low in [true, false] {
-            let got = packed.vote(ExecMode::Sequential, dim, &pe, &pb, keep_low);
-            let want = scalar.vote(ExecMode::Sequential, dim, &enable, &bit, keep_low);
+            let got = packed.vote(dim, &pe, &pb, keep_low);
+            let want = scalar.vote(dim, &enable, &bit, keep_low);
             assert_eq!(packed.mask_to_plane(dim, &got), want, "vote {keep_low}");
-            let got = packed.knockout(ExecMode::Sequential, dim, &pe, &pp, &pb, keep_low);
-            let want =
-                scalar.knockout(ExecMode::Sequential, dim, &enable, &present, &bit, keep_low);
+            let got = packed.knockout(dim, &pe, &pp, &pb, keep_low);
+            let want = scalar.knockout(dim, &enable, &present, &bit, keep_low);
             assert_eq!(packed.mask_to_plane(dim, &got), want, "knockout {keep_low}");
         }
     }
@@ -922,8 +888,7 @@ mod tests {
         let open = plane_of(dim, |i| i % 8 == 0);
         let src = Plane::from_vec(dim, (0..dim.len() as i64).collect());
         for _ in 0..5 {
-            be.broadcast(ExecMode::Sequential, dim, &src, Direction::East, &open)
-                .unwrap();
+            be.broadcast(dim, &src, Direction::East, &open).unwrap();
         }
         let stats = be.stats();
         assert_eq!(stats.plan_misses, 1);
@@ -967,7 +932,7 @@ mod tests {
         let mut be = PackedBackend::<W64>::new();
         let open = plane_of(dim, |_| false);
         let src = Plane::filled(dim, 1i64);
-        match be.broadcast(ExecMode::Sequential, dim, &src, Direction::East, &open) {
+        match be.broadcast(dim, &src, Direction::East, &open) {
             Err(MachineError::BusFault { lines, .. }) => assert_eq!(lines, vec![0, 1, 2, 3]),
             other => panic!("expected BusFault, got {other:?}"),
         }
@@ -988,8 +953,8 @@ mod tests {
             drilled.mask_from_plane(dim, &enable),
             drilled.mask_from_plane(dim, &bit),
         );
-        let want = clean.vote(ExecMode::Sequential, dim, &ce, &cb, true);
-        let got = drilled.vote(ExecMode::Sequential, dim, &de, &db, true);
+        let want = clean.vote(dim, &ce, &cb, true);
+        let got = drilled.vote(dim, &de, &db, true);
         let diff: usize = (0..dim.len())
             .filter(|&i| want.bit(i) != got.bit(i))
             .count();

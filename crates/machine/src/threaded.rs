@@ -41,11 +41,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use crate::engine::ExecMode;
 use crate::error::MachineError;
 use crate::geometry::{Dim, Direction};
 use crate::isa::{ExecStats, Executor};
-use crate::machine::Machine;
 use crate::packed::{
     bit_plane_range, bus_or_deposit_keys, bus_or_deposit_segs, bus_or_fill_segs, bus_or_read_keys,
     compute_plan, fingerprint, knockout_range, pack_range, vote_range, words_for, BusPlan,
@@ -556,7 +554,7 @@ impl<W: Word> Executor for ThreadedBackend<W> {
         mask.count()
     }
 
-    fn bit_plane(&mut self, _mode: ExecMode, dim: Dim, src: &Plane<i64>, j: u32) -> SharedMask<W> {
+    fn bit_plane(&mut self, dim: Dim, src: &Plane<i64>, j: u32) -> SharedMask<W> {
         let s = src.shared();
         self.run_word_shards(dim, dim.len(), move |w0, w1| {
             let mut out = vec![W::zero(); w1 - w0];
@@ -567,7 +565,6 @@ impl<W: Word> Executor for ThreadedBackend<W> {
 
     fn vote(
         &mut self,
-        _mode: ExecMode,
         dim: Dim,
         enable: &SharedMask<W>,
         bit: &SharedMask<W>,
@@ -584,7 +581,6 @@ impl<W: Word> Executor for ThreadedBackend<W> {
 
     fn knockout(
         &mut self,
-        _mode: ExecMode,
         dim: Dim,
         enable: &SharedMask<W>,
         present: &SharedMask<W>,
@@ -606,7 +602,6 @@ impl<W: Word> Executor for ThreadedBackend<W> {
 
     fn mask_bus_or(
         &mut self,
-        _mode: ExecMode,
         dim: Dim,
         values: &SharedMask<W>,
         dir: Direction,
@@ -710,7 +705,6 @@ impl<W: Word> Executor for ThreadedBackend<W> {
 
     fn broadcast<T: Copy + Send + Sync + 'static>(
         &mut self,
-        _mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
@@ -730,7 +724,6 @@ impl<W: Word> Executor for ThreadedBackend<W> {
 
     fn broadcast_masked<T: Copy + Send + Sync + 'static>(
         &mut self,
-        _mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
@@ -749,7 +742,6 @@ impl<W: Word> Executor for ThreadedBackend<W> {
 
     fn bus_or(
         &mut self,
-        _mode: ExecMode,
         dim: Dim,
         values: &Plane<bool>,
         dir: Direction,
@@ -789,38 +781,6 @@ impl<W: Word> Executor for ThreadedBackend<W> {
         let mut arena = lock(&self.arena);
         arena.fresh = 0;
         arena.reused = 0;
-    }
-}
-
-impl Machine<ThreadedBackend> {
-    /// Creates a `rows x cols` machine on the threaded backend with a
-    /// `threads`-shard pool (64-bit words).
-    pub fn new_threaded(rows: usize, cols: usize, threads: usize) -> Self {
-        Machine::new_threaded_wide(rows, cols, threads)
-    }
-
-    /// Creates a square `n x n` machine on the threaded backend (64-bit
-    /// words).
-    pub fn threaded_square(n: usize, threads: usize) -> Self {
-        Machine::new_threaded(n, n, threads)
-    }
-}
-
-impl<W: Word> Machine<ThreadedBackend<W>> {
-    /// Creates a `rows x cols` machine on the threaded backend with a
-    /// `threads`-shard pool and machine word `W`.
-    pub fn new_threaded_wide(rows: usize, cols: usize, threads: usize) -> Self {
-        Machine::with_backend(
-            Dim::new(rows, cols),
-            ExecMode::Sequential,
-            ThreadedBackend::new(threads),
-        )
-    }
-
-    /// Creates a square `n x n` machine on the threaded backend with
-    /// machine word `W`.
-    pub fn threaded_square_wide(n: usize, threads: usize) -> Self {
-        Machine::new_threaded_wide(n, n, threads)
     }
 }
 
@@ -878,12 +838,8 @@ mod tests {
                 let vals = plane_of(dim, |i| (i * seed) % 5 == 0);
                 let om = be.mask_from_plane(dim, &open);
                 let vm = be.mask_from_plane(dim, &vals);
-                let got = be
-                    .mask_bus_or(ExecMode::Sequential, dim, &vm, dir, &om)
-                    .unwrap();
-                let want = scalar
-                    .mask_bus_or(ExecMode::Sequential, dim, &vals, dir, &open)
-                    .unwrap();
+                let got = be.mask_bus_or(dim, &vm, dir, &om).unwrap();
+                let want = scalar.mask_bus_or(dim, &vals, dir, &open).unwrap();
                 assert_eq!(
                     be.mask_to_plane(dim, &got),
                     want,
@@ -906,12 +862,8 @@ mod tests {
                 let vals = plane_of(dim, |i| (i * seed) % 5 == 0);
                 let om = be.mask_from_plane(dim, &open);
                 let vm = be.mask_from_plane(dim, &vals);
-                let got = be
-                    .mask_bus_or(ExecMode::Sequential, dim, &vm, dir, &om)
-                    .unwrap();
-                let want = scalar
-                    .mask_bus_or(ExecMode::Sequential, dim, &vals, dir, &open)
-                    .unwrap();
+                let got = be.mask_bus_or(dim, &vm, dir, &om).unwrap();
+                let want = scalar.mask_bus_or(dim, &vals, dir, &open).unwrap();
                 assert_eq!(
                     be.mask_to_plane(dim, &got),
                     want,
@@ -928,13 +880,11 @@ mod tests {
         let src = Plane::from_vec(dim, (0..dim.len() as i64).collect());
         let mut reference = ScalarBackend;
         let want = reference
-            .broadcast(ExecMode::Sequential, dim, &src, Direction::East, &open)
+            .broadcast(dim, &src, Direction::East, &open)
             .unwrap();
         for threads in [1, 2, 3, 8] {
             let mut be = forced(threads);
-            let got = be
-                .broadcast(ExecMode::Sequential, dim, &src, Direction::East, &open)
-                .unwrap();
+            let got = be.broadcast(dim, &src, Direction::East, &open).unwrap();
             assert_eq!(got, want, "threads={threads}");
         }
     }
@@ -945,7 +895,7 @@ mod tests {
         let mut be = forced(3);
         let open = plane_of(dim, |_| false);
         let src = Plane::filled(dim, 1i64);
-        match be.broadcast(ExecMode::Sequential, dim, &src, Direction::East, &open) {
+        match be.broadcast(dim, &src, Direction::East, &open) {
             Err(MachineError::BusFault { lines, .. }) => assert_eq!(lines, vec![0, 1, 2, 3]),
             other => panic!("expected BusFault, got {other:?}"),
         }
@@ -971,8 +921,7 @@ mod tests {
         let open = plane_of(dim, |i| i % 8 == 0);
         let src = Plane::from_vec(dim, (0..dim.len() as i64).collect());
         for _ in 0..5 {
-            be.broadcast(ExecMode::Sequential, dim, &src, Direction::East, &open)
-                .unwrap();
+            be.broadcast(dim, &src, Direction::East, &open).unwrap();
         }
         let stats = be.stats();
         assert_eq!(stats.plan_misses, 1);

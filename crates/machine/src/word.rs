@@ -279,8 +279,8 @@ impl fmt::Debug for W256 {
     }
 }
 
-/// Runtime selection of a packed-backend word width — what `solve --word`
-/// and `ServeConfig::word` carry before the type-level dispatch happens.
+/// Runtime selection of a packed-backend word width — the `word` of a
+/// [`BackendSpec`](crate::BackendSpec), parsed from `solve --word`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum WordWidth {
     /// 64-bit words ([`W64`], the default).

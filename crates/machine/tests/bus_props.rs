@@ -1,13 +1,11 @@
 //! Property tests of the machine layer: bus cluster laws, shift algebra,
-//! engine equivalence, and fault-map consistency.
+//! and fault-map consistency.
 
 #![allow(clippy::needless_range_loop)]
 use ppa_machine::bus::{broadcast, bus_or, cluster_heads, shift, shift_wrapping};
 use ppa_machine::faults::{FaultMap, SwitchFault};
-use ppa_machine::{Coord, Dim, Direction, ExecMode, Plane};
+use ppa_machine::{Coord, Dim, Direction, Plane};
 use proptest::prelude::*;
-
-const SEQ: ExecMode = ExecMode::Sequential;
 
 fn direction() -> impl Strategy<Value = Direction> {
     prop_oneof![
@@ -73,7 +71,7 @@ proptest! {
         let open = Plane::from_vec(dim, mask);
         let src = Plane::from_vec(dim, vals);
         let heads = cluster_heads(dim, dir, &open).unwrap();
-        let got = broadcast(SEQ, dim, &src, dir, &open).unwrap();
+        let got = broadcast(dim, &src, dir, &open).unwrap();
         for i in 0..dim.len() {
             prop_assert_eq!(got.as_slice()[i], src.as_slice()[heads[i]]);
         }
@@ -86,8 +84,8 @@ proptest! {
         let a: Vec<bool> = flags_a.iter().map(|v| v % 3 == 0).collect();
         // b is a superset of a.
         let b: Vec<bool> = a.iter().enumerate().map(|(i, &x)| x || i % 7 == 0).collect();
-        let oa = bus_or(SEQ, dim, &Plane::from_vec(dim, a), dir, &open).unwrap();
-        let ob = bus_or(SEQ, dim, &Plane::from_vec(dim, b), dir, &open).unwrap();
+        let oa = bus_or(dim, &Plane::from_vec(dim, a), dir, &open).unwrap();
+        let ob = bus_or(dim, &Plane::from_vec(dim, b), dir, &open).unwrap();
         for i in 0..dim.len() {
             prop_assert!(!oa.as_slice()[i] || ob.as_slice()[i], "monotonicity at {}", i);
         }
@@ -97,8 +95,8 @@ proptest! {
     fn shift_then_opposite_restores_interior((vals, _) in grid(6), dir in direction()) {
         let dim = Dim::square(6);
         let src = Plane::from_vec(dim, vals);
-        let fwd = shift(SEQ, dim, &src, dir, i64::MIN).unwrap();
-        let back = shift(SEQ, dim, &fwd, dir.opposite(), i64::MIN).unwrap();
+        let fwd = shift(dim, &src, dir, i64::MIN).unwrap();
+        let back = shift(dim, &fwd, dir.opposite(), i64::MIN).unwrap();
         for (c, &v) in src.enumerate() {
             // Interior = nodes whose downstream neighbour exists.
             if c.neighbor(dir, dim).is_some() {
@@ -113,38 +111,9 @@ proptest! {
         let src = Plane::from_vec(dim, vals);
         let mut p = src.clone();
         for _ in 0..4 {
-            p = shift_wrapping(SEQ, dim, &p, dir).unwrap();
+            p = shift_wrapping(dim, &p, dir).unwrap();
         }
         prop_assert_eq!(p, src);
-    }
-
-    #[test]
-    fn threaded_engine_matches_sequential_everywhere(
-        (vals, mut mask) in grid(8),
-        dir in direction(),
-        threads in 2usize..5,
-    ) {
-        let dim = Dim::square(8);
-        for line in 0..dim.lines(dir.axis()) {
-            let idx = dim.line_index(dir, line, 0);
-            mask[idx] = true;
-        }
-        let open = Plane::from_vec(dim, mask);
-        let src = Plane::from_vec(dim, vals);
-        let mode = ExecMode::threaded(threads);
-        prop_assert_eq!(
-            broadcast(SEQ, dim, &src, dir, &open).unwrap(),
-            broadcast(mode, dim, &src, dir, &open).unwrap()
-        );
-        let flags = src.map_free(|&v| v > 0);
-        prop_assert_eq!(
-            bus_or(SEQ, dim, &flags, dir, &open).unwrap(),
-            bus_or(mode, dim, &flags, dir, &open).unwrap()
-        );
-        prop_assert_eq!(
-            shift(SEQ, dim, &src, dir, 0).unwrap(),
-            shift(mode, dim, &src, dir, 0).unwrap()
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The step counters answer "how long would the PPA take"; these types
 //! answer "where did the *simulator* spend host time", so a slow phase can
 //! be attributed either to genuinely many simulated steps or to expensive
-//! per-step host work (large planes, thread spawn overhead).
+//! per-step host work (large planes, pool rendezvous overhead).
 
 use crate::json::Json;
 use crate::metrics::Metrics;
@@ -90,44 +90,6 @@ impl WallProfile {
                 })
                 .collect(),
         )
-    }
-}
-
-/// Aggregate wall-clock statistics of the execution engine's per-PE loops,
-/// filled in by `ppa-machine::engine` when profiling is enabled.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineProfile {
-    /// `build` invocations (one per elementwise instruction).
-    pub build_calls: u64,
-    /// `reduce` invocations (one per global-OR style reduction).
-    pub reduce_calls: u64,
-    /// Host nanoseconds spent in sequentially executed calls.
-    pub sequential_nanos: u64,
-    /// Host nanoseconds spent in thread-chunked calls (whole-call span).
-    pub threaded_nanos: u64,
-    /// Host nanoseconds spent inside worker chunks, indexed by worker slot
-    /// (reveals chunk imbalance across threads).
-    pub per_thread_nanos: Vec<u64>,
-}
-
-impl EngineProfile {
-    /// Total engine invocations.
-    pub fn calls(&self) -> u64 {
-        self.build_calls + self.reduce_calls
-    }
-
-    /// Serializes the profile to JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("build_calls", self.build_calls.into()),
-            ("reduce_calls", self.reduce_calls.into()),
-            ("sequential_nanos", self.sequential_nanos.into()),
-            ("threaded_nanos", self.threaded_nanos.into()),
-            (
-                "per_thread_nanos",
-                Json::Array(self.per_thread_nanos.iter().map(|&n| n.into()).collect()),
-            ),
-        ])
     }
 }
 
@@ -314,17 +276,6 @@ mod tests {
         let first = &j.as_array().unwrap()[0];
         assert_eq!(first.get("phase").unwrap().as_str(), Some("x"));
         assert_eq!(first.get("nanos").unwrap().as_u64(), Some(10));
-    }
-
-    #[test]
-    fn engine_profile_counts() {
-        let e = EngineProfile {
-            build_calls: 3,
-            reduce_calls: 2,
-            ..EngineProfile::default()
-        };
-        assert_eq!(e.calls(), 5);
-        assert!(e.to_json().get("per_thread_nanos").is_some());
     }
 
     #[test]

@@ -96,8 +96,7 @@ impl<E: Executor> Ppa<E> {
         // otherwise statements 11-12 would leak a value across clusters.
         if let Some(sel) = sel {
             let machine = self.machine();
-            let covered =
-                bus::bus_or(machine.mode(), machine.dim(), sel, dir, l).map_err(PpcError::from)?;
+            let covered = bus::bus_or(machine.dim(), sel, dir, l).map_err(PpcError::from)?;
             if !covered.all() {
                 return Err(PpcError::EmptySelection);
             }

@@ -4,8 +4,8 @@
 use crate::error::PpcError;
 use crate::Result;
 use ppa_machine::{
-    Dim, Direction, ExecMode, ExecStats, Executor, Machine, OccupancySampling, PackedBackend,
-    Plane, ScalarBackend, StepReport, ThreadedBackend, Word,
+    Dim, Direction, ExecStats, Executor, Machine, OccupancySampling, PackedBackend, Plane,
+    ScalarBackend, StepReport,
 };
 
 /// A PPC `parallel` variable: one value per PE.
@@ -41,11 +41,6 @@ impl Ppa<ScalarBackend> {
     pub fn square(n: usize) -> Self {
         Ppa::from_machine(Machine::square(n))
     }
-
-    /// Creates a square runtime with a host execution mode.
-    pub fn square_with_mode(n: usize, mode: ExecMode) -> Self {
-        Ppa::from_machine(Machine::with_mode(Dim::square(n), mode))
-    }
 }
 
 impl Ppa<PackedBackend> {
@@ -53,42 +48,14 @@ impl Ppa<PackedBackend> {
     pub fn packed(n: usize) -> Self {
         Ppa::from_machine(Machine::packed_square(n))
     }
-
-    /// Creates a packed-backend runtime with a host execution mode.
-    pub fn packed_with_mode(n: usize, mode: ExecMode) -> Self {
-        Ppa::from_machine(Machine::with_backend(
-            Dim::square(n),
-            mode,
-            PackedBackend::new(),
-        ))
-    }
-}
-
-impl Ppa<ThreadedBackend> {
-    /// Creates a square `n x n` runtime on the threaded bit-plane backend
-    /// with a `threads`-shard worker pool.
-    pub fn threaded(n: usize, threads: usize) -> Self {
-        Ppa::from_machine(Machine::threaded_square(n, threads))
-    }
-}
-
-impl<W: Word> Ppa<PackedBackend<W>> {
-    /// Creates a square `n x n` runtime on the packed backend with an
-    /// explicit machine word `W` (e.g. `Ppa::<PackedBackend<W256>>`).
-    pub fn packed_wide(n: usize) -> Self {
-        Ppa::from_machine(Machine::packed_square_wide(n))
-    }
-}
-
-impl<W: Word> Ppa<ThreadedBackend<W>> {
-    /// Creates a square `n x n` runtime on the threaded backend with an
-    /// explicit machine word `W`.
-    pub fn threaded_wide(n: usize, threads: usize) -> Self {
-        Ppa::from_machine(Machine::threaded_square_wide(n, threads))
-    }
 }
 
 impl<E: Executor> Ppa<E> {
+    /// Creates a square `n x n` runtime on an explicit execution backend.
+    pub fn with_backend(n: usize, exec: E) -> Self {
+        Ppa::from_machine(Machine::with_backend(Dim::square(n), exec))
+    }
+
     /// Creates a runtime on an explicit machine.
     pub fn from_machine(machine: Machine<E>) -> Self {
         Ppa {

@@ -11,4 +11,4 @@
 pub use crate::error::PpcError;
 pub use crate::ppa::{Parallel, Ppa, DEFAULT_WORD_BITS};
 pub use crate::Result;
-pub use ppa_machine::{Coord, Dim, Direction, ExecMode, Op, StepReport};
+pub use ppa_machine::{Coord, Dim, Direction, Op, StepReport};

@@ -1,8 +1,8 @@
 //! Per-backend circuit breaker: fast path with scalar fallback.
 //!
-//! The fast backend — packed by default, threaded when the service is
-//! configured with `prefer_threaded` — shares one plan cache and arena
-//! across every job a worker runs; if it ever misbehaves (a corruption
+//! The fast backend — the service's configured `backend` spec, packed by
+//! default — shares one plan cache and arena across every job a worker
+//! runs; if it ever misbehaves (a corruption
 //! burst that survives retries, or a divergence from the scalar
 //! reference), the service must stop routing traffic to it *without*
 //! stopping service. The breaker is the standard three-state machine:

@@ -1,6 +1,7 @@
 //! Job specifications, outcomes, and the service error taxonomy.
 
 use ppa_graph::WeightMatrix;
+use ppa_machine::BackendSpec;
 use ppa_mcp::widest::WidestOutput;
 use ppa_mcp::{McpError, McpOutput};
 use ppa_obs::Json;
@@ -83,36 +84,6 @@ impl JobSpec {
             deadline: None,
             step_budget: None,
             transient_faults: None,
-        }
-    }
-}
-
-/// Which backend a job attempt ran on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// The packed bit-plane backend (fast path).
-    Packed,
-    /// The threaded bit-plane backend (fast path sharded over a worker
-    /// pool); subject to the same circuit breaker as the packed backend.
-    Threaded,
-    /// The scalar reference backend (fallback path).
-    Scalar,
-}
-
-impl BackendChoice {
-    /// Whether this is an accelerated (non-reference) backend, i.e. one
-    /// the circuit breaker guards and may downgrade to scalar.
-    pub fn is_fast(self) -> bool {
-        !matches!(self, BackendChoice::Scalar)
-    }
-}
-
-impl fmt::Display for BackendChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendChoice::Packed => write!(f, "packed"),
-            BackendChoice::Threaded => write!(f, "threaded"),
-            BackendChoice::Scalar => write!(f, "scalar"),
         }
     }
 }
@@ -235,7 +206,7 @@ pub struct JobReport {
     /// make this exceed 1).
     pub attempts: u32,
     /// Backend of the final attempt (`None` when the job never started).
-    pub backend: Option<BackendChoice>,
+    pub backend: Option<BackendSpec>,
     /// Submission-to-completion wall time.
     pub latency: Duration,
 }

@@ -19,8 +19,8 @@
 //!   are retried on a fresh machine with exponential backoff + jitter
 //!   ([`RetryPolicy`]), reusing the recovery layer's failure taxonomy.
 //! * **Circuit breaking** — repeated failures on the fast backend
-//!   (packed by default, threaded when [`ServeConfig::prefer_threaded`]
-//!   is set) trip a [`CircuitBreaker`] that falls back to the scalar
+//!   ([`ServeConfig::backend`]: packed by default, or threaded) trip a
+//!   [`CircuitBreaker`] that falls back to the scalar
 //!   reference backend and only re-admits fast traffic after a live
 //!   divergence probe passes.
 //! * **Self-healing** — shortest-path jobs can run lane-replicated
@@ -60,7 +60,7 @@ pub use health::{HealthLedger, HealthPolicy, HealthRecord, MachineHealth};
 pub use introspect::{
     BreakerView, HealthView, InflightJob, Introspection, StatusReporter, WorkerView,
 };
-pub use job::{BackendChoice, JobKind, JobOutcome, JobReport, JobSpec, ServeError};
+pub use job::{JobKind, JobOutcome, JobReport, JobSpec, ServeError};
 pub use net::{ClientError, NetClient, NetConfig, NetServer};
 pub use policy::RetryPolicy;
 pub use service::{

@@ -443,7 +443,7 @@ fn report_response(report: &JobReport) -> Response {
             id: report.id,
             outcome: crate::wire::outcome_to_json(outcome),
             attempts: u64::from(report.attempts),
-            backend: report.backend.map(|b| b.to_string()),
+            backend: report.backend.map(|b| b.kind().to_owned()),
             latency_us: report.latency.as_micros() as u64,
         },
         Err(e) => Response::Error(WireFailure {
@@ -709,7 +709,8 @@ mod tests {
             panic!("expected a report, got {resp:?}");
         };
         assert!(attempts >= 1);
-        assert!(backend.is_some());
+        // The wire carries the backend kind, not the full spec.
+        assert_eq!(backend.as_deref(), Some("packed"));
         let JobOutcome::Shortest(got) = crate::wire::outcome_from_json(&outcome).unwrap() else {
             panic!("expected a shortest outcome");
         };

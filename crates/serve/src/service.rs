@@ -25,17 +25,19 @@ use crate::breaker::{BreakerState, CircuitBreaker, Route};
 use crate::checkpoint::ApspCheckpoint;
 use crate::health::{HealthLedger, HealthPolicy, MachineHealth};
 use crate::introspect::{BreakerView, HealthView, InflightJob, Introspection, WorkerView};
-use crate::job::{BackendChoice, JobKind, JobOutcome, JobReport, JobSpec, ServeError};
+use crate::job::{JobKind, JobOutcome, JobReport, JobSpec, ServeError};
 use crate::policy::RetryPolicy;
 use crate::BreakerConfig;
 use ppa_graph::{Weight, WeightMatrix, INF};
 use ppa_machine::{
-    CancelToken, Dim, Executor, FaultMap, Machine, PackedBackend, ThreadedBackend, TransientFaults,
-    WordWidth, W256,
+    BackendSpec, BackendVisitor, CancelToken, Executor, FaultMap, FaultReport, Machine,
+    TransientFaults, WordWidth,
 };
 use ppa_mcp::batch::replicate;
 use ppa_mcp::widest::{widest_path, WidestOutput};
-use ppa_mcp::{mcp, BatchSession, LaneLimit, McpError, McpOutput, McpSession, Redundancy};
+use ppa_mcp::{
+    mcp, BatchSession, LaneLimit, McpError, McpOutput, McpSession, Redundancy, VoteReport,
+};
 use ppa_obs::{Json, Metrics};
 use ppa_ppc::Ppa;
 use rand::rngs::SmallRng;
@@ -65,19 +67,11 @@ pub struct ServeConfig {
     pub retry: RetryPolicy,
     /// Circuit-breaker tuning for the packed backend.
     pub breaker: BreakerConfig,
-    /// Route jobs to the packed backend when the breaker allows it;
-    /// `false` pins everything to the scalar reference backend.
-    pub prefer_packed: bool,
-    /// Route jobs to the threaded backend (takes precedence over
-    /// `prefer_packed`); guarded by the same circuit breaker, so a
-    /// divergence-probe failure downgrades threaded jobs to scalar too.
-    pub prefer_threaded: bool,
-    /// Pool width for threaded-backend attempts (clamped to at least 1).
-    pub threads: usize,
-    /// Machine-word width for the fast (packed/threaded) backends: 64
-    /// PEs per word (`u64`, the default) or 256 (SWAR `W256`). Scalar
-    /// attempts ignore this — the reference backend has no word.
-    pub word: WordWidth,
+    /// The fast backend jobs route to while the circuit breaker allows
+    /// it (packed with 64-bit words by default). A divergence-probe
+    /// failure downgrades it to scalar; [`BackendSpec::Scalar`] pins
+    /// everything to the reference backend.
+    pub backend: BackendSpec,
     /// Seed for worker-local RNGs (retry jitter). Worker `k` derives its
     /// stream from `seed` and `k`, so runs are reproducible.
     pub seed: u64,
@@ -111,10 +105,9 @@ impl Default for ServeConfig {
             default_step_budget: None,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
-            prefer_packed: true,
-            prefer_threaded: false,
-            threads: 2,
-            word: WordWidth::W64,
+            backend: BackendSpec::Packed {
+                word: WordWidth::W64,
+            },
             seed: 0x5eed,
             batching: BatchingConfig::default(),
             redundancy: Redundancy::Off,
@@ -187,10 +180,10 @@ impl Default for ScrubConfig {
 }
 
 /// A deterministic per-worker fault plan for drills: every machine
-/// worker `k` builds (job attempts, scrub sweeps, probation probes)
-/// carries `FaultMap::random(dim, count, seed)` until — if set —
-/// `heal_after_builds` machines have been built, modeling a field
-/// repair so quarantine re-admission can be exercised end to end.
+/// worker `k` builds (job attempts, coalesced waves, scrub sweeps,
+/// probation probes) carries `FaultMap::random(dim, count, seed)` until
+/// — if set — `heal_after_builds` machines have been built, modeling a
+/// field repair so quarantine re-admission can be exercised end to end.
 #[derive(Debug, Clone, Default)]
 pub struct MachineFaultPlan {
     /// Worker index -> its planted fault spec.
@@ -334,18 +327,92 @@ struct Shared {
 }
 
 impl Shared {
-    /// The drill fault plan's faults for the next machine worker
-    /// `index` builds, if any. Every call with a planted spec counts a
+    /// Attaches the drill fault plan's faults, if any, to a machine
+    /// worker `index` just built. Every call with a planted spec counts a
     /// build, so `heal_after_builds` models a repair that lands after a
     /// fixed number of faulty builds.
-    fn plan_faults(&self, index: u64, dim: Dim) -> Option<FaultMap> {
-        let spec = *self.config.fault_plan.faulty.get(&index)?;
+    fn arm<E: Executor>(&self, index: u64, machine: &mut Machine<E>) {
+        let Some(spec) = self.config.fault_plan.faulty.get(&index).copied() else {
+            return;
+        };
         let builds = lock(&self.health).count_build(index);
         if spec.heal_after_builds.is_some_and(|h| builds > h) {
-            return None;
+            return;
         }
-        Some(FaultMap::random(dim, spec.count.max(1), spec.seed))
+        machine.attach_faults(FaultMap::random(
+            machine.dim(),
+            spec.count.max(1),
+            spec.seed,
+        ));
     }
+}
+
+/// Work that runs on one freshly built worker machine (see
+/// [`on_machine`]).
+trait OnMachine {
+    /// What the work returns.
+    type Output;
+
+    /// Builds its machine from `fresh` and runs.
+    fn run<E: Executor>(self, fresh: Fresh<'_, E>) -> Self::Output;
+}
+
+/// A worker's fresh executor. Every way of turning it into a machine
+/// attaches the worker's drill faults, so no serve path can build a
+/// machine that skips the fault plan.
+struct Fresh<'a, E> {
+    exec: E,
+    shared: &'a Shared,
+    index: u64,
+}
+
+impl<E: Executor> Fresh<'_, E> {
+    /// An `n x n` runtime.
+    fn ppa(self, n: usize) -> Ppa<E> {
+        let mut ppa = Ppa::with_backend(n, self.exec);
+        self.shared.arm(self.index, ppa.machine_mut());
+        ppa
+    }
+
+    /// A lane batch sized and word-fitted for `graphs`.
+    fn batch(self, graphs: &[WeightMatrix]) -> Result<BatchSession<E>, McpError> {
+        let mut batch = BatchSession::with_backend(graphs, self.exec)?;
+        self.shared.arm(self.index, batch.ppa_mut().machine_mut());
+        Ok(batch)
+    }
+}
+
+/// Builds every machine worker `index` runs work on: dispatches
+/// `backend` to its executor and hands `work` the [`Fresh`] wrapper.
+fn on_machine<W: OnMachine>(
+    shared: &Shared,
+    index: u64,
+    backend: BackendSpec,
+    work: W,
+) -> W::Output {
+    struct Build<'a, W> {
+        shared: &'a Shared,
+        index: u64,
+        work: W,
+    }
+
+    impl<W: OnMachine> BackendVisitor for Build<'_, W> {
+        type Output = W::Output;
+
+        fn run<E: Executor>(self, exec: E) -> W::Output {
+            self.work.run(Fresh {
+                exec,
+                shared: self.shared,
+                index: self.index,
+            })
+        }
+    }
+
+    backend.dispatch(Build {
+        shared,
+        index,
+        work,
+    })
 }
 
 /// Everything a worker thread needs; cloneable so the supervisor can
@@ -870,11 +937,7 @@ fn run_scrub(ctx: &WorkerCtx, index: u64) -> bool {
     let shared = &ctx.shared;
     lock(&shared.workers).insert(index, WorkerState::Scrubbing);
     let n = shared.config.scrubbing.probe_n.max(2);
-    let mut machine = Machine::square(n);
-    if let Some(fm) = shared.plan_faults(index, machine.dim()) {
-        machine.attach_faults(fm);
-    }
-    let report = machine.self_test();
+    let report = on_machine(shared, index, BackendSpec::Scalar, Sweep(n));
     let healthy = report.is_healthy();
     {
         let mut m = lock(&shared.metrics);
@@ -916,14 +979,7 @@ fn run_probe(ctx: &WorkerCtx, index: u64) {
     lock(&shared.workers).insert(index, WorkerState::Scrubbing);
     let n = shared.config.scrubbing.probe_n.max(4);
     let w = ppa_graph::gen::random_connected(n, 0.5, 9, 0x09ED);
-    let word_bits = mcp::fit_word_bits(&w).clamp(2, 62);
-    let mut ppa = Ppa::square(n).with_word_bits(word_bits);
-    if let Some(fm) = shared.plan_faults(index, ppa.machine().dim()) {
-        ppa.machine_mut().attach_faults(fm);
-    }
-    let clean = McpSession::from_ppa(ppa, &w)
-        .and_then(|mut s| s.solve_verified(0))
-        .is_ok();
+    let clean = on_machine(shared, index, BackendSpec::Scalar, Probe(&w));
     {
         let mut m = lock(&shared.metrics);
         m.inc("serve.health.probes", 1);
@@ -944,18 +1000,57 @@ fn run_probe(ctx: &WorkerCtx, index: u64) {
     lock(&shared.workers).insert(index, WorkerState::Idle);
 }
 
+/// A BIST sweep of a fresh `n x n` machine (the scrubber's check).
+struct Sweep(usize);
+
+impl OnMachine for Sweep {
+    type Output = FaultReport;
+
+    fn run<E: Executor>(self, fresh: Fresh<'_, E>) -> FaultReport {
+        fresh.ppa(self.0).machine_mut().self_test()
+    }
+}
+
+/// A verified solve toward vertex 0 (the probation probe); true when
+/// clean.
+struct Probe<'a>(&'a WeightMatrix);
+
+impl OnMachine for Probe<'_> {
+    type Output = bool;
+
+    fn run<E: Executor>(self, fresh: Fresh<'_, E>) -> bool {
+        let ppa = fresh
+            .ppa(self.0.n())
+            .with_word_bits(mcp::fit_word_bits(self.0).clamp(2, 62));
+        McpSession::from_ppa(ppa, self.0)
+            .and_then(|mut s| s.solve_verified(0))
+            .is_ok()
+    }
+}
+
 /// Records a corruption-class failure against this worker's machine.
 /// `vote` marks a redundant-vote disagreement (already known to be a
 /// replica-level divergence, the strongest soft evidence we have).
-fn note_sighting(ctx: &WorkerCtx, index: u64, vote: bool) {
-    let transition = lock(&ctx.shared.health).sighting(index, vote);
-    let mut m = lock(&ctx.shared.metrics);
+fn note_sighting(shared: &Shared, index: u64, vote: bool) {
+    let transition = lock(&shared.health).sighting(index, vote);
+    let mut m = lock(&shared.metrics);
     m.inc("serve.health.sightings", 1);
     if vote {
         m.inc("serve.health.vote_disagreements", 1);
     }
     if transition == Some(MachineHealth::Suspect) {
         m.inc("serve.health.suspect", 1);
+    }
+}
+
+/// Records a redundant vote's disagreement, if any, against this
+/// worker's machine.
+fn note_vote(shared: &Shared, index: u64, vote: &VoteReport) {
+    if vote.disagreed {
+        note_sighting(shared, index, true);
+        if vote.corrected {
+            lock(&shared.metrics).inc("serve.health.vote_corrected", 1);
+        }
     }
 }
 
@@ -1222,6 +1317,8 @@ fn run_batch(
 
     if !live.is_empty() {
         let backend = route_backend(ctx);
+        // The breaker guards only the fast backends.
+        let fast = backend != BackendSpec::Scalar;
         let graphs: Vec<WeightMatrix> = live
             .iter()
             .map(|&i| slots[i].as_ref().expect("live slot").spec.graph.clone())
@@ -1243,45 +1340,23 @@ fn run_batch(
                 }
             })
             .collect();
-        let wave = if config.redundancy.replicas() > 1 {
-            run_redundant_batch(
-                ctx,
-                index,
-                backend,
-                &graphs,
-                &dests,
-                &limits,
-                config.redundancy,
-            )
-        } else {
-            match (backend, config.word) {
-                (BackendChoice::Packed, WordWidth::W64) => BatchSession::new_packed(&graphs)
-                    .and_then(|mut b| b.solve_verified_with(&dests, &limits)),
-                (BackendChoice::Packed, WordWidth::W256) => {
-                    BatchSession::<PackedBackend<W256>>::new_packed_wide(&graphs)
-                        .and_then(|mut b| b.solve_verified_with(&dests, &limits))
-                }
-                (BackendChoice::Threaded, WordWidth::W64) => {
-                    BatchSession::new_threaded(&graphs, config.threads.max(1))
-                        .and_then(|mut b| b.solve_verified_with(&dests, &limits))
-                }
-                (BackendChoice::Threaded, WordWidth::W256) => {
-                    BatchSession::<ThreadedBackend<W256>>::new_threaded_wide(
-                        &graphs,
-                        config.threads.max(1),
-                    )
-                    .and_then(|mut b| b.solve_verified_with(&dests, &limits))
-                }
-                (BackendChoice::Scalar, _) => BatchSession::new(&graphs)
-                    .and_then(|mut b| b.solve_verified_with(&dests, &limits)),
-            }
-        };
+        let wave = on_machine(
+            shared,
+            index,
+            backend,
+            Wave {
+                graphs: &graphs,
+                dests: &dests,
+                limits: &limits,
+                mode: config.redundancy,
+            },
+        );
         match wave {
             Err(_whole_wave) => {
                 // A machine-global failure takes down every lane at once;
                 // rather than inventing per-lane results, each job re-runs
                 // on the solo path with its full retry/breaker treatment.
-                if backend.is_fast() && lock(&shared.breaker).record_failure() {
+                if fast && lock(&shared.breaker).record_failure() {
                     lock(&shared.metrics).inc("serve.breaker.trips", 1);
                 }
                 lock(&shared.metrics).inc("serve.batch.fallback_single", live.len() as u64);
@@ -1330,7 +1405,7 @@ fn run_batch(
                             )
                         }
                         Err(e) if e.indicates_corruption() => {
-                            if backend.is_fast() && lock(&shared.breaker).record_failure() {
+                            if fast && lock(&shared.breaker).record_failure() {
                                 lock(&shared.metrics).inc("serve.breaker.trips", 1);
                             }
                             lock(&shared.metrics).inc("serve.batch.fallback_single", 1);
@@ -1348,7 +1423,7 @@ fn run_batch(
                     };
                     reports[i] = Some(report);
                 }
-                if fast_success && backend.is_fast() {
+                if fast_success && fast {
                     lock(&shared.breaker).record_success();
                 }
             }
@@ -1360,87 +1435,39 @@ fn run_batch(
         .collect()
 }
 
-/// Solves a coalesced wave redundantly: every job's graph is replicated
-/// into `mode.replicas()` adjacent lanes of one wide session, voted per
-/// destination, and mapped back to one outcome per job — vote-only, no
-/// sequential reference on the hot path. Vote disagreements are
+/// A coalesced wave: one lane-batch solve of every live job, verified
+/// against the host invariants. Under a redundancy mode every job's graph
+/// is instead replicated into `mode.replicas()` adjacent lanes, voted per
+/// destination — vote-only, no sequential reference on the hot path —
+/// and mapped back to one outcome per job; vote disagreements are
 /// recorded against this worker's health record.
-fn run_redundant_batch(
-    ctx: &WorkerCtx,
-    index: u64,
-    backend: BackendChoice,
-    graphs: &[WeightMatrix],
-    dests: &[usize],
-    limits: &[LaneLimit],
+struct Wave<'a> {
+    graphs: &'a [WeightMatrix],
+    dests: &'a [usize],
+    limits: &'a [LaneLimit],
     mode: Redundancy,
-) -> Result<Vec<Result<McpOutput, McpError>>, McpError> {
-    let rep = mode.expand(graphs);
-    let threads = ctx.shared.config.threads.max(1);
-    match (backend, ctx.shared.config.word) {
-        (BackendChoice::Packed, WordWidth::W64) => drive_redundant_wave(
-            ctx,
-            index,
-            BatchSession::new_packed(&rep)?,
-            dests,
-            limits,
-            mode,
-        ),
-        (BackendChoice::Packed, WordWidth::W256) => drive_redundant_wave(
-            ctx,
-            index,
-            BatchSession::<PackedBackend<W256>>::new_packed_wide(&rep)?,
-            dests,
-            limits,
-            mode,
-        ),
-        (BackendChoice::Threaded, WordWidth::W64) => drive_redundant_wave(
-            ctx,
-            index,
-            BatchSession::new_threaded(&rep, threads)?,
-            dests,
-            limits,
-            mode,
-        ),
-        (BackendChoice::Threaded, WordWidth::W256) => drive_redundant_wave(
-            ctx,
-            index,
-            BatchSession::<ThreadedBackend<W256>>::new_threaded_wide(&rep, threads)?,
-            dests,
-            limits,
-            mode,
-        ),
-        (BackendChoice::Scalar, _) => {
-            drive_redundant_wave(ctx, index, BatchSession::new(&rep)?, dests, limits, mode)
-        }
-    }
 }
 
-fn drive_redundant_wave<E: Executor>(
-    ctx: &WorkerCtx,
-    index: u64,
-    mut sess: BatchSession<E>,
-    dests: &[usize],
-    limits: &[LaneLimit],
-    mode: Redundancy,
-) -> Result<Vec<Result<McpOutput, McpError>>, McpError> {
-    if let Some(fm) = ctx
-        .shared
-        .plan_faults(index, sess.ppa_mut().machine().dim())
-    {
-        sess.ppa_mut().machine_mut().attach_faults(fm);
-    }
-    let wave = sess.solve_redundant_with(dests, limits, mode)?;
-    let mut outcomes = Vec::with_capacity(wave.lanes.len());
-    for voted in wave.lanes {
-        if voted.vote.disagreed {
-            note_sighting(ctx, index, true);
-            if voted.vote.corrected {
-                lock(&ctx.shared.metrics).inc("serve.health.vote_corrected", 1);
-            }
+impl OnMachine for Wave<'_> {
+    type Output = Result<Vec<Result<McpOutput, McpError>>, McpError>;
+
+    fn run<E: Executor>(self, fresh: Fresh<'_, E>) -> Self::Output {
+        if self.mode.replicas() <= 1 {
+            return fresh
+                .batch(self.graphs)?
+                .solve_verified_with(self.dests, self.limits);
         }
-        outcomes.push(voted.outcome);
+        let (shared, index) = (fresh.shared, fresh.index);
+        let wave = fresh
+            .batch(&self.mode.expand(self.graphs))?
+            .solve_redundant_with(self.dests, self.limits, self.mode)?;
+        let mut outcomes = Vec::with_capacity(wave.lanes.len());
+        for voted in wave.lanes {
+            note_vote(shared, index, &voted.vote);
+            outcomes.push(voted.outcome);
+        }
+        Ok(outcomes)
     }
-    Ok(outcomes)
 }
 
 fn supervisor_loop(
@@ -1577,103 +1604,41 @@ fn run_job(ctx: &WorkerCtx, index: u64, job: QueuedJob, rng: &mut SmallRng) -> J
         let _ = ctx.watchdog_tx.send((job.submitted + d, token.clone()));
     }
     let budget = job.spec.step_budget.or(config.default_step_budget);
-    let word_bits = mcp::fit_word_bits(&job.spec.graph).clamp(2, 62);
     let n = job.spec.graph.n();
-
-    // With batching enabled, an APSP campaign retires destinations in
-    // wavefronts of up to `max_lanes` per batched solve. Fault-injected
-    // campaigns stay on the solo path: transient faults on a wide
-    // machine would not reproduce the solo fault pattern.
-    let apsp_lanes = match &job.spec.kind {
+    let plan = match &job.spec.kind {
+        // With batching enabled, an APSP campaign retires destinations in
+        // wavefronts of up to `max_lanes` per batched solve. Fault-injected
+        // campaigns stay on the solo path: transient faults on a wide
+        // machine would not reproduce the solo fault pattern.
         JobKind::Apsp { .. } if config.batching.enabled && job.spec.transient_faults.is_none() => {
-            Some(config.batching.max_lanes.clamp(1, 64).min(n.max(1)))
+            Plan::ApspWaves(config.batching.max_lanes.clamp(1, 64).min(n.max(1)))
         }
-        _ => None,
+        // Shortest-path jobs run lane-replicated under the configured
+        // redundancy mode: the vote replaces the host reference check on
+        // the hot path (DMR detects, TMR can correct).
+        JobKind::Shortest { .. } if config.redundancy.replicas() > 1 => {
+            Plan::Voted(config.redundancy)
+        }
+        _ => Plan::Solo,
     };
-
-    // Shortest-path jobs run lane-replicated under the configured
-    // redundancy mode: the vote replaces the host reference check on
-    // the hot path (DMR detects, TMR can correct).
-    let redundant_shortest =
-        matches!(job.spec.kind, JobKind::Shortest { .. }) && config.redundancy.replicas() > 1;
 
     let mut attempts = 0u32;
     let mut backend;
     let outcome = loop {
         attempts += 1;
         backend = route_backend(ctx);
-        let result = if let Some(lanes) = apsp_lanes {
-            attempt_apsp_batched(
-                ctx,
-                index,
-                backend,
-                &job.spec,
-                &token,
-                budget,
-                lanes,
-                &mut last_flush,
-            )
-        } else if redundant_shortest {
-            attempt_shortest_redundant(ctx, index, backend, &job.spec, &token, budget, attempts)
-        } else {
-            match (backend, config.word) {
-                (BackendChoice::Packed, WordWidth::W64) => attempt_on(
-                    ctx,
-                    index,
-                    Ppa::<PackedBackend>::packed(n).with_word_bits(word_bits),
-                    &job.spec,
-                    &token,
-                    budget,
-                    attempts,
-                    &mut last_flush,
-                ),
-                (BackendChoice::Packed, WordWidth::W256) => attempt_on(
-                    ctx,
-                    index,
-                    Ppa::<PackedBackend<W256>>::packed_wide(n).with_word_bits(word_bits),
-                    &job.spec,
-                    &token,
-                    budget,
-                    attempts,
-                    &mut last_flush,
-                ),
-                (BackendChoice::Threaded, WordWidth::W64) => attempt_on(
-                    ctx,
-                    index,
-                    Ppa::<ThreadedBackend>::threaded(n, config.threads.max(1))
-                        .with_word_bits(word_bits),
-                    &job.spec,
-                    &token,
-                    budget,
-                    attempts,
-                    &mut last_flush,
-                ),
-                (BackendChoice::Threaded, WordWidth::W256) => attempt_on(
-                    ctx,
-                    index,
-                    Ppa::<ThreadedBackend<W256>>::threaded_wide(n, config.threads.max(1))
-                        .with_word_bits(word_bits),
-                    &job.spec,
-                    &token,
-                    budget,
-                    attempts,
-                    &mut last_flush,
-                ),
-                (BackendChoice::Scalar, _) => attempt_on(
-                    ctx,
-                    index,
-                    Ppa::square(n).with_word_bits(word_bits),
-                    &job.spec,
-                    &token,
-                    budget,
-                    attempts,
-                    &mut last_flush,
-                ),
-            }
+        let fast = backend != BackendSpec::Scalar;
+        let attempt = Attempt {
+            spec: &job.spec,
+            token: &token,
+            budget,
+            attempt: attempts,
+            plan,
+            last_flush: &mut last_flush,
         };
-        match result {
+        match on_machine(shared, index, backend, attempt) {
             Ok(out) => {
-                if backend.is_fast() {
+                if fast {
                     lock(&shared.breaker).record_success();
                 }
                 break Ok(out);
@@ -1695,9 +1660,9 @@ fn run_job(ctx: &WorkerCtx, index: u64, job: QueuedJob, rng: &mut SmallRng) -> J
                 // Vote disagreements were already recorded (with their
                 // vote flavor) inside the redundant attempt.
                 if !matches!(e, McpError::VoteDisagreement { .. }) {
-                    note_sighting(ctx, index, false);
+                    note_sighting(shared, index, false);
                 }
-                if backend.is_fast() && lock(&shared.breaker).record_failure() {
+                if fast && lock(&shared.breaker).record_failure() {
                     lock(&shared.metrics).inc("serve.breaker.trips", 1);
                 }
                 if attempts <= config.retry.max_retries && !token.is_cancelled() {
@@ -1728,7 +1693,7 @@ fn finish(
     job: &QueuedJob,
     outcome: Result<JobOutcome, ServeError>,
     attempts: u32,
-    backend: Option<BackendChoice>,
+    backend: Option<BackendSpec>,
     is_apsp: bool,
     last_flush: Option<Json>,
 ) -> JobReport {
@@ -1770,25 +1735,21 @@ fn finish(
 
 /// Picks the backend for the next attempt via the circuit breaker,
 /// running the divergence probe when the breaker is half-open.
-fn route_backend(ctx: &WorkerCtx) -> BackendChoice {
-    let config = &ctx.shared.config;
-    let fast = if config.prefer_threaded {
-        BackendChoice::Threaded
-    } else if config.prefer_packed {
-        BackendChoice::Packed
-    } else {
-        return BackendChoice::Scalar;
-    };
+fn route_backend(ctx: &WorkerCtx) -> BackendSpec {
+    let fast = ctx.shared.config.backend;
+    if fast == BackendSpec::Scalar {
+        return fast;
+    }
     let route = lock(&ctx.shared.breaker).route();
     match route {
         Route::Packed => fast,
         Route::Scalar => {
             lock(&ctx.shared.metrics).inc("serve.breaker.scalar_fallback", 1);
-            BackendChoice::Scalar
+            BackendSpec::Scalar
         }
         Route::ProbeFirst => {
             lock(&ctx.shared.metrics).inc("serve.breaker.probes", 1);
-            let passed = divergence_probe(fast, config.threads.max(1), config.word);
+            let passed = divergence_probe(fast);
             lock(&ctx.shared.breaker).probe_result(passed);
             let mut m = lock(&ctx.shared.metrics);
             if passed {
@@ -1800,7 +1761,7 @@ fn route_backend(ctx: &WorkerCtx) -> BackendChoice {
                 m.inc("serve.breaker.trips", 1);
                 m.inc("serve.breaker.scalar_fallback", 1);
                 drop(m);
-                BackendChoice::Scalar
+                BackendSpec::Scalar
             }
         }
     }
@@ -1811,35 +1772,27 @@ fn route_backend(ctx: &WorkerCtx) -> BackendChoice {
 /// machines) and demand bit-identical results — the differential
 /// equivalence the test suites assert statically, run live before fast
 /// traffic resumes.
-fn divergence_probe(fast: BackendChoice, threads: usize, word: WordWidth) -> bool {
+fn divergence_probe(fast: BackendSpec) -> bool {
+    struct Reference<'a>(&'a WeightMatrix);
+
+    impl BackendVisitor for Reference<'_> {
+        type Output = Result<McpOutput, McpError>;
+
+        fn run<E: Executor>(self, exec: E) -> Self::Output {
+            McpSession::with_backend(self.0, exec)?.solve(0)
+        }
+    }
+
     let w = ppa_graph::gen::random_connected(6, 0.5, 9, 0xD1FF);
-    let probed = match (fast, word) {
-        (BackendChoice::Packed, WordWidth::W64) => {
-            McpSession::new_packed(&w).and_then(|mut s| s.solve(0))
-        }
-        (BackendChoice::Packed, WordWidth::W256) => {
-            McpSession::<PackedBackend<W256>>::new_packed_wide(&w).and_then(|mut s| s.solve(0))
-        }
-        (BackendChoice::Threaded, WordWidth::W64) => {
-            McpSession::new_threaded(&w, threads).and_then(|mut s| s.solve(0))
-        }
-        (BackendChoice::Threaded, WordWidth::W256) => {
-            McpSession::<ThreadedBackend<W256>>::new_threaded_wide(&w, threads)
-                .and_then(|mut s| s.solve(0))
-        }
-        (BackendChoice::Scalar, _) => return true,
-    };
-    let scalar = McpSession::new(&w).and_then(|mut s| s.solve(0));
-    match (probed, scalar) {
+    match (
+        fast.dispatch(Reference(&w)),
+        BackendSpec::Scalar.dispatch(Reference(&w)),
+    ) {
         (Ok(a), Ok(b)) => a.sow == b.sow && a.ptn == b.ptn && a.iterations == b.iterations,
         _ => false,
     }
 }
 
-/// One solve attempt on a fresh runtime: arms the cancel token, step
-/// budget, and fault injection, then dispatches on the job kind. APSP
-/// campaigns restart from the last *flushed* checkpoint and flush every
-/// `checkpoint_every` completed destinations.
 /// Host-side verification of a widest-path result, mirroring what
 /// [`McpSession::solve_verified`] does for shortest paths: a silently
 /// corrupted run must surface as corruption-class [`McpError`] so the
@@ -1912,331 +1865,203 @@ fn verify_widest(w: &WeightMatrix, out: &WidestOutput) -> Result<(), McpError> {
     Ok(())
 }
 
-/// One redundant shortest-path attempt: the job's graph is replicated
-/// into `replicas` disjoint lanes of one wide session, solved
-/// vote-only (no sequential reference on the hot path), and the voted
-/// outcome of the single destination is the job's outcome. TMR with
-/// correction can succeed despite a corrupted replica; an unresolved
-/// disagreement surfaces as corruption-class
-/// [`McpError::VoteDisagreement`] and flows into the ordinary
-/// retry/breaker machinery.
-fn attempt_shortest_redundant(
-    ctx: &WorkerCtx,
-    index: u64,
-    backend: BackendChoice,
-    spec: &JobSpec,
-    token: &CancelToken,
+/// How a job's attempts solve it.
+#[derive(Clone, Copy)]
+enum Plan {
+    /// One verified solve on an `n x n` machine.
+    Solo,
+    /// A shortest-path job replicated into `mode.replicas()` lanes and
+    /// voted (see [`Attempt::voted`]).
+    Voted(Redundancy),
+    /// An APSP campaign retired in wavefronts of this many lanes (see
+    /// [`Attempt::apsp_waves`]).
+    ApspWaves(usize),
+}
+
+/// One solve attempt of a job on a fresh machine, armed with the job's
+/// cancel token, step budget, and fault injection.
+struct Attempt<'a> {
+    spec: &'a JobSpec,
+    token: &'a CancelToken,
     budget: Option<u64>,
+    /// 1-based attempt number; salts the transient-fault seed.
     attempt: u32,
-) -> Result<JobOutcome, McpError> {
-    let mode = ctx.shared.config.redundancy;
-    let dest = match spec.kind {
-        JobKind::Shortest { dest } => dest,
-        _ => {
+    plan: Plan,
+    /// The last flushed APSP checkpoint: campaigns restart from it and
+    /// update it every `checkpoint_every` completed destinations.
+    last_flush: &'a mut Option<Json>,
+}
+
+impl OnMachine for Attempt<'_> {
+    type Output = Result<JobOutcome, McpError>;
+
+    fn run<E: Executor>(self, fresh: Fresh<'_, E>) -> Self::Output {
+        match self.plan {
+            Plan::Solo => self.solo(fresh),
+            Plan::Voted(mode) => self.voted(fresh, mode),
+            Plan::ApspWaves(lanes) => self.apsp_waves(fresh, lanes),
+        }
+    }
+}
+
+impl Attempt<'_> {
+    /// Attaches the job's transient-fault drill, if any. Salting by
+    /// attempt keeps faults transient: a retry sees a different (still
+    /// deterministic) fault pattern.
+    fn attach_transient<E: Executor>(&self, machine: &mut Machine<E>) {
+        if let Some((p, seed)) = self.spec.transient_faults {
+            machine.attach_transient_faults(TransientFaults::new(
+                p,
+                seed.wrapping_add(self.attempt as u64),
+            ));
+        }
+    }
+
+    /// The plain path: dispatches on the job kind. APSP campaigns
+    /// restart from the last flushed checkpoint.
+    fn solo<E: Executor>(self, fresh: Fresh<'_, E>) -> Result<JobOutcome, McpError> {
+        let metrics = &fresh.shared.metrics;
+        let spec = self.spec;
+        let word_bits = mcp::fit_word_bits(&spec.graph).clamp(2, 62);
+        let mut ppa = fresh.ppa(spec.graph.n()).with_word_bits(word_bits);
+        ppa.attach_cancel(self.token.clone());
+        if let Some(b) = self.budget {
+            ppa.limit_steps(b);
+        }
+        self.attach_transient(ppa.machine_mut());
+        match &spec.kind {
+            JobKind::Shortest { dest } => {
+                let mut session = McpSession::from_ppa(ppa, &spec.graph)?;
+                Ok(JobOutcome::Shortest(session.solve_verified(*dest)?))
+            }
+            JobKind::Widest { dest } => {
+                let out = widest_path(&mut ppa, &spec.graph, *dest)?;
+                verify_widest(&spec.graph, &out)?;
+                Ok(JobOutcome::Widest(out))
+            }
+            JobKind::Apsp {
+                checkpoint_every, ..
+            } => {
+                let every = (*checkpoint_every).max(1);
+                let mut cp = self.resume()?;
+                let mut session = McpSession::from_ppa(ppa, &spec.graph)?;
+                while !cp.is_complete() {
+                    let out = session.solve_verified(cp.next_dest())?;
+                    cp.record(&out);
+                    if cp.next_dest() % every == 0 {
+                        *self.last_flush = Some(cp.to_json());
+                        lock(metrics).inc("serve.checkpoints", 1);
+                    }
+                }
+                let doc = cp.to_json();
+                *self.last_flush = Some(doc.clone());
+                Ok(JobOutcome::Apsp(doc))
+            }
+            JobKind::Chaos => unreachable!("chaos jobs panic before the attempt loop"),
+        }
+    }
+
+    /// The campaign's starting point: the last flushed checkpoint, or a
+    /// fresh one. A flushed checkpoint always round-trips; degrade to a
+    /// typed error rather than panicking the worker if that invariant is
+    /// ever broken.
+    fn resume(&self) -> Result<ApspCheckpoint, McpError> {
+        match self.last_flush.as_ref() {
+            Some(doc) => ApspCheckpoint::from_json(doc).map_err(|_| McpError::InvariantViolation {
+                invariant: "a flushed APSP checkpoint failed to round-trip",
+            }),
+            None => Ok(ApspCheckpoint::new(self.spec.graph.n())),
+        }
+    }
+
+    /// A redundant shortest-path attempt: the job's graph is replicated
+    /// into `mode.replicas()` disjoint lanes of one wide session, solved
+    /// vote-only (no sequential reference on the hot path), and the voted
+    /// outcome of the single destination is the job's outcome. TMR with
+    /// correction can succeed despite a corrupted replica; an unresolved
+    /// disagreement surfaces as corruption-class
+    /// [`McpError::VoteDisagreement`] and flows into the ordinary
+    /// retry/breaker machinery.
+    fn voted<E: Executor>(
+        self,
+        fresh: Fresh<'_, E>,
+        mode: Redundancy,
+    ) -> Result<JobOutcome, McpError> {
+        let JobKind::Shortest { dest } = self.spec.kind else {
             return Err(McpError::InvariantViolation {
                 invariant: "only shortest-path jobs run redundantly",
-            })
-        }
-    };
-    let graphs = replicate(&spec.graph, mode.replicas());
-    let threads = ctx.shared.config.threads.max(1);
-    match (backend, ctx.shared.config.word) {
-        (BackendChoice::Packed, WordWidth::W64) => drive_redundant_solo(
-            ctx,
-            index,
-            BatchSession::new_packed(&graphs)?,
-            dest,
-            spec,
-            token,
-            budget,
-            attempt,
-            mode,
-        ),
-        (BackendChoice::Packed, WordWidth::W256) => drive_redundant_solo(
-            ctx,
-            index,
-            BatchSession::<PackedBackend<W256>>::new_packed_wide(&graphs)?,
-            dest,
-            spec,
-            token,
-            budget,
-            attempt,
-            mode,
-        ),
-        (BackendChoice::Threaded, WordWidth::W64) => drive_redundant_solo(
-            ctx,
-            index,
-            BatchSession::new_threaded(&graphs, threads)?,
-            dest,
-            spec,
-            token,
-            budget,
-            attempt,
-            mode,
-        ),
-        (BackendChoice::Threaded, WordWidth::W256) => drive_redundant_solo(
-            ctx,
-            index,
-            BatchSession::<ThreadedBackend<W256>>::new_threaded_wide(&graphs, threads)?,
-            dest,
-            spec,
-            token,
-            budget,
-            attempt,
-            mode,
-        ),
-        (BackendChoice::Scalar, _) => drive_redundant_solo(
-            ctx,
-            index,
-            BatchSession::new(&graphs)?,
-            dest,
-            spec,
-            token,
-            budget,
-            attempt,
-            mode,
-        ),
+            });
+        };
+        let (shared, index) = (fresh.shared, fresh.index);
+        let mut sess = fresh.batch(&replicate(&self.spec.graph, mode.replicas()))?;
+        self.attach_transient(sess.ppa_mut().machine_mut());
+        // The budget is per destination (solo-equivalent semantics), so a
+        // redundant run keeps the caller's budget meaning unchanged.
+        let limits = [LaneLimit {
+            step_budget: self.budget,
+            cancel: Some(self.token.clone()),
+        }];
+        let wave = sess.solve_redundant_with(&[dest], &limits, mode)?;
+        let voted = wave
+            .lanes
+            .into_iter()
+            .next()
+            .ok_or(McpError::InvariantViolation {
+                invariant: "a redundant wave returns one voted lane per destination",
+            })?;
+        note_vote(shared, index, &voted.vote);
+        Ok(JobOutcome::Shortest(voted.outcome?))
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn drive_redundant_solo<E: Executor>(
-    ctx: &WorkerCtx,
-    index: u64,
-    mut sess: BatchSession<E>,
-    dest: usize,
-    spec: &JobSpec,
-    token: &CancelToken,
-    budget: Option<u64>,
-    attempt: u32,
-    mode: Redundancy,
-) -> Result<JobOutcome, McpError> {
-    if let Some(fm) = ctx
-        .shared
-        .plan_faults(index, sess.ppa_mut().machine().dim())
-    {
-        sess.ppa_mut().machine_mut().attach_faults(fm);
-    }
-    if let Some((p, seed)) = spec.transient_faults {
-        sess.ppa_mut()
-            .machine_mut()
-            .attach_transient_faults(TransientFaults::new(p, seed.wrapping_add(attempt as u64)));
-    }
-    // The budget is per destination (solo-equivalent semantics), so a
-    // redundant run keeps the caller's budget meaning unchanged.
-    let limits = [LaneLimit {
-        step_budget: budget,
-        cancel: Some(token.clone()),
-    }];
-    let wave = sess.solve_redundant_with(&[dest], &limits, mode)?;
-    let voted = wave
-        .lanes
-        .into_iter()
-        .next()
-        .ok_or(McpError::InvariantViolation {
-            invariant: "a redundant wave returns one voted lane per destination",
-        })?;
-    if voted.vote.disagreed {
-        note_sighting(ctx, index, true);
-        if voted.vote.corrected {
-            lock(&ctx.shared.metrics).inc("serve.health.vote_corrected", 1);
+    /// A batched APSP attempt: the campaign's destinations are retired in
+    /// wavefronts of `lanes` per [`BatchSession`] solve instead of one at
+    /// a time. Checkpoints are recorded in destination order and flushed
+    /// at exactly the same destination boundaries as the solo campaign,
+    /// so an interrupted-and-resumed batched campaign produces a
+    /// byte-identical final checkpoint (outputs per destination are
+    /// bit-identical anyway).
+    fn apsp_waves<E: Executor>(
+        self,
+        fresh: Fresh<'_, E>,
+        lanes: usize,
+    ) -> Result<JobOutcome, McpError> {
+        let metrics = &fresh.shared.metrics;
+        let mut batch = fresh.batch(&replicate(&self.spec.graph, lanes))?;
+        // The campaign is one job: deadline/cancel and the step budget apply
+        // machine-wide, exactly like the solo campaign's session machine.
+        batch.ppa_mut().attach_cancel(self.token.clone());
+        if let Some(b) = self.budget {
+            batch.ppa_mut().limit_steps(b);
         }
-    }
-    Ok(JobOutcome::Shortest(voted.outcome?))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn attempt_on<E: Executor>(
-    ctx: &WorkerCtx,
-    index: u64,
-    mut ppa: Ppa<E>,
-    spec: &JobSpec,
-    token: &CancelToken,
-    budget: Option<u64>,
-    attempt: u32,
-    last_flush: &mut Option<Json>,
-) -> Result<JobOutcome, McpError> {
-    let metrics = &ctx.shared.metrics;
-    ppa.attach_cancel(token.clone());
-    if let Some(b) = budget {
-        ppa.limit_steps(b);
-    }
-    if let Some(fm) = ctx.shared.plan_faults(index, ppa.machine().dim()) {
-        ppa.machine_mut().attach_faults(fm);
-    }
-    if let Some((p, seed)) = spec.transient_faults {
-        // Salting by attempt keeps faults transient: a retry sees a
-        // different (still deterministic) fault pattern.
-        ppa.machine_mut()
-            .attach_transient_faults(TransientFaults::new(p, seed.wrapping_add(attempt as u64)));
-    }
-    match &spec.kind {
-        JobKind::Shortest { dest } => {
-            let mut session = McpSession::from_ppa(ppa, &spec.graph)?;
-            Ok(JobOutcome::Shortest(session.solve_verified(*dest)?))
-        }
-        JobKind::Widest { dest } => {
-            let out = widest_path(&mut ppa, &spec.graph, *dest)?;
-            verify_widest(&spec.graph, &out)?;
-            Ok(JobOutcome::Widest(out))
-        }
-        JobKind::Apsp {
-            checkpoint_every, ..
-        } => {
-            let every = (*checkpoint_every).max(1);
-            // A flushed checkpoint always round-trips; degrade to a
-            // typed error rather than panicking the worker if that
-            // invariant is ever broken.
-            let mut cp = match last_flush.as_ref() {
-                Some(doc) => {
-                    ApspCheckpoint::from_json(doc).map_err(|_| McpError::InvariantViolation {
-                        invariant: "a flushed APSP checkpoint failed to round-trip",
-                    })?
+        let every = match &self.spec.kind {
+            JobKind::Apsp {
+                checkpoint_every, ..
+            } => (*checkpoint_every).max(1),
+            _ => unreachable!("batched campaigns are APSP jobs"),
+        };
+        let n = self.spec.graph.n();
+        let mut cp = self.resume()?;
+        while !cp.is_complete() {
+            let start = cp.next_dest();
+            // Ragged final wave: padding lanes re-solve `n - 1` and are
+            // discarded, mirroring `BatchSession::all_pairs`.
+            let dests: Vec<usize> = (0..lanes).map(|l| (start + l).min(n - 1)).collect();
+            let wave = batch.solve_verified(&dests)?;
+            for (l, out) in wave.into_iter().enumerate() {
+                if start + l >= n {
+                    break;
                 }
-                None => ApspCheckpoint::new(spec.graph.n()),
-            };
-            let mut session = McpSession::from_ppa(ppa, &spec.graph)?;
-            while !cp.is_complete() {
-                let out = session.solve_verified(cp.next_dest())?;
-                cp.record(&out);
+                cp.record(&out?);
                 if cp.next_dest() % every == 0 {
-                    *last_flush = Some(cp.to_json());
+                    *self.last_flush = Some(cp.to_json());
                     lock(metrics).inc("serve.checkpoints", 1);
                 }
             }
-            let doc = cp.to_json();
-            *last_flush = Some(doc.clone());
-            Ok(JobOutcome::Apsp(doc))
         }
-        JobKind::Chaos => unreachable!("chaos jobs panic before the attempt loop"),
+        let doc = cp.to_json();
+        *self.last_flush = Some(doc.clone());
+        Ok(JobOutcome::Apsp(doc))
     }
-}
-
-/// One batched APSP attempt: the campaign's destinations are retired in
-/// wavefronts of `lanes` per [`BatchSession`] solve instead of one at a
-/// time. Checkpoints are recorded in destination order and flushed at
-/// exactly the same destination boundaries as the solo campaign, so an
-/// interrupted-and-resumed batched campaign produces a byte-identical
-/// final checkpoint (outputs per destination are bit-identical anyway).
-#[allow(clippy::too_many_arguments)]
-fn attempt_apsp_batched(
-    ctx: &WorkerCtx,
-    index: u64,
-    backend: BackendChoice,
-    spec: &JobSpec,
-    token: &CancelToken,
-    budget: Option<u64>,
-    lanes: usize,
-    last_flush: &mut Option<Json>,
-) -> Result<JobOutcome, McpError> {
-    let graphs = replicate(&spec.graph, lanes);
-    let threads = ctx.shared.config.threads.max(1);
-    match (backend, ctx.shared.config.word) {
-        (BackendChoice::Packed, WordWidth::W64) => drive_apsp_batch(
-            ctx,
-            index,
-            BatchSession::new_packed(&graphs)?,
-            spec,
-            token,
-            budget,
-            last_flush,
-        ),
-        (BackendChoice::Packed, WordWidth::W256) => drive_apsp_batch(
-            ctx,
-            index,
-            BatchSession::<PackedBackend<W256>>::new_packed_wide(&graphs)?,
-            spec,
-            token,
-            budget,
-            last_flush,
-        ),
-        (BackendChoice::Threaded, WordWidth::W64) => drive_apsp_batch(
-            ctx,
-            index,
-            BatchSession::new_threaded(&graphs, threads)?,
-            spec,
-            token,
-            budget,
-            last_flush,
-        ),
-        (BackendChoice::Threaded, WordWidth::W256) => drive_apsp_batch(
-            ctx,
-            index,
-            BatchSession::<ThreadedBackend<W256>>::new_threaded_wide(&graphs, threads)?,
-            spec,
-            token,
-            budget,
-            last_flush,
-        ),
-        (BackendChoice::Scalar, _) => drive_apsp_batch(
-            ctx,
-            index,
-            BatchSession::new(&graphs)?,
-            spec,
-            token,
-            budget,
-            last_flush,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_apsp_batch<E: Executor>(
-    ctx: &WorkerCtx,
-    index: u64,
-    mut batch: BatchSession<E>,
-    spec: &JobSpec,
-    token: &CancelToken,
-    budget: Option<u64>,
-    last_flush: &mut Option<Json>,
-) -> Result<JobOutcome, McpError> {
-    let metrics = &ctx.shared.metrics;
-    // The campaign is one job: deadline/cancel and the step budget apply
-    // machine-wide, exactly like the solo campaign's session machine.
-    batch.ppa_mut().attach_cancel(token.clone());
-    if let Some(b) = budget {
-        batch.ppa_mut().limit_steps(b);
-    }
-    if let Some(fm) = ctx
-        .shared
-        .plan_faults(index, batch.ppa_mut().machine().dim())
-    {
-        batch.ppa_mut().machine_mut().attach_faults(fm);
-    }
-    let every = match &spec.kind {
-        JobKind::Apsp {
-            checkpoint_every, ..
-        } => (*checkpoint_every).max(1),
-        _ => unreachable!("batched campaigns are APSP jobs"),
-    };
-    let n = spec.graph.n();
-    let lanes = batch.lanes();
-    let mut cp = match last_flush.as_ref() {
-        Some(doc) => ApspCheckpoint::from_json(doc).map_err(|_| McpError::InvariantViolation {
-            invariant: "a flushed APSP checkpoint failed to round-trip",
-        })?,
-        None => ApspCheckpoint::new(n),
-    };
-    while !cp.is_complete() {
-        let start = cp.next_dest();
-        // Ragged final wave: padding lanes re-solve `n - 1` and are
-        // discarded, mirroring `BatchSession::all_pairs`.
-        let dests: Vec<usize> = (0..lanes).map(|l| (start + l).min(n - 1)).collect();
-        let wave = batch.solve_verified(&dests)?;
-        for (l, out) in wave.into_iter().enumerate() {
-            if start + l >= n {
-                break;
-            }
-            cp.record(&out?);
-            if cp.next_dest() % every == 0 {
-                *last_flush = Some(cp.to_json());
-                lock(metrics).inc("serve.checkpoints", 1);
-            }
-        }
-    }
-    let doc = cp.to_json();
-    *last_flush = Some(doc.clone());
-    Ok(JobOutcome::Apsp(doc))
 }
 
 #[cfg(test)]
@@ -2502,7 +2327,7 @@ mod tests {
         let w = gen::random_connected(6, 0.5, 9, 4);
         let svc = SolveService::start(ServeConfig {
             workers: 1,
-            prefer_packed: false, // keep the breaker out of this test
+            backend: BackendSpec::Scalar, // keep the breaker out of this test
             ..quick_config()
         });
         let mut spec = JobSpec::new(w, JobKind::Shortest { dest: 0 });
@@ -2523,7 +2348,6 @@ mod tests {
         let w = gen::random_connected(6, 0.5, 9, 4);
         let svc = SolveService::start(ServeConfig {
             workers: 1,
-            prefer_packed: true,
             breaker: BreakerConfig {
                 failure_threshold: 2,
                 cooldown_jobs: 1,
@@ -2536,14 +2360,14 @@ mod tests {
         faulty.transient_faults = Some((1.0, 7));
         let report = svc.submit(faulty).unwrap().wait();
         assert!(report.outcome.is_err());
-        assert_eq!(report.backend, Some(BackendChoice::Scalar));
+        assert_eq!(report.backend, Some(BackendSpec::Scalar));
         // Clean job: half-open -> divergence probe passes -> packed again.
         let clean = svc
             .submit(JobSpec::new(w, JobKind::Shortest { dest: 0 }))
             .unwrap()
             .wait();
         assert!(clean.outcome.is_ok());
-        assert_eq!(clean.backend, Some(BackendChoice::Packed));
+        assert_eq!(clean.backend, Some(ServeConfig::default().backend));
         assert_eq!(svc.breaker_state(), BreakerState::Closed);
         let metrics = svc.shutdown();
         assert_eq!(metrics.counter("serve.breaker.trips"), 1);
@@ -2555,10 +2379,10 @@ mod tests {
     #[test]
     fn breaker_downgrades_threaded_to_scalar_and_probe_recovers() {
         let w = gen::random_connected(6, 0.5, 9, 4);
+        let threaded: BackendSpec = "threaded/64x3".parse().unwrap();
         let svc = SolveService::start(ServeConfig {
             workers: 1,
-            prefer_threaded: true,
-            threads: 3,
+            backend: threaded,
             breaker: BreakerConfig {
                 failure_threshold: 2,
                 cooldown_jobs: 1,
@@ -2572,7 +2396,7 @@ mod tests {
         faulty.transient_faults = Some((1.0, 7));
         let report = svc.submit(faulty).unwrap().wait();
         assert!(report.outcome.is_err());
-        assert_eq!(report.backend, Some(BackendChoice::Scalar));
+        assert_eq!(report.backend, Some(BackendSpec::Scalar));
         assert_ne!(svc.breaker_state(), BreakerState::Closed);
         // Clean job: half-open -> threaded-vs-scalar divergence probe
         // passes -> threaded traffic resumes.
@@ -2581,7 +2405,7 @@ mod tests {
             .unwrap()
             .wait();
         assert!(clean.outcome.is_ok());
-        assert_eq!(clean.backend, Some(BackendChoice::Threaded));
+        assert_eq!(clean.backend, Some(threaded));
         assert_eq!(svc.breaker_state(), BreakerState::Closed);
         // The threaded answer that came back is the scalar answer: the
         // soak campaign's silent_wrong: 0 invariant has teeth here too.
@@ -3048,5 +2872,57 @@ mod tests {
         // disturb this workload is seed-dependent, but when they do the
         // ledger must have seen it.
         let _ = disagreements_seen;
+    }
+
+    #[test]
+    fn plain_coalesced_waves_carry_the_worker_fault_plan() {
+        // Batching on, redundancy off, and a permanently faulty worker:
+        // the coalesced wave is built on that worker's (faulty) machine,
+        // so its corruption must surface and fall back to the solo path —
+        // and no job may come back silently wrong.
+        let w = gen::random_connected(6, 0.4, 9, 53);
+        let svc = SolveService::start(ServeConfig {
+            workers: 1,
+            batching: BatchingConfig {
+                enabled: true,
+                max_lanes: 4,
+                hold_window: Duration::from_millis(50),
+            },
+            fault_plan: MachineFaultPlan::default().with(
+                0,
+                FaultSpec {
+                    count: 3,
+                    seed: 0xBAD,
+                    heal_after_builds: None,
+                },
+            ),
+            ..quick_config()
+        });
+        let tickets: Vec<_> = (0..4)
+            .map(|d| {
+                svc.submit(JobSpec::new(w.clone(), JobKind::Shortest { dest: d }))
+                    .unwrap()
+            })
+            .collect();
+        for (d, t) in tickets.into_iter().enumerate() {
+            let want = McpSession::new(&w).unwrap().solve_verified(d).unwrap();
+            match t.wait().outcome {
+                Ok(JobOutcome::Shortest(out)) => {
+                    assert_eq!(out.sow, want.sow, "silent wrong accepted");
+                    assert_eq!(out.ptn, want.ptn, "silent wrong accepted");
+                }
+                Ok(other) => panic!("wrong outcome kind: {other:?}"),
+                Err(ServeError::Solver(e)) => {
+                    assert!(e.indicates_corruption(), "untyped failure: {e}");
+                }
+                Err(other) => panic!("unexpected serve error: {other}"),
+            }
+        }
+        let metrics = svc.shutdown();
+        assert_eq!(metrics.counter("serve.batch.jobs"), 4, "one wave of four");
+        assert!(
+            metrics.counter("serve.batch.fallback_single") > 0,
+            "the wave never saw the worker's faults: {metrics:?}"
+        );
     }
 }

@@ -520,7 +520,8 @@ pub enum Response {
         outcome: Json,
         /// Solve attempts executed.
         attempts: u64,
-        /// Backend of the final attempt.
+        /// Backend kind of the final attempt (`scalar`, `packed`, or
+        /// `threaded`; see `BackendSpec::kind`).
         backend: Option<String>,
         /// Submission-to-completion wall time in microseconds.
         latency_us: u64,

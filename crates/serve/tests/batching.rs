@@ -115,7 +115,7 @@ fn a_deadline_lane_fails_without_perturbing_its_batchmates() {
     let n = 16;
     let w = gen::random_connected(n, 0.3, 14, 0xDEAD);
     let svc = SolveService::start(ServeConfig {
-        prefer_packed: false, // scalar: slow enough that 1ms cannot finish
+        backend: ppa_machine::BackendSpec::Scalar, // slow enough that 1ms cannot finish
         ..batching_config(4, Duration::from_millis(100))
     });
     let healthy: Vec<_> = [0usize, 5]

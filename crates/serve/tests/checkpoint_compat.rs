@@ -78,9 +78,7 @@ fn same_version_resume_is_byte_identical_on_the_threaded_backend() {
     let w = gen::random_connected(6, 0.45, 9, 78);
     let threaded = ServeConfig {
         workers: 1,
-        prefer_packed: false,
-        prefer_threaded: true,
-        threads: 3,
+        backend: "threaded/64x3".parse().unwrap(),
         ..ServeConfig::default()
     };
 
@@ -90,7 +88,7 @@ fn same_version_resume_is_byte_identical_on_the_threaded_backend() {
         .submit(JobSpec::new(w.clone(), apsp(None)))
         .unwrap()
         .wait();
-    assert_eq!(format!("{}", full.backend.unwrap()), "threaded");
+    assert_eq!(full.backend, Some(threaded.backend));
     let JobOutcome::Apsp(reference) = full.outcome.unwrap() else {
         panic!("expected an APSP outcome");
     };
@@ -111,12 +109,12 @@ fn same_version_resume_is_byte_identical_on_the_threaded_backend() {
     svc.shutdown();
 
     // A fresh threaded service resumes it to the identical document.
-    let svc = SolveService::start(threaded);
+    let svc = SolveService::start(threaded.clone());
     let resumed = svc
         .submit(JobSpec::new(w, apsp(Some(checkpoint))))
         .unwrap()
         .wait();
-    assert_eq!(format!("{}", resumed.backend.unwrap()), "threaded");
+    assert_eq!(resumed.backend, Some(threaded.backend));
     let JobOutcome::Apsp(final_doc) = resumed.outcome.unwrap() else {
         panic!("resumed campaign must complete");
     };

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example fault_injection`
 
 use ppa_machine::faults::{bist_patterns, FaultMap, SwitchFault};
-use ppa_machine::{bus, Coord, Dim, Direction, ExecMode, Plane};
+use ppa_machine::{bus, Coord, Dim, Direction, Plane};
 use ppa_suite::prelude::*;
 
 /// Runs one MCP-style statement-10 broadcast with a fault map applied to
@@ -19,16 +19,9 @@ use ppa_suite::prelude::*;
 fn corrupted_reads(dim: Dim, d: usize, fm: &FaultMap) -> usize {
     let src = Plane::from_fn(dim, |c| (c.row * dim.cols + c.col) as i64);
     let intended = Plane::from_fn(dim, |c| c.row == d);
-    let healthy =
-        bus::broadcast(ExecMode::Sequential, dim, &src, Direction::South, &intended).unwrap();
+    let healthy = bus::broadcast(dim, &src, Direction::South, &intended).unwrap();
     let effective = fm.apply(&intended);
-    match bus::broadcast(
-        ExecMode::Sequential,
-        dim,
-        &src,
-        Direction::South,
-        &effective,
-    ) {
+    match bus::broadcast(dim, &src, Direction::South, &effective) {
         // Undriven lines float: every PE on them reads garbage.
         Err(ppa_machine::MachineError::BusFault { lines, .. }) => {
             lines.len() * dim.line_len(ppa_machine::Axis::Col)

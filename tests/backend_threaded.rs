@@ -10,9 +10,7 @@
 //! pool rendezvous rather than the inline fast path.
 
 use ppa_graph::gen;
-use ppa_machine::{
-    Dim, Direction, ExecMode, Machine, PackedBackend, ThreadedBackend, TransientFaults,
-};
+use ppa_machine::{Dim, Direction, PackedBackend, ThreadedBackend, TransientFaults};
 use ppa_mcp::mcp::{fit_word_bits, minimum_cost_path};
 use ppa_ppc::{Parallel, Ppa};
 use proptest::prelude::*;
@@ -21,12 +19,7 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 /// A threaded PPC runtime that always exercises the worker pool.
 fn threaded_ppa(n: usize, h: u32, threads: usize) -> Ppa<ThreadedBackend> {
-    Ppa::from_machine(Machine::with_backend(
-        Dim::square(n),
-        ExecMode::Sequential,
-        ThreadedBackend::with_min_parallel(threads, 0),
-    ))
-    .with_word_bits(h)
+    Ppa::with_backend(n, ThreadedBackend::with_min_parallel(threads, 0)).with_word_bits(h)
 }
 
 fn direction() -> impl Strategy<Value = Direction> {

@@ -13,8 +13,7 @@
 
 use ppa_graph::gen;
 use ppa_machine::{
-    CancelToken, Dim, Direction, ExecMode, Machine, PackedBackend, ThreadedBackend,
-    TransientFaults, W256,
+    CancelToken, Dim, Direction, PackedBackend, ThreadedBackend, TransientFaults, W256,
 };
 use ppa_mcp::mcp::{fit_word_bits, minimum_cost_path};
 use ppa_ppc::{Parallel, Ppa};
@@ -25,17 +24,12 @@ const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 
 /// A packed PPC runtime on 256-bit SWAR words.
 fn packed256_ppa(n: usize, h: u32) -> Ppa<PackedBackend<W256>> {
-    Ppa::<PackedBackend<W256>>::packed_wide(n).with_word_bits(h)
+    Ppa::with_backend(n, PackedBackend::new()).with_word_bits(h)
 }
 
 /// A threaded 256-bit runtime that always exercises the worker pool.
 fn threaded256_ppa(n: usize, h: u32, threads: usize) -> Ppa<ThreadedBackend<W256>> {
-    Ppa::from_machine(Machine::with_backend(
-        Dim::square(n),
-        ExecMode::Sequential,
-        ThreadedBackend::<W256>::with_min_parallel(threads, 0),
-    ))
-    .with_word_bits(h)
+    Ppa::with_backend(n, ThreadedBackend::with_min_parallel(threads, 0)).with_word_bits(h)
 }
 
 fn direction() -> impl Strategy<Value = Direction> {
@@ -314,7 +308,7 @@ fn lane_seam_straddling_a_w256_word_boundary_is_invisible() {
     let graphs = replicate(&w, lanes);
     let dests = [3usize, 17];
 
-    let mut batch = BatchSession::<PackedBackend<W256>>::new_packed_wide(&graphs).unwrap();
+    let mut batch = BatchSession::with_backend(&graphs, PackedBackend::<W256>::new()).unwrap();
     let wave = batch.solve(&dests).unwrap();
     let word_bits = batch.word_bits();
 

@@ -11,7 +11,7 @@
 
 use ppa_graph::{gen, WeightMatrix};
 use ppa_machine::faults::{FaultMap, SwitchFault};
-use ppa_machine::{CancelToken, Coord};
+use ppa_machine::{CancelToken, Coord, ThreadedBackend, W64};
 use ppa_mcp::batch::{replicate, BatchSession, LaneLimit};
 use ppa_mcp::mcp::McpOutput;
 use ppa_mcp::{McpError, McpSession};
@@ -73,8 +73,9 @@ fn threaded_batches_are_bit_identical_at_every_lane_count() {
     let n = 6;
     let w = gen::random_connected(n, 0.35, 12, 31);
     for lanes in LANE_COUNTS {
+        let pool = ThreadedBackend::<W64>::new(3);
         let mut batch =
-            BatchSession::new_threaded(&replicate(&w, lanes), 3).expect("batch construction");
+            BatchSession::with_backend(&replicate(&w, lanes), pool).expect("batch construction");
         let dests = wavefront(n, lanes);
         let wave = batch.solve(&dests).expect("batched solve");
         assert_wave_matches_solo(

@@ -172,9 +172,7 @@ fn faulty_statement_10_configuration_is_detected_or_corrupts() {
     let d = 2;
     let intended = ppa_machine::Plane::from_fn(dim, |c| c.row == d);
     let src = ppa_machine::Plane::from_fn(dim, |c| (c.row * 5 + c.col) as i64);
-    let healthy =
-        ppa_machine::bus::broadcast(ExecMode::Sequential, dim, &src, Direction::South, &intended)
-            .unwrap();
+    let healthy = ppa_machine::bus::broadcast(dim, &src, Direction::South, &intended).unwrap();
     for r in 0..5 {
         for c in 0..5 {
             for fault in [SwitchFault::StuckShort, SwitchFault::StuckOpen] {
@@ -184,13 +182,7 @@ fn faulty_statement_10_configuration_is_detected_or_corrupts() {
                     continue;
                 }
                 let effective = fm.apply(&intended);
-                match ppa_machine::bus::broadcast(
-                    ExecMode::Sequential,
-                    dim,
-                    &src,
-                    Direction::South,
-                    &effective,
-                ) {
+                match ppa_machine::bus::broadcast(dim, &src, Direction::South, &effective) {
                     Err(_) => {} // undriven line -> surfaced as an error
                     Ok(faulty) => {
                         assert_ne!(

@@ -9,7 +9,8 @@
 //! * algorithm laws — MCP cost vectors equal Bellman-Ford on arbitrary
 //!   digraphs, `PTN` chains re-sum to their claimed costs, and the
 //!   interpreted PPC program agrees with the native implementation;
-//! * engine laws — threaded execution is bit-identical to sequential.
+//! * backend laws — the threaded backend's worker pool is bit-identical
+//!   to the sequential scalar reference.
 
 #![allow(clippy::needless_range_loop)]
 use ppa_suite::prelude::*;
@@ -200,7 +201,9 @@ proptest! {
         let h = fit_word_bits(&w).clamp(2, 62);
         let mut seq = Ppa::square(w.n()).with_word_bits(h);
         let a = ppa_mcp::minimum_cost_path(&mut seq, &w, d).unwrap();
-        let mut thr = Ppa::square_with_mode(w.n(), ExecMode::threaded(threads)).with_word_bits(h);
+        // A zero cutoff sends every micro-op through the worker pool.
+        let pool: ThreadedBackend = ThreadedBackend::with_min_parallel(threads, 0);
+        let mut thr = Ppa::with_backend(w.n(), pool).with_word_bits(h);
         let b = ppa_mcp::minimum_cost_path(&mut thr, &w, d).unwrap();
         prop_assert_eq!(a.sow, b.sow);
         prop_assert_eq!(a.stats.total, b.stats.total);

@@ -8,7 +8,7 @@
 //! reference.
 
 use ppa_graph::gen;
-use ppa_machine::{CancelToken, Dim, ExecMode, Machine, ThreadedBackend};
+use ppa_machine::{CancelToken, ThreadedBackend, W64};
 use ppa_mcp::mcp::{fit_word_bits, minimum_cost_path};
 use ppa_mcp::McpSession;
 use ppa_ppc::Ppa;
@@ -19,12 +19,7 @@ use std::time::Duration;
 const ITERATIONS: usize = 120;
 
 fn threaded_ppa(n: usize, h: u32, threads: usize) -> Ppa<ThreadedBackend> {
-    Ppa::from_machine(Machine::with_backend(
-        Dim::square(n),
-        ExecMode::Sequential,
-        ThreadedBackend::with_min_parallel(threads, 0),
-    ))
-    .with_word_bits(h)
+    Ppa::with_backend(n, ThreadedBackend::with_min_parallel(threads, 0)).with_word_bits(h)
 }
 
 /// Budget exhaustion mid-solve, ≥100 times, against the scalar oracle:
@@ -155,7 +150,7 @@ fn threaded_session_matches_scalar_all_pairs() {
     let w = gen::random_connected(9, 0.3, 14, 5);
     let scalar = McpSession::new(&w).unwrap().all_pairs().unwrap();
     for threads in [1, 4] {
-        let threaded = McpSession::new_threaded(&w, threads)
+        let threaded = McpSession::with_backend(&w, ThreadedBackend::<W64>::new(threads))
             .unwrap()
             .all_pairs()
             .unwrap();
