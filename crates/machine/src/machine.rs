@@ -533,6 +533,22 @@ impl<E: Executor> Machine<E> {
         Ok(any)
     }
 
+    /// Whether every bus cluster that `open` induces along `dir` holds at
+    /// least one `sel` PE (a line with no Open node is one cluster) — the
+    /// guardrail `selected_min` runs before its scan. Uncosted and never
+    /// fault-routed: it issues no instruction, samples no transient glitch,
+    /// and reads the intended switch pattern through the backend's own
+    /// wired-OR.
+    pub fn clusters_covered(
+        &mut self,
+        sel: &E::Mask,
+        dir: Direction,
+        open: &E::Mask,
+    ) -> Result<bool, MachineError> {
+        let covered = self.exec.mask_bus_or(self.dim, sel, dir, open)?;
+        Ok(self.exec.mask_count(self.dim, &covered) == self.dim.len())
+    }
+
     // ----- mask instructions (bit-serial scan support) ---------------------
 
     /// Converts a plane into the backend mask representation without
@@ -884,11 +900,11 @@ impl<E: Executor> Machine<E> {
         let (occ, _) = self.plane_activity(None, mask);
         self.issue(MicroOp::AssignMasked, occ, None);
         let t = self.micro_start();
-        let (d, s, m) = (dst.as_slice(), src.as_slice(), mask.as_slice());
-        let data = (0..self.dim.len())
-            .map(|i| if m[i] { s[i] } else { d[i] })
-            .collect();
-        *dst = Plane::from_vec(self.dim, data);
+        // In place: a shared `dst` buffer is unshared first (copy-on-write).
+        let (s, m) = (src.as_slice(), mask.as_slice());
+        for ((d, &s), &m) in dst.as_mut_slice().iter_mut().zip(s).zip(m) {
+            *d = if m { s } else { *d };
+        }
         self.micro_stop(Op::Alu, t);
         Ok(())
     }

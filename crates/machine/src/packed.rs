@@ -1,22 +1,32 @@
 //! The packed execution backend: wide-word bitset masks, a recycling plane
-//! arena, and a bus-plan cache.
+//! arena, one-pass bit slicing, plan-free broadcasts, and a bus-plan cache
+//! for the wired-OR.
 //!
-//! [`PackedBackend`] implements [`Executor`] with three wall-clock levers
+//! [`PackedBackend`] implements [`Executor`] with five wall-clock levers
 //! the scalar reference backend lacks:
 //!
 //! * **Packed masks** — every `Plane<bool>` mask inside the bit-serial
 //!   `min`/`selected_min` loop is a [`PackedMask`]: `W::BITS` PEs per
-//!   machine word (see the [`Word`] seam), so votes, knockouts, bit-plane
-//!   extraction and occupancy counting are word ops and popcounts instead
-//!   of per-PE byte walks.
+//!   machine word (see the [`Word`] seam), so votes, knockouts and
+//!   occupancy counting are word ops and popcounts instead of per-PE byte
+//!   walks.
 //! * **Plane arena** — mask words are recycled through a shared
 //!   [`WordPool`]; after warm-up the O(h) scan loop allocates nothing.
-//! * **Bus-plan cache** — cluster resolution (`bus::cluster_keys`) is
-//!   computed once per distinct (direction, Open-mask) switch configuration
-//!   and reused; the MCP inner loop replays the same configuration across
-//!   all h bit passes, so nearly every bus instruction hits the cache.
-//!   Plans are fingerprinted per word width, so a 64-bit plan can never be
-//!   replayed against 256-bit masks.
+//! * **One-pass bit slicing** — the first bit-plane extraction of a scan
+//!   operand transposes every bit the scan needs at once (8×8 bit-matrix
+//!   transposes) and later extractions copy one sliced plane. The slices
+//!   are keyed by the operand's shared storage, so a plane written after
+//!   slicing (copy-on-write) can never be served stale bits.
+//! * **Plan-free broadcasts** — a cluster-head broadcast reads the packed
+//!   Open words directly: row buses fill the runs between Open bits,
+//!   column buses carry one row of head values and copy it into each
+//!   output row. No cluster plan is derived or cached.
+//! * **Bus-plan cache** — the wired-OR's cluster resolution
+//!   (`bus::cluster_keys`) is computed once per distinct (direction,
+//!   Open-mask) switch configuration and reused; the MCP inner loop
+//!   replays the same configuration across all h bit passes, so nearly
+//!   every wired-OR hits the cache. Plans are fingerprinted per word
+//!   width, so a 64-bit plan can never be replayed against 256-bit masks.
 //!
 //! The backend is generic over the machine word: `PackedBackend<W64>` (the
 //! default) is the historical u64 backend, `PackedBackend<W256>` runs the
@@ -27,6 +37,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::bus;
 use crate::error::MachineError;
@@ -39,6 +50,11 @@ use crate::word::{Word, W64};
 /// Retained bus plans; the MCP loop needs ~5 distinct configurations, so a
 /// small LRU never evicts a live plan while tolerating mask churn.
 pub(crate) const PLAN_CACHE_CAP: usize = 32;
+
+/// Retained bit-sliced scan operands. An MCP iteration scans `SOW` (fresh
+/// every iteration) and then `COL` (the same plane every iteration), so
+/// two LRU entries keep `COL` sliced across the whole solve.
+const SLICE_CACHE_CAP: usize = 2;
 
 /// Number of `W`-words needed to back one bit per PE of `dim` — the
 /// width-neutral stride every packed buffer is sized with.
@@ -73,6 +89,19 @@ pub(crate) fn set_range<W: Word>(words: &mut [W], start: usize, end: usize) {
     }
 }
 
+/// Calls `f` with the position of every set bit in `start..end` of a flat
+/// bitset, in ascending order.
+fn for_each_set_bit_in<W: Word>(words: &[W], start: usize, end: usize, mut f: impl FnMut(usize)) {
+    let mut i = start;
+    while i < end {
+        let wi = i / W::BITS;
+        let off = i % W::BITS;
+        let take = (W::BITS - off).min(end - i);
+        (words[wi] & W::range_mask(off, off + take)).for_each_set_bit(|b| f(wi * W::BITS + b));
+        i += take;
+    }
+}
+
 // ----- word kernels ---------------------------------------------------
 //
 // The per-word mechanics of every packed mask micro-op, written over a
@@ -92,15 +121,26 @@ pub(crate) fn pack_range<W: Word>(src: &[bool], w0: usize, out: &mut [W]) {
         let mut done = 0;
         while done < top {
             let take = 64.min(top - done);
-            let mut limb = 0u64;
-            for (b, &v) in src[base + done..base + done + take].iter().enumerate() {
-                limb |= (v as u64) << b;
-            }
-            word.set_limb(done / 64, limb);
+            word.set_limb(done / 64, pack_limb(&src[base + done..base + done + take]));
             done += take;
         }
         *w = word;
     }
+}
+
+/// Packs up to 64 booleans into one limb (bit `i` = `bools[i]`), eight at
+/// a time: one multiply gathers eight 0/1 bytes into the top byte.
+fn pack_limb(bools: &[bool]) -> u64 {
+    let (groups, tail) = bools.as_chunks::<8>();
+    let mut limb = 0u64;
+    for (g, group) in groups.iter().enumerate() {
+        let bytes = u64::from_le_bytes(group.map(u8::from));
+        limb |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+    }
+    for (b, &v) in tail.iter().enumerate() {
+        limb |= (v as u64) << (8 * groups.len() + b);
+    }
+    limb
 }
 
 /// Extracts bit `j` of the values backing words `w0..` into `out`.
@@ -121,6 +161,55 @@ pub(crate) fn bit_plane_range<W: Word>(src: &[i64], j: u32, w0: usize, out: &mut
             done += take;
         }
         *w = word;
+    }
+}
+
+/// Transposes an 8×8 bit matrix held row-per-byte: bit `b` of byte `i`
+/// moves to bit `i` of byte `b` (three delta swaps).
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00aa_00aa_00aa_00aa;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_cccc_0000_cccc;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_f0f0_f0f0;
+    x ^= t ^ (t << 28);
+    x
+}
+
+/// Slices bits `0..bits` of every value into bit-planes in one pass over
+/// `src`: plane `j` occupies `out[j * nwords..(j + 1) * nwords]` and is
+/// exactly what [`bit_plane_range`] extracts for bit `j`. Each group of
+/// eight PEs costs one 8×8 transpose per value byte, instead of eight
+/// single-bit extractions per plane.
+fn slice_bits<W: Word>(src: &[i64], bits: u32, nwords: usize, out: &mut [W]) {
+    let bits = bits as usize;
+    debug_assert!(bits <= 64 && out.len() == bits * nwords);
+    out.fill(W::zero());
+    for (limb, chunk) in src.chunks(64).enumerate() {
+        debug_assert!(
+            chunk.iter().all(|&x| x >= 0),
+            "bit-serial scan expects non-negative values"
+        );
+        // One 64-PE limb per bit-plane, assembled value byte by value byte:
+        // byte `k` of eight PEs is an 8×8 bit matrix whose transpose holds
+        // their bits `8k..8k + 8`, one byte per bit-plane.
+        let mut planes = [0u64; 64];
+        for k in 0..bits.div_ceil(8) {
+            let mut bytes = [0u8; 64];
+            for (b, &x) in bytes.iter_mut().zip(chunk) {
+                *b = (x as u64 >> (8 * k)) as u8;
+            }
+            for (g, rows) in bytes.as_chunks::<8>().0.iter().enumerate() {
+                let cols = transpose8(u64::from_le_bytes(*rows));
+                for b in 0..8.min(bits - 8 * k) {
+                    planes[8 * k + b] |= ((cols >> (8 * b)) & 0xff) << (8 * g);
+                }
+            }
+        }
+        let (wi, li) = (limb / W::LIMBS, limb % W::LIMBS);
+        for (j, &p) in planes[..bits].iter().enumerate() {
+            out[j * nwords + wi].set_limb(li, p);
+        }
     }
 }
 
@@ -219,6 +308,117 @@ pub(crate) fn bus_or_read_keys<W: Word>(
         }
         *w = word;
     }
+}
+
+/// Cluster-head broadcast straight from packed Open words, with no plan:
+/// every PE receives the `src` value of the Open node heading its cluster
+/// (`bus::broadcast` semantics, circular lines). Lines with no Open node
+/// are returned in the error, ascending.
+fn broadcast_words<W: Word, T: Copy>(
+    dim: Dim,
+    src: &[T],
+    dir: Direction,
+    open: &[W],
+) -> Result<Plane<T>, MachineError> {
+    let out = match dir.axis() {
+        Axis::Row => broadcast_rows(dim, src, dir, open),
+        Axis::Col => broadcast_cols(dim, src, dir, open),
+    };
+    out.map(|data| Plane::from_vec(dim, data))
+        .map_err(|lines| MachineError::BusFault {
+            axis: dir.axis(),
+            lines,
+        })
+}
+
+/// Row buses: each row's Open bits cut it into runs, and every run is one
+/// fill with its head's value.
+fn broadcast_rows<W: Word, T: Copy>(
+    dim: Dim,
+    src: &[T],
+    dir: Direction,
+    open: &[W],
+) -> Result<Vec<T>, Vec<usize>> {
+    let cols = dim.cols;
+    let mut out = Vec::with_capacity(dim.len());
+    let mut driverless = Vec::new();
+    let mut heads = Vec::with_capacity(cols);
+    for r in 0..dim.rows {
+        let base = r * cols;
+        heads.clear();
+        for_each_set_bit_in(open, base, base + cols, |p| heads.push(p - base));
+        let (Some(&first), Some(&last)) = (heads.first(), heads.last()) else {
+            driverless.push(r);
+            continue;
+        };
+        if !driverless.is_empty() {
+            // The broadcast already faults; only later lines' drivers matter.
+            continue;
+        }
+        let row = &src[base..base + cols];
+        if dir.is_increasing() {
+            // Eastward, a head drives up to the next Open node; the PEs
+            // before the first one wrap around to the last head.
+            out.resize(base + first, row[last]);
+            for (k, &p) in heads.iter().enumerate() {
+                let end = heads.get(k + 1).map_or(cols, |&q| q);
+                out.resize(base + end, row[p]);
+            }
+        } else {
+            // Westward, a head drives back to the previous Open node; the
+            // PEs after the last one wrap around to the first head.
+            for &p in &heads {
+                out.resize(base + p + 1, row[p]);
+            }
+            out.resize(base + cols, row[first]);
+        }
+    }
+    if driverless.is_empty() {
+        Ok(out)
+    } else {
+        Err(driverless)
+    }
+}
+
+/// Column buses: one row of head values is carried along the movement
+/// direction, updated at each row's Open bits and copied into that output
+/// row. A first pass primes it with each column's last head, which drives
+/// the PEs before the column's first Open node.
+fn broadcast_cols<W: Word, T: Copy>(
+    dim: Dim,
+    src: &[T],
+    dir: Direction,
+    open: &[W],
+) -> Result<Vec<T>, Vec<usize>> {
+    let (rows, cols) = (dim.rows, dim.cols);
+    let row_at = |pos: usize| {
+        if dir.is_increasing() {
+            pos
+        } else {
+            rows - 1 - pos
+        }
+    };
+    // Placeholder values: every driven column is overwritten by pass 1.
+    let mut carried = src[..cols].to_vec();
+    let mut driven = vec![false; cols];
+    for pos in 0..rows {
+        let base = row_at(pos) * cols;
+        for_each_set_bit_in(open, base, base + cols, |p| {
+            carried[p - base] = src[p];
+            driven[p - base] = true;
+        });
+    }
+    let driverless: Vec<usize> = (0..cols).filter(|&c| !driven[c]).collect();
+    if !driverless.is_empty() {
+        return Err(driverless);
+    }
+    let mut out = src.to_vec();
+    for pos in 0..rows {
+        let base = row_at(pos) * cols;
+        for_each_set_bit_in(open, base, base + cols, |p| carried[p - base] = src[p]);
+        out[base..base + cols].copy_from_slice(&carried);
+    }
+    Ok(out)
 }
 
 /// The shared mask arena: spent word buffers waiting to be reissued.
@@ -405,6 +605,19 @@ pub(crate) fn fingerprint<W: Word>(dir: Direction, words: &[W]) -> u64 {
     h
 }
 
+/// One scan operand sliced into bit-planes by [`slice_bits`].
+#[derive(Debug, Clone)]
+struct SliceEntry<W> {
+    /// The sliced plane's storage. Holding it keys the entry by identity
+    /// and rules out stale bits: a later write to the plane unshares its
+    /// buffer (copy-on-write), so the written plane misses the cache.
+    src: Arc<Vec<i64>>,
+    /// Bits `0..bits` are sliced.
+    bits: u32,
+    /// Bit-plane `j` occupies words `j * nwords..(j + 1) * nwords`.
+    planes: Vec<W>,
+}
+
 /// The packed bit-plane execution backend (see module docs), generic over
 /// the machine word `W`.
 #[derive(Debug, Clone)]
@@ -413,6 +626,8 @@ pub struct PackedBackend<W: Word = W64> {
     plans: Vec<PlanEntry<W>>,
     plan_hits: u64,
     plan_misses: u64,
+    /// Bit-sliced scan operands, least recently used first.
+    slices: Vec<SliceEntry<W>>,
     scratch: Vec<W>,
     /// Bench-gate mutation drill only: corrupt one bit of every vote.
     #[cfg(any(test, feature = "mutation-drill"))]
@@ -427,6 +642,7 @@ impl<W: Word> PackedBackend<W> {
             plans: Vec::new(),
             plan_hits: 0,
             plan_misses: 0,
+            slices: Vec::new(),
             scratch: Vec::new(),
             #[cfg(any(test, feature = "mutation-drill"))]
             perturb_vote: false,
@@ -481,15 +697,52 @@ impl<W: Word> PackedBackend<W> {
         plan
     }
 
+    /// `open` packed into the reusable scratch buffer; hand the buffer
+    /// back with `self.scratch = words` when done.
+    fn pack_scratch(&mut self, dim: Dim, open: &Plane<bool>) -> Vec<W> {
+        let mut words = std::mem::take(&mut self.scratch);
+        words.clear();
+        words.resize(words_for::<W>(dim), W::zero());
+        pack_range(open.as_slice(), 0, &mut words);
+        words
+    }
+
     /// The cached cluster plan for `open` given as a plane.
     fn plan_for_plane(&mut self, dim: Dim, dir: Direction, open: &Plane<bool>) -> Rc<BusPlan> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.resize(words_for::<W>(dim), W::zero());
-        pack_range(open.as_slice(), 0, &mut scratch);
-        let plan = self.plan_for_words(dim, dir, &scratch);
-        self.scratch = scratch;
+        let words = self.pack_scratch(dim, open);
+        let plan = self.plan_for_words(dim, dir, &words);
+        self.scratch = words;
         plan
+    }
+
+    /// The slice entry holding bit `j` of `src`, most recently used last.
+    /// A miss slices bits `0..=j` — every bit an MSB-first scan still
+    /// needs — into the buffer of the entry it replaces.
+    fn sliced(&mut self, src: &Plane<i64>, j: u32, nwords: usize) -> &SliceEntry<W> {
+        let data = src.shared();
+        let same = |e: &SliceEntry<W>| Arc::ptr_eq(&e.src, &data);
+        if let Some(pos) = self.slices.iter().position(|e| same(e) && j < e.bits) {
+            let entry = self.slices.remove(pos);
+            self.slices.push(entry);
+        } else {
+            // Re-slice a shallower entry for the same plane, else evict
+            // the least recently used entry once the cache is full.
+            let evict = self
+                .slices
+                .iter()
+                .position(same)
+                .or_else(|| (self.slices.len() >= SLICE_CACHE_CAP).then_some(0));
+            let mut planes = evict.map_or_else(Vec::new, |pos| self.slices.remove(pos).planes);
+            let bits = j + 1;
+            planes.resize(bits as usize * nwords, W::zero());
+            slice_bits(&data, bits, nwords, &mut planes);
+            self.slices.push(SliceEntry {
+                src: data,
+                bits,
+                planes,
+            });
+        }
+        &self.slices[self.slices.len() - 1]
     }
 }
 
@@ -528,8 +781,11 @@ impl<W: Word> Executor for PackedBackend<W> {
     }
 
     fn bit_plane(&mut self, dim: Dim, src: &Plane<i64>, j: u32) -> PackedMask<W> {
+        let nwords = words_for::<W>(dim);
         let mut mask = self.alloc_mask(dim);
-        bit_plane_range(src.as_slice(), j, 0, &mut mask.words);
+        let at = j as usize * nwords;
+        mask.words
+            .copy_from_slice(&self.sliced(src, j, nwords).planes[at..at + nwords]);
         mask
     }
 
@@ -615,17 +871,10 @@ impl<W: Word> Executor for PackedBackend<W> {
                 found: open.dim(),
             });
         }
-        let plan = self.plan_for_plane(dim, dir, open);
-        if !plan.driverless.is_empty() {
-            return Err(MachineError::BusFault {
-                axis: dir.axis(),
-                lines: plan.driverless.clone(),
-            });
-        }
-        let s = src.as_slice();
-        let keys = &plan.keys;
-        let data = (0..dim.len()).map(|i| s[keys[i] as usize]).collect();
-        Ok(Plane::from_vec(dim, data))
+        let words = self.pack_scratch(dim, open);
+        let out = broadcast_words(dim, src.as_slice(), dir, &words);
+        self.scratch = words;
+        out
     }
 
     fn broadcast_masked<T: Copy + Send + Sync + 'static>(
@@ -641,17 +890,7 @@ impl<W: Word> Executor for PackedBackend<W> {
                 found: src.dim(),
             });
         }
-        let plan = self.plan_for_words(dim, dir, &open.words);
-        if !plan.driverless.is_empty() {
-            return Err(MachineError::BusFault {
-                axis: dir.axis(),
-                lines: plan.driverless.clone(),
-            });
-        }
-        let s = src.as_slice();
-        let keys = &plan.keys;
-        let data = (0..dim.len()).map(|i| s[keys[i] as usize]).collect();
-        Ok(Plane::from_vec(dim, data))
+        broadcast_words(dim, src.as_slice(), dir, &open.words)
     }
 
     fn bus_or(
@@ -883,17 +1122,34 @@ mod tests {
 
     #[test]
     fn plan_cache_hits_on_repeated_configurations() {
+        // The wired-OR is the plan cache's user: one miss derives the
+        // clusters, every replay of the same switch pattern hits.
         let dim = Dim::square(8);
         let mut be = PackedBackend::<W64>::new();
-        let open = plane_of(dim, |i| i % 8 == 0);
-        let src = Plane::from_vec(dim, (0..dim.len() as i64).collect());
+        let open = be.mask_from_plane(dim, &plane_of(dim, |i| i % 8 == 0));
+        let vals = be.mask_from_plane(dim, &plane_of(dim, |i| i % 5 == 0));
         for _ in 0..5 {
-            be.broadcast(dim, &src, Direction::East, &open).unwrap();
+            be.mask_bus_or(dim, &vals, Direction::East, &open).unwrap();
         }
         let stats = be.stats();
         assert_eq!(stats.plan_misses, 1);
         assert_eq!(stats.plan_hits, 4);
         assert!(stats.plan_hit_rate() > 0.75);
+    }
+
+    #[test]
+    fn broadcasts_need_no_plan() {
+        let dim = Dim::square(8);
+        let mut be = PackedBackend::<W64>::new();
+        let open = plane_of(dim, |i| i % 8 == 0);
+        let src = Plane::from_vec(dim, (0..dim.len() as i64).collect());
+        let mask = be.mask_from_plane(dim, &open);
+        // East is fully driven; South faults on seven driverless columns.
+        for dir in [Direction::East, Direction::South] {
+            let _ = be.broadcast(dim, &src, dir, &open);
+            let _ = be.broadcast_masked(dim, &src, dir, &mask);
+        }
+        assert_eq!(be.stats().plan_hits + be.stats().plan_misses, 0);
     }
 
     #[test]

@@ -4,8 +4,18 @@
 //! without fault injection. The backends share the issue side of the
 //! machine, so any divergence here is an execution-side bug.
 
-use ppa_machine::{Direction, FaultMap, Machine, Plane, ScalarBackend, TransientFaults};
+use ppa_machine::{
+    bus, Coord, Dim, Direction, Executor, FaultMap, Machine, PackedBackend, Plane, ScalarBackend,
+    TransientFaults, W256,
+};
 use proptest::prelude::*;
+
+const DIRECTIONS: [Direction; 4] = [
+    Direction::North,
+    Direction::East,
+    Direction::South,
+    Direction::West,
+];
 
 fn direction() -> impl Strategy<Value = Direction> {
     prop_oneof![
@@ -19,6 +29,24 @@ fn direction() -> impl Strategy<Value = Direction> {
 fn bool_plane(rows: usize, cols: usize) -> impl Strategy<Value = Plane<bool>> {
     proptest::collection::vec(any::<bool>(), rows * cols)
         .prop_map(move |v| Plane::from_vec(ppa_machine::Dim::new(rows, cols), v))
+}
+
+/// A switch pattern whose density ranges from nearly empty (driverless
+/// lines, long clusters that wrap around their line) to half Open.
+fn sparse_plane(rows: usize, cols: usize) -> impl Strategy<Value = Plane<bool>> {
+    (
+        prop_oneof![Just(3u32), Just(15), Just(50)],
+        proptest::collection::vec(0u32..100, rows * cols),
+    )
+        .prop_map(move |(percent, draws)| {
+            let open = draws.into_iter().map(|d| d < percent).collect();
+            Plane::from_vec(Dim::new(rows, cols), open)
+        })
+}
+
+/// A packed machine at 256-bit words.
+fn packed256(dim: Dim) -> Machine<PackedBackend<W256>> {
+    Machine::with_backend(dim, PackedBackend::<W256>::new())
 }
 
 fn value_plane(rows: usize, cols: usize) -> impl Strategy<Value = Plane<i64>> {
@@ -160,4 +188,147 @@ proptest! {
         }
         prop_assert_eq!(s.controller().report(), p.controller().report());
     }
+}
+
+// The packed backend's plan-free broadcasts and packed coverage guardrail
+// against the scalar bus reference, at both word widths. Dims run to 24
+// rows and 70 columns, so rows straddle 64-bit words and planes straddle
+// 256-bit words; sparse patterns give wrapping clusters and driverless
+// lines, whose `BusFault` line lists must agree exactly.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn direct_broadcasts_match_the_bus_reference(
+        args in (1usize..=24, 1usize..=70).prop_flat_map(|(r, c)| {
+            (Just((r, c)), sparse_plane(r, c))
+        }),
+    ) {
+        let ((rows, cols), open) = args;
+        let dim = Dim::new(rows, cols);
+        // The identity plane: a wrong head shows up as a wrong value.
+        let src = Plane::from_fn(dim, |c| dim.index(c) as i64);
+        let mut w64 = Machine::new_packed(rows, cols);
+        let mut w256 = packed256(dim);
+        for dir in DIRECTIONS {
+            let want = bus::broadcast(dim, &src, dir, &open);
+            prop_assert_eq!(&w64.broadcast(&src, dir, &open), &want, "{:?} plane/64", dir);
+            prop_assert_eq!(&w256.broadcast(&src, dir, &open), &want, "{:?} plane/256", dir);
+            let l64 = w64.pack_mask(&open).unwrap();
+            let l256 = w256.pack_mask(&open).unwrap();
+            prop_assert_eq!(&w64.broadcast_open(&src, dir, &l64), &want, "{:?} mask/64", dir);
+            prop_assert_eq!(&w256.broadcast_open(&src, dir, &l256), &want, "{:?} mask/256", dir);
+        }
+    }
+
+    #[test]
+    fn coverage_guardrail_matches_the_bus_reference(
+        args in (1usize..=24, 1usize..=70).prop_flat_map(|(r, c)| {
+            (Just((r, c)), sparse_plane(r, c), sparse_plane(r, c))
+        }),
+        seed in 0u64..1000,
+    ) {
+        let ((rows, cols), open, sel) = args;
+        let dim = Dim::new(rows, cols);
+        let mut scalar = Machine::new(rows, cols);
+        let mut w64 = Machine::new_packed(rows, cols);
+        let mut w256 = packed256(dim);
+        // The guardrail reads the intended pattern: attached faults and a
+        // certain transient glitch must not reach it.
+        let faults = FaultMap::random(dim, 2, seed);
+        scalar.attach_faults(faults.clone());
+        w64.attach_faults(faults.clone());
+        w256.attach_faults(faults);
+        w64.attach_transient_faults(TransientFaults::new(1.0, seed));
+        for dir in DIRECTIONS {
+            let want = bus::bus_or(dim, &sel, dir, &open).unwrap().all();
+            prop_assert_eq!(covered(&mut scalar, &sel, dir, &open), want, "{:?} scalar", dir);
+            prop_assert_eq!(covered(&mut w64, &sel, dir, &open), want, "{:?} packed/64", dir);
+            prop_assert_eq!(covered(&mut w256, &sel, dir, &open), want, "{:?} packed/256", dir);
+        }
+        // Uncosted: no machine issued a single step.
+        prop_assert_eq!(scalar.controller().total_steps(), 0);
+        prop_assert_eq!(w64.controller().total_steps(), 0);
+        prop_assert_eq!(w256.controller().total_steps(), 0);
+    }
+}
+
+fn covered<E: Executor>(
+    m: &mut Machine<E>,
+    sel: &Plane<bool>,
+    dir: Direction,
+    open: &Plane<bool>,
+) -> bool {
+    let sel = m.pack_mask(sel).unwrap();
+    let open = m.pack_mask(open).unwrap();
+    m.clusters_covered(&sel, dir, &open).unwrap()
+}
+
+/// Deterministic h-bit values: a splitmix64 stream masked to `h` bits.
+fn h_bit_plane(dim: Dim, h: u32, seed: u64) -> Plane<i64> {
+    let mut state = seed;
+    Plane::from_fn(dim, |_| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) & ((1u64 << h) - 1)) as i64
+    })
+}
+
+/// Every bit `0..h` of `src` extracted on `m`, in `order`, must match the
+/// scalar backend's per-bit extraction.
+fn assert_bits_match<E: Executor>(m: &mut Machine<E>, src: &Plane<i64>, order: &[u32]) {
+    let mut scalar = Machine::with_backend(m.dim(), ScalarBackend);
+    for &j in order {
+        let got = m.mask_bit(src, j).unwrap();
+        let want = scalar.mask_bit(src, j).unwrap();
+        assert_eq!(m.unpack_mask(&got), want, "{} bit {j}", E::NAME);
+    }
+}
+
+#[test]
+fn one_pass_bit_slices_match_per_bit_extraction() {
+    // 65 PEs cross a 64-bit word; 279 and 300 cross a 256-bit word.
+    for (rows, cols) in [(5, 13), (9, 31), (1, 300)] {
+        let dim = Dim::new(rows, cols);
+        for h in 1..=62u32 {
+            let src = h_bit_plane(dim, h, u64::from(h) * 7919 + cols as u64);
+            // MSB first, as the scan runs: the first extraction slices
+            // every bit. LSB first: every extraction re-slices deeper.
+            let msb_first: Vec<u32> = (0..h).rev().collect();
+            let lsb_first: Vec<u32> = (0..h).collect();
+            for order in [&msb_first, &lsb_first] {
+                assert_bits_match(&mut Machine::new_packed(rows, cols), &src, order);
+                assert_bits_match(&mut packed256(dim), &src, order);
+            }
+        }
+    }
+}
+
+#[test]
+fn slices_never_serve_a_plane_written_after_slicing() {
+    let dim = Dim::new(9, 31);
+    let scan: Vec<u32> = (0..8).rev().collect();
+    let mut w64 = Machine::new_packed(9, 31);
+    let mut w256 = packed256(dim);
+    let mut src = h_bit_plane(dim, 8, 3);
+    assert_bits_match(&mut w64, &src, &scan);
+    assert_bits_match(&mut w256, &src, &scan);
+
+    // A host-side write to the sliced plane.
+    src.set(Coord::new(4, 7), 255);
+    src.set(Coord::new(0, 0), 0);
+    assert_bits_match(&mut w64, &src, &scan);
+    assert_bits_match(&mut w256, &src, &scan);
+    let top = w64.mask_bit(&src, 7).unwrap();
+    assert!(w64.unpack_mask(&top).get(Coord::new(4, 7)));
+
+    // A costed in-place masked write, as the solver updates SOW.
+    let other = h_bit_plane(dim, 8, 4);
+    let mask = Plane::from_fn(dim, |c| (c.row + c.col) % 3 == 0);
+    w64.assign_masked(&mut src, &other, &mask).unwrap();
+    assert_bits_match(&mut w64, &src, &scan);
+    w256.assign_masked(&mut src, &other, &mask).unwrap();
+    assert_bits_match(&mut w256, &src, &scan);
 }

@@ -92,12 +92,15 @@ impl<E: Executor> Ppa<E> {
         which: Extreme,
     ) -> Result<Parallel<i64>> {
         self.check_representable(src)?;
+        // Pack the selection and the loop-invariant switch pattern once
+        // (register views, uncosted): the guardrail reads both, and every
+        // bus instruction of the scan and the head re-broadcast reuse `l`.
+        let sel_mask = sel.map(|s| self.machine_mut().pack_mask(s)).transpose()?;
+        let l_mask = self.machine_mut().pack_mask(l)?;
         // Guardrail (uncosted): every cluster must select at least one node,
         // otherwise statements 11-12 would leak a value across clusters.
-        if let Some(sel) = sel {
-            let machine = self.machine();
-            let covered = bus::bus_or(machine.dim(), sel, dir, l).map_err(PpcError::from)?;
-            if !covered.all() {
+        if let Some(s) = &sel_mask {
+            if !self.machine_mut().clusters_covered(s, dir, &l_mask)? {
                 return Err(PpcError::EmptySelection);
             }
         }
@@ -116,10 +119,6 @@ impl<E: Executor> Ppa<E> {
             self.enter_span(name);
         }
 
-        // The switch pattern is loop-invariant: pack it once (a register
-        // view, uncosted) so every bus instruction of the scan can reuse
-        // the backend's cached cluster plan for it.
-        let l_mask = self.machine_mut().pack_mask(l)?;
         // `keep_low` selects the Min voting/knockout rules in the backend.
         let keep_low = which == Extreme::Min;
 
@@ -161,7 +160,10 @@ impl<E: Executor> Ppa<E> {
         self.machine_mut().assign_masked(&mut staged, &to_head, l)?;
 
         // Statement 13: the heads re-broadcast to their whole cluster.
-        let out = self.broadcast(&staged, dir, l);
+        let out = self
+            .machine_mut()
+            .broadcast_open(&staged, dir, &l_mask)
+            .map_err(PpcError::from);
         if observed {
             self.exit_span(); // resolve
             self.exit_span(); // the routine span

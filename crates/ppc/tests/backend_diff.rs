@@ -4,8 +4,8 @@
 //! [`PackedBackend`] as on the scalar backend, over arbitrary switch
 //! patterns, selections, and word widths.
 
-use ppa_machine::{Dim, Direction, PackedBackend};
-use ppa_ppc::{Parallel, Ppa};
+use ppa_machine::{bus, Dim, Direction, PackedBackend, W256};
+use ppa_ppc::{Parallel, Ppa, PpcError};
 use proptest::prelude::*;
 
 fn direction() -> impl Strategy<Value = Direction> {
@@ -116,6 +116,41 @@ proptest! {
             (a, b) => prop_assert!(false, "divergent outcomes: {:?} vs {:?}", a, b),
         }
         prop_assert_eq!(s.steps(), p.steps());
+    }
+
+    #[test]
+    fn selected_min_guardrail_matches_scalar_on_driverless_lines(
+        args in (3usize..=9).prop_flat_map(|n| {
+            (
+                Just(n),
+                proptest::collection::vec(0i64..=63, n * n),
+                proptest::collection::vec(0u32..100, n * n),
+                proptest::collection::vec(0u32..100, n * n),
+            )
+        }),
+        dir in direction(),
+    ) {
+        let (n, vals, open_draws, sel_draws) = args;
+        let dim = Dim::square(n);
+        let (mut s, mut p) = pair(n, 6);
+        let mut w = Ppa::with_backend(n, PackedBackend::<W256>::new()).with_word_bits(6);
+        let src = Parallel::from_vec(dim, vals);
+        // Sparse and unrepaired: some lines have no Open node (one
+        // floating cluster for the guardrail, a BusFault for the resolve
+        // broadcasts) and some clusters select nothing.
+        let open = Parallel::from_vec(dim, open_draws.into_iter().map(|d| d < 12).collect());
+        let sel = Parallel::from_vec(dim, sel_draws.into_iter().map(|d| d < 30).collect());
+
+        let got_s = s.selected_min(&src, dir, &open, &sel);
+        let got_p = p.selected_min(&src, dir, &open, &sel);
+        let got_w = w.selected_min(&src, dir, &open, &sel);
+        if !bus::bus_or(dim, &sel, dir, &open).unwrap().all() {
+            prop_assert_eq!(&got_s, &Err(PpcError::EmptySelection));
+        }
+        prop_assert_eq!(&got_p, &got_s);
+        prop_assert_eq!(&got_w, &got_s);
+        prop_assert_eq!(s.steps(), p.steps());
+        prop_assert_eq!(s.steps(), w.steps());
     }
 
     #[test]

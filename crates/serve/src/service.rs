@@ -744,14 +744,17 @@ impl Drop for SolveService {
     }
 }
 
+/// Registers a worker under a fresh index, in the workers map and the
+/// health ledger, before its thread exists, so `introspect()` right after
+/// `start()` or a replacement spawn lists every worker that is running.
 fn spawn_worker(ctx: WorkerCtx) -> JoinHandle<()> {
-    thread::spawn(move || worker_loop(ctx))
-}
-
-fn worker_loop(ctx: WorkerCtx) {
     let index = ctx.worker_seq.fetch_add(1, Ordering::Relaxed);
     lock(&ctx.shared.workers).insert(index, WorkerState::Idle);
     lock(&ctx.shared.health).register(index);
+    thread::spawn(move || worker_loop(ctx, index))
+}
+
+fn worker_loop(ctx: WorkerCtx, index: u64) {
     let scrub = ctx.shared.config.scrubbing.clone();
     let mut clock = ScrubClock::new();
     // Golden-ratio stride keeps worker streams disjoint for nearby seeds.
@@ -855,7 +858,7 @@ fn worker_loop(ctx: WorkerCtx) {
             }
             Err(payload) => {
                 // The dying worker disappears from introspection; its
-                // replacement registers itself under a fresh index.
+                // replacement is registered under a fresh index.
                 lock(&ctx.shared.workers).remove(&index);
                 let latency = submitted.elapsed();
                 let mut m = lock(&ctx.shared.metrics);
@@ -2539,6 +2542,9 @@ mod tests {
     fn introspection_reconciles_on_an_idle_service() {
         let w = gen::random_connected(6, 0.4, 9, 17);
         let svc = SolveService::start(quick_config());
+        // Workers register before their threads start, so the pool is
+        // complete from the first snapshot on.
+        assert_eq!(svc.introspect().workers.len(), 2, "registered at start");
         let tickets: Vec<_> = (0..4)
             .map(|d| {
                 svc.submit(JobSpec::new(w.clone(), JobKind::Shortest { dest: d % 6 }))
