@@ -1,7 +1,7 @@
 //! Persisted benchmark baselines and the regression gate.
 //!
 //! A [`Baseline`] is the committed perf record of one experiment grid
-//! (`BENCH_backend.json`, `BENCH_scale.json`, `BENCH_serve.json`):
+//! (`BENCH_backend.json`, `BENCH_batch.json`, `BENCH_serve.json`, ...):
 //! per-cell deterministic step counts, deterministic backend counters
 //! (plan-cache hits, arena reuse), and noise-aware wall-clock statistics
 //! (median + MAD over warmed repetitions), stamped with the
@@ -164,7 +164,7 @@ fn median_u64(samples: &[u64]) -> u64 {
 /// One grid cell of an experiment baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineEntry {
-    /// Cell label, e.g. `n=64/packed` or `threads=4`.
+    /// Cell label, e.g. `n=64/packed` or `n=64/lanes=8/packed`.
     pub cell: String,
     /// Deterministic controller step count of the cell (for the serve
     /// campaign, the deterministic submitted-job count of the scenario).
@@ -225,7 +225,7 @@ impl BaselineEntry {
 pub struct Baseline {
     /// Schema version ([`SCHEMA_VERSION`] when written by this build).
     pub schema_version: u64,
-    /// Experiment name (`backend`, `scale`, `serve`).
+    /// Experiment name (`backend`, `batch`, `serve`, ...).
     pub name: String,
     /// Fingerprint of the host + build that measured the baseline.
     pub fingerprint: HostFingerprint,

@@ -26,7 +26,7 @@
 //! `--seed N` (default 7); `serve` also writes `serve.introspect.json`,
 //! the live introspection snapshots taken at the end of each scenario.
 //!
-//! The `backend`, `scale`, `batch`, `serve`, `net`, and `chaos`
+//! The `backend`, `batch`, `serve`, `net`, and `chaos`
 //! experiments each write a `BENCH_<name>.json` measured baseline next
 //! to their table artifacts.
 //! The `bench` pseudo-experiment runs them all plus `profile`, writes
@@ -42,7 +42,7 @@
 use ppa_bench::baseline::{bench_file_name, compare, git_describe};
 use ppa_bench::{
     all_experiments, backend_run, batch_run, chaos_run, faults_campaign, net_run, profile_run,
-    scale_run, serve_run, Baseline, HostFingerprint, Table,
+    serve_run, Baseline, HostFingerprint, Table,
 };
 use ppa_obs::Json;
 use std::fs;
@@ -113,9 +113,8 @@ fn write_profile_artifacts(trace_dir: &Path, run: &ppa_bench::ProfileRun) {
 /// profile artifacts), write the candidates, and optionally gate them
 /// against the committed `BENCH_*.json` files.
 fn run_bench(check: bool, baseline_dir: &Path, seed: u64, out_dir: &Path, stamp: &Json) {
-    eprintln!("running bench (backend + scale + batch + serve + net + chaos + profile)...");
+    eprintln!("running bench (backend + batch + serve + net + chaos + profile)...");
     let backend = backend_run();
-    let scale = scale_run();
     let batch = batch_run();
     let serve = serve_run(seed);
     // Bench mode stays subprocess-free: the kill -9 shard drill is the
@@ -126,7 +125,6 @@ fn run_bench(check: bool, baseline_dir: &Path, seed: u64, out_dir: &Path, stamp:
 
     for (name, table) in [
         ("backend", &backend.table),
-        ("scale", &scale.table),
         ("batch", &batch.table),
         ("serve", &serve.table),
         ("net", &net.table),
@@ -145,7 +143,6 @@ fn run_bench(check: bool, baseline_dir: &Path, seed: u64, out_dir: &Path, stamp:
 
     let candidates = [
         &backend.baseline,
-        &scale.baseline,
         &batch.baseline,
         &serve.baseline,
         &net.baseline,
@@ -357,13 +354,6 @@ fn main() {
         }
         if name == "backend" {
             let run = backend_run();
-            let rendered = write_table(&out_dir, name, &run.table, &stamp);
-            println!("{rendered}");
-            write_baseline(&out_dir, &run.baseline);
-            continue;
-        }
-        if name == "scale" {
-            let run = scale_run();
             let rendered = write_table(&out_dir, name, &run.table, &stamp);
             println!("{rendered}");
             write_baseline(&out_dir, &run.baseline);

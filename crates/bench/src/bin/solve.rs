@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! solve <graph-file> --dest <d> [--problem shortest|widest|hops|reach]
-//!                                [--backend scalar|packed|threaded]
-//!                                [--threads K] [--word 64|256]
+//!                                [--backend scalar|packed]
 //!                                [--source] [--steps] [--paths]
 //!                                [--trace FILE] [--metrics FILE]
 //! solve <graph-file> --dest <d> --serve [--workers N] [--deadline-ms D]
@@ -18,12 +17,9 @@
 //! `--trace FILE` writes a Chrome `trace_event` document of the run
 //! (load in Perfetto; timestamps are controller step indices) and
 //! `--metrics FILE` a metrics snapshot JSON. `--backend` selects the
-//! execution backend: `scalar` (the reference), `packed` (u64 bit-plane
-//! masks with bus-plan caching), or `threaded` (packed word rows sharded
-//! across a `--threads K` worker pool) — results and step counts are
-//! identical on all three, only host wall-clock differs. `--word 256`
-//! switches the packed/threaded backends from 64-bit machine words to
-//! 256-bit SWAR words (4×u64 limbs); results stay bit-identical.
+//! execution backend: `scalar` (the reference) or `packed` (u64 bit-plane
+//! masks with bus-plan caching) — results and step counts are identical
+//! on both, only host wall-clock differs.
 //!
 //! `--batch L` turns on lane batching. Inline (`--problem shortest`) it
 //! solves a wavefront of `L` destinations — `d`, `d+1`, … mod `n` — on
@@ -93,14 +89,14 @@ fn usage() -> ! {
     eprintln!(
         "usage: solve <graph-file | --demo> --dest <d> \
          [--problem shortest|widest|hops|reach] \
-         [--backend scalar|packed|threaded] [--threads K] [--word 64|256] \
+         [--backend scalar|packed] \
          [--batch L] [--redundancy off|dmr|tmr|tmr-detect] \
          [--source] [--steps] [--paths] [--trace FILE] [--metrics FILE] \
          [--serve [--workers N] [--deadline-ms D] [--budget STEPS] \
          [--status-every MS]] [--connect ADDR]\n       \
-         solve --listen ADDR [--workers N] [--threads K] [--word 64|256] \
+         solve --listen ADDR [--workers N] \
          [--batch L] [--redundancy off|dmr|tmr|tmr-detect] \
-         [--backend scalar|packed|threaded] [--status-every MS]\n       \
+         [--backend scalar|packed] [--status-every MS]\n       \
          solve shard-worker <graph-file> --shard I --of N \
          --checkpoint PATH [--every K] [--workers N] [--stall-ms MS]\n       \
          solve shard-merge --out PATH <shard.json>..."
@@ -109,9 +105,6 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Options {
-    // `--backend/--word/--threads` arrive in any order and combine into
-    // one spec once every flag has been read.
-    let (mut kind, mut word, mut threads) = ("scalar".to_owned(), "64".to_owned(), "4".to_owned());
     let mut opts = Options {
         file: None,
         demo: false,
@@ -142,9 +135,13 @@ fn parse_args() -> Options {
                 opts.dest = Some(v.parse().unwrap_or_else(|_| usage()));
             }
             "--problem" => opts.problem = args.next().unwrap_or_else(|| usage()),
-            "--backend" => kind = args.next().unwrap_or_else(|| usage()),
-            "--threads" => threads = args.next().unwrap_or_else(|| usage()),
-            "--word" => word = args.next().unwrap_or_else(|| usage()),
+            "--backend" => {
+                let v = args.next().unwrap_or_else(|| usage());
+                opts.backend = v.parse().unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                });
+            }
             "--source" => opts.source_mode = true,
             "--steps" => opts.show_steps = true,
             "--paths" => opts.show_paths = true,
@@ -197,10 +194,6 @@ fn parse_args() -> Options {
             _ => usage(),
         }
     }
-    opts.backend = BackendSpec::from_flags(&kind, &word, &threads).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage()
-    });
     opts
 }
 
@@ -355,7 +348,7 @@ enum Inline {
     Voted(Redundancy),
 }
 
-/// Runs `run` on the backend `--backend/--word/--threads` selected.
+/// Runs `run` on the backend `--backend` selected.
 fn solve_inline(run: Inline, w: &WeightMatrix, d: usize, opts: &Options) {
     struct Solve<'a> {
         run: Inline,

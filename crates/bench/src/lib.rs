@@ -24,7 +24,7 @@ use ppa_baselines::{Gcn, Hypercube, McpSolver, PlainMesh, SequentialBf};
 use ppa_graph::{gen, reference, validate, WeightMatrix, INF};
 use ppa_machine::{
     render, BackendSpec, BackendVisitor, Dim, Direction, ExecStats, Executor, FaultMap, Op, Plane,
-    StepReport, WordWidth,
+    StepReport,
 };
 use ppa_mcp::mcp::{fit_word_bits, minimum_cost_path};
 use ppa_mcp::variants::{minimum_cost_path_variant, BusModel, MinModel, VariantConfig};
@@ -286,8 +286,8 @@ pub fn t5_validation() -> Table {
 }
 
 /// T6 — simulator throughput: wall-clock per simulated step across array
-/// sizes on the scalar reference backend (thread scaling is `report
-/// scale`, on the threaded backend).
+/// sizes on the scalar reference backend (the packed backend is the BK
+/// table, `report backend`).
 pub fn t6_engine() -> Table {
     let mut t = Table::new(
         "T6",
@@ -314,7 +314,7 @@ pub fn t6_engine() -> Table {
             format!("{:.1}", pe_ops / wall.as_secs_f64() / 1e6),
         ]);
     }
-    t.note("host thread scaling is the SC table (`report scale`, threaded backend);");
+    t.note("the packed backend on the same workload is the BK table (`report backend`);");
     t.note("wall-clock depends on the host (documented in EXPERIMENTS.md).");
     t
 }
@@ -343,7 +343,7 @@ pub fn backend_table() -> Table {
 /// Returns the wall-clock samples (nanoseconds) and the last run's
 /// execution statistics.
 ///
-/// This is the bit-identity gate of `report backend` / `report scale`,
+/// This is the bit-identity gate of `report backend`,
 /// factored out so the bench-gate mutation drill can prove it trips: a
 /// one-bit corruption of the packed vote kernel must make this helper
 /// panic, which makes `report bench --check` exit nonzero.
@@ -420,29 +420,15 @@ fn gate_runs(
     (samples, stats)
 }
 
-/// The deterministic counters a grid cell records: plan-cache hits and
-/// misses, plus the mask-arena counters when `arena` is set.
-fn exec_counters(stats: &ExecStats, arena: bool) -> std::collections::BTreeMap<String, u64> {
-    let mut counters = std::collections::BTreeMap::from([
+/// The deterministic counters a packed grid cell records: plan-cache hits
+/// and misses, and the mask-arena counters.
+fn exec_counters(stats: &ExecStats) -> std::collections::BTreeMap<String, u64> {
+    std::collections::BTreeMap::from([
         ("plan_hits".to_owned(), stats.plan_hits),
         ("plan_misses".to_owned(), stats.plan_misses),
-    ]);
-    if arena {
-        counters.insert("arena_fresh".to_owned(), stats.arena_fresh);
-        counters.insert("arena_reused".to_owned(), stats.arena_reused);
-    }
-    counters
-}
-
-/// The packed backend at `word` bits.
-fn packed(word: WordWidth) -> BackendSpec {
-    BackendSpec::Packed { word }
-}
-
-/// The threaded backend with a `threads`-wide pool at `word` bits.
-fn threaded(threads: usize, word: WordWidth) -> BackendSpec {
-    let threads = std::num::NonZeroUsize::new(threads).expect("grid thread counts are non-zero");
-    BackendSpec::Threaded { threads, word }
+        ("arena_fresh".to_owned(), stats.arena_fresh),
+        ("arena_reused".to_owned(), stats.arena_reused),
+    ])
 }
 
 /// Minimum of a sample set, in seconds.
@@ -451,9 +437,10 @@ fn best_secs(samples: &[u64]) -> f64 {
 }
 
 /// BK — execution-backend comparison: the scalar reference backend vs the
-/// packed bit-plane backend at both word widths on the T6 MCP workload.
-/// Every backend runs the same micro-op stream; the table asserts they
-/// produce identical outputs and identical controller step reports, then
+/// packed bit-plane backend on the T6 MCP workload. Both backends run the
+/// same micro-op stream; the table asserts they produce identical outputs
+/// and identical controller step reports, reconciles the packed session's
+/// `backend.*` ppa-obs counters against its execution statistics, then
 /// compares host wall-clock and shows the packed backend's bus-plan cache
 /// and mask arena counters. Every (n, backend) cell also becomes a
 /// [`Baseline`] entry: deterministic step count, plan/arena counters, and
@@ -474,34 +461,32 @@ pub fn backend_run() -> BenchRun {
             "arena reused".into(),
         ],
     );
-    let cells = [
-        (BackendSpec::Scalar, "scalar"),
-        (packed(WordWidth::W64), "packed"),
-        (packed(WordWidth::W256), "packed256"),
-    ];
     for &n in &[16usize, 32, 64] {
         let w = gen::random_connected(n, 0.2, 25, 99);
         let h = 16.max(fit_word_bits(&w)).clamp(2, 62);
         let want = minimum_cost_path(&mut Ppa::square(n).with_word_bits(h), &w, 0).unwrap();
         let steps = want.stats.total.total();
         let mut scalar_wall = 0.0;
-        for (spec, label) in cells {
-            // The fast backends must be observationally identical to the
+        for spec in [BackendSpec::Scalar, BackendSpec::Packed] {
+            // The packed backend must be observationally identical to the
             // scalar reference: same outputs, same controller step report
             // down to the per-class counts, asserted on every repetition
             // before timing is reported.
-            let (samples, stats) = measure_spec(spec, h, &w, &want, &format!("n = {n}, {label}"));
+            let label = format!("n = {n}, {spec}");
+            let (samples, stats) = measure_spec(spec, h, &w, &want, &label);
             let wall = best_secs(&samples);
-            let fast = spec != BackendSpec::Scalar;
-            if !fast {
+            let fast = spec == BackendSpec::Packed;
+            if fast {
+                reconcile_session_metrics(&w, &label);
+            } else {
                 scalar_wall = wall;
             }
             entries.push(BaselineEntry {
-                cell: format!("n={n}/{label}"),
+                cell: format!("n={n}/{spec}"),
                 steps,
                 wall: WallStats::from_samples(&samples),
                 counters: if fast {
-                    exec_counters(&stats, true)
+                    exec_counters(&stats)
                 } else {
                     std::collections::BTreeMap::new()
                 },
@@ -509,7 +494,7 @@ pub fn backend_run() -> BenchRun {
             let dash = || "-".to_owned();
             t.row(vec![
                 n.to_string(),
-                label.into(),
+                spec.to_string(),
                 steps.to_string(),
                 format!("{:.2}", wall * 1e3),
                 format!("{:.2}x", scalar_wall / wall),
@@ -531,147 +516,37 @@ pub fn backend_run() -> BenchRun {
             ]);
         }
     }
-    t.note("width_bit_identical: true");
+    t.note("packed_bit_identical: true");
     t.note("outputs and per-class step reports are asserted identical before timing is");
-    t.note("reported; the packed backend executes mask logic 64 PEs per u64 word");
-    t.note("(packed256: 256 PEs per 4-limb SWAR word) and reuses cached bus plans keyed");
-    t.note("by (switch-pattern fingerprint, direction, word width). At these array sizes");
-    t.note("a row fits one word at either width, so packed256 buys no wall-clock win here");
-    t.note("— it pays 4x the limb work per word (see EXPERIMENTS.md).");
+    t.note("reported, and the packed session's backend.* ppa-obs counters are reconciled");
+    t.note("exactly against its exec stats; the packed backend executes mask logic 64");
+    t.note("PEs per u64 word and reuses cached wired-OR plans keyed by (switch-pattern");
+    t.note("fingerprint, direction).");
     BenchRun {
         table: t,
         baseline: Baseline::new("backend", entries),
     }
 }
 
-/// SC — thread-scaling grid: the threaded backend across an n ×
-/// thread-count grid, with the packed backend as the single-core
-/// baseline. Before any timing is reported, every (n, threads) cell is
-/// asserted bit-identical to the scalar reference — outputs, PTN/SOW,
-/// and per-class step reports — and the backend's `ppa-obs` metrics
-/// counters are reconciled exactly against its execution statistics.
-pub fn scale_table() -> Table {
-    scale_run().table
-}
-
-/// SC — thread-scaling grid with its measured [`Baseline`]: every
-/// (n, threads) cell records the deterministic step count, the
-/// plan-cache counters, and median/MAD wall-clock over five repetitions
-/// (see [`scale_table`] for the full grid semantics).
-pub fn scale_run() -> BenchRun {
-    let mut entries: Vec<BaselineEntry> = Vec::new();
-    let mut t = Table::new(
-        "SC",
-        "threaded-backend scaling, single-destination MCP (T6 workload: random connected, density 0.2, h >= 16)",
-        vec![
-            "n".into(),
-            "threads".into(),
-            "steps".into(),
-            "wall ms (best of 5)".into(),
-            "speedup vs packed".into(),
-            "plan hit rate".into(),
-        ],
-    );
-    // (spec, baseline cell suffix, table label): the packed baseline,
-    // the threaded pool widths, then the same on 256-bit SWAR words.
-    let mut cells = vec![(
-        packed(WordWidth::W64),
-        "packed".to_owned(),
-        "packed".to_owned(),
-    )];
-    for threads in [1usize, 2, 4, 8] {
-        let spec = threaded(threads, WordWidth::W64);
-        cells.push((spec, format!("threads={threads}"), threads.to_string()));
-    }
-    cells.push((
-        packed(WordWidth::W256),
-        "packed256".to_owned(),
-        "packed256".to_owned(),
-    ));
-    for threads in [1usize, 4, 8] {
-        let spec = threaded(threads, WordWidth::W256);
-        cells.push((
-            spec,
-            format!("threads256={threads}"),
-            format!("w256 x{threads}"),
-        ));
-    }
-    for &n in &[16usize, 32, 64] {
-        let w = gen::random_connected(n, 0.2, 25, 99);
-        let h = 16.max(fit_word_bits(&w)).clamp(2, 62);
-        let want = minimum_cost_path(&mut Ppa::square(n).with_word_bits(h), &w, 0).unwrap();
-        let steps = want.stats.total.total();
-        let mut packed_wall = 0.0;
-        for (spec, cell, label) in &cells {
-            let (samples, stats) = measure_spec(*spec, h, &w, &want, &format!("n = {n}, {spec}"));
-            reconcile_session_metrics(*spec, &w, &format!("n = {n}, {spec}"));
-            let wall = best_secs(&samples);
-            if cell == "packed" {
-                packed_wall = wall;
-            }
-            entries.push(BaselineEntry {
-                cell: format!("n={n}/{cell}"),
-                steps,
-                wall: WallStats::from_samples(&samples),
-                counters: exec_counters(&stats, false),
-            });
-            t.row(vec![
-                n.to_string(),
-                label.clone(),
-                steps.to_string(),
-                format!("{:.2}", wall * 1e3),
-                format!("{:.2}x", packed_wall / wall),
-                format!("{:.1}%", stats.plan_hit_rate() * 100.0),
-            ]);
-        }
-    }
-    t.note("threaded_bit_identical: true");
-    t.note("width_bit_identical: true");
-    t.note("every cell — both word widths, every thread count — is asserted bit-identical");
-    t.note("to the scalar reference (SOW, PTN, per-class step report) before its");
-    t.note("wall-clock is reported, and the");
-    t.note("backend.* ppa-obs counters are reconciled exactly against the exec stats;");
-    t.note("speedup over packed requires multiple host cores — on a single-core host the");
-    t.note("rendezvous overhead makes threaded <= packed at every width (see EXPERIMENTS.md).");
-    BenchRun {
-        table: t,
-        baseline: Baseline::new("scale", entries),
-    }
-}
-
-/// Reconciles the `backend.*` metrics an [`McpSession`](ppa_mcp::McpSession)
+/// Reconciles the `backend.*` metrics a packed [`McpSession`](ppa_mcp::McpSession)
 /// publishes to ppa-obs against the backend's own execution statistics.
-fn reconcile_session_metrics(spec: BackendSpec, w: &WeightMatrix, label: &str) {
-    struct Reconcile<'a> {
-        w: &'a WeightMatrix,
-        label: &'a str,
-    }
-
-    impl BackendVisitor for Reconcile<'_> {
-        type Output = ();
-
-        fn run<E: Executor>(self, exec: E) {
-            let label = self.label;
-            let mut session = ppa_mcp::McpSession::with_backend(self.w, exec).unwrap();
-            session.ppa_mut().enable_metrics();
-            let before = session.exec_stats();
-            session.solve(0).unwrap();
-            let delta = session.exec_stats().since(&before);
-            let m = session.ppa_mut().take_metrics();
-            assert_eq!(
-                m.counter("backend.plan_hits") + m.counter("backend.plan_misses"),
-                delta.plan_hits + delta.plan_misses,
-                "{label}: ppa-obs counters diverged from exec stats"
-            );
-            assert_eq!(
-                m.counter("backend.arena_fresh"),
-                delta.arena_fresh,
-                "{label}: arena counters diverged from exec stats"
-            );
-        }
-    }
-
-    spec.dispatch(Reconcile { w, label });
+fn reconcile_session_metrics(w: &WeightMatrix, label: &str) {
+    let mut session = ppa_mcp::McpSession::new_packed(w).unwrap();
+    session.ppa_mut().enable_metrics();
+    let before = session.exec_stats();
+    session.solve(0).unwrap();
+    let delta = session.exec_stats().since(&before);
+    let m = session.ppa_mut().take_metrics();
+    assert_eq!(
+        m.counter("backend.plan_hits") + m.counter("backend.plan_misses"),
+        delta.plan_hits + delta.plan_misses,
+        "{label}: ppa-obs counters diverged from exec stats"
+    );
+    assert_eq!(
+        m.counter("backend.arena_fresh"),
+        delta.arena_fresh,
+        "{label}: arena counters diverged from exec stats"
+    );
 }
 
 /// BA — lane-batching amortization (table only; see [`batch_run`] for
@@ -691,36 +566,11 @@ pub fn batch_table() -> Table {
 /// lanes). The per-destination plan-cache-miss and arena-allocation
 /// counters must improve monotonically with the lane count — that is
 /// the amortization claim, and it is deterministic, so it is asserted,
-/// not just reported. The threaded rows run the same waves and are
-/// asserted bit-identical to the packed lanes.
+/// not just reported.
 pub fn batch_run() -> BenchRun {
     use ppa_machine::PackedBackend;
     use ppa_mcp::batch::replicate;
     use ppa_mcp::{BatchSession, McpOutput};
-
-    /// One timed wavefront solve on a fresh batch: wall nanoseconds, the
-    /// backend's execution statistics, the batch word width, and the
-    /// per-lane outputs.
-    struct Wave<'a> {
-        graphs: &'a [WeightMatrix],
-        dests: &'a [usize],
-    }
-
-    impl BackendVisitor for Wave<'_> {
-        type Output = (u64, ExecStats, u32, Vec<McpOutput>);
-
-        fn run<E: Executor>(self, exec: E) -> Self::Output {
-            let mut batch = BatchSession::with_backend(self.graphs, exec).unwrap();
-            let start = Instant::now();
-            let solved = batch.solve(self.dests).unwrap();
-            let ns = start.elapsed().as_nanos() as u64;
-            let wave = solved
-                .into_iter()
-                .map(|r| r.expect("every lane of the wavefront must converge"))
-                .collect();
-            (ns, batch.exec_stats(), batch.word_bits(), wave)
-        }
-    }
 
     let mut entries: Vec<BaselineEntry> = Vec::new();
     let mut t = Table::new(
@@ -739,22 +589,6 @@ pub fn batch_run() -> BenchRun {
         ],
     );
     let n = 64usize;
-    let threads = 2usize;
-    // The threaded backend pays a fixed per-step rendezvous, so a wider
-    // machine amortizes it across lanes: this is where wall/dest visibly
-    // falls with the lane count even on one core.
-    let cells = [
-        (
-            packed(WordWidth::W64),
-            "packed".to_owned(),
-            "packed".to_owned(),
-        ),
-        (
-            threaded(threads, WordWidth::W64),
-            format!("threads={threads}"),
-            format!("threaded x{threads}"),
-        ),
-    ];
     let w = gen::random_connected(n, 0.2, 25, 99);
     let mut all_identical = true;
     let mut prev_misses_per_dest = f64::INFINITY;
@@ -762,101 +596,75 @@ pub fn batch_run() -> BenchRun {
     for &lanes in &[1usize, 2, 4, 8] {
         let graphs = replicate(&w, lanes);
         let dests: Vec<usize> = (0..lanes).collect();
-        // The packed lanes, once gated against solo runs, are the
-        // reference the threaded lanes must match.
-        let mut reference: Option<Vec<McpOutput>> = None;
-        for (spec, cell, label) in &cells {
-            let mut samples: Vec<u64> = Vec::new();
-            let mut last = None;
-            for _ in 0..5 {
-                let (ns, stats, word_bits, wave) = spec.dispatch(Wave {
-                    graphs: &graphs,
-                    dests: &dests,
-                });
-                samples.push(ns);
-                last = Some((stats, word_bits, wave));
-            }
-            let (stats, word_bits, wave) = last.expect("five repetitions ran");
-            let is_packed = reference.is_none();
-            let wants: Vec<McpOutput> = match &reference {
-                // Bit-identity gate: every lane vs a solo run at the
-                // batch's word width, down to the per-class step report.
-                None => dests
-                    .iter()
-                    .map(|&d| {
-                        let solo = Ppa::<PackedBackend>::packed(n).with_word_bits(word_bits);
-                        ppa_mcp::McpSession::from_ppa(solo, &w)
-                            .and_then(|mut s| s.solve(d))
-                            .unwrap()
-                    })
-                    .collect(),
-                Some(packed_wave) => packed_wave.clone(),
-            };
-            for (l, &d) in dests.iter().enumerate() {
-                let (got, want) = (&wave[l], &wants[l]);
-                all_identical &= got.sow == want.sow
-                    && got.ptn == want.ptn
-                    && got.stats.total == want.stats.total;
-                assert_eq!(
-                    got.sow, want.sow,
-                    "lanes = {lanes}, dest {d}, {label}: SOW diverged"
-                );
-                assert_eq!(
-                    got.ptn, want.ptn,
-                    "lanes = {lanes}, dest {d}, {label}: PTN diverged"
-                );
-                assert_eq!(
-                    got.stats.total, want.stats.total,
-                    "lanes = {lanes}, dest {d}, {label}: step reports diverged"
-                );
-            }
-            let steps = wave[0].stats.total.total();
-            let wall = best_secs(&samples);
-            let misses_per_dest = stats.plan_misses as f64 / lanes as f64;
-            let fresh_per_dest = stats.arena_fresh as f64 / lanes as f64;
-            if is_packed {
-                // The amortization claim, asserted on the deterministic
-                // counters: one stream serving L destinations must not pay
-                // more plan compiles or arena allocations per destination
-                // than a narrower stream serving fewer.
-                assert!(
-                    misses_per_dest <= prev_misses_per_dest,
-                    "lanes = {lanes}: plan misses/dest regressed \
-                     ({misses_per_dest:.1} > {prev_misses_per_dest:.1})"
-                );
-                assert!(
-                    fresh_per_dest <= prev_fresh_per_dest,
-                    "lanes = {lanes}: arena fresh/dest regressed \
-                     ({fresh_per_dest:.1} > {prev_fresh_per_dest:.1})"
-                );
-                prev_misses_per_dest = misses_per_dest;
-                prev_fresh_per_dest = fresh_per_dest;
-                reference = Some(wave);
-            }
-            entries.push(BaselineEntry {
-                cell: format!("n={n}/lanes={lanes}/{cell}"),
-                steps,
-                wall: WallStats::from_samples(&samples),
-                // The threaded pool's shared arena is allocation-order
-                // dependent, so only the packed cells record it.
-                counters: exec_counters(&stats, is_packed),
-            });
-            t.row(vec![
-                n.to_string(),
-                lanes.to_string(),
-                label.clone(),
-                steps.to_string(),
-                format!("{:.2}", wall * 1e3),
-                format!("{:.2}", wall * 1e3 / lanes as f64),
-                format!("{misses_per_dest:.1}"),
-                if is_packed {
-                    format!("{fresh_per_dest:.1}")
-                } else {
-                    "-".into()
-                },
-                format!("{:.1}%", stats.plan_hit_rate() * 100.0),
-            ]);
+        // One timed wavefront solve per repetition, each on a fresh batch.
+        let mut samples: Vec<u64> = Vec::new();
+        let mut last = None;
+        for _ in 0..5 {
+            let mut batch = BatchSession::new_packed(&graphs).unwrap();
+            let start = Instant::now();
+            let solved = batch.solve(&dests).unwrap();
+            samples.push(start.elapsed().as_nanos() as u64);
+            let wave: Vec<McpOutput> = solved
+                .into_iter()
+                .map(|r| r.expect("every lane of the wavefront must converge"))
+                .collect();
+            last = Some((batch.exec_stats(), batch.word_bits(), wave));
         }
+        let (stats, word_bits, wave) = last.expect("five repetitions ran");
+        // Bit-identity gate: every lane vs a solo run at the batch's word
+        // width, down to the per-class step report.
+        for (l, &d) in dests.iter().enumerate() {
+            let solo = Ppa::<PackedBackend>::packed(n).with_word_bits(word_bits);
+            let want = ppa_mcp::McpSession::from_ppa(solo, &w)
+                .and_then(|mut s| s.solve(d))
+                .unwrap();
+            let got = &wave[l];
+            all_identical &=
+                got.sow == want.sow && got.ptn == want.ptn && got.stats.total == want.stats.total;
+            assert_eq!(got.sow, want.sow, "lanes = {lanes}, dest {d}: SOW diverged");
+            assert_eq!(got.ptn, want.ptn, "lanes = {lanes}, dest {d}: PTN diverged");
+            assert_eq!(
+                got.stats.total, want.stats.total,
+                "lanes = {lanes}, dest {d}: step reports diverged"
+            );
+        }
+        let steps = wave[0].stats.total.total();
+        let wall = best_secs(&samples);
+        let misses_per_dest = stats.plan_misses as f64 / lanes as f64;
+        let fresh_per_dest = stats.arena_fresh as f64 / lanes as f64;
+        // The amortization claim, asserted on the deterministic counters:
+        // one stream serving L destinations must not pay more plan
+        // compiles or arena allocations per destination than a narrower
+        // stream serving fewer.
+        assert!(
+            misses_per_dest <= prev_misses_per_dest,
+            "lanes = {lanes}: plan misses/dest regressed \
+             ({misses_per_dest:.1} > {prev_misses_per_dest:.1})"
+        );
+        assert!(
+            fresh_per_dest <= prev_fresh_per_dest,
+            "lanes = {lanes}: arena fresh/dest regressed \
+             ({fresh_per_dest:.1} > {prev_fresh_per_dest:.1})"
+        );
+        prev_misses_per_dest = misses_per_dest;
+        prev_fresh_per_dest = fresh_per_dest;
+        entries.push(BaselineEntry {
+            cell: format!("n={n}/lanes={lanes}/packed"),
+            steps,
+            wall: WallStats::from_samples(&samples),
+            counters: exec_counters(&stats),
+        });
+        t.row(vec![
+            n.to_string(),
+            lanes.to_string(),
+            "packed".into(),
+            steps.to_string(),
+            format!("{:.2}", wall * 1e3),
+            format!("{:.2}", wall * 1e3 / lanes as f64),
+            format!("{misses_per_dest:.1}"),
+            format!("{fresh_per_dest:.1}"),
+            format!("{:.1}%", stats.plan_hit_rate() * 100.0),
+        ]);
     }
     t.note(format!("batched_bit_identical: {all_identical}"));
     t.note("every lane is asserted bit-identical to a solo run pinned to the batch's");
@@ -864,9 +672,7 @@ pub fn batch_run() -> BenchRun {
     t.note("plan misses/dest and arena fresh/dest are asserted monotonically non-");
     t.note("increasing in the lane count. Amortization comes from sharing one micro-op");
     t.note("stream across lanes, not host parallelism: on the packed backend each step's");
-    t.note("host cost grows with machine width, so wall/dest stays roughly flat (single");
-    t.note("core); the threaded rows amortize the fixed per-step rendezvous, so their");
-    t.note("wall/dest falls with the lane count even on a single-core host.");
+    t.note("host cost grows with machine width, so wall/dest stays roughly flat.");
     BenchRun {
         table: t,
         baseline: Baseline::new("batch", entries),
@@ -3203,7 +3009,6 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("a1", a1_bus_ablation),
         ("a2", a2_min_ablation),
         ("backend", backend_table),
-        ("scale", scale_table),
         ("batch", batch_table),
         // The report binary intercepts this entry to also write the trace
         // and metrics artifacts from the same run (see `profile_run`).
@@ -3294,22 +3099,19 @@ mod tests {
     #[test]
     fn backend_rows_agree_and_cache_is_warm() {
         let t = backend_table();
-        // Three rows per n: scalar, packed (W64), packed256.
-        assert_eq!(t.rows.len(), 9);
-        for block in t.rows.chunks(3) {
-            assert_eq!(block[1][1], "packed", "{block:?}");
-            assert_eq!(block[2][1], "packed256", "{block:?}");
-            for row in &block[1..] {
-                // Same n, same step count on every backend row.
-                assert_eq!(row[0], block[0][0]);
-                assert_eq!(row[2], block[0][2], "{block:?}");
-            }
+        // Two rows per n: scalar, then packed.
+        assert_eq!(t.rows.len(), 6);
+        for pair in t.rows.chunks(2) {
+            assert_eq!(pair[0][1], "scalar", "{pair:?}");
+            assert_eq!(pair[1][1], "packed", "{pair:?}");
+            // Same n, same step count on both backend rows.
+            assert_eq!(pair[1][0], pair[0][0]);
+            assert_eq!(pair[1][2], pair[0][2], "{pair:?}");
         }
-        // The n = 64 rows keep the bus-plan cache hot at both widths.
-        for row in &t.rows[t.rows.len() - 2..] {
-            let rate: f64 = row[5].trim_end_matches('%').parse().unwrap();
-            assert!(rate > 90.0, "plan hit rate {rate}% on {row:?}");
-        }
+        // The n = 64 packed row keeps the bus-plan cache hot.
+        let row = &t.rows[t.rows.len() - 1];
+        let rate: f64 = row[5].trim_end_matches('%').parse().unwrap();
+        assert!(rate > 90.0, "plan hit rate {rate}% on {row:?}");
     }
 
     #[test]

@@ -1,20 +1,20 @@
-//! Bench-gate mutation drill: prove the width-differential gate of
-//! `report backend` / `report scale` actually fires on a corrupted
-//! kernel, so `report bench --check` exits nonzero instead of recording
-//! a poisoned baseline.
+//! Bench-gate mutation drill: prove the bit-identity gate of
+//! `report backend` actually fires on a corrupted kernel, so
+//! `report bench --check` exits nonzero instead of recording a poisoned
+//! baseline.
 //!
 //! The drill flips one bit of every packed `vote` result (the
 //! `mutation-drill` feature of `ppa-machine`, never compiled into
 //! release binaries) and asserts that [`ppa_bench::measure_identical`]
-//! — the exact helper the BK/SC tables run every cell through before
-//! timing it — panics on the corrupted backend at both word widths,
-//! while passing on the healthy ones. A panic inside `backend_run` /
-//! `scale_run` aborts the `report` binary with a nonzero exit, which is
-//! the gate the acceptance criterion names.
+//! — the exact helper the BK table runs every cell through before
+//! timing it — panics on the corrupted backend while passing on the
+//! healthy one. A panic inside `backend_run` aborts the `report` binary
+//! with a nonzero exit, which is the gate the acceptance criterion
+//! names.
 
 use ppa_bench::measure_identical;
 use ppa_graph::gen;
-use ppa_machine::{PackedBackend, Word, W256, W64};
+use ppa_machine::PackedBackend;
 use ppa_mcp::mcp::{fit_word_bits, minimum_cost_path};
 use ppa_ppc::Ppa;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,12 +37,8 @@ fn reference() -> (ppa_graph::WeightMatrix, u32, ppa_mcp::McpOutput) {
     (w, h, want)
 }
 
-fn drilled_ppa<W: Word>(n: usize, h: u32) -> Ppa<PackedBackend<W>> {
-    Ppa::with_backend(n, PackedBackend::<W>::with_perturbed_vote()).with_word_bits(h)
-}
-
 #[test]
-fn healthy_backends_pass_the_gate_at_both_widths() {
+fn healthy_backend_passes_the_gate() {
     let (w, h, want) = reference();
     let n = w.n();
     measure_identical(
@@ -52,22 +48,15 @@ fn healthy_backends_pass_the_gate_at_both_widths() {
         &want,
         "drill control, packed",
     );
-    measure_identical(
-        &|| Ppa::with_backend(n, PackedBackend::<W256>::new()).with_word_bits(h),
-        &w,
-        DRILL_DEST,
-        &want,
-        "drill control, packed256",
-    );
 }
 
 #[test]
-fn one_bit_vote_corruption_trips_the_gate_at_w64() {
+fn one_bit_vote_corruption_trips_the_gate() {
     let (w, h, want) = reference();
     let n = w.n();
     let tripped = catch_unwind(AssertUnwindSafe(|| {
         measure_identical(
-            &|| drilled_ppa::<W64>(n, h),
+            &|| Ppa::with_backend(n, PackedBackend::with_perturbed_vote()).with_word_bits(h),
             &w,
             DRILL_DEST,
             &want,
@@ -76,26 +65,7 @@ fn one_bit_vote_corruption_trips_the_gate_at_w64() {
     }));
     assert!(
         tripped.is_err(),
-        "the bit-identity gate must fail on a one-bit vote corruption (W64)"
-    );
-}
-
-#[test]
-fn one_bit_vote_corruption_trips_the_gate_at_w256() {
-    let (w, h, want) = reference();
-    let n = w.n();
-    let tripped = catch_unwind(AssertUnwindSafe(|| {
-        measure_identical(
-            &|| drilled_ppa::<W256>(n, h),
-            &w,
-            DRILL_DEST,
-            &want,
-            "drill, packed256",
-        )
-    }));
-    assert!(
-        tripped.is_err(),
-        "the bit-identity gate must fail on a one-bit vote corruption (W256)"
+        "the bit-identity gate must fail on a one-bit vote corruption"
     );
 }
 
@@ -106,7 +76,7 @@ fn one_bit_vote_corruption_trips_the_gate_at_w256() {
 fn step_drift_is_a_hard_check_failure() {
     use ppa_bench::{Baseline, BaselineEntry, WallStats};
     let entry = |steps: u64| BaselineEntry {
-        cell: "n=16/packed256".into(),
+        cell: "n=16/packed".into(),
         steps,
         wall: WallStats::from_samples(&[1_000_000]),
         counters: std::collections::BTreeMap::new(),
@@ -116,6 +86,6 @@ fn step_drift_is_a_hard_check_failure() {
     let report = ppa_bench::baseline::compare(&recorded, &drifted);
     assert!(
         !report.passed(),
-        "a one-step drift in a width cell must hard-fail report bench --check"
+        "a one-step drift in a packed cell must hard-fail report bench --check"
     );
 }

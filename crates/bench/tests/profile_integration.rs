@@ -5,7 +5,7 @@
 //! snapshot survives a JSON round-trip byte-exactly.
 
 use ppa_bench::profile_run;
-use ppa_machine::{Op, ThreadedBackend, W64};
+use ppa_machine::Op;
 use ppa_obs::{validate_chrome_trace, Json, Metrics};
 
 #[test]
@@ -111,34 +111,6 @@ fn micro_profile_reconciles_on_packed_backend() {
             metrics.counter(&format!("exec.packed.{}.count", op.label())),
             report.count(op),
             "packed exec counter {}",
-            op.label()
-        );
-    }
-    assert_eq!(micro.total().count, report.total());
-}
-
-#[test]
-fn micro_profile_reconciles_on_threaded_backend() {
-    let w = ppa_graph::gen::ring(6);
-    let mut ppa = ppa_ppc::Ppa::with_backend(6, ThreadedBackend::<W64>::new(2)).with_word_bits(10);
-    ppa.enable_metrics();
-    ppa.enable_micro_profile();
-    let out = ppa_mcp::mcp::minimum_cost_path(&mut ppa, &w, 0).expect("threaded MCP solves");
-    let micro = ppa.take_micro_profile();
-    let metrics = ppa.take_metrics();
-    assert_eq!(micro.backend(), "threaded");
-    let report = out.stats.total;
-    for op in Op::ALL {
-        assert_eq!(
-            micro.class(op.label()).map_or(0, |w| w.count),
-            report.count(op),
-            "threaded micro class {}",
-            op.label()
-        );
-        assert_eq!(
-            metrics.counter(&format!("exec.threaded.{}.count", op.label())),
-            report.count(op),
-            "threaded exec counter {}",
             op.label()
         );
     }

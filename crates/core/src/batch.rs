@@ -2,17 +2,15 @@
 //! stream.
 //!
 //! The bit-plane representation is wider than one problem needs: one
-//! machine word of the packed backend (64 or 256 PEs, depending on the
-//! [`Word`](ppa_machine::Word) parameter) holds PEs of *one* solve. A
+//! 64-PE machine word of the packed backend holds PEs of *one* solve. A
 //! [`BatchSession`] lifts that assumption by packing `L` independent
 //! `n x n` problems side by side into one `n x (n * L)` machine (lane
 //! `l` owns columns `l*n .. (l+1)*n`, see
 //! [`LaneLayout`](ppa_machine::LaneLayout)) and retiring all of them in
 //! a single replay of the paper's statement sequence. One batch solves
 //! a wavefront of `L` destinations of one graph, or up to
-//! [`MAX_LANES`] independent same-size graphs — bus-plan lookups, arena
-//! traffic, and
-//! rendezvous overhead are paid once per *batch* instead of once per
+//! [`MAX_LANES`] independent same-size graphs — bus-plan lookups and
+//! arena traffic are paid once per *batch* instead of once per
 //! *problem*.
 //!
 //! ## Why the lanes cannot see each other

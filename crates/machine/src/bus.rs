@@ -72,7 +72,7 @@ pub fn cluster_heads(
 
 /// The `broadcast(src, dir, L)` primitive: every node receives the `src`
 /// value held by the Open node heading its cluster.
-pub fn broadcast<T: Copy + Send + Sync>(
+pub fn broadcast<T: Copy>(
     dim: Dim,
     src: &Plane<T>,
     dir: Direction,
@@ -160,7 +160,7 @@ pub fn bus_or(
 /// every node receives the value of its nearest neighbour *against* `dir`
 /// (i.e. data moves one step towards `dir`); upstream-edge nodes receive
 /// the fill value, or the wrapped neighbour's value under [`Fill::Wrap`].
-pub fn shift_with<T: Copy + Send + Sync>(
+pub fn shift_with<T: Copy>(
     dim: Dim,
     src: &Plane<T>,
     dir: Direction,
@@ -184,7 +184,7 @@ pub fn shift_with<T: Copy + Send + Sync>(
 }
 
 /// The `shift(src, dir)` primitive with a constant edge fill.
-pub fn shift<T: Copy + Send + Sync>(
+pub fn shift<T: Copy>(
     dim: Dim,
     src: &Plane<T>,
     dir: Direction,
@@ -195,7 +195,7 @@ pub fn shift<T: Copy + Send + Sync>(
 
 /// Toroidal variant of [`shift`]: edge nodes receive the wrapped neighbour's
 /// value instead of a fill.
-pub fn shift_wrapping<T: Copy + Send + Sync>(
+pub fn shift_wrapping<T: Copy>(
     dim: Dim,
     src: &Plane<T>,
     dir: Direction,

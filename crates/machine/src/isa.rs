@@ -146,8 +146,8 @@ pub trait Executor: std::fmt::Debug + Clone {
     type Mask: Clone + std::fmt::Debug + PartialEq;
 
     /// Short backend name used to key wall-clock attribution
-    /// (`exec.<NAME>.<class>.ns` metrics, folded-stack frames). The three
-    /// built-in backends report `"scalar"`, `"packed"`, `"threaded"`.
+    /// (`exec.<NAME>.<class>.ns` metrics, folded-stack frames). The two
+    /// built-in backends report `"scalar"` and `"packed"`.
     const NAME: &'static str = "custom";
 
     /// Converts a plane into the backend mask representation (uncosted
@@ -199,11 +199,7 @@ pub trait Executor: std::fmt::Debug + Clone {
     ) -> Result<Self::Mask, MachineError>;
 
     /// Cluster-head broadcast with the switch pattern given as a plane.
-    ///
-    /// `T: 'static` (here and on the other plane-moving micro-ops) lets a
-    /// backend hand the plane's shared storage to persistent worker
-    /// threads; every plane in the instruction set holds owned values.
-    fn broadcast<T: Copy + Send + Sync + 'static>(
+    fn broadcast<T: Copy>(
         &mut self,
         dim: Dim,
         src: &Plane<T>,
@@ -215,7 +211,7 @@ pub trait Executor: std::fmt::Debug + Clone {
 
     /// Cluster-head broadcast with the switch pattern given as a backend
     /// mask.
-    fn broadcast_masked<T: Copy + Send + Sync + 'static>(
+    fn broadcast_masked<T: Copy>(
         &mut self,
         dim: Dim,
         src: &Plane<T>,
@@ -235,7 +231,7 @@ pub trait Executor: std::fmt::Debug + Clone {
     }
 
     /// Nearest-neighbour shift with an edge fill policy.
-    fn shift<T: Copy + Send + Sync + 'static>(
+    fn shift<T: Copy>(
         &mut self,
         dim: Dim,
         src: &Plane<T>,
@@ -339,7 +335,7 @@ impl Executor for ScalarBackend {
         bus::bus_or(dim, values, dir, open)
     }
 
-    fn broadcast_masked<T: Copy + Send + Sync + 'static>(
+    fn broadcast_masked<T: Copy>(
         &mut self,
         dim: Dim,
         src: &Plane<T>,

@@ -28,7 +28,7 @@
 //! * [`Machine`] — the assembled machine: geometry + execution backend +
 //!   controller, exposing the primitive instruction set;
 //! * [`BackendSpec`] — the runtime choice of host execution backend
-//!   (scalar, packed, or threaded, at either word width), dispatched to a
+//!   (the scalar reference or packed bit-plane words), dispatched to a
 //!   concrete [`Executor`] in one place (backends only affect host
 //!   wall-clock, never the simulated step counts);
 //! * [`render`] — ASCII visualization of switch settings and bus clusters
@@ -79,8 +79,6 @@ pub mod packed;
 pub mod plane;
 pub mod render;
 pub mod switch;
-pub mod threaded;
-pub mod word;
 
 pub use backend::{BackendSpec, BackendVisitor};
 pub use budget::CancelToken;
@@ -95,5 +93,3 @@ pub use packed::{PackedBackend, PackedMask};
 pub use plane::Plane;
 pub use ppa_obs::OccupancySampling;
 pub use switch::SwitchConfig;
-pub use threaded::{SharedMask, ThreadedBackend};
-pub use word::{Word, WordWidth, W256, W64};

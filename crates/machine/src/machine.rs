@@ -389,7 +389,7 @@ impl<E: Executor> Machine<E> {
 
     /// `broadcast(src, dir, L)`: one controller step; every PE receives the
     /// `src` value of the Open node heading its bus cluster.
-    pub fn broadcast<T: Copy + Send + Sync + 'static>(
+    pub fn broadcast<T: Copy>(
         &mut self,
         src: &Plane<T>,
         dir: Direction,
@@ -426,7 +426,7 @@ impl<E: Executor> Machine<E> {
 
     /// `broadcast` with the switch pattern held as a backend mask; same
     /// step cost, fault routing, and observability as the plane form.
-    pub fn broadcast_open<T: Copy + Send + Sync + 'static>(
+    pub fn broadcast_open<T: Copy>(
         &mut self,
         src: &Plane<T>,
         dir: Direction,
@@ -484,7 +484,7 @@ impl<E: Executor> Machine<E> {
 
     /// `shift(src, dir)` with an explicit edge fill policy: one controller
     /// step; data moves one PE towards `dir`.
-    pub fn shift_with<T: Copy + Send + Sync + 'static>(
+    pub fn shift_with<T: Copy>(
         &mut self,
         src: &Plane<T>,
         dir: Direction,
@@ -500,7 +500,7 @@ impl<E: Executor> Machine<E> {
 
     /// `shift(src, dir)`: one controller step; upstream-edge PEs receive
     /// `fill`.
-    pub fn shift<T: Copy + Send + Sync + 'static>(
+    pub fn shift<T: Copy>(
         &mut self,
         src: &Plane<T>,
         dir: Direction,
@@ -510,7 +510,7 @@ impl<E: Executor> Machine<E> {
     }
 
     /// Toroidal `shift`: one controller step.
-    pub fn shift_wrapping<T: Copy + Send + Sync + 'static>(
+    pub fn shift_wrapping<T: Copy>(
         &mut self,
         src: &Plane<T>,
         dir: Direction,

@@ -13,10 +13,11 @@ use std::sync::Arc;
 
 /// A dense plane of values, one per PE, stored row-major.
 ///
-/// Storage is shared copy-on-write: cloning a plane is an `Arc` bump (the
-/// backends lean on this — the threaded backend ships plane data to its
-/// persistent workers without copying), and the mutating helpers
-/// ([`Plane::set`], [`Plane::as_mut_slice`]) unshare the buffer first.
+/// Storage is shared copy-on-write: cloning a plane is an `Arc` bump, and
+/// the mutating helpers ([`Plane::set`], [`Plane::as_mut_slice`]) unshare
+/// the buffer first. The packed backend leans on this: it keys its
+/// bit-sliced scan operands by the storage they were sliced from, so a
+/// plane written after slicing can never be served stale bits.
 #[derive(PartialEq, Eq)]
 pub struct Plane<T> {
     dim: Dim,
@@ -75,8 +76,8 @@ impl<T> Plane<T> {
         &self.data
     }
 
-    /// The shared handle to the row-major storage — how backends hand
-    /// plane data to worker threads without copying.
+    /// The shared handle to the row-major storage — how a backend keys
+    /// per-plane caches by storage identity.
     pub(crate) fn shared(&self) -> Arc<Vec<T>> {
         Arc::clone(&self.data)
     }

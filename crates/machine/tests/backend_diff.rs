@@ -1,12 +1,11 @@
 //! Differential suite: [`PackedBackend`] must be bit-identical to
 //! [`ScalarBackend`] — same results *and* same step counts — over
-//! arbitrary switch patterns, masks, directions and word widths, with and
-//! without fault injection. The backends share the issue side of the
+//! arbitrary switch patterns, masks and directions, with and without
+//! fault injection. The backends share the issue side of the
 //! machine, so any divergence here is an execution-side bug.
 
 use ppa_machine::{
-    bus, Coord, Dim, Direction, Executor, FaultMap, Machine, PackedBackend, Plane, ScalarBackend,
-    TransientFaults, W256,
+    bus, Coord, Dim, Direction, Executor, FaultMap, Machine, Plane, ScalarBackend, TransientFaults,
 };
 use proptest::prelude::*;
 
@@ -42,11 +41,6 @@ fn sparse_plane(rows: usize, cols: usize) -> impl Strategy<Value = Plane<bool>> 
             let open = draws.into_iter().map(|d| d < percent).collect();
             Plane::from_vec(Dim::new(rows, cols), open)
         })
-}
-
-/// A packed machine at 256-bit words.
-fn packed256(dim: Dim) -> Machine<PackedBackend<W256>> {
-    Machine::with_backend(dim, PackedBackend::<W256>::new())
 }
 
 fn value_plane(rows: usize, cols: usize) -> impl Strategy<Value = Plane<i64>> {
@@ -191,10 +185,9 @@ proptest! {
 }
 
 // The packed backend's plan-free broadcasts and packed coverage guardrail
-// against the scalar bus reference, at both word widths. Dims run to 24
-// rows and 70 columns, so rows straddle 64-bit words and planes straddle
-// 256-bit words; sparse patterns give wrapping clusters and driverless
-// lines, whose `BusFault` line lists must agree exactly.
+// against the scalar bus reference. Dims run to 24 rows and 70 columns,
+// so rows straddle 64-bit words; sparse patterns give wrapping clusters
+// and driverless lines, whose `BusFault` line lists must agree exactly.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -208,16 +201,12 @@ proptest! {
         let dim = Dim::new(rows, cols);
         // The identity plane: a wrong head shows up as a wrong value.
         let src = Plane::from_fn(dim, |c| dim.index(c) as i64);
-        let mut w64 = Machine::new_packed(rows, cols);
-        let mut w256 = packed256(dim);
+        let mut packed = Machine::new_packed(rows, cols);
         for dir in DIRECTIONS {
             let want = bus::broadcast(dim, &src, dir, &open);
-            prop_assert_eq!(&w64.broadcast(&src, dir, &open), &want, "{:?} plane/64", dir);
-            prop_assert_eq!(&w256.broadcast(&src, dir, &open), &want, "{:?} plane/256", dir);
-            let l64 = w64.pack_mask(&open).unwrap();
-            let l256 = w256.pack_mask(&open).unwrap();
-            prop_assert_eq!(&w64.broadcast_open(&src, dir, &l64), &want, "{:?} mask/64", dir);
-            prop_assert_eq!(&w256.broadcast_open(&src, dir, &l256), &want, "{:?} mask/256", dir);
+            prop_assert_eq!(&packed.broadcast(&src, dir, &open), &want, "{:?} plane", dir);
+            let mask = packed.pack_mask(&open).unwrap();
+            prop_assert_eq!(&packed.broadcast_open(&src, dir, &mask), &want, "{:?} mask", dir);
         }
     }
 
@@ -231,25 +220,21 @@ proptest! {
         let ((rows, cols), open, sel) = args;
         let dim = Dim::new(rows, cols);
         let mut scalar = Machine::new(rows, cols);
-        let mut w64 = Machine::new_packed(rows, cols);
-        let mut w256 = packed256(dim);
+        let mut packed = Machine::new_packed(rows, cols);
         // The guardrail reads the intended pattern: attached faults and a
         // certain transient glitch must not reach it.
         let faults = FaultMap::random(dim, 2, seed);
         scalar.attach_faults(faults.clone());
-        w64.attach_faults(faults.clone());
-        w256.attach_faults(faults);
-        w64.attach_transient_faults(TransientFaults::new(1.0, seed));
+        packed.attach_faults(faults);
+        packed.attach_transient_faults(TransientFaults::new(1.0, seed));
         for dir in DIRECTIONS {
             let want = bus::bus_or(dim, &sel, dir, &open).unwrap().all();
             prop_assert_eq!(covered(&mut scalar, &sel, dir, &open), want, "{:?} scalar", dir);
-            prop_assert_eq!(covered(&mut w64, &sel, dir, &open), want, "{:?} packed/64", dir);
-            prop_assert_eq!(covered(&mut w256, &sel, dir, &open), want, "{:?} packed/256", dir);
+            prop_assert_eq!(covered(&mut packed, &sel, dir, &open), want, "{:?} packed", dir);
         }
         // Uncosted: no machine issued a single step.
         prop_assert_eq!(scalar.controller().total_steps(), 0);
-        prop_assert_eq!(w64.controller().total_steps(), 0);
-        prop_assert_eq!(w256.controller().total_steps(), 0);
+        prop_assert_eq!(packed.controller().total_steps(), 0);
     }
 }
 
@@ -289,7 +274,7 @@ fn assert_bits_match<E: Executor>(m: &mut Machine<E>, src: &Plane<i64>, order: &
 
 #[test]
 fn one_pass_bit_slices_match_per_bit_extraction() {
-    // 65 PEs cross a 64-bit word; 279 and 300 cross a 256-bit word.
+    // 65, 279 and 300 PEs each end in a partial 64-bit word.
     for (rows, cols) in [(5, 13), (9, 31), (1, 300)] {
         let dim = Dim::new(rows, cols);
         for h in 1..=62u32 {
@@ -300,7 +285,6 @@ fn one_pass_bit_slices_match_per_bit_extraction() {
             let lsb_first: Vec<u32> = (0..h).collect();
             for order in [&msb_first, &lsb_first] {
                 assert_bits_match(&mut Machine::new_packed(rows, cols), &src, order);
-                assert_bits_match(&mut packed256(dim), &src, order);
             }
         }
     }
@@ -310,25 +294,20 @@ fn one_pass_bit_slices_match_per_bit_extraction() {
 fn slices_never_serve_a_plane_written_after_slicing() {
     let dim = Dim::new(9, 31);
     let scan: Vec<u32> = (0..8).rev().collect();
-    let mut w64 = Machine::new_packed(9, 31);
-    let mut w256 = packed256(dim);
+    let mut packed = Machine::new_packed(9, 31);
     let mut src = h_bit_plane(dim, 8, 3);
-    assert_bits_match(&mut w64, &src, &scan);
-    assert_bits_match(&mut w256, &src, &scan);
+    assert_bits_match(&mut packed, &src, &scan);
 
     // A host-side write to the sliced plane.
     src.set(Coord::new(4, 7), 255);
     src.set(Coord::new(0, 0), 0);
-    assert_bits_match(&mut w64, &src, &scan);
-    assert_bits_match(&mut w256, &src, &scan);
-    let top = w64.mask_bit(&src, 7).unwrap();
-    assert!(w64.unpack_mask(&top).get(Coord::new(4, 7)));
+    assert_bits_match(&mut packed, &src, &scan);
+    let top = packed.mask_bit(&src, 7).unwrap();
+    assert!(packed.unpack_mask(&top).get(Coord::new(4, 7)));
 
     // A costed in-place masked write, as the solver updates SOW.
     let other = h_bit_plane(dim, 8, 4);
     let mask = Plane::from_fn(dim, |c| (c.row + c.col) % 3 == 0);
-    w64.assign_masked(&mut src, &other, &mask).unwrap();
-    assert_bits_match(&mut w64, &src, &scan);
-    w256.assign_masked(&mut src, &other, &mask).unwrap();
-    assert_bits_match(&mut w256, &src, &scan);
+    packed.assign_masked(&mut src, &other, &mask).unwrap();
+    assert_bits_match(&mut packed, &src, &scan);
 }

@@ -108,8 +108,8 @@ pub struct ClassWall {
 /// in a timer and records the elapsed host nanoseconds under the
 /// instruction's class label (`"alu"`, `"shift"`, ...), so each class's
 /// `count` reconciles 1:1 with the controller's `steps.<class>` counters.
-/// The profile identifies which backend executed (`"scalar"`, `"packed"`,
-/// `"threaded"`), emits into a [`Metrics`] registry as
+/// The profile identifies which backend executed (`"scalar"` or
+/// `"packed"`), emits into a [`Metrics`] registry as
 /// `exec.<backend>.<class>.ns` / `.count`, and renders as
 /// `inferno`-compatible folded-stack lines for flamegraphs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -305,13 +305,13 @@ mod tests {
 
     #[test]
     fn micro_profile_emits_exec_counters() {
-        let mut p = MicroProfile::new("threaded");
+        let mut p = MicroProfile::new("packed");
         p.record("shift", 40);
         p.record("shift", 2);
         let mut m = Metrics::new();
         p.emit(&mut m);
-        assert_eq!(m.counter("exec.threaded.shift.ns"), 42);
-        assert_eq!(m.counter("exec.threaded.shift.count"), 2);
+        assert_eq!(m.counter("exec.packed.shift.ns"), 42);
+        assert_eq!(m.counter("exec.packed.shift.count"), 2);
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl<E: Executor> Ppa<E> {
     }
 
     /// Elementwise select `if m { a } else { b }` (one step).
-    pub fn select<T: Copy + Send + Sync>(
+    pub fn select<T: Copy>(
         &mut self,
         m: &Parallel<bool>,
         a: &Parallel<T>,

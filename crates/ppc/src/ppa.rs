@@ -309,11 +309,7 @@ impl<E: Executor> Ppa<E> {
 
     /// Masked assignment `dst = src` under the current activity mask:
     /// one controller step. Inactive PEs keep their previous value.
-    pub fn assign<T: Copy + Send + Sync>(
-        &mut self,
-        dst: &mut Parallel<T>,
-        src: &Parallel<T>,
-    ) -> Result<()> {
+    pub fn assign<T: Copy>(&mut self, dst: &mut Parallel<T>, src: &Parallel<T>) -> Result<()> {
         match self.masks.last() {
             None => {
                 // All active: plain register copy.
@@ -330,11 +326,7 @@ impl<E: Executor> Ppa<E> {
 
     /// Masked assignment of an immediate (`dst = k`): one controller step
     /// for the immediate load plus one for the masked write.
-    pub fn assign_imm<T: Copy + Send + Sync>(
-        &mut self,
-        dst: &mut Parallel<T>,
-        value: T,
-    ) -> Result<()> {
+    pub fn assign_imm<T: Copy>(&mut self, dst: &mut Parallel<T>, value: T) -> Result<()> {
         let imm = self.machine.imm(value);
         self.assign(dst, &imm)
     }
@@ -352,18 +344,14 @@ impl<E: Executor> Ppa<E> {
     }
 
     /// Broadcast of a controller scalar into every PE (one step).
-    pub fn constant<T: Clone + Send + Sync>(&mut self, value: T) -> Parallel<T> {
+    pub fn constant<T: Clone>(&mut self, value: T) -> Parallel<T> {
         self.machine.imm(value)
     }
 
     /// Per-lane scalar broadcast: lane `l` (columns `l*lane_cols ..
     /// (l+1)*lane_cols`) receives `values[l]` (one step — each lane's
     /// sub-controller issues its immediate in lockstep).
-    pub fn lane_constant<T: Clone + Send + Sync>(
-        &mut self,
-        values: &[T],
-        lane_cols: usize,
-    ) -> Parallel<T> {
+    pub fn lane_constant<T: Clone>(&mut self, values: &[T], lane_cols: usize) -> Parallel<T> {
         self.machine.lane_imm(values, lane_cols)
     }
 
@@ -377,7 +365,7 @@ impl<E: Executor> Ppa<E> {
     /// The PPC `shift(src, dir)` primitive (one step). Upstream-edge PEs
     /// receive `fill` (PPC leaves them implementation-defined; the
     /// algorithms in this suite never read them).
-    pub fn shift<T: Copy + Send + Sync + 'static>(
+    pub fn shift<T: Copy>(
         &mut self,
         src: &Parallel<T>,
         dir: Direction,
@@ -390,7 +378,7 @@ impl<E: Executor> Ppa<E> {
     /// parallel logical variable whose `true` elements configure their
     /// switch boxes Open; every PE receives the value injected by the Open
     /// head of its bus cluster.
-    pub fn broadcast<T: Copy + Send + Sync + 'static>(
+    pub fn broadcast<T: Copy>(
         &mut self,
         src: &Parallel<T>,
         dir: Direction,

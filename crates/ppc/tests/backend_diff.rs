@@ -4,7 +4,7 @@
 //! [`PackedBackend`] as on the scalar backend, over arbitrary switch
 //! patterns, selections, and word widths.
 
-use ppa_machine::{bus, Dim, Direction, PackedBackend, W256};
+use ppa_machine::{bus, Dim, Direction, PackedBackend};
 use ppa_ppc::{Parallel, Ppa, PpcError};
 use proptest::prelude::*;
 
@@ -133,7 +133,6 @@ proptest! {
         let (n, vals, open_draws, sel_draws) = args;
         let dim = Dim::square(n);
         let (mut s, mut p) = pair(n, 6);
-        let mut w = Ppa::with_backend(n, PackedBackend::<W256>::new()).with_word_bits(6);
         let src = Parallel::from_vec(dim, vals);
         // Sparse and unrepaired: some lines have no Open node (one
         // floating cluster for the guardrail, a BusFault for the resolve
@@ -143,14 +142,11 @@ proptest! {
 
         let got_s = s.selected_min(&src, dir, &open, &sel);
         let got_p = p.selected_min(&src, dir, &open, &sel);
-        let got_w = w.selected_min(&src, dir, &open, &sel);
         if !bus::bus_or(dim, &sel, dir, &open).unwrap().all() {
             prop_assert_eq!(&got_s, &Err(PpcError::EmptySelection));
         }
         prop_assert_eq!(&got_p, &got_s);
-        prop_assert_eq!(&got_w, &got_s);
         prop_assert_eq!(s.steps(), p.steps());
-        prop_assert_eq!(s.steps(), w.steps());
     }
 
     #[test]

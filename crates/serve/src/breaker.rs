@@ -69,7 +69,7 @@ pub struct CircuitBreaker {
 /// What the breaker wants for the next job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// Run the job on the configured fast backend (packed or threaded).
+    /// Run the job on the configured fast backend (packed).
     Packed,
     /// Run the job on the scalar backend.
     Scalar,

@@ -19,7 +19,7 @@
 //!   are retried on a fresh machine with exponential backoff + jitter
 //!   ([`RetryPolicy`]), reusing the recovery layer's failure taxonomy.
 //! * **Circuit breaking** — repeated failures on the fast backend
-//!   ([`ServeConfig::backend`]: packed by default, or threaded) trip a
+//!   ([`ServeConfig::backend`]: packed by default) trip a
 //!   [`CircuitBreaker`] that falls back to the scalar
 //!   reference backend and only re-admits fast traffic after a live
 //!   divergence probe passes.

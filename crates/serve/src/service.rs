@@ -31,7 +31,7 @@ use crate::BreakerConfig;
 use ppa_graph::{Weight, WeightMatrix, INF};
 use ppa_machine::{
     BackendSpec, BackendVisitor, CancelToken, Executor, FaultMap, FaultReport, Machine,
-    TransientFaults, WordWidth,
+    TransientFaults,
 };
 use ppa_mcp::batch::replicate;
 use ppa_mcp::widest::{widest_path, WidestOutput};
@@ -105,9 +105,7 @@ impl Default for ServeConfig {
             default_step_budget: None,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
-            backend: BackendSpec::Packed {
-                word: WordWidth::W64,
-            },
+            backend: BackendSpec::Packed,
             seed: 0x5eed,
             batching: BatchingConfig::default(),
             redundancy: Redundancy::Off,
@@ -2366,51 +2364,12 @@ mod tests {
         assert_eq!(report.backend, Some(BackendSpec::Scalar));
         // Clean job: half-open -> divergence probe passes -> packed again.
         let clean = svc
-            .submit(JobSpec::new(w, JobKind::Shortest { dest: 0 }))
-            .unwrap()
-            .wait();
-        assert!(clean.outcome.is_ok());
-        assert_eq!(clean.backend, Some(ServeConfig::default().backend));
-        assert_eq!(svc.breaker_state(), BreakerState::Closed);
-        let metrics = svc.shutdown();
-        assert_eq!(metrics.counter("serve.breaker.trips"), 1);
-        assert_eq!(metrics.counter("serve.breaker.scalar_fallback"), 1);
-        assert_eq!(metrics.counter("serve.breaker.probes"), 1);
-        assert_eq!(metrics.counter("serve.breaker.probe_pass"), 1);
-    }
-
-    #[test]
-    fn breaker_downgrades_threaded_to_scalar_and_probe_recovers() {
-        let w = gen::random_connected(6, 0.5, 9, 4);
-        let threaded: BackendSpec = "threaded/64x3".parse().unwrap();
-        let svc = SolveService::start(ServeConfig {
-            workers: 1,
-            backend: threaded,
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                cooldown_jobs: 1,
-            },
-            ..quick_config()
-        });
-        // Attempts 1+2 fail on the threaded backend (tripping at
-        // threshold 2); attempt 3 routes scalar — the breaker guards the
-        // threaded fast path exactly as it guards packed.
-        let mut faulty = JobSpec::new(w.clone(), JobKind::Shortest { dest: 0 });
-        faulty.transient_faults = Some((1.0, 7));
-        let report = svc.submit(faulty).unwrap().wait();
-        assert!(report.outcome.is_err());
-        assert_eq!(report.backend, Some(BackendSpec::Scalar));
-        assert_ne!(svc.breaker_state(), BreakerState::Closed);
-        // Clean job: half-open -> threaded-vs-scalar divergence probe
-        // passes -> threaded traffic resumes.
-        let clean = svc
             .submit(JobSpec::new(w.clone(), JobKind::Shortest { dest: 0 }))
             .unwrap()
             .wait();
-        assert!(clean.outcome.is_ok());
-        assert_eq!(clean.backend, Some(threaded));
+        assert_eq!(clean.backend, Some(BackendSpec::Packed));
         assert_eq!(svc.breaker_state(), BreakerState::Closed);
-        // The threaded answer that came back is the scalar answer: the
+        // The packed answer that came back is the scalar answer: the
         // soak campaign's silent_wrong: 0 invariant has teeth here too.
         let want = McpSession::new(&w).unwrap().solve_verified(0).unwrap();
         match clean.outcome.unwrap() {
@@ -2423,6 +2382,7 @@ mod tests {
         let metrics = svc.shutdown();
         assert_eq!(metrics.counter("serve.breaker.trips"), 1);
         assert_eq!(metrics.counter("serve.breaker.scalar_fallback"), 1);
+        assert_eq!(metrics.counter("serve.breaker.probes"), 1);
         assert_eq!(metrics.counter("serve.breaker.probe_pass"), 1);
     }
 

@@ -520,8 +520,8 @@ pub enum Response {
         outcome: Json,
         /// Solve attempts executed.
         attempts: u64,
-        /// Backend kind of the final attempt (`scalar`, `packed`, or
-        /// `threaded`; see `BackendSpec::kind`).
+        /// Backend of the final attempt (`scalar` or `packed`, as
+        /// `BackendSpec` prints).
         backend: Option<String>,
         /// Submission-to-completion wall time in microseconds.
         latency_us: u64,

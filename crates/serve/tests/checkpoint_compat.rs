@@ -1,10 +1,10 @@
 //! Checkpoint version compatibility: a future (bumped) version field must
 //! surface as a typed resume error — never a panic and never a silent
 //! from-scratch re-run — while a same-version checkpoint resumes
-//! byte-identically, including when the service routes to the threaded
-//! backend.
+//! byte-identically on a fresh packed service.
 
 use ppa_graph::gen;
+use ppa_machine::BackendSpec;
 use ppa_serve::{
     ApspCheckpoint, JobKind, JobOutcome, JobSpec, ServeConfig, ServeError, SolveService,
 };
@@ -74,21 +74,20 @@ fn bumped_checkpoint_version_is_a_typed_error_not_a_rerun() {
 }
 
 #[test]
-fn same_version_resume_is_byte_identical_on_the_threaded_backend() {
+fn same_version_resume_is_byte_identical_on_a_fresh_service() {
     let w = gen::random_connected(6, 0.45, 9, 78);
-    let threaded = ServeConfig {
+    let packed = ServeConfig {
         workers: 1,
-        backend: "threaded/64x3".parse().unwrap(),
         ..ServeConfig::default()
     };
 
-    // Reference: uninterrupted campaign, all on the threaded backend.
-    let svc = SolveService::start(threaded.clone());
+    // Reference: uninterrupted campaign, all on the packed backend.
+    let svc = SolveService::start(packed.clone());
     let full = svc
         .submit(JobSpec::new(w.clone(), apsp(None)))
         .unwrap()
         .wait();
-    assert_eq!(full.backend, Some(threaded.backend));
+    assert_eq!(full.backend, Some(BackendSpec::Packed));
     let JobOutcome::Apsp(reference) = full.outcome.unwrap() else {
         panic!("expected an APSP outcome");
     };
@@ -108,13 +107,13 @@ fn same_version_resume_is_byte_identical_on_the_threaded_backend() {
     assert!(progress.next_dest() > 0 && !progress.is_complete());
     svc.shutdown();
 
-    // A fresh threaded service resumes it to the identical document.
-    let svc = SolveService::start(threaded.clone());
+    // A fresh packed service resumes it to the identical document.
+    let svc = SolveService::start(packed);
     let resumed = svc
         .submit(JobSpec::new(w, apsp(Some(checkpoint))))
         .unwrap()
         .wait();
-    assert_eq!(resumed.backend, Some(threaded.backend));
+    assert_eq!(resumed.backend, Some(BackendSpec::Packed));
     let JobOutcome::Apsp(final_doc) = resumed.outcome.unwrap() else {
         panic!("resumed campaign must complete");
     };

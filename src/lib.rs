@@ -35,7 +35,7 @@ pub use ppc_lang as lang;
 pub mod prelude {
     pub use ppa_baselines::{all_solvers, BaselineResult, McpSolver};
     pub use ppa_graph::{gen, reference, validate, Weight, WeightMatrix, INF};
-    pub use ppa_machine::{Coord, Dim, Direction, StepReport, ThreadedBackend};
+    pub use ppa_machine::{Coord, Dim, Direction, PackedBackend, StepReport};
     pub use ppa_mcp::apsp::{all_pairs, single_source};
     pub use ppa_mcp::closure::{reachability, transitive_closure};
     pub use ppa_mcp::mcp::{fit_word_bits, minimum_cost_path, minimum_cost_path_auto};

@@ -1,13 +1,23 @@
 //! Integration checks for the pluggable-backend acceptance criteria:
 //! the packed backend solves MCP bit-identically to the scalar backend
-//! (outputs *and* step counters), sessions match the one-shot drivers,
-//! and a session reuses its plan cache and mask arena across
-//! destinations instead of re-allocating.
+//! (outputs *and* step counters) — on random digraphs, under injected
+//! transient faults, exhausted step budgets and cancellation, and across
+//! lane seams — sessions match the one-shot drivers, and a session
+//! reuses its plan cache and mask arena across destinations instead of
+//! re-allocating.
+
+use std::time::{Duration, Instant};
 
 use ppa_graph::gen;
-use ppa_machine::PackedBackend;
-use ppa_mcp::{apsp, mcp::minimum_cost_path, McpSession};
+use ppa_machine::{CancelToken, PackedBackend, TransientFaults};
+use ppa_mcp::batch::replicate;
+use ppa_mcp::mcp::{fit_word_bits, McpOutput};
+use ppa_mcp::{apsp, mcp::minimum_cost_path, BatchSession, McpError, McpSession};
 use ppa_ppc::Ppa;
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn packed_mcp_matches_scalar_mcp_exactly() {
@@ -66,4 +76,203 @@ fn session_reuses_planes_and_plans_across_destinations() {
         done.plan_hit_rate() > 0.9,
         "bus-plan cache should be warm across destinations: {done:?}"
     );
+}
+
+/// A packed runtime of `n x n` PEs at `h` bits.
+fn packed_ppa(n: usize, h: u32) -> Ppa<PackedBackend> {
+    Ppa::<PackedBackend>::packed(n).with_word_bits(h)
+}
+
+/// Asserts two possibly-failed MCP runs agree: equal outputs on success,
+/// equal error text on failure, and no success/failure split.
+fn same_outcome(
+    want: &Result<McpOutput, McpError>,
+    got: &Result<McpOutput, McpError>,
+) -> Result<(), TestCaseError> {
+    match (want, got) {
+        (Ok(a), Ok(b)) => {
+            prop_assert_eq!(&a.sow, &b.sow, "sow diverged");
+            prop_assert_eq!(&a.ptn, &b.ptn, "ptn diverged");
+            prop_assert_eq!(a.iterations, b.iterations, "iterations diverged");
+        }
+        (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "errors diverged"),
+        (a, b) => prop_assert!(false, "divergent outcomes: {:?} vs {:?}", a, b),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn packed_mcp_matches_scalar_on_random_digraphs(
+        (n, seed) in (4usize..=8, 0u64..1000),
+        dest_pick in 0usize..8,
+    ) {
+        let w = gen::random_digraph(n, 0.4, 15, seed);
+        let h = fit_word_bits(&w).clamp(2, 62);
+        let d = dest_pick % n;
+
+        let mut scalar = Ppa::square(n).with_word_bits(h);
+        let a = minimum_cost_path(&mut scalar, &w, d).unwrap();
+        let mut packed = packed_ppa(n, h);
+        let b = minimum_cost_path(&mut packed, &w, d).unwrap();
+        prop_assert_eq!(&b.sow, &a.sow);
+        prop_assert_eq!(&b.ptn, &a.ptn);
+        prop_assert_eq!(b.iterations, a.iterations);
+        prop_assert_eq!(packed.steps(), scalar.steps());
+    }
+
+    #[test]
+    fn packed_transient_faults_land_identically(
+        seed in 0u64..500,
+        p_fault in prop_oneof![Just(0.002f64), Just(0.01), Just(1.0)],
+    ) {
+        let n = 6;
+        let w = gen::random_connected(n, 0.45, 9, seed);
+        let h = fit_word_bits(&w).clamp(2, 62);
+
+        // Fault routing lives on the issue side, so the corrupted run —
+        // success or failure — must be bit-identical on both backends.
+        let mut scalar = Ppa::square(n).with_word_bits(h);
+        scalar
+            .machine_mut()
+            .attach_transient_faults(TransientFaults::new(p_fault, seed));
+        let want = minimum_cost_path(&mut scalar, &w, 0);
+        let mut packed = packed_ppa(n, h);
+        packed
+            .machine_mut()
+            .attach_transient_faults(TransientFaults::new(p_fault, seed));
+        same_outcome(&want, &minimum_cost_path(&mut packed, &w, 0))?;
+        prop_assert_eq!(packed.steps(), scalar.steps());
+    }
+
+    #[test]
+    fn packed_step_budgets_exhaust_on_the_same_step(
+        seed in 0u64..200,
+        budget in 5u64..400,
+    ) {
+        let n = 6;
+        let w = gen::random_connected(n, 0.45, 9, seed);
+        let h = fit_word_bits(&w).clamp(2, 62);
+
+        let mut scalar = Ppa::square(n).with_word_bits(h);
+        scalar.limit_steps(budget);
+        let want = minimum_cost_path(&mut scalar, &w, 0);
+        let mut packed = packed_ppa(n, h);
+        packed.limit_steps(budget);
+        same_outcome(&want, &minimum_cost_path(&mut packed, &w, 0))?;
+        // Exhaustion lands on the same controller step: the budget left
+        // over must agree exactly, not just the error kind.
+        prop_assert_eq!(packed.steps_remaining(), scalar.steps_remaining());
+        prop_assert_eq!(packed.steps(), scalar.steps());
+    }
+
+    #[test]
+    fn packed_precancelled_solves_fail_identically(seed in 0u64..200) {
+        let n = 6;
+        let w = gen::random_connected(n, 0.45, 9, seed);
+        let h = fit_word_bits(&w).clamp(2, 62);
+
+        // A pre-raised token is the deterministic case: both backends
+        // must refuse at their first fallible instruction with the same
+        // typed error and the same number of issued steps.
+        let cancelled = || {
+            let token = CancelToken::new();
+            token.cancel();
+            token
+        };
+        let mut scalar = Ppa::square(n).with_word_bits(h);
+        scalar.attach_cancel(cancelled());
+        let want = minimum_cost_path(&mut scalar, &w, 0);
+        prop_assert!(want.as_ref().is_err_and(McpError::is_cancelled), "{:?}", want);
+        let mut packed = packed_ppa(n, h);
+        packed.attach_cancel(cancelled());
+        same_outcome(&want, &minimum_cost_path(&mut packed, &w, 0))?;
+        prop_assert_eq!(packed.steps(), scalar.steps());
+    }
+}
+
+/// Cancellation mid-solve, 120 times on one long-lived packed runtime: a
+/// watchdog thread fires the token after a seeded delay drawn across the
+/// solve's duration. Whatever the race decides, the outcome is either
+/// the scalar reference answer or a clean `Cancelled` — never anything
+/// in between — and the runtime (plan cache, slice cache, mask arena)
+/// still solves correctly afterwards.
+#[test]
+fn packed_midflight_cancellation_leaves_the_runtime_usable() {
+    let mut rng = SmallRng::seed_from_u64(0xCA9CE1);
+    let n = 16;
+    let w = gen::random_connected(n, 0.3, 25, 99);
+    let h = fit_word_bits(&w).clamp(2, 62);
+    let want = minimum_cost_path(&mut Ppa::square(n).with_word_bits(h), &w, 0).unwrap();
+
+    let mut packed = packed_ppa(n, h);
+    let start = Instant::now();
+    minimum_cost_path(&mut packed, &w, 0).unwrap();
+    let solve_us = start.elapsed().as_micros().max(1) as u64;
+    let mut cancelled = 0u32;
+    for iter in 0..120 {
+        let token = CancelToken::new();
+        packed.attach_cancel(token.clone());
+        let delay = Duration::from_micros(rng.gen_range(0..2 * solve_us));
+        let killer = std::thread::spawn(move || {
+            std::thread::sleep(delay);
+            token.cancel();
+        });
+        match minimum_cost_path(&mut packed, &w, 0) {
+            Ok(out) => {
+                assert_eq!(out.sow, want.sow, "iter {iter}");
+                assert_eq!(out.ptn, want.ptn, "iter {iter}");
+            }
+            Err(e) if e.is_cancelled() => cancelled += 1,
+            Err(other) => panic!("iter {iter}: unexpected failure {other:?}"),
+        }
+        killer.join().expect("cancel thread must not panic");
+        packed.reset_steps();
+    }
+    assert!(cancelled > 0, "no solve was ever cancelled mid-flight");
+
+    packed.attach_cancel(CancelToken::new());
+    let after = minimum_cost_path(&mut packed, &w, 0).unwrap();
+    assert_eq!(after.sow, want.sow);
+    assert_eq!(after.ptn, want.ptn);
+}
+
+/// Lane seams must be invisible to packed words: a two-lane batch on a
+/// 20-vertex graph builds a 20 x 40 machine whose lane seams sit at
+/// columns 20 and 40 of each row, while the 64-bit word boundaries fall
+/// at flat indices 64, 128, ... — inside lanes, so most words span a
+/// seam. Each lane must still match a solo scalar run exactly.
+#[test]
+fn lane_seam_straddling_a_word_boundary_is_invisible() {
+    let n = 20usize;
+    let lanes = 2usize;
+    let w = gen::random_connected(n, 0.3, 25, 0xA11CE);
+    let graphs = replicate(&w, lanes);
+    let dests = [3usize, 17];
+
+    let mut batch = BatchSession::new_packed(&graphs).unwrap();
+    let wave = batch.solve(&dests).unwrap();
+    let word_bits = batch.word_bits();
+
+    for (lane, &d) in dests.iter().enumerate() {
+        let got = wave[lane].as_ref().expect("lane converges");
+        let solo = Ppa::square(n).with_word_bits(word_bits);
+        let want = McpSession::from_ppa(solo, &w)
+            .and_then(|mut s| s.solve(d))
+            .unwrap();
+        assert_eq!(
+            got.sow, want.sow,
+            "lane {lane}: SOW diverged across the seam"
+        );
+        assert_eq!(
+            got.ptn, want.ptn,
+            "lane {lane}: PTN diverged across the seam"
+        );
+        assert_eq!(
+            got.stats.total, want.stats.total,
+            "lane {lane}: step report diverged across the seam"
+        );
+    }
 }

@@ -142,20 +142,18 @@ fn total_steps_are_linear_in_p() {
 }
 
 #[test]
-fn threaded_engine_is_bit_identical_to_sequential() {
+fn packed_engine_is_bit_identical_to_sequential() {
     let w = gen::random_connected(16, 0.2, 20, 9);
     let mut seq = Ppa::square(16).with_word_bits(12);
     let a = minimum_cost_path(&mut seq, &w, 5).unwrap();
-    // A zero cutoff sends every micro-op through the 4-shard worker pool,
-    // even on this 256-PE array.
-    let pool: ThreadedBackend = ThreadedBackend::with_min_parallel(4, 0);
-    let mut thr = Ppa::with_backend(16, pool).with_word_bits(12);
-    let b = minimum_cost_path(&mut thr, &w, 5).unwrap();
+    // 256 PEs: four packed words per mask plane.
+    let mut packed = Ppa::with_backend(16, PackedBackend::new()).with_word_bits(12);
+    let b = minimum_cost_path(&mut packed, &w, 5).unwrap();
     assert_eq!(a.sow, b.sow);
     assert_eq!(a.ptn, b.ptn);
     assert_eq!(
         a.stats.total, b.stats.total,
-        "step counts must not depend on host threads"
+        "step counts must not depend on the host backend"
     );
 }
 

@@ -9,8 +9,8 @@
 //! * algorithm laws — MCP cost vectors equal Bellman-Ford on arbitrary
 //!   digraphs, `PTN` chains re-sum to their claimed costs, and the
 //!   interpreted PPC program agrees with the native implementation;
-//! * backend laws — the threaded backend's worker pool is bit-identical
-//!   to the sequential scalar reference.
+//! * backend laws — the packed backend is bit-identical to the scalar
+//!   reference.
 
 #![allow(clippy::needless_range_loop)]
 use ppa_suite::prelude::*;
@@ -196,16 +196,15 @@ proptest! {
     }
 
     #[test]
-    fn threaded_equals_sequential(w in digraph(8), threads in 2usize..5) {
+    fn packed_equals_sequential(w in digraph(8)) {
         let d = 0;
         let h = fit_word_bits(&w).clamp(2, 62);
         let mut seq = Ppa::square(w.n()).with_word_bits(h);
         let a = ppa_mcp::minimum_cost_path(&mut seq, &w, d).unwrap();
-        // A zero cutoff sends every micro-op through the worker pool.
-        let pool: ThreadedBackend = ThreadedBackend::with_min_parallel(threads, 0);
-        let mut thr = Ppa::with_backend(w.n(), pool).with_word_bits(h);
-        let b = ppa_mcp::minimum_cost_path(&mut thr, &w, d).unwrap();
+        let mut packed = Ppa::with_backend(w.n(), PackedBackend::new()).with_word_bits(h);
+        let b = ppa_mcp::minimum_cost_path(&mut packed, &w, d).unwrap();
         prop_assert_eq!(a.sow, b.sow);
+        prop_assert_eq!(a.ptn, b.ptn);
         prop_assert_eq!(a.stats.total, b.stats.total);
     }
 
