@@ -19,14 +19,17 @@
 //! `--metrics FILE` a metrics snapshot JSON. `--backend` selects the
 //! execution backend: `scalar` (the reference) or `packed` (u64 bit-plane
 //! masks with bus-plan caching) — results and step counts are identical
-//! on both, only host wall-clock differs.
+//! on both, only host wall-clock differs. Without `--backend`, inline
+//! runs use `scalar` and `--serve`/`--listen` use the service default
+//! (`packed`).
 //!
 //! `--batch L` turns on lane batching. Inline (`--problem shortest`) it
 //! solves a wavefront of `L` destinations — `d`, `d+1`, … mod `n` — on
 //! one lane-concatenated machine in a single micro-op stream, printing
 //! lane 0 exactly like a solo run plus a batch summary. With `--serve`
-//! or `--listen` it enables the service's coalescer, which groups
-//! compatible pending shortest jobs into waves of up to `L` lanes.
+//! or `--listen` it turns on the service's batching: a worker that picks
+//! up a shortest job also takes queued compatible jobs, up to `L` lanes,
+//! but never waits for them.
 //!
 //! `--serve` routes the job through the hardened [`ppa_serve`] service
 //! instead of solving inline: a worker pool with deadlines (cooperative
@@ -69,7 +72,9 @@ struct Options {
     dest: Option<usize>,
     problem: String,
     source_mode: bool,
-    backend: BackendSpec,
+    /// `None` without `--backend`: scalar inline, the service default
+    /// when serving.
+    backend: Option<BackendSpec>,
     show_steps: bool,
     show_paths: bool,
     trace_file: Option<String>,
@@ -111,7 +116,7 @@ fn parse_args() -> Options {
         dest: None,
         problem: "shortest".into(),
         source_mode: false,
-        backend: BackendSpec::Scalar,
+        backend: None,
         show_steps: false,
         show_paths: false,
         trace_file: None,
@@ -137,10 +142,10 @@ fn parse_args() -> Options {
             "--problem" => opts.problem = args.next().unwrap_or_else(|| usage()),
             "--backend" => {
                 let v = args.next().unwrap_or_else(|| usage());
-                opts.backend = v.parse().unwrap_or_else(|e| {
+                opts.backend = Some(v.parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
-                });
+                }));
             }
             "--source" => opts.source_mode = true,
             "--steps" => opts.show_steps = true,
@@ -390,16 +395,18 @@ fn solve_inline(run: Inline, w: &WeightMatrix, d: usize, opts: &Options) {
         }
     }
 
-    opts.backend.dispatch(Solve { run, w, d, opts });
+    let backend = opts.backend.unwrap_or(BackendSpec::Scalar);
+    backend.dispatch(Solve { run, w, d, opts });
 }
 
 /// The service configuration `--serve` and `--listen` share.
 fn serve_config(opts: &Options) -> ServeConfig {
+    let defaults = ServeConfig::default();
     let mut config = ServeConfig {
         workers: opts.workers.max(1),
-        backend: opts.backend,
+        backend: opts.backend.unwrap_or(defaults.backend),
         redundancy: opts.redundancy,
-        ..ServeConfig::default()
+        ..defaults
     };
     if let Some(lanes) = opts.batch {
         config.batching.enabled = true;

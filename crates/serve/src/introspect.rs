@@ -253,10 +253,7 @@ pub struct Introspection {
     pub queue_depth: u64,
     /// Whether the intake is open (`false` once a drain began).
     pub accepting: bool,
-    /// Jobs the coalescer is holding for batchmates (a subset of
-    /// `queue_depth`; always 0 with batching disabled).
-    pub batch_pending: u64,
-    /// Lanes of coalesced batches executing right now (counts lanes,
+    /// Lanes of batched waves executing right now (counts lanes,
     /// not batches; always 0 with batching disabled).
     pub batch_lanes_inflight: u64,
     /// Jobs currently executing, ordered by id.
@@ -287,7 +284,6 @@ impl Introspection {
         Json::obj(vec![
             ("queue_depth", Json::Num(self.queue_depth as f64)),
             ("accepting", Json::Bool(self.accepting)),
-            ("batch_pending", Json::Num(self.batch_pending as f64)),
             (
                 "batch_lanes_inflight",
                 Json::Num(self.batch_lanes_inflight as f64),
@@ -344,7 +340,6 @@ impl Introspection {
                 Some(Json::Bool(b)) => *b,
                 _ => return Err("missing accepting flag".to_owned()),
             },
-            batch_pending: field_u64(v, "batch_pending")?,
             batch_lanes_inflight: field_u64(v, "batch_lanes_inflight")?,
             inflight,
             workers,
@@ -458,7 +453,6 @@ mod tests {
         Introspection {
             queue_depth: 2,
             accepting: true,
-            batch_pending: 1,
             batch_lanes_inflight: 3,
             inflight: vec![InflightJob {
                 id: 7,

@@ -11,6 +11,11 @@
 //!    │            │ never run     │ replace    │ feed the circuit breaker
 //! ```
 //!
+//! An idle worker never waits for batchmates: it takes the oldest queued
+//! job at once. With batching on, it also takes queued jobs of the same
+//! batch key (see [`BatchingConfig`]), so waves form only from jobs that
+//! would otherwise wait behind busy workers.
+//!
 //! Every attempt runs on a **fresh machine** (transient faults do not
 //! outlive an attempt), under a cooperative [`CancelToken`] armed by the
 //! deadline watchdog and a controller step budget
@@ -42,11 +47,11 @@ use ppa_obs::{Json, Metrics};
 use ppa_ppc::Ppa;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -75,10 +80,12 @@ pub struct ServeConfig {
     /// Seed for worker-local RNGs (retry jitter). Worker `k` derives its
     /// stream from `seed` and `k`, so runs are reproducible.
     pub seed: u64,
-    /// Lane-batched solving: coalesce compatible shortest-path jobs into
-    /// one [`BatchSession`] wave and run APSP campaigns in destination
-    /// wavefronts. Off by default — batching changes latency shape, not
-    /// results (every lane is bit-identical to its solo run).
+    /// Lane-batched solving: a worker that picks up a shortest-path job
+    /// also takes queued jobs of the same size and word fit and solves
+    /// them as lanes of one [`BatchSession`] wave, and APSP campaigns run
+    /// in destination wavefronts. Off by default. Batching changes
+    /// scheduling, not results (every lane is bit-identical to its solo
+    /// run).
     pub batching: BatchingConfig,
     /// Lane-replicated redundant execution for shortest-path jobs:
     /// `Dmr` detects a corrupted replica by vote alone, `Tmr` can also
@@ -116,19 +123,22 @@ impl Default for ServeConfig {
     }
 }
 
-/// Tuning for the coalescing stage between intake and the worker pool.
+/// Which queued jobs a worker takes together as one lane-batched wave.
+///
+/// Nothing is ever held for batchmates. A worker takes the oldest queued
+/// job as soon as it is idle. If that job is a shortest-path job, it also
+/// takes queued jobs with the same batch key (machine size and fitted
+/// word width), up to `max_lanes` and up to its share of the backlog,
+/// `⌈queued / workers⌉`. The share splits a backlog across the pool
+/// instead of landing it on one worker.
 #[derive(Debug, Clone)]
 pub struct BatchingConfig {
-    /// Enable the coalescer. When `false` (the default) every job flows
-    /// straight to a worker exactly as before batching existed.
+    /// Enable batching. When `false` (the default) every worker takes one
+    /// job at a time.
     pub enabled: bool,
-    /// Most jobs coalesced into one wave (clamped to `1..=64`, the
-    /// simulator's lane ceiling). A full wave flushes immediately.
+    /// Most jobs in one wave (clamped to `1..=64`, the simulator's lane
+    /// ceiling; redundant waves divide it by their replica count).
     pub max_lanes: usize,
-    /// How long a partial wave may wait for batchmates before flushing.
-    /// The hold is deadline-aware: it is shortened so no held job can
-    /// expire while waiting.
-    pub hold_window: Duration,
 }
 
 impl Default for BatchingConfig {
@@ -136,7 +146,6 @@ impl Default for BatchingConfig {
         BatchingConfig {
             enabled: false,
             max_lanes: 16,
-            hold_window: Duration::from_millis(2),
         }
     }
 }
@@ -178,7 +187,7 @@ impl Default for ScrubConfig {
 }
 
 /// A deterministic per-worker fault plan for drills: every machine
-/// worker `k` builds (job attempts, coalesced waves, scrub sweeps,
+/// worker `k` builds (job attempts, batched waves, scrub sweeps,
 /// probation probes) carries `FaultMap::random(dim, count, seed)` until
 /// — if set — `heal_after_builds` machines have been built, modeling a
 /// field repair so quarantine re-admission can be exercised end to end.
@@ -224,37 +233,136 @@ struct QueuedJob {
     /// [`SolveService::cancel`] can fire it while the job is still
     /// queued (the deadline watchdog arms the same token later).
     token: CancelToken,
+    /// Set when batching is on and the job may share a wave: jobs with
+    /// equal keys are lane-compatible (see [`batch_key`]).
+    batch_key: Option<(usize, u32)>,
 }
 
-/// What a worker picks up: one job, or a coalesced wave of compatible
-/// shortest-path jobs to solve as lanes of one [`BatchSession`].
-enum Work {
-    Single(QueuedJob),
-    Batch(Vec<QueuedJob>),
+/// What a worker's wait on the intake ended with.
+enum Pickup {
+    /// One job, or a wave of lane-compatible shortest-path jobs to solve
+    /// as lanes of one [`BatchSession`], oldest first.
+    Jobs(Vec<QueuedJob>),
+    /// Nothing arrived within the idle window (time to scrub).
+    Idle,
+    /// The intake is closed and empty: the worker exits.
+    Closed,
 }
 
-/// The submission side of the intake: straight to the workers'
-/// [`Work`] channel when batching is off, or through the coalescer's
-/// own bounded queue when it is on. Both are bounded by
-/// `queue_capacity`, so backpressure semantics survive the extra stage.
-enum IntakeTx {
-    Direct(SyncSender<Work>),
-    Coalesced(SyncSender<QueuedJob>),
+/// The service's one intake queue, bounded by `queue_capacity`:
+/// [`SolveService::submit`] pushes, idle workers pop.
+struct Intake {
+    queue: Mutex<Queue>,
+    ready: Condvar,
+    /// Most jobs waiting at once.
+    capacity: usize,
+    /// Most jobs in one wave: `max_lanes` over the replica count.
+    lanes: usize,
+    /// Pool size a backlog is shared across.
+    workers: usize,
 }
 
-impl IntakeTx {
-    fn try_send(&self, job: QueuedJob) -> Result<(), TrySendError<()>> {
-        match self {
-            IntakeTx::Direct(tx) => tx.try_send(Work::Single(job)).map_err(strip),
-            IntakeTx::Coalesced(tx) => tx.try_send(job).map_err(strip),
+struct Queue {
+    jobs: VecDeque<QueuedJob>,
+    /// Cleared by the drain; a closed intake refuses new jobs.
+    open: bool,
+}
+
+impl Intake {
+    fn new(config: &ServeConfig) -> Intake {
+        let replicas = config.redundancy.replicas().max(1);
+        Intake {
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                open: true,
+            }),
+            ready: Condvar::new(),
+            capacity: config.queue_capacity.max(1),
+            lanes: (config.batching.max_lanes.clamp(1, 64) / replicas).max(1),
+            workers: config.workers.max(1),
         }
     }
-}
 
-fn strip<T>(e: TrySendError<T>) -> TrySendError<()> {
-    match e {
-        TrySendError::Full(_) => TrySendError::Full(()),
-        TrySendError::Disconnected(_) => TrySendError::Disconnected(()),
+    /// Jobs accepted and not yet picked up by a worker.
+    fn depth(&self) -> u64 {
+        lock(&self.queue).jobs.len() as u64
+    }
+
+    /// Enqueues `job` and wakes one idle worker. Never blocks: a full or
+    /// closed queue refuses the job with the reason.
+    fn push(&self, job: QueuedJob) -> Result<(), ServeError> {
+        let mut q = lock(&self.queue);
+        if !q.open {
+            return Err(ServeError::ShuttingDown);
+        }
+        if q.jobs.len() >= self.capacity {
+            return Err(ServeError::Rejected {
+                capacity: self.capacity,
+            });
+        }
+        q.jobs.push_back(job);
+        drop(q);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Refuses new jobs and wakes every worker, so each drains what is
+    /// queued and exits once the queue is empty.
+    fn close(&self) {
+        lock(&self.queue).open = false;
+        self.ready.notify_all();
+    }
+
+    /// Waits for work. With `idle` set, gives up after that long with
+    /// [`Pickup::Idle`].
+    fn pop(&self, idle: Option<Duration>) -> Pickup {
+        let until = idle.map(|d| Instant::now() + d);
+        let mut q = lock(&self.queue);
+        loop {
+            if let Some(jobs) = self.take(&mut q.jobs) {
+                return Pickup::Jobs(jobs);
+            }
+            if !q.open {
+                return Pickup::Closed;
+            }
+            q = match until {
+                None => self.ready.wait(q).unwrap_or_else(PoisonError::into_inner),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Pickup::Idle;
+                    }
+                    self.ready
+                        .wait_timeout(q, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+        }
+    }
+
+    /// The oldest job, plus — when it carries a batch key — queued jobs
+    /// with the same key, up to `lanes` and this worker's share of the
+    /// backlog.
+    fn take(&self, jobs: &mut VecDeque<QueuedJob>) -> Option<Vec<QueuedJob>> {
+        let share = jobs.len().div_ceil(self.workers);
+        let first = jobs.pop_front()?;
+        let key = first.batch_key;
+        let cap = if key.is_some() {
+            self.lanes.min(share)
+        } else {
+            1
+        };
+        let mut wave = vec![first];
+        let mut i = 0;
+        while wave.len() < cap && i < jobs.len() {
+            if jobs[i].batch_key == key {
+                wave.extend(jobs.remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        Some(wave)
     }
 }
 
@@ -297,10 +405,8 @@ struct Shared {
     metrics: Mutex<Metrics>,
     breaker: Mutex<CircuitBreaker>,
     accepting: AtomicBool,
-    /// Jobs accepted into the intake queue and not yet picked up by a
-    /// worker. Incremented *before* `try_send` (and rolled back on
-    /// rejection) so a racing worker can never observe an underflow.
-    queue_depth: AtomicU64,
+    /// Jobs accepted and not yet picked up by a worker.
+    intake: Intake,
     /// Jobs currently executing, keyed by job id.
     inflight: Mutex<BTreeMap<u64, InflightEntry>>,
     /// Live workers: index -> what the worker is doing right now.
@@ -317,10 +423,7 @@ struct Shared {
     /// deadline watchdog), so the worker maps the cooperative stop to
     /// [`ServeError::Cancelled`] instead of `DeadlineExceeded`.
     client_cancelled: Mutex<BTreeSet<u64>>,
-    /// Jobs the coalescer is holding for batchmates right now (also
-    /// counted in `queue_depth`; introspection shows both).
-    batch_pending: AtomicU64,
-    /// Lanes of coalesced batches currently executing on workers.
+    /// Lanes of batched waves currently executing on workers.
     batch_lanes_inflight: AtomicU64,
 }
 
@@ -418,7 +521,6 @@ fn on_machine<W: OnMachine>(
 #[derive(Clone)]
 struct WorkerCtx {
     shared: Arc<Shared>,
-    jobs: Arc<Mutex<Receiver<Work>>>,
     watchdog_tx: Sender<(Instant, CancelToken)>,
     death_tx: Sender<Supervise>,
     worker_seq: Arc<AtomicU64>,
@@ -462,9 +564,7 @@ impl JobTicket {
 /// The concurrent solve service (see module docs).
 pub struct SolveService {
     shared: Arc<Shared>,
-    job_tx: Option<IntakeTx>,
     handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    coalescer: Option<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
     death_tx: Sender<Supervise>,
@@ -475,40 +575,26 @@ impl SolveService {
     /// Starts the worker pool, supervisor, and deadline watchdog.
     pub fn start(config: ServeConfig) -> SolveService {
         let workers = config.workers.max(1);
-        let capacity = config.queue_capacity.max(1);
         let breaker = CircuitBreaker::new(config.breaker);
-        let (work_tx, work_rx) = mpsc::sync_channel::<Work>(capacity);
         let (watchdog_tx, watchdog_rx) = mpsc::channel();
         let (death_tx, death_rx) = mpsc::channel();
-        let batching = config.batching.enabled;
         let ledger = HealthLedger::new(config.health);
+        let intake = Intake::new(&config);
         let shared = Arc::new(Shared {
             config,
             metrics: Mutex::new(Metrics::new()),
             breaker: Mutex::new(breaker),
             accepting: AtomicBool::new(true),
-            queue_depth: AtomicU64::new(0),
+            intake,
             inflight: Mutex::new(BTreeMap::new()),
             workers: Mutex::new(BTreeMap::new()),
             health: Mutex::new(ledger),
             cancels: Mutex::new(BTreeMap::new()),
             client_cancelled: Mutex::new(BTreeSet::new()),
-            batch_pending: AtomicU64::new(0),
             batch_lanes_inflight: AtomicU64::new(0),
         });
-        // With batching on, submissions pass through the coalescer's own
-        // bounded queue first; otherwise they go straight to the workers.
-        let (job_tx, coalescer) = if batching {
-            let (in_tx, in_rx) = mpsc::sync_channel::<QueuedJob>(capacity);
-            let co_shared = Arc::clone(&shared);
-            let handle = thread::spawn(move || coalescer_loop(&co_shared, &in_rx, &work_tx));
-            (IntakeTx::Coalesced(in_tx), Some(handle))
-        } else {
-            (IntakeTx::Direct(work_tx), None)
-        };
         let ctx = WorkerCtx {
             shared: Arc::clone(&shared),
-            jobs: Arc::new(Mutex::new(work_rx)),
             watchdog_tx,
             death_tx: death_tx.clone(),
             worker_seq: Arc::new(AtomicU64::new(0)),
@@ -525,9 +611,7 @@ impl SolveService {
         let watchdog = thread::spawn(move || watchdog_loop(watchdog_rx));
         SolveService {
             shared,
-            job_tx: Some(job_tx),
             handles,
-            coalescer,
             supervisor: Some(supervisor),
             watchdog: Some(watchdog),
             death_tx,
@@ -548,42 +632,35 @@ impl SolveService {
             lock(&self.shared.metrics).inc("serve.rejected_shutdown", 1);
             return Err(ServeError::ShuttingDown);
         }
-        let Some(tx) = self.job_tx.as_ref() else {
-            lock(&self.shared.metrics).inc("serve.rejected_shutdown", 1);
-            return Err(ServeError::ShuttingDown);
-        };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply_rx) = mpsc::channel();
         let token = CancelToken::new();
+        let batch_key = (self.shared.config.batching.enabled && batch_eligible(&spec))
+            .then(|| batch_key(&spec));
         let job = QueuedJob {
             id,
             spec,
             submitted: Instant::now(),
             reply: reply_tx,
             token: token.clone(),
+            batch_key,
         };
         // Register the token before enqueueing so a cancel can never
         // race past a job that a worker already picked up.
         lock(&self.shared.cancels).insert(id, token);
-        self.shared.queue_depth.fetch_add(1, Ordering::AcqRel);
-        match tx.try_send(job) {
+        match self.shared.intake.push(job) {
             Ok(()) => {
                 lock(&self.shared.metrics).inc("serve.accepted", 1);
                 Ok(JobTicket { id, rx: reply_rx })
             }
-            Err(TrySendError::Full(())) => {
-                self.shared.queue_depth.fetch_sub(1, Ordering::AcqRel);
+            Err(e) => {
                 lock(&self.shared.cancels).remove(&id);
-                lock(&self.shared.metrics).inc("serve.rejected_queue_full", 1);
-                Err(ServeError::Rejected {
-                    capacity: self.shared.config.queue_capacity.max(1),
-                })
-            }
-            Err(TrySendError::Disconnected(())) => {
-                self.shared.queue_depth.fetch_sub(1, Ordering::AcqRel);
-                lock(&self.shared.cancels).remove(&id);
-                lock(&self.shared.metrics).inc("serve.rejected_shutdown", 1);
-                Err(ServeError::ShuttingDown)
+                let counter = match e {
+                    ServeError::Rejected { .. } => "serve.rejected_queue_full",
+                    _ => "serve.rejected_shutdown",
+                };
+                lock(&self.shared.metrics).inc(counter, 1);
+                Err(e)
             }
         }
     }
@@ -619,7 +696,7 @@ impl SolveService {
     /// How many accepted jobs are waiting in the queue right now. The
     /// network edge scales its rejection `retry_after_ms` hint by this.
     pub fn queue_depth(&self) -> u64 {
-        self.shared.queue_depth.load(Ordering::Acquire)
+        self.shared.intake.depth()
     }
 
     /// The breaker's current state (drills and reports inspect this).
@@ -677,9 +754,8 @@ impl SolveService {
             .collect();
         let metrics = lock(&self.shared.metrics).clone();
         Introspection {
-            queue_depth: self.shared.queue_depth.load(Ordering::Acquire),
+            queue_depth: self.shared.intake.depth(),
             accepting: self.shared.accepting.load(Ordering::Acquire),
-            batch_pending: self.shared.batch_pending.load(Ordering::Acquire),
             batch_lanes_inflight: self.shared.batch_lanes_inflight.load(Ordering::Acquire),
             inflight,
             workers,
@@ -702,14 +778,8 @@ impl SolveService {
 
     fn drain(&mut self) {
         self.shared.accepting.store(false, Ordering::Release);
-        // Closing the queue lets workers drain it and exit on recv error.
-        drop(self.job_tx.take());
-        // The coalescer flushes its held wave and exits once the intake
-        // closes; its exit drops the Work sender, which releases the
-        // workers in turn.
-        if let Some(c) = self.coalescer.take() {
-            let _ = c.join();
-        }
+        // Closing the intake lets the workers empty it and exit.
+        self.shared.intake.close();
         self.join_workers();
         let _ = self.death_tx.send(Supervise::Stop);
         if let Some(s) = self.supervisor.take() {
@@ -793,47 +863,40 @@ fn worker_loop(ctx: WorkerCtx, index: u64) {
             }
             _ => {}
         }
-        let next = if scrub.enabled {
-            // Idle scrubbing: when no work arrives within the idle
-            // window, release the receiver and sweep under the
-            // duty-cycle budget.
-            // Ditto: drop the receiver lock before scrubbing, so an
-            // idle sweep never stalls job pickup on other workers.
-            let received = lock(&ctx.jobs).recv_timeout(scrub.idle_after);
-            match received {
-                Ok(work) => Ok(work),
-                Err(RecvTimeoutError::Timeout) => {
-                    maybe_idle_scrub(&ctx, index, &mut clock);
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => Err(()),
+        // Idle scrubbing: when no work arrives within the idle window,
+        // sweep under the duty-cycle budget (the intake lock is already
+        // released, so a sweep never stalls pickup on other workers).
+        let idle = scrub.enabled.then_some(scrub.idle_after);
+        let mut jobs = match ctx.shared.intake.pop(idle) {
+            Pickup::Jobs(jobs) => jobs,
+            Pickup::Idle => {
+                maybe_idle_scrub(&ctx, index, &mut clock);
+                continue;
             }
-        } else {
-            lock(&ctx.jobs).recv().map_err(|_| ())
+            Pickup::Closed => {
+                // Queue closed and drained: graceful exit.
+                lock(&ctx.shared.workers).remove(&index);
+                return;
+            }
         };
-        let Ok(work) = next else {
-            // Queue closed and drained: graceful exit.
-            lock(&ctx.shared.workers).remove(&index);
-            return;
-        };
+        note_pickup(&ctx.shared, &jobs);
         // Audit: a benched machine must never receive work. The health
         // gate above makes that impossible by construction; this
         // counter exists so the chaos drill can prove it stayed zero.
         if lock(&ctx.shared.health).is_benched(index) {
             lock(&ctx.shared.metrics).inc("serve.health.quarantine_leaks", 1);
         }
-        let job = match work {
-            Work::Single(job) => job,
-            Work::Batch(jobs) => {
-                if run_batch_on_worker(&ctx, index, jobs, &mut rng) {
-                    continue;
-                }
-                // The batch panicked; this worker is done (the
-                // supervisor was already asked for a replacement).
-                return;
+        if jobs.len() > 1 {
+            if run_batch_on_worker(&ctx, index, jobs, &mut rng) {
+                continue;
             }
+            // The batch panicked; this worker is done (the supervisor
+            // was already asked for a replacement).
+            return;
+        }
+        let Some(job) = jobs.pop() else {
+            continue;
         };
-        ctx.shared.queue_depth.fetch_sub(1, Ordering::AcqRel);
         let (id, submitted, reply) = (job.id, job.submitted, job.reply.clone());
         lock(&ctx.shared.inflight).insert(
             id,
@@ -878,6 +941,24 @@ fn worker_loop(ctx: WorkerCtx, index: u64) {
                 let _ = ctx.death_tx.send(Supervise::Died);
                 return;
             }
+        }
+    }
+}
+
+/// Records one pickup: each job's wait from submission, and for
+/// batchable work how many jobs this dispatch carries (singles
+/// included, so `serve.batch.occupancy` averages jobs per wave).
+fn note_pickup(shared: &Shared, jobs: &[QueuedJob]) {
+    let now = Instant::now();
+    let mut m = lock(&shared.metrics);
+    for job in jobs {
+        let waited = now.saturating_duration_since(job.submitted);
+        m.observe("serve.queue_wait_us", waited.as_micros() as u64);
+    }
+    if jobs.first().is_some_and(|j| j.batch_key.is_some()) {
+        m.observe("serve.batch.occupancy", jobs.len() as u64);
+        if jobs.len() >= 2 {
+            m.inc("serve.batch.jobs", jobs.len() as u64);
         }
     }
 }
@@ -1055,7 +1136,7 @@ fn note_vote(shared: &Shared, index: u64, vote: &VoteReport) {
     }
 }
 
-/// Runs a coalesced wave on this worker with the same bookkeeping and
+/// Runs a batched wave on this worker with the same bookkeeping and
 /// panic isolation as a single job: every lane gets its own inflight
 /// entry and its own report, and a panic anywhere in the wave reports
 /// [`ServeError::WorkerPanicked`] to *every* lane's ticket. Returns
@@ -1067,7 +1148,6 @@ fn run_batch_on_worker(
     rng: &mut SmallRng,
 ) -> bool {
     let lanes = jobs.len() as u64;
-    ctx.shared.queue_depth.fetch_sub(lanes, Ordering::AcqRel);
     let meta: Vec<(u64, Instant, Sender<JobReport>)> = jobs
         .iter()
         .map(|j| (j.id, j.submitted, j.reply.clone()))
@@ -1135,127 +1215,21 @@ fn run_batch_on_worker(
     }
 }
 
-/// Whether the coalescer may hold this job for batchmates. Only
-/// shortest-path jobs without per-job fault injection batch; everything
-/// else flows straight through as a single.
-fn batch_eligible(job: &QueuedJob) -> bool {
-    matches!(job.spec.kind, JobKind::Shortest { .. }) && job.spec.transient_faults.is_none()
+/// Whether a job may share a wave. Only shortest-path jobs without
+/// per-job fault injection batch; everything else runs as a single.
+fn batch_eligible(spec: &JobSpec) -> bool {
+    matches!(spec.kind, JobKind::Shortest { .. }) && spec.transient_faults.is_none()
 }
 
-/// Jobs coalesce only when their lanes would be indistinguishable from
-/// solo runs: same machine size and the same fitted word width (the
+/// Jobs share a wave only when their lanes would be indistinguishable
+/// from solo runs: same machine size and the same fitted word width (the
 /// batch runs at the max lane width, so mixing widths would change a
 /// narrower job's step counts).
 fn batch_key(spec: &JobSpec) -> (usize, u32) {
     (spec.graph.n(), mcp::fit_word_bits(&spec.graph).clamp(2, 62))
 }
 
-/// The coalescing stage: holds eligible shortest-path jobs for up to
-/// the (deadline-aware) hold window, flushing a wave when it fills, the
-/// window expires, the key changes, or the intake closes. Ineligible
-/// jobs overtake the held wave — ordering across job kinds was never
-/// guaranteed.
-fn coalescer_loop(shared: &Arc<Shared>, intake: &Receiver<QueuedJob>, work_tx: &SyncSender<Work>) {
-    // Redundant waves replicate every job into `replicas` lanes, so the
-    // wave size shrinks to keep the physical lane count within bounds.
-    let replicas = shared.config.redundancy.replicas().max(1);
-    let max_lanes = (shared.config.batching.max_lanes.clamp(1, 64) / replicas).max(1);
-    let hold = shared.config.batching.hold_window;
-    let mut held: Vec<QueuedJob> = Vec::new();
-    let mut key: Option<(usize, u32)> = None;
-    let mut flush_at: Option<Instant> = None;
-    loop {
-        let next = match flush_at {
-            Some(at) => match intake.recv_timeout(at.saturating_duration_since(Instant::now())) {
-                Ok(job) => Some(job),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => {
-                    flush_held(shared, &mut held, &mut key, &mut flush_at, work_tx, "hold");
-                    return;
-                }
-            },
-            None => match intake.recv() {
-                Ok(job) => Some(job),
-                Err(_) => return, // nothing held, intake closed
-            },
-        };
-        let Some(job) = next else {
-            // Hold window expired with no new arrivals.
-            flush_held(shared, &mut held, &mut key, &mut flush_at, work_tx, "hold");
-            continue;
-        };
-        if !batch_eligible(&job) {
-            if work_tx.send(Work::Single(job)).is_err() {
-                return;
-            }
-            continue;
-        }
-        let k = batch_key(&job.spec);
-        if key.is_some_and(|have| have != k) {
-            flush_held(shared, &mut held, &mut key, &mut flush_at, work_tx, "key");
-        }
-        key = Some(k);
-        // Deadline-aware hold: never let the window push a held job past
-        // its own deadline.
-        let flush_by = job
-            .spec
-            .deadline
-            .or(shared.config.default_deadline)
-            .map(|d| job.submitted + d);
-        held.push(job);
-        shared
-            .batch_pending
-            .store(held.len() as u64, Ordering::Release);
-        let target = flush_at.unwrap_or_else(|| Instant::now() + hold);
-        flush_at = Some(match flush_by {
-            Some(by) => target.min(by),
-            None => target,
-        });
-        if held.len() >= max_lanes {
-            flush_held(shared, &mut held, &mut key, &mut flush_at, work_tx, "full");
-        }
-    }
-}
-
-/// Dispatches the held wave (if any) to the workers, recording why it
-/// flushed and how full it was. A wave of one is dispatched as a plain
-/// single job — the batch machinery only engages for two lanes or more.
-fn flush_held(
-    shared: &Arc<Shared>,
-    held: &mut Vec<QueuedJob>,
-    key: &mut Option<(usize, u32)>,
-    flush_at: &mut Option<Instant>,
-    work_tx: &SyncSender<Work>,
-    cause: &str,
-) {
-    *key = None;
-    *flush_at = None;
-    if held.is_empty() {
-        return;
-    }
-    let mut wave = std::mem::take(held);
-    shared.batch_pending.store(0, Ordering::Release);
-    {
-        let mut m = lock(&shared.metrics);
-        m.inc("serve.batch.flushed", 1);
-        m.inc(&format!("serve.batch.{cause}_flush"), 1);
-        m.observe("serve.batch.occupancy", wave.len() as u64);
-        if wave.len() >= 2 {
-            m.inc("serve.batch.jobs", wave.len() as u64);
-        }
-    }
-    let work = if wave.len() == 1 {
-        match wave.pop() {
-            Some(job) => Work::Single(job),
-            None => return,
-        }
-    } else {
-        Work::Batch(wave)
-    };
-    let _ = work_tx.send(work);
-}
-
-/// Executes a coalesced wave: per-lane queued gates, one
+/// Executes a batched wave: per-lane queued gates, one
 /// [`BatchSession`] solve on the routed backend with each job's budget
 /// and cancel token as its lane limit, then per-lane error mapping
 /// identical to the solo path. A corrupted lane (or a whole-wave
@@ -1328,7 +1302,7 @@ fn run_batch(
             .iter()
             .map(|&i| match slots[i].as_ref().expect("live slot").spec.kind {
                 JobKind::Shortest { dest } => dest,
-                _ => unreachable!("the coalescer only batches shortest jobs"),
+                _ => unreachable!("only shortest jobs carry a batch key"),
             })
             .collect();
         let limits: Vec<LaneLimit> = live
@@ -1436,7 +1410,7 @@ fn run_batch(
         .collect()
 }
 
-/// A coalesced wave: one lane-batch solve of every live job, verified
+/// A batched wave: one lane-batch solve of every live job, verified
 /// against the host invariants. Under a redundancy mode every job's graph
 /// is instead replicated into `mode.replicas()` adjacent lanes, voted per
 /// destination — vote-only, no sequential reference on the hot path —
@@ -2525,6 +2499,13 @@ mod tests {
         assert_eq!(snap.workers_replaced, 0);
         assert_eq!(snap.metrics.counter("serve.accepted"), 4);
         assert_eq!(snap.metrics.counter("serve.completed"), 4);
+        assert_eq!(
+            snap.metrics
+                .histogram("serve.queue_wait_us")
+                .map_or(0, |h| h.count),
+            snap.metrics.counter("serve.accepted"),
+            "every accepted job records its queue wait once"
+        );
         svc.shutdown();
     }
 
@@ -2766,7 +2747,6 @@ mod tests {
             batching: BatchingConfig {
                 enabled: true,
                 max_lanes: 9,
-                hold_window: Duration::from_millis(5),
             },
             ..quick_config()
         });
@@ -2840,19 +2820,99 @@ mod tests {
         let _ = disagreements_seen;
     }
 
+    /// Occupies the only worker of `svc` with a long scalar all-pairs
+    /// campaign and returns its ticket once the worker has picked it up,
+    /// so the jobs submitted next queue behind it. At n = 64 even a
+    /// faulty machine's three failing attempts last tens of milliseconds.
+    fn occupy(svc: &SolveService) -> JobTicket {
+        let w = gen::random_connected(64, 0.3, 9, 0xB10C);
+        let blocker = svc
+            .submit(JobSpec::new(
+                w,
+                JobKind::Apsp {
+                    resume_from: None,
+                    checkpoint_every: 1,
+                },
+            ))
+            .unwrap();
+        for _ in 0..2000 {
+            if svc.queue_depth() == 0 {
+                return blocker;
+            }
+            thread::sleep(Duration::from_millis(1));
+        }
+        panic!("the blocker was never picked up");
+    }
+
+    /// A queued job for [`Intake::take`] tests: `key` is its batch key.
+    fn queued(id: u64, key: Option<(usize, u32)>) -> QueuedJob {
+        QueuedJob {
+            id,
+            spec: JobSpec::new(gen::ring(4), JobKind::Shortest { dest: 0 }),
+            submitted: Instant::now(),
+            reply: mpsc::channel().0,
+            token: CancelToken::new(),
+            batch_key: key,
+        }
+    }
+
+    fn ids(wave: Option<Vec<QueuedJob>>) -> Vec<u64> {
+        wave.unwrap_or_default().iter().map(|j| j.id).collect()
+    }
+
+    #[test]
+    fn a_worker_takes_its_share_of_same_key_jobs_in_order() {
+        let intake = Intake::new(&ServeConfig {
+            workers: 2,
+            batching: BatchingConfig {
+                enabled: true,
+                max_lanes: 16,
+            },
+            ..quick_config()
+        });
+        let (a, b) = (Some((8, 5)), Some((9, 5)));
+        let mut jobs: VecDeque<QueuedJob> = [(0, a), (1, None), (2, b), (3, a), (4, a), (5, a)]
+            .into_iter()
+            .map(|(id, key)| queued(id, key))
+            .collect();
+        // Six queued over two workers: a share of 3, skipping the
+        // ineligible and other-key jobs, oldest first.
+        assert_eq!(ids(intake.take(&mut jobs)), [0, 3, 4]);
+        // The head is ineligible: a single, however long the queue.
+        assert_eq!(ids(intake.take(&mut jobs)), [1]);
+        // Two queued over two workers: a share of 1.
+        assert_eq!(ids(intake.take(&mut jobs)), [2]);
+        assert_eq!(ids(intake.take(&mut jobs)), [5]);
+        assert!(intake.take(&mut jobs).is_none());
+        // One worker's share is the whole backlog, capped by max_lanes
+        // over the replica count: 9 lanes of TMR carry 3 jobs.
+        let voted = Intake::new(&ServeConfig {
+            workers: 1,
+            redundancy: Redundancy::Tmr { correct: true },
+            batching: BatchingConfig {
+                enabled: true,
+                max_lanes: 9,
+            },
+            ..quick_config()
+        });
+        let mut jobs: VecDeque<QueuedJob> = (0..5).map(|id| queued(id, a)).collect();
+        assert_eq!(ids(voted.take(&mut jobs)), [0, 1, 2]);
+        assert_eq!(ids(voted.take(&mut jobs)), [3, 4]);
+    }
+
     #[test]
     fn plain_coalesced_waves_carry_the_worker_fault_plan() {
         // Batching on, redundancy off, and a permanently faulty worker:
-        // the coalesced wave is built on that worker's (faulty) machine,
+        // the batched wave is built on that worker's (faulty) machine,
         // so its corruption must surface and fall back to the solo path —
         // and no job may come back silently wrong.
         let w = gen::random_connected(6, 0.4, 9, 53);
         let svc = SolveService::start(ServeConfig {
             workers: 1,
+            backend: BackendSpec::Scalar,
             batching: BatchingConfig {
                 enabled: true,
                 max_lanes: 4,
-                hold_window: Duration::from_millis(50),
             },
             fault_plan: MachineFaultPlan::default().with(
                 0,
@@ -2864,12 +2924,22 @@ mod tests {
             ),
             ..quick_config()
         });
+        // The four jobs queue behind a blocker, so the worker takes them
+        // as one wave of four once the blocker is cancelled.
+        let blocker = occupy(&svc);
         let tickets: Vec<_> = (0..4)
             .map(|d| {
                 svc.submit(JobSpec::new(w.clone(), JobKind::Shortest { dest: d }))
                     .unwrap()
             })
             .collect();
+        assert_eq!(
+            svc.queue_depth(),
+            4,
+            "the wave must queue behind the blocker"
+        );
+        assert!(svc.cancel(blocker.id()));
+        assert!(blocker.wait().outcome.is_err());
         for (d, t) in tickets.into_iter().enumerate() {
             let want = McpSession::new(&w).unwrap().solve_verified(d).unwrap();
             match t.wait().outcome {
