@@ -51,15 +51,15 @@
 
 use crate::apsp::AllPairs;
 use crate::error::McpError;
-use crate::mcp::{self, McpOutput};
+use crate::mcp::{self, LoopRegs, McpOutput, Prepared};
 use crate::stats::McpStats;
 use crate::Result;
-use ppa_graph::{Weight, WeightMatrix, INF};
+use ppa_graph::WeightMatrix;
 use ppa_machine::{
     CancelToken, Dim, Direction, ExecStats, Executor, LaneLayout, Machine, MachineError,
     PackedBackend, ScalarBackend, StepReport,
 };
-use ppa_ppc::{Parallel, Ppa, PpcError};
+use ppa_ppc::{Ppa, PpcError};
 
 /// Steps a solo session spends in `Prepared::build` (the `ROW`/`COL`
 /// registers, the `n - 1` immediate and the two derived masks). The
@@ -92,20 +92,13 @@ impl LaneLimit {
     }
 }
 
-/// The lane-batched analogue of [`Prepared`](crate::mcp): everything
-/// the do-while body reads that does not depend on the destination
-/// wavefront. `wt_plane` is the per-lane *transposed* weight layout
-/// used by the lane-safe initializer.
+/// The lane-batched analogue of [`Prepared`](crate::mcp): the solo
+/// registers built with the *lane-local* `COL`, plus `wt`, the per-lane
+/// *transposed* weight layout used by the lane-safe initializer.
 #[derive(Debug)]
-struct BatchPrepared {
-    n: usize,
-    maxint: i64,
-    row: Parallel<i64>,
-    lane_col: Parallel<i64>,
-    diag: Parallel<bool>,
-    last_col: Parallel<bool>,
-    w_plane: Parallel<i64>,
-    wt_plane: Parallel<i64>,
+struct BatchPrepared<E: Executor> {
+    base: Prepared<E>,
+    wt: E::Int,
 }
 
 /// A lane-batched solver session: one `n x (n * L)` runtime prepared
@@ -115,7 +108,7 @@ pub struct BatchSession<E: Executor = ScalarBackend> {
     ppa: Ppa<E>,
     layout: LaneLayout,
     graphs: Vec<WeightMatrix>,
-    prep: BatchPrepared,
+    prep: BatchPrepared<E>,
 }
 
 /// `lanes` copies of one graph — the wavefront-of-destinations use of
@@ -224,53 +217,37 @@ impl<E: Executor> BatchSession<E> {
                 actual: ppa.word_bits(),
             });
         }
-        let maxint = ppa.maxint();
-
-        // --- plane setup: hardwired registers (5 ALU, like solo) --------
-        let row = ppa.row_index();
-        let lane_col = ppa.lane_col_index(n);
-        let nm1_imm = ppa.constant(n as i64 - 1);
-        let diag = ppa.eq(&row, &lane_col)?; // ROW == lane-local COL
-        let last_col = ppa.eq(&lane_col, &nm1_imm)?; // lane-local COL == n - 1
-
         // The W layouts arrive preloaded (host I/O, not SIMD steps) with
         // the diagonal pinned to 0 — the same dynamic-program convention
-        // the solo solver documents. `wt_plane` holds each lane's
-        // *transpose*: the initializer reads it southwards so no bus
-        // transaction ever crosses a lane boundary.
-        let mut vecs: Vec<Vec<i64>> = Vec::with_capacity(lanes);
-        for g in graphs {
-            let mut v = g.try_saturated_vec(maxint)?;
-            for i in 0..n {
-                v[i * n + i] = 0;
-            }
-            vecs.push(v);
-        }
-        let w_plane: Parallel<i64> =
-            Parallel::from_vec(dim, layout.compose_vec(|l, r, c| vecs[l][r * n + c]));
-        let wt_plane: Parallel<i64> =
-            Parallel::from_vec(dim, layout.compose_vec(|l, r, c| vecs[l][c * n + r]));
+        // the solo solver documents — sliced straight into bit-planes.
+        // `wt` holds each lane's *transpose*: the initializer reads it
+        // southwards so no bus transaction ever crosses a lane boundary.
+        // Composite column -> (lane, lane-local column), once per session.
+        let lane_cols: Vec<(usize, usize)> = (0..n * lanes).map(|c| (c / n, c % n)).collect();
+        let maxint = ppa.maxint();
+        let w = ppa.load_with(|r, c| {
+            let (l, c) = lane_cols[c];
+            mcp::loaded_weight(&graphs[l], maxint, r, c)
+        })?;
+        let wt = ppa.load_with(|r, c| {
+            let (l, c) = lane_cols[c];
+            mcp::loaded_weight(&graphs[l], maxint, c, r)
+        })?;
+        // The shared registers: `ROW`, the lane-local `COL` and the two
+        // derived masks (5 ALU, like solo).
+        let base = Prepared::new(&mut ppa, n, w)?;
 
         Ok(BatchSession {
             ppa,
             layout,
             graphs: graphs.to_vec(),
-            prep: BatchPrepared {
-                n,
-                maxint,
-                row,
-                lane_col,
-                diag,
-                last_col,
-                w_plane,
-                wt_plane,
-            },
+            prep: BatchPrepared { base, wt },
         })
     }
 
     /// Per-lane problem size.
     pub fn n(&self) -> usize {
-        self.prep.n
+        self.prep.base.n
     }
 
     /// Number of lanes in the batch.
@@ -380,7 +357,7 @@ impl<E: Executor> BatchSession<E> {
     /// [`McpError::BatchShape`] unless every lane holds the same graph;
     /// the first per-destination failure otherwise.
     pub fn all_pairs(&mut self) -> Result<AllPairs> {
-        let n = self.prep.n;
+        let n = self.prep.base.n;
         let lanes = self.layout.lanes();
         if self.graphs.iter().any(|g| *g != self.graphs[0]) {
             return Err(McpError::BatchShape {
@@ -410,9 +387,9 @@ impl<E: Executor> BatchSession<E> {
         limits: &[LaneLimit],
         verify: bool,
     ) -> Result<Vec<Result<McpOutput>>> {
-        let n = self.prep.n;
+        let prep = &self.prep.base;
+        let n = prep.n;
         let lanes = self.layout.lanes();
-        let maxint = self.prep.maxint;
         let layout = self.layout;
         if dests.len() != lanes {
             return Err(McpError::BatchShape {
@@ -452,22 +429,15 @@ impl<E: Executor> BatchSession<E> {
             })
             .collect();
 
-        // --- destination masks (4 ALU, like solo) -----------------------
+        // --- destination registers (4 ALU, like solo) --------------------
+        // `col_is_d` is issued for step parity with the solo block; the
+        // batch initializer reads `wt` southwards instead of broadcasting
+        // `W` eastwards from column d (which would cross lane boundaries:
+        // row buses see one head per lane, not one).
         let safe_dests: Vec<i64> = dests.iter().map(|&d| d.min(n - 1) as i64).collect();
-        let d_imm = ppa.lane_constant(&safe_dests, n);
-        let row_is_d = ppa.eq(&self.prep.row, &d_imm)?;
-        let row_ne_d = ppa.not(&row_is_d)?;
-        // Issued for step parity with the solo destination-mask block;
-        // the batch initializer reads `wt_plane` southwards instead of
-        // broadcasting `W` eastwards from column d (which would cross
-        // lane boundaries: row buses see one head per lane, not one).
-        let _col_is_d = ppa.eq(&self.prep.lane_col, &d_imm)?;
-
-        // Parallel variable declarations (pinned to MAXINT, as solo).
-        let mut sow = ppa.constant(maxint);
-        let mut min_sow = ppa.constant(maxint);
-        let mut ptn = ppa.constant(0i64);
-        let mut old_sow = ppa.constant(maxint); // statement 3
+        let d_imm = ppa.int_lane_constant(&safe_dests, n)?;
+        let masks = prep.dest_masks(ppa, d_imm)?;
+        let mut regs = LoopRegs::declare(ppa, prep.maxint)?;
 
         // --- Step 1: statements 4-7, lane-safe form ---------------------
         ppa.set_phase(Some("step 1 (stmts 4-7)"));
@@ -477,14 +447,9 @@ impl<E: Executor> BatchSession<E> {
         // puts w_id into every cell of lane column i, and the SOUTH
         // diagonal fold is then value-identical — two broadcast steps
         // either way, so the init report matches solo exactly.
-        let b1 = ppa.broadcast(&self.prep.wt_plane, Direction::South, &row_is_d)?;
-        let in_weights_t = ppa.broadcast(&b1, Direction::South, &self.prep.diag)?;
-        ppa.where_(&row_is_d, |p| -> ppa_ppc::Result<()> {
-            p.assign(&mut sow, &in_weights_t)?; // 5 (intended)
-            p.assign(&mut ptn, &d_imm)?; // 6: PTN = d
-            p.assign(&mut min_sow, &in_weights_t)?;
-            Ok(())
-        })??;
+        let b1 = ppa.int_broadcast(&self.prep.wt, Direction::South, &masks.row_is_d)?;
+        let in_weights_t = ppa.int_broadcast(&b1, Direction::South, &prep.diag)?;
+        regs.init(ppa, &masks, &in_weights_t)?;
 
         let init_report = ppa.steps().checked_since(&start).unwrap_or_default();
 
@@ -524,9 +489,11 @@ impl<E: Executor> BatchSession<E> {
             }
         }
 
-        // Invariant 1 state per lane (host-side copies, verify only).
+        // Invariant 1 state per lane (host-side reads, verify only).
+        let lane_row =
+            |ppa: &Ppa<E>, reg: &E::Int, l: usize| ppa.read_row(reg, dests[l], layout.col_range(l));
         let mut prev_row_d: Vec<Option<Vec<i64>>> = (0..lanes)
-            .map(|l| (verify && results[l].is_none()).then(|| layout.lane_row(&sow, l, dests[l])))
+            .map(|l| (verify && results[l].is_none()).then(|| lane_row(ppa, &regs.sow, l)))
             .collect();
 
         // --- Step 2: the do-while loop, statements 8-20 -----------------
@@ -539,40 +506,7 @@ impl<E: Executor> BatchSession<E> {
             }
             iterations += 1;
 
-            // ---- statements 9-13, under where (ROW != d) ----
-            ppa.set_phase(Some("stmt 10: broadcast+add"));
-            let bsow = ppa.broadcast(&sow, Direction::South, &row_is_d)?;
-            let sum = ppa.sat_add(&bsow, &self.prep.w_plane)?;
-            ppa.where_(&row_ne_d, |p| p.assign(&mut sow, &sum))??;
-
-            ppa.set_phase(Some("stmt 11: min"));
-            let rowmin = ppa.min(&sow, Direction::West, &self.prep.last_col)?;
-            ppa.where_(&row_ne_d, |p| p.assign(&mut min_sow, &rowmin))??;
-
-            // The selection register is the *lane-local* COL, so PTN
-            // values and tie-breaks match each lane's solo run.
-            ppa.set_phase(Some("stmt 12: selected_min"));
-            let is_argmin = ppa.eq(&min_sow, &sow)?;
-            let sel = ppa.or(&is_argmin, &row_is_d)?;
-            let argmin_col = ppa.selected_min(
-                &self.prep.lane_col,
-                Direction::West,
-                &self.prep.last_col,
-                &sel,
-            )?;
-            ppa.where_(&row_ne_d, |p| p.assign(&mut ptn, &argmin_col))??;
-
-            // ---- statements 14-18, under where (ROW == d) ----
-            ppa.set_phase(Some("stmts 14-18: fold into row d"));
-            let bc_min = ppa.broadcast(&min_sow, Direction::South, &self.prep.diag)?;
-            let bc_ptn = ppa.broadcast(&ptn, Direction::South, &self.prep.diag)?;
-            let changed = ppa.where_(&row_is_d, |p| -> ppa_ppc::Result<Parallel<bool>> {
-                p.assign(&mut old_sow, &sow)?; // 15
-                p.assign(&mut sow, &bc_min)?; // 16
-                let changed = p.ne(&sow, &old_sow)?; // 17 condition
-                p.where_(&changed, |q| q.assign(&mut ptn, &bc_ptn))??; // 17-18
-                Ok(changed)
-            })??;
+            let changed = prep.relax(ppa, &masks, &mut regs)?;
 
             per_iteration.push(ppa.steps().checked_since(&iter_start).unwrap_or_default());
 
@@ -584,7 +518,7 @@ impl<E: Executor> BatchSession<E> {
                 if results[l].is_some() {
                     continue;
                 }
-                let now = layout.lane_row(&sow, l, dests[l]);
+                let now = lane_row(ppa, &regs.sow, l);
                 if now.iter().zip(prev.iter()).any(|(new, old)| new > old) {
                     results[l] = Some(Err(McpError::InvariantViolation {
                         invariant: "a row-d cost increased across an iteration",
@@ -596,12 +530,12 @@ impl<E: Executor> BatchSession<E> {
 
             // ---- statement 20: the loop test ----
             ppa.set_phase(Some("stmt 20: loop test"));
-            let changed_in_row_d = ppa.and(&changed, &row_is_d)?;
+            let changed_in_row_d = ppa.mask_and(&changed, &masks.row_is_d)?;
             // The global OR is issued every pass for step parity; the
             // batch's own loop condition is the per-lane host read
             // below (a converged lane is idempotent under further
             // passes, so riders cannot re-assert it).
-            let _keep_going = ppa.any(&changed_in_row_d)?;
+            let _keep_going = ppa.mask_any(&changed_in_row_d)?;
             if observed {
                 ppa.exit_span(); // iteration[i] (includes the loop test)
             }
@@ -613,29 +547,34 @@ impl<E: Executor> BatchSession<E> {
                 if results[l].is_some() {
                     continue;
                 }
-                let lane_changed = layout
-                    .lane_row(&changed_in_row_d, l, dests[l])
-                    .iter()
-                    .any(|&c| c);
+                let lane_changed =
+                    ppa.mask_any_in(&changed_in_row_d, dests[l], layout.col_range(l));
                 let budget = limits[l].step_budget;
                 let within = budget.is_none_or(|b| cum_now <= b);
                 if !lane_changed && within {
                     // Converged inside budget: the solo twin returned
                     // here, before any cancellation could be observed.
-                    results[l] = Some(read_lane(
-                        layout,
-                        maxint,
-                        &self.graphs[l],
-                        &sow,
-                        &ptn,
-                        l,
-                        dests[l],
-                        iterations,
-                        &init_report,
-                        &per_iteration,
-                        since,
-                        verify,
-                    ));
+                    results[l] = Some(
+                        mcp::read_out(
+                            &self.graphs[l],
+                            dests[l],
+                            prep.maxint,
+                            &lane_row(ppa, &regs.sow, l),
+                            &lane_row(ppa, &regs.ptn, l),
+                            verify,
+                        )
+                        .map(|(sow, ptn)| McpOutput {
+                            dest: dests[l],
+                            sow,
+                            ptn,
+                            iterations,
+                            stats: McpStats {
+                                init: init_report,
+                                per_iteration: per_iteration.clone(),
+                                total: since,
+                            },
+                        }),
+                    );
                 } else if cancelled(l) {
                     // The guard checks cancellation before the budget.
                     results[l] = Some(Err(McpError::Ppc(PpcError::Machine(
@@ -687,83 +626,6 @@ impl<E: Executor> BatchSession<E> {
             m.inc("backend.arena_reused", delta.arena_reused);
         }
     }
-}
-
-/// Reads one resolved lane's row `d` into a [`McpOutput`] whose stats
-/// are the lane's solo-equivalent slice of the shared reports. A free
-/// function so the solve loop can call it while the runtime is
-/// mutably borrowed.
-#[allow(clippy::too_many_arguments)]
-fn read_lane(
-    layout: LaneLayout,
-    maxint: i64,
-    w: &WeightMatrix,
-    sow: &Parallel<i64>,
-    ptn: &Parallel<i64>,
-    l: usize,
-    d: usize,
-    iterations: usize,
-    init: &StepReport,
-    per_iteration: &[StepReport],
-    total: StepReport,
-    verify: bool,
-) -> Result<McpOutput> {
-    let n = layout.n();
-    let mut out_sow: Vec<Weight> = Vec::with_capacity(n);
-    let mut out_ptn: Vec<usize> = Vec::with_capacity(n);
-    for i in 0..n {
-        let cost = *layout.lane_at(sow, l, d, i);
-        if i == d {
-            out_sow.push(0);
-            out_ptn.push(d);
-        } else if cost >= maxint {
-            out_sow.push(INF);
-            out_ptn.push(i);
-        } else {
-            out_sow.push(cost);
-            out_ptn.push(*layout.lane_at(ptn, l, d, i) as usize);
-        }
-    }
-
-    if verify {
-        // ---- invariant 2: the destination's own cost is zero ----
-        if *layout.lane_at(sow, l, d, d) != 0 {
-            return Err(McpError::InvariantViolation {
-                invariant: "destination cost must be zero",
-            });
-        }
-        // ---- invariant 3: the Bellman fixpoint against the input ----
-        for i in 0..n {
-            if i == d {
-                continue;
-            }
-            let mut best = INF;
-            for j in 0..n {
-                let wij = w.get(i, j);
-                if j == i || wij == INF || out_sow[j] == INF {
-                    continue;
-                }
-                best = best.min(wij + out_sow[j]);
-            }
-            if out_sow[i] != best {
-                return Err(McpError::InvariantViolation {
-                    invariant: "row-d costs must satisfy the Bellman fixpoint",
-                });
-            }
-        }
-    }
-
-    Ok(McpOutput {
-        dest: d,
-        sow: out_sow,
-        ptn: out_ptn,
-        iterations,
-        stats: McpStats {
-            init: *init,
-            per_iteration: per_iteration[..iterations].to_vec(),
-            total,
-        },
-    })
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ use crate::stats::McpStats;
 use crate::Result;
 use ppa_graph::{Weight, WeightMatrix, INF};
 use ppa_machine::{Direction, Executor, StepReport};
-use ppa_ppc::{Parallel, Ppa};
+use ppa_ppc::Ppa;
 
 /// Result of one `minimum_cost_path` run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,38 +103,86 @@ pub fn minimum_cost_path_verified<E: Executor>(
     mcp_run(ppa, w, d, true)
 }
 
-/// The destination-independent register planes of `minimum_cost_path`:
+/// The destination-independent registers of `minimum_cost_path`:
 /// everything the do-while body reads that does not depend on `d`, plus
-/// the preloaded `W` plane. Building one costs five ALU steps (`ROW`,
+/// the preloaded `W` register. Building one costs five ALU steps (`ROW`,
 /// `COL`, the `n - 1` immediate and the two derived masks); the `W` load
-/// itself is host I/O, not a SIMD step. The struct holds plain register
-/// planes — no machine borrow — so one build can serve any number of
-/// destination solves on the same runtime. The batched consumers are
-/// [`crate::apsp::all_pairs`] and [`crate::session::McpSession`]; the
-/// one-shot entry points below simply build and solve in one go.
+/// itself is host I/O, not a SIMD step. The struct holds plain registers —
+/// no machine borrow — so one build can serve any number of destination
+/// solves on the same runtime. The consumers are
+/// [`crate::apsp::all_pairs`], [`crate::session::McpSession`] and, with
+/// the lane-local `COL`, [`crate::batch::BatchSession`]; the one-shot entry
+/// points below simply build and solve in one go.
 #[derive(Debug)]
-pub(crate) struct Prepared {
-    n: usize,
-    maxint: i64,
-    row: Parallel<i64>,
-    col: Parallel<i64>,
-    diag: Parallel<bool>,
-    last_col: Parallel<bool>,
-    w_plane: Parallel<i64>,
+pub(crate) struct Prepared<E: Executor> {
+    pub(crate) n: usize,
+    pub(crate) maxint: i64,
+    row: E::Int,
+    /// `COL` — lane-local on a lane-batched machine — the register that
+    /// statement 12 selects from.
+    col: E::Int,
+    pub(crate) diag: E::Mask,
+    last_col: E::Mask,
+    w: E::Int,
 }
 
-/// The four destination-dependent masks (4 ALU steps per destination).
-struct DestMasks {
-    d_imm: Parallel<i64>,
-    row_is_d: Parallel<bool>,
-    row_ne_d: Parallel<bool>,
-    col_is_d: Parallel<bool>,
+/// The four destination-dependent registers (4 ALU steps per destination).
+pub(crate) struct DestMasks<E: Executor> {
+    d_imm: E::Int,
+    pub(crate) row_is_d: E::Mask,
+    row_ne_d: E::Mask,
+    col_is_d: E::Mask,
 }
 
-impl Prepared {
-    /// Checks the size/word-width contract and builds the shared planes
+/// The parallel variables of the do-while loop.
+pub(crate) struct LoopRegs<E: Executor> {
+    pub(crate) sow: E::Int,
+    min_sow: E::Int,
+    pub(crate) ptn: E::Int,
+    old_sow: E::Int,
+}
+
+impl<E: Executor> LoopRegs<E> {
+    /// Statement 3 and the PPC declarations (4 ALU steps). PPC leaves the
+    /// variables uninitialized; the simulator pins them to MAXINT (fidelity
+    /// note 2 at the crate root).
+    pub(crate) fn declare(ppa: &mut Ppa<E>, maxint: i64) -> Result<Self> {
+        Ok(LoopRegs {
+            sow: ppa.int_constant(maxint)?,
+            min_sow: ppa.int_constant(maxint)?,
+            ptn: ppa.int_constant(0)?,
+            old_sow: ppa.int_constant(maxint)?, // statement 3
+        })
+    }
+
+    /// Statements 4-7 given the in-weights `[*][i] = w_id`: one `where`
+    /// and three masked writes.
+    pub(crate) fn init(
+        &mut self,
+        ppa: &mut Ppa<E>,
+        masks: &DestMasks<E>,
+        in_weights_t: &E::Int,
+    ) -> Result<()> {
+        let LoopRegs {
+            sow, min_sow, ptn, ..
+        } = self;
+        ppa.where_mask(&masks.row_is_d, |p| -> ppa_ppc::Result<()> {
+            p.int_assign(sow, in_weights_t)?; // 5 (intended): SOW[d][i] = w_id
+            p.int_assign(ptn, &masks.d_imm)?; // 6: PTN = d
+                                              // MIN_SOW is uninitialized in the paper; statement 16 reads its
+                                              // (d,d) element every iteration, so it must start at SOW_dd = 0
+                                              // for the destination column to stay pinned (fidelity note 2).
+            p.int_assign(min_sow, in_weights_t)?;
+            Ok(())
+        })??;
+        Ok(())
+    }
+}
+
+impl<E: Executor> Prepared<E> {
+    /// Checks the size/word-width contract and builds the shared registers
     /// under the caller's current span and phase.
-    pub(crate) fn build<E: Executor>(ppa: &mut Ppa<E>, w: &WeightMatrix) -> Result<Self> {
+    pub(crate) fn build(ppa: &mut Ppa<E>, w: &WeightMatrix) -> Result<Self> {
         let n = w.n();
         let dim = ppa.dim();
         if dim.rows != n || dim.cols != n {
@@ -151,28 +199,31 @@ impl Prepared {
                 actual: ppa.word_bits(),
             });
         }
+        // `parallel int W` arrives preloaded in each PE's memory (host I/O,
+        // not a SIMD step). The diagonal is loaded as 0 — the dynamic-program
+        // convention the paper's statement 16 silently relies on: with
+        // `w_ii = 0` the candidate `j = i` of `min_j(w_ij + SOW_jd)` is the
+        // *old* `SOW_id`, which is how the pure overwrite of statement 16
+        // realizes the prose's "minimum between its old value and the new
+        // sums" (fidelity note 2 in DESIGN.md); it also pins `SOW_dd` to 0
+        // so one-edge paths keep their `j = d` witness in later iterations.
+        // The word-width check above keeps every finite weight below MAXINT.
         let maxint = ppa.maxint();
+        let w = ppa.load_with(|r, c| loaded_weight(w, maxint, r, c))?;
+        Prepared::new(ppa, n, w)
+    }
 
-        // --- plane setup: the hardwired registers and the input load ------
-        let row = ppa.row_index();
-        let col = ppa.col_index();
-        let nm1_imm = ppa.constant(n as i64 - 1);
-        let diag = ppa.eq(&row, &col)?; // ROW == COL
-        let last_col = ppa.eq(&col, &nm1_imm)?; // COL == n - 1
-                                                // `parallel int W` arrives preloaded in each PE's memory (host I/O,
-                                                // not a SIMD step). The diagonal is loaded as 0 — the dynamic-program
-                                                // convention the paper's statement 16 silently relies on: with
-                                                // `w_ii = 0` the candidate `j = i` of `min_j(w_ij + SOW_jd)` is the
-                                                // *old* `SOW_id`, which is how the pure overwrite of statement 16
-                                                // realizes the prose's "minimum between its old value and the new
-                                                // sums" (fidelity note 2 in DESIGN.md); it also pins `SOW_dd` to 0 so
-                                                // one-edge paths keep their `j = d` witness in later iterations.
-        let mut w_vec = w.try_saturated_vec(maxint)?;
-        for i in 0..n {
-            w_vec[i * n + i] = 0;
-        }
-        let w_plane: Parallel<i64> = Parallel::from_vec(dim, w_vec);
-
+    /// The five prepare steps shared by solo and lane-batched sessions:
+    /// `ROW`, the `COL` of an `n`-column lane, the `n - 1` immediate and
+    /// the masks `ROW == COL` and `COL == n - 1`, next to the preloaded
+    /// weight register `w`.
+    pub(crate) fn new(ppa: &mut Ppa<E>, n: usize, w: E::Int) -> Result<Self> {
+        let maxint = ppa.maxint();
+        let row = ppa.int_row_index()?;
+        let col = ppa.int_col_index(n)?;
+        let nm1_imm = ppa.int_constant(n as i64 - 1)?;
+        let diag = ppa.int_eq(&row, &col)?; // ROW == COL
+        let last_col = ppa.int_eq(&col, &nm1_imm)?; // COL == n - 1
         Ok(Prepared {
             n,
             maxint,
@@ -180,20 +231,16 @@ impl Prepared {
             col,
             diag,
             last_col,
-            w_plane,
+            w,
         })
     }
 
-    /// Builds the destination masks for `d`.
-    fn dest_masks<E: Executor>(&self, ppa: &mut Ppa<E>, d: usize) -> Result<DestMasks> {
-        let n = self.n;
-        if d >= n {
-            return Err(McpError::DestinationOutOfRange { d, n });
-        }
-        let d_imm = ppa.constant(d as i64);
-        let row_is_d = ppa.eq(&self.row, &d_imm)?;
-        let row_ne_d = ppa.not(&row_is_d)?;
-        let col_is_d = ppa.eq(&self.col, &d_imm)?;
+    /// The destination registers for the per-PE destination `d_imm`
+    /// (one immediate, here or per lane, plus three ALU steps).
+    pub(crate) fn dest_masks(&self, ppa: &mut Ppa<E>, d_imm: E::Int) -> Result<DestMasks<E>> {
+        let row_is_d = ppa.int_eq(&self.row, &d_imm)?;
+        let row_ne_d = ppa.mask_not(&row_is_d)?;
+        let col_is_d = ppa.int_eq(&self.col, &d_imm)?;
         Ok(DestMasks {
             d_imm,
             row_is_d,
@@ -202,11 +249,21 @@ impl Prepared {
         })
     }
 
-    /// One complete solve against the prepared planes. Step accounting
+    /// The destination registers for `d`.
+    fn dest_masks_for(&self, ppa: &mut Ppa<E>, d: usize) -> Result<DestMasks<E>> {
+        let n = self.n;
+        if d >= n {
+            return Err(McpError::DestinationOutOfRange { d, n });
+        }
+        let d_imm = ppa.int_constant(d as i64)?;
+        self.dest_masks(ppa, d_imm)
+    }
+
+    /// One complete solve against the prepared registers. Step accounting
     /// starts here, so the shared prepare cost is amortized out of every
-    /// per-destination report; only the four destination masks are
+    /// per-destination report; only the four destination registers are
     /// rebuilt per call.
-    pub(crate) fn solve<E: Executor>(
+    pub(crate) fn solve(
         &self,
         ppa: &mut Ppa<E>,
         w: &WeightMatrix,
@@ -219,18 +276,75 @@ impl Prepared {
             ppa.enter_span("mcp");
         }
         ppa.set_phase(Some("setup"));
-        let masks = self.dest_masks(ppa, d)?;
+        let masks = self.dest_masks_for(ppa, d)?;
         self.run(ppa, &masks, w, d, start, observed, verify)
     }
 
-    /// Statements 4-20 plus readout and (optionally) verification,
+    /// Statements 9-18: one pass of the do-while body up to the loop test,
+    /// shared by the solo and the lane-batched solver. Returns the
+    /// statement-17 mask `SOW != OLD_SOW`.
+    pub(crate) fn relax(
+        &self,
+        ppa: &mut Ppa<E>,
+        masks: &DestMasks<E>,
+        regs: &mut LoopRegs<E>,
+    ) -> Result<E::Mask> {
+        let DestMasks {
+            row_is_d, row_ne_d, ..
+        } = masks;
+        let LoopRegs {
+            sow,
+            min_sow,
+            ptn,
+            old_sow,
+        } = regs;
+
+        // ---- statements 9-13, under where (ROW != d) ----
+        // 10: SOW = broadcast(SOW, SOUTH, ROW == d) + W
+        //     (the bus transaction is global; the mask gates the write)
+        ppa.set_phase(Some("stmt 10: broadcast+add"));
+        let bsow = ppa.int_broadcast(sow, Direction::South, row_is_d)?;
+        let sum = ppa.int_sat_add(&bsow, &self.w)?;
+        ppa.where_mask(row_ne_d, |p| p.int_assign(sow, &sum))??;
+
+        // 11: MIN_SOW = min(SOW, WEST, COL == n-1)
+        ppa.set_phase(Some("stmt 11: min"));
+        let rowmin = ppa.int_min(sow, Direction::West, &self.last_col)?;
+        ppa.where_mask(row_ne_d, |p| p.int_assign(min_sow, &rowmin))??;
+
+        // 12: PTN = selected_min(COL, WEST, COL == n-1, MIN_SOW == SOW)
+        //     (+ fidelity repair: row d trivially selected so its bus
+        //      cluster never floats; its result is masked away below). On a
+        //      lane-batched machine `COL` is lane-local, so PTN values and
+        //      tie-breaks match each lane's solo run.
+        ppa.set_phase(Some("stmt 12: selected_min"));
+        let is_argmin = ppa.int_eq(min_sow, sow)?;
+        let sel = ppa.mask_or(&is_argmin, row_is_d)?;
+        let argmin_col = ppa.int_selected_min(&self.col, Direction::West, &self.last_col, &sel)?;
+        ppa.where_mask(row_ne_d, |p| p.int_assign(ptn, &argmin_col))??;
+
+        // ---- statements 14-18, under where (ROW == d) ----
+        ppa.set_phase(Some("stmts 14-18: fold into row d"));
+        let bc_min = ppa.int_broadcast(min_sow, Direction::South, &self.diag)?; // 16 (read)
+        let bc_ptn = ppa.int_broadcast(ptn, Direction::South, &self.diag)?; // 18 (read)
+        let changed = ppa.where_mask(row_is_d, |p| -> ppa_ppc::Result<E::Mask> {
+            p.int_assign(old_sow, sow)?; // 15
+            p.int_assign(sow, &bc_min)?; // 16 (write)
+            let changed = p.int_ne(sow, old_sow)?; // 17 condition
+            p.where_mask(&changed, |q| q.int_assign(ptn, &bc_ptn))??; // 17-18
+            Ok(changed)
+        })??;
+        Ok(changed)
+    }
+
+    /// Statements 3-20 plus readout and (optionally) verification,
     /// assuming the caller has already entered the `mcp` span (when
     /// observed) and set the `setup` phase.
     #[allow(clippy::too_many_arguments)]
-    fn run<E: Executor>(
+    fn run(
         &self,
         ppa: &mut Ppa<E>,
-        masks: &DestMasks,
+        masks: &DestMasks<E>,
         w: &WeightMatrix,
         d: usize,
         start: StepReport,
@@ -238,27 +352,7 @@ impl Prepared {
         verify: bool,
     ) -> Result<McpOutput> {
         let n = self.n;
-        let maxint = self.maxint;
-        let Prepared {
-            diag,
-            last_col,
-            w_plane,
-            ..
-        } = self;
-        let DestMasks {
-            d_imm,
-            row_is_d,
-            row_ne_d,
-            col_is_d,
-        } = masks;
-        let col = &self.col;
-
-        // Parallel variable declarations; PPC leaves them uninitialized, the
-        // simulator pins them to MAXINT (fidelity note 2 at the crate root).
-        let mut sow = ppa.constant(maxint);
-        let mut min_sow = ppa.constant(maxint);
-        let mut ptn = ppa.constant(0i64);
-        let mut old_sow = ppa.constant(maxint); // statement 3
+        let mut regs = LoopRegs::declare(ppa, self.maxint)?;
 
         // --- Step 1: statements 4-7 -------------------------------------------
         ppa.set_phase(Some("step 1 (stmts 4-7)"));
@@ -268,17 +362,9 @@ impl Prepared {
         // (fidelity note 3 in DESIGN.md). The intended initialization is
         // realized with two O(1) bus steps: spread column d across each row,
         // then fold the diagonal down into row d.
-        let in_weights = ppa.broadcast(w_plane, Direction::East, col_is_d)?; // [i][*] = w_id
-        let in_weights_t = ppa.broadcast(&in_weights, Direction::South, diag)?; // [*][i] = w_id
-        ppa.where_(row_is_d, |p| -> ppa_ppc::Result<()> {
-            p.assign(&mut sow, &in_weights_t)?; // 5 (intended): SOW[d][i] = w_id
-            p.assign(&mut ptn, d_imm)?; // 6: PTN = d
-                                        // MIN_SOW is uninitialized in the paper; statement 16 reads its
-                                        // (d,d) element every iteration, so it must start at SOW_dd = 0
-                                        // for the destination column to stay pinned (fidelity note 2).
-            p.assign(&mut min_sow, &in_weights_t)?;
-            Ok(())
-        })??;
+        let in_weights = ppa.int_broadcast(&self.w, Direction::East, &masks.col_is_d)?; // [i][*] = w_id
+        let in_weights_t = ppa.int_broadcast(&in_weights, Direction::South, &self.diag)?; // [*][i] = w_id
+        regs.init(ppa, masks, &in_weights_t)?;
 
         // The counters are monotonic within the run, so the subtraction cannot
         // fail; `checked_since` keeps the stats path panic-free regardless.
@@ -288,9 +374,8 @@ impl Prepared {
         let mut per_iteration: Vec<StepReport> = Vec::new();
         let mut iterations = 0usize;
         // Invariant 1 state: the row-d cost snapshot of the previous pass
-        // (host-side copy; never touches the array).
-        let mut prev_row_d: Option<Vec<i64>> =
-            verify.then(|| (0..n).map(|i| *sow.at(d, i)).collect());
+        // (host-side read of the bit-planes; never touches the array).
+        let mut prev_row_d: Option<Vec<i64>> = verify.then(|| ppa.read_row(&regs.sow, d, 0..n));
         loop {
             let iter_start = ppa.steps();
             if observed {
@@ -298,45 +383,13 @@ impl Prepared {
             }
             iterations += 1;
 
-            // ---- statements 9-13, under where (ROW != d) ----
-            // 10: SOW = broadcast(SOW, SOUTH, ROW == d) + W
-            //     (the bus transaction is global; the mask gates the write)
-            ppa.set_phase(Some("stmt 10: broadcast+add"));
-            let bsow = ppa.broadcast(&sow, Direction::South, row_is_d)?;
-            let sum = ppa.sat_add(&bsow, w_plane)?;
-            ppa.where_(row_ne_d, |p| p.assign(&mut sow, &sum))??;
-
-            // 11: MIN_SOW = min(SOW, WEST, COL == n-1)
-            ppa.set_phase(Some("stmt 11: min"));
-            let rowmin = ppa.min(&sow, Direction::West, last_col)?;
-            ppa.where_(row_ne_d, |p| p.assign(&mut min_sow, &rowmin))??;
-
-            // 12: PTN = selected_min(COL, WEST, COL == n-1, MIN_SOW == SOW)
-            //     (+ fidelity repair: row d trivially selected so its bus
-            //      cluster never floats; its result is masked away below)
-            ppa.set_phase(Some("stmt 12: selected_min"));
-            let is_argmin = ppa.eq(&min_sow, &sow)?;
-            let sel = ppa.or(&is_argmin, row_is_d)?;
-            let argmin_col = ppa.selected_min(col, Direction::West, last_col, &sel)?;
-            ppa.where_(row_ne_d, |p| p.assign(&mut ptn, &argmin_col))??;
-
-            // ---- statements 14-18, under where (ROW == d) ----
-            ppa.set_phase(Some("stmts 14-18: fold into row d"));
-            let bc_min = ppa.broadcast(&min_sow, Direction::South, diag)?; // 16 (read)
-            let bc_ptn = ppa.broadcast(&ptn, Direction::South, diag)?; // 18 (read)
-            let changed = ppa.where_(row_is_d, |p| -> ppa_ppc::Result<Parallel<bool>> {
-                p.assign(&mut old_sow, &sow)?; // 15
-                p.assign(&mut sow, &bc_min)?; // 16 (write)
-                let changed = p.ne(&sow, &old_sow)?; // 17 condition
-                p.where_(&changed, |q| q.assign(&mut ptn, &bc_ptn))??; // 17-18
-                Ok(changed)
-            })??;
+            let changed = self.relax(ppa, masks, &mut regs)?;
 
             per_iteration.push(ppa.steps().checked_since(&iter_start).unwrap_or_default());
 
             // ---- invariant 1: row-d costs never increase ----
             if let Some(prev) = prev_row_d.as_mut() {
-                let now: Vec<i64> = (0..n).map(|i| *sow.at(d, i)).collect();
+                let now = ppa.read_row(&regs.sow, d, 0..n);
                 if now.iter().zip(prev.iter()).any(|(new, old)| new > old) {
                     ppa.set_phase(None);
                     if observed {
@@ -352,8 +405,8 @@ impl Prepared {
 
             // ---- statement 20: while at least one SOW in row d has changed ----
             ppa.set_phase(Some("stmt 20: loop test"));
-            let changed_in_row_d = ppa.and(&changed, row_is_d)?;
-            let keep_going = ppa.any(&changed_in_row_d)?;
+            let changed_in_row_d = ppa.mask_and(&changed, &masks.row_is_d)?;
+            let keep_going = ppa.mask_any(&changed_in_row_d)?;
             if observed {
                 ppa.exit_span(); // iteration[i] (includes the loop test)
             }
@@ -377,58 +430,19 @@ impl Prepared {
         }
 
         // --- read out row d -----------------------------------------------------
-        let mut out_sow: Vec<Weight> = Vec::with_capacity(n);
-        let mut out_ptn: Vec<usize> = Vec::with_capacity(n);
-        for i in 0..n {
-            let cost = *sow.at(d, i);
-            if i == d {
-                out_sow.push(0);
-                out_ptn.push(d);
-            } else if cost >= maxint {
-                out_sow.push(INF);
-                out_ptn.push(i);
-            } else {
-                out_sow.push(cost);
-                out_ptn.push(*ptn.at(d, i) as usize);
-            }
-        }
-
-        if verify {
-            // ---- invariant 2: the destination's own cost is zero ----
-            if *sow.at(d, d) != 0 {
-                return Err(McpError::InvariantViolation {
-                    invariant: "destination cost must be zero",
-                });
-            }
-            // ---- invariant 3: the Bellman fixpoint against the input ----
-            // `sow[i] = min_j(w_ij + sow[j])` for i != d, in host arithmetic
-            // with INF absorbing. The word-width guard above rules out
-            // saturation, so a correct run matches exactly.
-            for i in 0..n {
-                if i == d {
-                    continue;
-                }
-                let mut best = INF;
-                for j in 0..n {
-                    let wij = w.get(i, j);
-                    if j == i || wij == INF || out_sow[j] == INF {
-                        continue;
-                    }
-                    best = best.min(wij + out_sow[j]);
-                }
-                if out_sow[i] != best {
-                    return Err(McpError::InvariantViolation {
-                        invariant: "row-d costs must satisfy the Bellman fixpoint",
-                    });
-                }
-            }
-        }
-
+        let (sow, ptn) = read_out(
+            w,
+            d,
+            self.maxint,
+            &ppa.read_row(&regs.sow, d, 0..n),
+            &ppa.read_row(&regs.ptn, d, 0..n),
+            verify,
+        )?;
         let total = ppa.steps().checked_since(&start).unwrap_or_default();
         Ok(McpOutput {
             dest: d,
-            sow: out_sow,
-            ptn: out_ptn,
+            sow,
+            ptn,
             iterations,
             stats: McpStats {
                 init: init_report,
@@ -437,6 +451,77 @@ impl Prepared {
             },
         })
     }
+}
+
+/// The preloaded `W` value of PE `(r, c)`: `w_rc` with absent edges as
+/// `MAXINT` and the diagonal as 0.
+pub(crate) fn loaded_weight(w: &WeightMatrix, maxint: i64, r: usize, c: usize) -> i64 {
+    match w.get(r, c) {
+        _ if r == c => 0,
+        INF => maxint,
+        x => x,
+    }
+}
+
+/// Converts row `d` of the final `SOW`/`PTN` registers into the output
+/// vectors and, when `verify` is set, checks invariants 2 and 3 of
+/// [`minimum_cost_path_verified`] host-side.
+pub(crate) fn read_out(
+    w: &WeightMatrix,
+    d: usize,
+    maxint: i64,
+    sow_d: &[i64],
+    ptn_d: &[i64],
+    verify: bool,
+) -> Result<(Vec<Weight>, Vec<usize>)> {
+    let n = sow_d.len();
+    let mut out_sow: Vec<Weight> = Vec::with_capacity(n);
+    let mut out_ptn: Vec<usize> = Vec::with_capacity(n);
+    for i in 0..n {
+        let cost = sow_d[i];
+        if i == d {
+            out_sow.push(0);
+            out_ptn.push(d);
+        } else if cost >= maxint {
+            out_sow.push(INF);
+            out_ptn.push(i);
+        } else {
+            out_sow.push(cost);
+            out_ptn.push(ptn_d[i] as usize);
+        }
+    }
+
+    if verify {
+        // ---- invariant 2: the destination's own cost is zero ----
+        if sow_d[d] != 0 {
+            return Err(McpError::InvariantViolation {
+                invariant: "destination cost must be zero",
+            });
+        }
+        // ---- invariant 3: the Bellman fixpoint against the input ----
+        // `sow[i] = min_j(w_ij + sow[j])` for i != d, in host arithmetic
+        // with INF absorbing. The word-width guard rules out saturation, so
+        // a correct run matches exactly.
+        for i in 0..n {
+            if i == d {
+                continue;
+            }
+            let mut best = INF;
+            for j in 0..n {
+                let wij = w.get(i, j);
+                if j == i || wij == INF || out_sow[j] == INF {
+                    continue;
+                }
+                best = best.min(wij + out_sow[j]);
+            }
+            if out_sow[i] != best {
+                return Err(McpError::InvariantViolation {
+                    invariant: "row-d costs must satisfy the Bellman fixpoint",
+                });
+            }
+        }
+    }
+    Ok((out_sow, out_ptn))
 }
 
 fn mcp_run<E: Executor>(
@@ -477,7 +562,7 @@ fn mcp_run<E: Executor>(
     }
     ppa.set_phase(Some("setup"));
     let prep = Prepared::build(ppa, w)?;
-    let masks = prep.dest_masks(ppa, d)?;
+    let masks = prep.dest_masks_for(ppa, d)?;
     prep.run(ppa, &masks, w, d, start, observed, verify)
 }
 

@@ -9,7 +9,7 @@
 //! that.
 //!
 //! An [`McpSession`] owns a runtime (machine + execution backend) together
-//! with the destination-independent plane set prepared once from a weight
+//! with the destination-independent registers prepared once from a weight
 //! matrix. Each [`McpSession::solve`] then only rebuilds the four
 //! destination masks before running the do-while loop, and — on a
 //! plan-caching backend such as
@@ -26,12 +26,12 @@ use ppa_machine::{ExecStats, Executor, PackedBackend, ScalarBackend};
 use ppa_ppc::Ppa;
 
 /// A minimum-cost-path solver session: a runtime plus the prepared
-/// destination-independent planes for one weight matrix.
+/// destination-independent registers for one weight matrix.
 #[derive(Debug)]
 pub struct McpSession<E: Executor = ScalarBackend> {
     ppa: Ppa<E>,
     w: WeightMatrix,
-    prep: Prepared,
+    prep: Prepared<E>,
 }
 
 impl McpSession<ScalarBackend> {

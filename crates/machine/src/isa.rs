@@ -5,8 +5,8 @@
 //! controller instruction) and an *execution* side (the per-PE mechanics)
 //! behind the [`Executor`] trait. [`ScalarBackend`] reproduces the
 //! historical `Vec<T>`-plane semantics verbatim; the packed backend in
-//! [`crate::packed`] executes mask logic on u64-word bitsets with a
-//! bus-plan cache.
+//! [`crate::packed`] keeps masks as u64-word bitsets and integer registers
+//! as `h` bit-planes of such words.
 //!
 //! The contract every backend must satisfy: for any instruction sequence,
 //! the *values* delivered to PEs, the per-class step counts, and the
@@ -17,6 +17,7 @@ use crate::bus;
 use crate::error::MachineError;
 use crate::geometry::{Axis, Dim, Direction};
 use crate::plane::Plane;
+use std::ops::Range;
 
 /// One controller instruction, as seen by the issue logic.
 ///
@@ -131,19 +132,27 @@ impl ExecStats {
 
 /// An execution substrate for the PPA micro-op ISA.
 ///
-/// The executor owns the *mechanics* of each micro-op: how planes and masks
-/// are represented and how the per-PE effects are computed. It never touches
-/// the controller — step accounting, phase labels, fault application and
-/// activity statistics all live in [`Machine`](crate::Machine), which calls
-/// exactly one executor method per issued instruction.
+/// The executor owns the *mechanics* of each micro-op: how planes, masks
+/// and registers are represented and how the per-PE effects are computed.
+/// It never touches the controller — step accounting, phase labels, fault
+/// application and activity statistics all live in
+/// [`Machine`](crate::Machine), which calls exactly one executor method per
+/// issued instruction.
 ///
 /// `Mask` is the backend's representation of a `Plane<bool>` used as a bus
-/// switch pattern or an enable set inside the bit-serial `min` loop. The
-/// scalar backend keeps it as a `Plane<bool>`; the packed backend uses
-/// 64-PE-per-word bitsets.
+/// switch pattern, an activity mask or an enable set; `Int` is its
+/// representation of an `h`-bit unsigned integer register
+/// (`0 <= v < 2^h`). The scalar backend keeps them as `Plane<bool>` and
+/// `Plane<i64>`; the packed backend uses 64-PE-per-word bitsets, and an
+/// `Int` is `h` such bit-planes. `Parallel<i64>` planes stay the host I/O
+/// type: values enter a register through an uncosted load and leave it
+/// through an uncosted read.
 pub trait Executor: std::fmt::Debug + Clone {
     /// Backend representation of a boolean mask plane.
     type Mask: Clone + std::fmt::Debug + PartialEq;
+
+    /// Backend representation of an `h`-bit unsigned integer register.
+    type Int: Clone + std::fmt::Debug + PartialEq;
 
     /// Short backend name used to key wall-clock attribution
     /// (`exec.<NAME>.<class>.ns` metrics, folded-stack frames). The two
@@ -164,8 +173,17 @@ pub trait Executor: std::fmt::Debug + Clone {
     /// Number of set PEs in the mask.
     fn mask_count(&self, dim: Dim, mask: &Self::Mask) -> usize;
 
-    /// Extracts bit `j` of every (non-negative) PE value as a mask.
-    fn bit_plane(&mut self, dim: Dim, src: &Plane<i64>, j: u32) -> Self::Mask;
+    /// Whether any PE of row `row` in columns `cols` is set (uncosted).
+    fn mask_any_in(&self, dim: Dim, mask: &Self::Mask, row: usize, cols: Range<usize>) -> bool;
+
+    /// Elementwise `a && b`.
+    fn mask_and(&mut self, dim: Dim, a: &Self::Mask, b: &Self::Mask) -> Self::Mask;
+
+    /// Elementwise `a || b`.
+    fn mask_or(&mut self, dim: Dim, a: &Self::Mask, b: &Self::Mask) -> Self::Mask;
+
+    /// Elementwise `!a`.
+    fn mask_not(&mut self, dim: Dim, a: &Self::Mask) -> Self::Mask;
 
     /// The bit-serial voting step: `keep_low` selects the Min rule
     /// `enable && !bit`; otherwise the Max rule `enable && bit`.
@@ -198,6 +216,70 @@ pub trait Executor: std::fmt::Debug + Clone {
         open: &Self::Mask,
     ) -> Result<Self::Mask, MachineError>;
 
+    /// An `h`-bit register holding `value(row, col)` at every PE (uncosted
+    /// host I/O), called once per PE in row-major order. Values outside
+    /// `0 <= v < 2^h` leave the register unspecified; callers validate.
+    fn int_from_fn(
+        &mut self,
+        dim: Dim,
+        h: u32,
+        value: impl FnMut(usize, usize) -> i64,
+    ) -> Self::Int;
+
+    /// An `h`-bit register whose value depends only on the row:
+    /// `value(row)` at every PE of that row (immediates, `ROW`).
+    fn int_by_row(&mut self, dim: Dim, h: u32, value: impl FnMut(usize) -> i64) -> Self::Int;
+
+    /// An `h`-bit register whose value depends only on the column:
+    /// `value(col)` at every PE of that column (lane immediates, `COL`).
+    fn int_by_col(&mut self, dim: Dim, h: u32, value: impl FnMut(usize) -> i64) -> Self::Int;
+
+    /// Reads a register back into a plane (uncosted host I/O).
+    fn int_to_plane(&self, dim: Dim, reg: &Self::Int) -> Plane<i64>;
+
+    /// Reads columns `cols` of row `row` of a register (uncosted host I/O).
+    fn int_row(&self, dim: Dim, reg: &Self::Int, row: usize, cols: Range<usize>) -> Vec<i64>;
+
+    /// Elementwise saturating `h`-bit addition: a sum that reaches or
+    /// exceeds `MAXINT = 2^h - 1` yields `MAXINT`.
+    fn int_sat_add(&mut self, dim: Dim, h: u32, a: &Self::Int, b: &Self::Int) -> Self::Int;
+
+    /// Elementwise `a == b` (or `a != b` when `equal` is false).
+    fn int_eq(&mut self, dim: Dim, a: &Self::Int, b: &Self::Int, equal: bool) -> Self::Mask;
+
+    /// Masked register write `where (mask) dst = src`; `None` writes
+    /// every PE.
+    fn int_assign(
+        &mut self,
+        dim: Dim,
+        dst: &mut Self::Int,
+        src: &Self::Int,
+        mask: Option<&Self::Mask>,
+    );
+
+    /// Cluster-head broadcast of a register with the switch pattern given
+    /// as a backend mask.
+    fn int_broadcast(
+        &mut self,
+        dim: Dim,
+        src: &Self::Int,
+        dir: Direction,
+        open: &Self::Mask,
+    ) -> Result<Self::Int, MachineError>;
+
+    /// Bit-plane `j` of a register as a mask.
+    fn int_bit(&mut self, dim: Dim, src: &Self::Int, j: u32) -> Self::Mask;
+
+    /// Masked plane write `where (mask) dst = src`; `None` writes every
+    /// PE. The activity-mask form of the plane-typed ALU's assignment.
+    fn assign_plane<T: Copy>(
+        &mut self,
+        dim: Dim,
+        dst: &mut Plane<T>,
+        src: &Plane<T>,
+        mask: Option<&Self::Mask>,
+    );
+
     /// Cluster-head broadcast with the switch pattern given as a plane.
     fn broadcast<T: Copy>(
         &mut self,
@@ -208,16 +290,6 @@ pub trait Executor: std::fmt::Debug + Clone {
     ) -> Result<Plane<T>, MachineError> {
         bus::broadcast(dim, src, dir, open)
     }
-
-    /// Cluster-head broadcast with the switch pattern given as a backend
-    /// mask.
-    fn broadcast_masked<T: Copy>(
-        &mut self,
-        dim: Dim,
-        src: &Plane<T>,
-        dir: Direction,
-        open: &Self::Mask,
-    ) -> Result<Plane<T>, MachineError>;
 
     /// Wired-OR with both operands as planes.
     fn bus_or(
@@ -259,8 +331,25 @@ pub trait Executor: std::fmt::Debug + Clone {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarBackend;
 
+/// Elementwise combination of two equal-shaped planes.
+fn zip_planes<A: Copy, B: Copy, U>(
+    dim: Dim,
+    a: &Plane<A>,
+    b: &Plane<B>,
+    f: impl Fn(A, B) -> U,
+) -> Plane<U> {
+    let data = a
+        .as_slice()
+        .iter()
+        .zip(b.as_slice())
+        .map(|(&x, &y)| f(x, y))
+        .collect();
+    Plane::from_vec(dim, data)
+}
+
 impl Executor for ScalarBackend {
     type Mask = Plane<bool>;
+    type Int = Plane<i64>;
 
     const NAME: &'static str = "scalar";
 
@@ -280,16 +369,20 @@ impl Executor for ScalarBackend {
         mask.count_true()
     }
 
-    fn bit_plane(&mut self, dim: Dim, src: &Plane<i64>, j: u32) -> Plane<bool> {
-        let data = src
-            .as_slice()
-            .iter()
-            .map(|&x| {
-                debug_assert!(x >= 0, "bit-serial scan expects non-negative values");
-                (x >> j) & 1 == 1
-            })
-            .collect();
-        Plane::from_vec(dim, data)
+    fn mask_any_in(&self, _dim: Dim, mask: &Plane<bool>, row: usize, cols: Range<usize>) -> bool {
+        mask.row(row)[cols].iter().any(|&b| b)
+    }
+
+    fn mask_and(&mut self, dim: Dim, a: &Plane<bool>, b: &Plane<bool>) -> Plane<bool> {
+        zip_planes(dim, a, b, |x, y| x && y)
+    }
+
+    fn mask_or(&mut self, dim: Dim, a: &Plane<bool>, b: &Plane<bool>) -> Plane<bool> {
+        zip_planes(dim, a, b, |x, y| x || y)
+    }
+
+    fn mask_not(&mut self, _dim: Dim, a: &Plane<bool>) -> Plane<bool> {
+        a.map_free(|&x| !x)
     }
 
     fn vote(
@@ -299,13 +392,11 @@ impl Executor for ScalarBackend {
         bit: &Plane<bool>,
         keep_low: bool,
     ) -> Plane<bool> {
-        let (e, b) = (enable.as_slice(), bit.as_slice());
-        let data = if keep_low {
-            (0..dim.len()).map(|i| e[i] && !b[i]).collect()
+        if keep_low {
+            zip_planes(dim, enable, bit, |e, b| e && !b)
         } else {
-            (0..dim.len()).map(|i| e[i] && b[i]).collect()
-        };
-        Plane::from_vec(dim, data)
+            zip_planes(dim, enable, bit, |e, b| e && b)
+        }
     }
 
     fn knockout(
@@ -335,14 +426,80 @@ impl Executor for ScalarBackend {
         bus::bus_or(dim, values, dir, open)
     }
 
-    fn broadcast_masked<T: Copy>(
+    fn int_from_fn(
         &mut self,
         dim: Dim,
-        src: &Plane<T>,
+        _h: u32,
+        mut value: impl FnMut(usize, usize) -> i64,
+    ) -> Plane<i64> {
+        Plane::from_fn(dim, |c| value(c.row, c.col))
+    }
+
+    fn int_by_row(&mut self, dim: Dim, _h: u32, mut value: impl FnMut(usize) -> i64) -> Plane<i64> {
+        Plane::from_fn(dim, |c| value(c.row))
+    }
+
+    fn int_by_col(&mut self, dim: Dim, _h: u32, mut value: impl FnMut(usize) -> i64) -> Plane<i64> {
+        Plane::from_fn(dim, |c| value(c.col))
+    }
+
+    fn int_to_plane(&self, _dim: Dim, reg: &Plane<i64>) -> Plane<i64> {
+        reg.clone()
+    }
+
+    fn int_row(&self, _dim: Dim, reg: &Plane<i64>, row: usize, cols: Range<usize>) -> Vec<i64> {
+        reg.row(row)[cols].to_vec()
+    }
+
+    fn int_sat_add(&mut self, dim: Dim, h: u32, a: &Plane<i64>, b: &Plane<i64>) -> Plane<i64> {
+        let max = (1i64 << h) - 1;
+        zip_planes(dim, a, b, |x, y| (x + y).min(max))
+    }
+
+    fn int_eq(&mut self, dim: Dim, a: &Plane<i64>, b: &Plane<i64>, equal: bool) -> Plane<bool> {
+        zip_planes(dim, a, b, |x, y| (x == y) == equal)
+    }
+
+    fn int_assign(
+        &mut self,
+        dim: Dim,
+        dst: &mut Plane<i64>,
+        src: &Plane<i64>,
+        mask: Option<&Plane<bool>>,
+    ) {
+        self.assign_plane(dim, dst, src, mask);
+    }
+
+    fn int_broadcast(
+        &mut self,
+        dim: Dim,
+        src: &Plane<i64>,
         dir: Direction,
         open: &Plane<bool>,
-    ) -> Result<Plane<T>, MachineError> {
+    ) -> Result<Plane<i64>, MachineError> {
         bus::broadcast(dim, src, dir, open)
+    }
+
+    fn int_bit(&mut self, _dim: Dim, src: &Plane<i64>, j: u32) -> Plane<bool> {
+        src.map_free(|&x| (x >> j) & 1 == 1)
+    }
+
+    fn assign_plane<T: Copy>(
+        &mut self,
+        _dim: Dim,
+        dst: &mut Plane<T>,
+        src: &Plane<T>,
+        mask: Option<&Plane<bool>>,
+    ) {
+        let Some(mask) = mask else {
+            *dst = src.clone();
+            return;
+        };
+        // In place: a shared `dst` buffer is unshared first (copy-on-write).
+        let (s, m) = (src.as_slice(), mask.as_slice());
+        for ((d, &s), &m) in dst.as_mut_slice().iter_mut().zip(s).zip(m) {
+            *d = if m { s } else { *d };
+        }
     }
 }
 

@@ -89,21 +89,6 @@ impl LaneLayout {
         Plane::from_fn(self.dim(), |c| f(c.col / n, c.row, c.col % n))
     }
 
-    /// Builds the composite plane's row-major backing vector from a
-    /// per-lane generator — same values as [`LaneLayout::compose`], for
-    /// callers that feed `Parallel::from_vec`-style constructors.
-    pub fn compose_vec<T>(&self, mut f: impl FnMut(usize, usize, usize) -> T) -> Vec<T> {
-        let n = self.n;
-        let dim = self.dim();
-        let mut out = Vec::with_capacity(dim.len());
-        for row in 0..dim.rows {
-            for col in 0..dim.cols {
-                out.push(f(col / n, row, col % n));
-            }
-        }
-        out
-    }
-
     /// Extracts one lane's `n x n` sub-plane as a row-major vector.
     pub fn extract<T: Clone>(&self, plane: &Plane<T>, lane: usize) -> Vec<T> {
         assert_eq!(plane.dim(), self.dim(), "plane does not match this layout");
@@ -113,25 +98,6 @@ impl LaneLayout {
             out.extend_from_slice(&plane.row(row)[cols.clone()]);
         }
         out
-    }
-
-    /// Reads one lane-local row (`n` values) of a composite plane.
-    pub fn lane_row<T: Clone>(&self, plane: &Plane<T>, lane: usize, row: usize) -> Vec<T> {
-        assert_eq!(plane.dim(), self.dim(), "plane does not match this layout");
-        plane.row(row)[self.col_range(lane)].to_vec()
-    }
-
-    /// Reads one lane-local cell of a composite plane.
-    pub fn lane_at<'a, T>(
-        &self,
-        plane: &'a Plane<T>,
-        lane: usize,
-        row: usize,
-        col: usize,
-    ) -> &'a T {
-        assert_eq!(plane.dim(), self.dim(), "plane does not match this layout");
-        assert!(col < self.n, "lane-local column {col} out of range");
-        plane.at(row, lane * self.n + col)
     }
 }
 
@@ -175,18 +141,8 @@ mod tests {
             for r in 0..3 {
                 for c in 0..3 {
                     assert_eq!(sub[r * 3 + c], (lane * 100 + r * 10 + c) as i64);
-                    assert_eq!(*l.lane_at(&plane, lane, r, c), sub[r * 3 + c]);
                 }
             }
-            assert_eq!(l.lane_row(&plane, lane, 1), &sub[3..6]);
         }
-    }
-
-    #[test]
-    fn compose_vec_matches_compose() {
-        let l = LaneLayout::new(2, 5);
-        let a = l.compose(|lane, r, c| lane * 7 + r * 3 + c);
-        let b = l.compose_vec(|lane, r, c| lane * 7 + r * 3 + c);
-        assert_eq!(a.as_slice(), b.as_slice());
     }
 }

@@ -424,32 +424,23 @@ impl<E: Executor> Machine<E> {
         out
     }
 
-    /// `broadcast` with the switch pattern held as a backend mask; same
-    /// step cost, fault routing, and observability as the plane form.
-    pub fn broadcast_open<T: Copy>(
-        &mut self,
-        src: &Plane<T>,
-        dir: Direction,
-        open: &E::Mask,
-    ) -> Result<Plane<T>, MachineError> {
-        self.guard()?;
+    /// Issues one bus instruction `u` whose switch pattern is the backend
+    /// mask `open`, with the same step cost, fault routing and
+    /// observability as the plane form. Returns the Open mask the (possibly
+    /// faulty) hardware realizes, or `None` when the machine is healthy and
+    /// `open` applies unchanged.
+    fn issue_bus(&mut self, u: MicroOp, open: &E::Mask) -> Option<E::Mask> {
         if !self.fault_routed() {
-            let (occ, clusters) = self.mask_activity(Some(dir), open);
-            self.issue(MicroOp::Broadcast(dir), occ, clusters);
-            let t = self.micro_start();
-            let out = self.exec.broadcast_masked(self.dim, src, dir, open);
-            self.micro_stop(Op::Broadcast, t);
-            return out;
+            let (occ, clusters) = self.mask_activity(u.direction(), open);
+            self.issue(u, occ, clusters);
+            return None;
         }
         let intended = self.exec.mask_to_plane(self.dim, open);
         let effective = self.effective_open(&intended);
         let open_plane = effective.as_ref().unwrap_or(&intended);
-        let (occ, clusters) = self.plane_activity(Some(dir), open_plane);
-        self.issue(MicroOp::Broadcast(dir), occ, clusters);
-        let t = self.micro_start();
-        let out = self.exec.broadcast(self.dim, src, dir, open_plane);
-        self.micro_stop(Op::Broadcast, t);
-        out
+        let (occ, clusters) = self.plane_activity(u.direction(), open_plane);
+        self.issue(u, occ, clusters);
+        Some(self.exec.mask_from_plane(self.dim, open_plane))
     }
 
     /// Wired-OR with both the value set and the switch pattern held as
@@ -462,22 +453,11 @@ impl<E: Executor> Machine<E> {
         open: &E::Mask,
     ) -> Result<E::Mask, MachineError> {
         self.guard()?;
-        if !self.fault_routed() {
-            let (occ, clusters) = self.mask_activity(Some(dir), open);
-            self.issue(MicroOp::BusOr(dir), occ, clusters);
-            let t = self.micro_start();
-            let out = self.exec.mask_bus_or(self.dim, values, dir, open);
-            self.micro_stop(Op::BusOr, t);
-            return out;
-        }
-        let intended = self.exec.mask_to_plane(self.dim, open);
-        let effective = self.effective_open(&intended);
-        let open_plane = effective.as_ref().unwrap_or(&intended);
-        let (occ, clusters) = self.plane_activity(Some(dir), open_plane);
-        self.issue(MicroOp::BusOr(dir), occ, clusters);
+        let routed = self.issue_bus(MicroOp::BusOr(dir), open);
         let t = self.micro_start();
-        let routed = self.exec.mask_from_plane(self.dim, open_plane);
-        let out = self.exec.mask_bus_or(self.dim, values, dir, &routed);
+        let out = self
+            .exec
+            .mask_bus_or(self.dim, values, dir, routed.as_ref().unwrap_or(open));
         self.micro_stop(Op::BusOr, t);
         out
     }
@@ -549,11 +529,11 @@ impl<E: Executor> Machine<E> {
         Ok(self.exec.mask_count(self.dim, &covered) == self.dim.len())
     }
 
-    // ----- mask instructions (bit-serial scan support) ---------------------
+    // ----- mask registers ------------------------------------------------------
 
     /// Converts a plane into the backend mask representation without
-    /// issuing an instruction (a register *view*, not an operation; use
-    /// [`Machine::load_mask`] for the costed copy).
+    /// issuing an instruction (uncosted host I/O, like
+    /// [`Machine::load_int`]; [`Machine::mask_copy`] is the costed copy).
     pub fn pack_mask(&mut self, src: &Plane<bool>) -> Result<E::Mask, MachineError> {
         self.check(src)?;
         Ok(self.exec.mask_from_plane(self.dim, src))
@@ -578,28 +558,63 @@ impl<E: Executor> Machine<E> {
         out
     }
 
-    /// Copies a plane into a mask register: one step (the mask analogue of
-    /// an identity [`Machine::map`]).
-    pub fn load_mask(&mut self, src: &Plane<bool>) -> Result<E::Mask, MachineError> {
+    /// Copies a mask register: one step (the mask analogue of an identity
+    /// [`Machine::map`]; the scan's `enable = sel` load).
+    pub fn mask_copy(&mut self, src: &E::Mask) -> Result<E::Mask, MachineError> {
         self.guard()?;
-        self.check(src)?;
         self.issue(MicroOp::Map, None, None);
         let t = self.micro_start();
-        let out = self.exec.mask_from_plane(self.dim, src);
+        let out = src.clone();
         self.micro_stop(Op::Alu, t);
         Ok(out)
     }
 
-    /// Extracts bit `j` of every (non-negative) PE value: one step.
-    pub fn mask_bit(&mut self, src: &Plane<i64>, j: u32) -> Result<E::Mask, MachineError> {
-        debug_assert!(j < 63, "i64 sign bit is not addressable");
+    /// Elementwise `a && b` on mask registers: one step.
+    pub fn mask_and(&mut self, a: &E::Mask, b: &E::Mask) -> Result<E::Mask, MachineError> {
         self.guard()?;
-        self.check(src)?;
-        self.issue(MicroOp::Map, None, None);
+        self.issue(MicroOp::Zip, None, None);
         let t = self.micro_start();
-        let out = self.exec.bit_plane(self.dim, src, j);
+        let out = self.exec.mask_and(self.dim, a, b);
         self.micro_stop(Op::Alu, t);
         Ok(out)
+    }
+
+    /// Elementwise `a || b` on mask registers: one step.
+    pub fn mask_or(&mut self, a: &E::Mask, b: &E::Mask) -> Result<E::Mask, MachineError> {
+        self.guard()?;
+        self.issue(MicroOp::Zip, None, None);
+        let t = self.micro_start();
+        let out = self.exec.mask_or(self.dim, a, b);
+        self.micro_stop(Op::Alu, t);
+        Ok(out)
+    }
+
+    /// Elementwise `!a` on a mask register: one step.
+    pub fn mask_not(&mut self, a: &E::Mask) -> Result<E::Mask, MachineError> {
+        self.guard()?;
+        self.issue(MicroOp::Map, None, None);
+        let t = self.micro_start();
+        let out = self.exec.mask_not(self.dim, a);
+        self.micro_stop(Op::Alu, t);
+        Ok(out)
+    }
+
+    /// Global-OR of a mask register: one step; the mask form of
+    /// [`Machine::global_or`].
+    pub fn mask_global_or(&mut self, flags: &E::Mask) -> Result<bool, MachineError> {
+        self.guard()?;
+        let (occ, _) = self.mask_activity(None, flags);
+        self.issue(MicroOp::GlobalOr, occ, None);
+        let t = self.micro_start();
+        let any = self.exec.mask_count(self.dim, flags) != 0;
+        self.micro_stop(Op::GlobalOr, t);
+        Ok(any)
+    }
+
+    /// Whether any PE of row `row` in columns `cols` is set (uncosted,
+    /// host-side).
+    pub fn mask_any_in(&self, mask: &E::Mask, row: usize, cols: std::ops::Range<usize>) -> bool {
+        self.exec.mask_any_in(self.dim, mask, row, cols)
     }
 
     /// The bit-serial voting step (`keep_low` selects the Min rule
@@ -829,23 +844,102 @@ impl<E: Executor> Machine<E> {
         out
     }
 
-    /// Per-lane immediate: lane `l` (columns `l*lane_cols ..
-    /// (l+1)*lane_cols`) receives `values[l]` at every PE. On a
-    /// lane-batched machine each lane has its own sub-controller
+    /// Masked assignment `where (mask) dst = src` with the mask given as a
+    /// plane: an uncosted [`Machine::pack_mask`] and then
+    /// [`Machine::assign_where`], so one controller step.
+    pub fn assign_masked<T: Copy>(
+        &mut self,
+        dst: &mut Plane<T>,
+        src: &Plane<T>,
+        mask: &Plane<bool>,
+    ) -> Result<(), MachineError> {
+        let mask = self.pack_mask(mask)?;
+        self.assign_where(dst, src, Some(&mask))
+    }
+
+    /// Masked plane write `where (mask) dst = src` under a backend
+    /// activity mask (`None`: every PE is active): one controller step.
+    /// PEs where `mask` is false keep their previous `dst` value — the
+    /// SIMD `where` construct gates register *writes*, not instruction
+    /// issue.
+    pub fn assign_where<T: Copy>(
+        &mut self,
+        dst: &mut Plane<T>,
+        src: &Plane<T>,
+        mask: Option<&E::Mask>,
+    ) -> Result<(), MachineError> {
+        self.guard()?;
+        self.check(dst)?;
+        self.check(src)?;
+        let (occ, _) = self.where_activity(mask);
+        self.issue(MicroOp::AssignMasked, occ, None);
+        let t = self.micro_start();
+        self.exec.assign_plane(self.dim, dst, src, mask);
+        self.micro_stop(Op::Alu, t);
+        Ok(())
+    }
+
+    /// Activity statistics of a write under an optional activity mask
+    /// (`None` is the all-active mask).
+    fn where_activity(&mut self, mask: Option<&E::Mask>) -> (Option<f64>, Option<u64>) {
+        match mask {
+            Some(m) => self.mask_activity(None, m),
+            None if self.sample_now() => {
+                let len = self.dim.len();
+                (Some(len as f64 / len.max(1) as f64), None)
+            }
+            None => (None, None),
+        }
+    }
+
+    // ----- integer registers -------------------------------------------------
+    //
+    // An `h`-bit register ([`Executor::Int`]) is the machine form of a PPC
+    // `parallel int`. Values enter through the uncosted [`Machine::load_int`]
+    // and leave through [`Machine::read_int`] / [`Machine::read_int_row`];
+    // every costed opcode below issues the micro-op its plane twin issues,
+    // so step classes, phase labels, activity sampling and fault routing
+    // are those of the plane-typed ALU.
+
+    /// Loads `value(row, col)` into every PE of an `h`-bit register
+    /// (uncosted host I/O, like preloading a plane), calling it once per PE
+    /// in row-major order. Every value must satisfy `0 <= v < 2^h`; the PPC
+    /// layer validates.
+    pub fn load_int(&mut self, h: u32, value: impl FnMut(usize, usize) -> i64) -> E::Int {
+        self.exec.int_from_fn(self.dim, h, value)
+    }
+
+    /// Reads a register back into a plane (uncosted, host-side).
+    pub fn read_int(&self, reg: &E::Int) -> Plane<i64> {
+        self.exec.int_to_plane(self.dim, reg)
+    }
+
+    /// Reads columns `cols` of row `row` of a register (uncosted,
+    /// host-side).
+    pub fn read_int_row(&self, reg: &E::Int, row: usize, cols: std::ops::Range<usize>) -> Vec<i64> {
+        self.exec.int_row(self.dim, reg, row, cols)
+    }
+
+    /// Loads an immediate into every PE of an `h`-bit register: one step.
+    pub fn int_imm(&mut self, value: i64, h: u32) -> E::Int {
+        self.issue(MicroOp::Imm, None, None);
+        let t = self.micro_start();
+        let out = self.exec.int_by_row(self.dim, h, |_| value);
+        self.micro_stop(Op::Alu, t);
+        out
+    }
+
+    /// Per-lane immediate into an `h`-bit register: lane `l` (columns
+    /// `l*lane_cols .. (l+1)*lane_cols`) receives `values[l]` at every PE.
+    /// On a lane-batched machine each lane has its own sub-controller
     /// issuing its immediate in lockstep, so the whole load is one
-    /// controller step — exactly like [`Machine::imm`].
+    /// controller step — exactly like [`Machine::int_imm`].
     ///
     /// # Panics
     /// If `lane_cols` is zero, does not divide the column count, or
     /// `values` does not cover every lane.
-    pub fn lane_imm<T: Clone>(&mut self, values: &[T], lane_cols: usize) -> Plane<T> {
-        assert!(lane_cols > 0, "lane_cols must be positive");
-        assert_eq!(
-            self.dim.cols % lane_cols,
-            0,
-            "lane_cols {lane_cols} must divide the column count {}",
-            self.dim.cols
-        );
+    pub fn int_lane_imm(&mut self, values: &[i64], lane_cols: usize, h: u32) -> E::Int {
+        self.check_lanes(lane_cols);
         assert_eq!(
             values.len(),
             self.dim.cols / lane_cols,
@@ -853,19 +947,109 @@ impl<E: Executor> Machine<E> {
         );
         self.issue(MicroOp::Imm, None, None);
         let t = self.micro_start();
-        let out = Plane::from_fn(self.dim, |c| values[c.col / lane_cols].clone());
+        let out = self.exec.int_by_col(self.dim, h, |c| values[c / lane_cols]);
         self.micro_stop(Op::Alu, t);
         out
     }
 
-    /// Per-lane `COL` register: the column index *within* the PE's lane
-    /// (`col % lane_cols`). A lane-batched machine wires each lane's
-    /// column register relative to the lane origin, so the copy is one
-    /// controller step — exactly like [`Machine::col_index`].
+    /// The hardwired `ROW` register copied into an `h`-bit register: one
+    /// step.
+    pub fn int_row_index(&mut self, h: u32) -> E::Int {
+        self.issue(MicroOp::Index(Axis::Row), None, None);
+        let t = self.micro_start();
+        let out = self.exec.int_by_row(self.dim, h, |r| r as i64);
+        self.micro_stop(Op::Alu, t);
+        out
+    }
+
+    /// The per-lane `COL` register, `col % lane_cols` (`lane_cols` equal
+    /// to the column count is the plain `COL`), copied into an `h`-bit
+    /// register: one step. A lane-batched machine wires each lane's
+    /// column register relative to the lane origin, so the copy costs
+    /// what [`Machine::col_index`] costs.
     ///
     /// # Panics
     /// If `lane_cols` is zero or does not divide the column count.
-    pub fn lane_col_index(&mut self, lane_cols: usize) -> Plane<i64> {
+    pub fn int_col_index(&mut self, lane_cols: usize, h: u32) -> E::Int {
+        self.check_lanes(lane_cols);
+        self.issue(MicroOp::Index(Axis::Col), None, None);
+        let t = self.micro_start();
+        let out = self
+            .exec
+            .int_by_col(self.dim, h, |c| (c % lane_cols) as i64);
+        self.micro_stop(Op::Alu, t);
+        out
+    }
+
+    /// Elementwise saturating `h`-bit addition: one step. A sum that
+    /// reaches `MAXINT = 2^h - 1` yields `MAXINT`.
+    pub fn int_sat_add(&mut self, a: &E::Int, b: &E::Int, h: u32) -> Result<E::Int, MachineError> {
+        self.guard()?;
+        self.issue(MicroOp::Zip, None, None);
+        let t = self.micro_start();
+        let out = self.exec.int_sat_add(self.dim, h, a, b);
+        self.micro_stop(Op::Alu, t);
+        Ok(out)
+    }
+
+    /// Elementwise `a == b` (`equal`) or `a != b` into a mask: one step.
+    pub fn int_eq(&mut self, a: &E::Int, b: &E::Int, equal: bool) -> Result<E::Mask, MachineError> {
+        self.guard()?;
+        self.issue(MicroOp::Zip, None, None);
+        let t = self.micro_start();
+        let out = self.exec.int_eq(self.dim, a, b, equal);
+        self.micro_stop(Op::Alu, t);
+        Ok(out)
+    }
+
+    /// Bit-plane `j` of a register as a mask: one step (the PPC
+    /// `bit(x, j)`).
+    pub fn int_bit(&mut self, src: &E::Int, j: u32) -> Result<E::Mask, MachineError> {
+        self.guard()?;
+        self.issue(MicroOp::Map, None, None);
+        let t = self.micro_start();
+        let out = self.exec.int_bit(self.dim, src, j);
+        self.micro_stop(Op::Alu, t);
+        Ok(out)
+    }
+
+    /// Masked register write `where (mask) dst = src` (`None`: every PE is
+    /// active): one controller step.
+    pub fn int_assign(
+        &mut self,
+        dst: &mut E::Int,
+        src: &E::Int,
+        mask: Option<&E::Mask>,
+    ) -> Result<(), MachineError> {
+        self.guard()?;
+        let (occ, _) = self.where_activity(mask);
+        self.issue(MicroOp::AssignMasked, occ, None);
+        let t = self.micro_start();
+        self.exec.int_assign(self.dim, dst, src, mask);
+        self.micro_stop(Op::Alu, t);
+        Ok(())
+    }
+
+    /// `broadcast(src, dir, L)` of a register with the switch pattern held
+    /// as a backend mask: one controller step, fault-routed like every bus
+    /// instruction.
+    pub fn int_broadcast(
+        &mut self,
+        src: &E::Int,
+        dir: Direction,
+        open: &E::Mask,
+    ) -> Result<E::Int, MachineError> {
+        self.guard()?;
+        let routed = self.issue_bus(MicroOp::Broadcast(dir), open);
+        let t = self.micro_start();
+        let out = self
+            .exec
+            .int_broadcast(self.dim, src, dir, routed.as_ref().unwrap_or(open));
+        self.micro_stop(Op::Broadcast, t);
+        out
+    }
+
+    fn check_lanes(&self, lane_cols: usize) {
         assert!(lane_cols > 0, "lane_cols must be positive");
         assert_eq!(
             self.dim.cols % lane_cols,
@@ -873,40 +1057,6 @@ impl<E: Executor> Machine<E> {
             "lane_cols {lane_cols} must divide the column count {}",
             self.dim.cols
         );
-        self.issue(MicroOp::Index(Axis::Col), None, None);
-        let t = self.micro_start();
-        let out = Plane::from_fn(self.dim, |c| (c.col % lane_cols) as i64);
-        self.micro_stop(Op::Alu, t);
-        out
-    }
-
-    /// Masked assignment `where (mask) dst = src`: one controller step.
-    /// PEs where `mask` is false keep their previous `dst` value — the
-    /// SIMD `where` construct gates register *writes*, not instruction
-    /// issue.
-    pub fn assign_masked<T>(
-        &mut self,
-        dst: &mut Plane<T>,
-        src: &Plane<T>,
-        mask: &Plane<bool>,
-    ) -> Result<(), MachineError>
-    where
-        T: Copy,
-    {
-        self.guard()?;
-        self.check(dst)?;
-        self.check(src)?;
-        self.check(mask)?;
-        let (occ, _) = self.plane_activity(None, mask);
-        self.issue(MicroOp::AssignMasked, occ, None);
-        let t = self.micro_start();
-        // In place: a shared `dst` buffer is unshared first (copy-on-write).
-        let (s, m) = (src.as_slice(), mask.as_slice());
-        for ((d, &s), &m) in dst.as_mut_slice().iter_mut().zip(s).zip(m) {
-            *d = if m { s } else { *d };
-        }
-        self.micro_stop(Op::Alu, t);
-        Ok(())
     }
 }
 
@@ -939,12 +1089,13 @@ mod tests {
         let mut m = Machine::square(4);
         let open = Plane::from_fn(m.dim(), |c| c.col == 0);
         let values = Plane::from_fn(m.dim(), |c| c.row == c.col);
-        let src = Plane::from_fn(m.dim(), |c| (c.row * 4 + c.col) as i64);
         let l = m.pack_mask(&open).unwrap();
-        assert_eq!(m.controller().total_steps(), 0, "pack is a view");
-        let e = m.load_mask(&values).unwrap();
+        let v = m.pack_mask(&values).unwrap();
+        let src = m.load_int(5, |r, c| (r * 4 + c) as i64);
+        assert_eq!(m.controller().total_steps(), 0, "pack and load are views");
+        let e = m.mask_copy(&v).unwrap();
         assert_eq!(m.controller().steps(Op::Alu), 1);
-        let b = m.mask_bit(&src, 1).unwrap();
+        let b = m.int_bit(&src, 1).unwrap();
         assert_eq!(m.controller().steps(Op::Alu), 2);
         let v = m.mask_vote(&e, &b, true);
         assert_eq!(m.controller().steps(Op::Alu), 3);
@@ -952,8 +1103,13 @@ mod tests {
         assert_eq!(m.controller().steps(Op::Alu), 4);
         m.mask_bus_or(&v, Direction::West, &l).unwrap();
         assert_eq!(m.controller().steps(Op::BusOr), 1);
-        m.broadcast_open(&src, Direction::East, &l).unwrap();
+        m.int_broadcast(&src, Direction::East, &l).unwrap();
         assert_eq!(m.controller().steps(Op::Broadcast), 1);
+        assert!(
+            m.mask_global_or(&v).unwrap(),
+            "(0,0) votes: bit 1 of 0 is 0"
+        );
+        assert_eq!(m.controller().steps(Op::GlobalOr), 1);
     }
 
     #[test]
@@ -967,10 +1123,34 @@ mod tests {
         let or_plane = m.bus_or(&values, Direction::East, &open).unwrap();
         assert_eq!(m.unpack_mask(&or_masked), or_plane);
         let src = Plane::from_fn(m.dim(), |c| (c.row * 4 + c.col) as i64);
-        let bc_masked = m.broadcast_open(&src, Direction::East, &l).unwrap();
+        let reg = m.load_int(5, |r, c| (r * 4 + c) as i64);
+        assert_eq!(m.read_int(&reg), src);
+        let bc_reg = m.int_broadcast(&reg, Direction::East, &l).unwrap();
         let bc_plane = m.broadcast(&src, Direction::East, &open).unwrap();
-        assert_eq!(bc_masked, bc_plane);
+        assert_eq!(m.read_int(&bc_reg), bc_plane);
+        assert_eq!(m.read_int_row(&bc_reg, 2, 1..4), bc_plane.row(2)[1..4]);
         assert_eq!(m.mask_count(&l), open.count_true());
+        assert!(m.mask_any_in(&l, 3, 2..4));
+        assert!(!m.mask_any_in(&l, 3, 3..4));
+    }
+
+    #[test]
+    fn register_writes_follow_the_activity_mask() {
+        let mut m = Machine::square(3);
+        let mask = m
+            .pack_mask(&Plane::from_fn(m.dim(), |c| c.col == 1))
+            .unwrap();
+        let nine = m.int_imm(9, 4);
+        let mut dst = m.int_imm(2, 4);
+        m.int_assign(&mut dst, &nine, Some(&mask)).unwrap();
+        assert_eq!(m.read_int(&dst).row(0), &[2, 9, 2]);
+        m.int_assign(&mut dst, &nine, None).unwrap();
+        assert_eq!(m.read_int(&dst).row(2), &[9, 9, 9]);
+        let mut plane = Plane::filled(m.dim(), 0i64);
+        let ones = Plane::filled(m.dim(), 1i64);
+        m.assign_where(&mut plane, &ones, Some(&mask)).unwrap();
+        assert_eq!(plane.row(1), &[0, 1, 0]);
+        assert_eq!(m.controller().steps(Op::Alu), 5, "2 imm + 3 writes");
     }
 
     #[test]
@@ -1278,16 +1458,26 @@ mod tests {
         let _ = m.bus_or(&flags, Direction::South, &open).unwrap();
         let _ = m.shift(&p, Direction::West, 0).unwrap();
         let _ = m.global_or(&flags).unwrap();
-        let e = m.load_mask(&flags).unwrap();
-        let b = m.mask_bit(&p, 0).unwrap();
+        let l = m.pack_mask(&flags).unwrap();
+        let e = m.mask_copy(&l).unwrap();
+        let r = m.int_imm(1, 4);
+        let b = m.int_bit(&r, 0).unwrap();
         let v = m.mask_vote(&e, &b, true);
         let _ = m.mask_knockout(&e, &v, &b, true);
         let mut dst = Plane::filled(m.dim(), 0i64);
         m.assign_masked(&mut dst, &p, &flags).unwrap();
-        let l = m.pack_mask(&flags).unwrap();
         let _ = m.mask_bus_or(&v, Direction::West, &l).unwrap();
-        let _ = m.broadcast_open(&p, Direction::East, &l).unwrap();
+        let _ = m.int_broadcast(&r, Direction::East, &l).unwrap();
         let _ = m.mask_imm(false);
+        let _ = m.int_row_index(4);
+        let _ = m.int_col_index(4, 4);
+        let mut s = m.int_sat_add(&r, &r, 4).unwrap();
+        let _ = m.int_eq(&r, &s, false).unwrap();
+        m.int_assign(&mut s, &r, Some(&v)).unwrap();
+        let _ = m.mask_or(&v, &e).unwrap();
+        let _ = m.mask_and(&v, &e).unwrap();
+        let _ = m.mask_not(&v).unwrap();
+        let _ = m.mask_global_or(&v).unwrap();
 
         let report = m.controller().report();
         let profile = m.take_micro_profile();
@@ -1316,10 +1506,10 @@ mod tests {
         let mut fm = FaultMap::new();
         fm.inject(Coord::new(0, 2), SwitchFault::StuckShort);
         m.attach_faults(fm);
-        let src = m.imm(1i64);
+        let src = m.int_imm(1, 2);
         let open_plane = m.imm(true);
         let open = m.pack_mask(&open_plane).unwrap();
-        let _ = m.broadcast_open(&src, Direction::East, &open).unwrap();
+        let _ = m.int_broadcast(&src, Direction::East, &open).unwrap();
         let v = m.pack_mask(&open_plane).unwrap();
         let _ = m.mask_bus_or(&v, Direction::East, &open).unwrap();
         let report = m.controller().report();

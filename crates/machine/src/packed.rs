@@ -1,25 +1,27 @@
-//! The packed execution backend: 64-PE bitset masks, a recycling plane
-//! arena, one-pass bit slicing, plan-free broadcasts, and a bus-plan cache
-//! for the wired-OR.
+//! The packed execution backend: 64-PE bitset masks, bit-sliced integer
+//! registers, a recycling word arena, plan-free broadcasts, and a bus-plan
+//! cache for the wired-OR.
 //!
 //! [`PackedBackend`] implements [`Executor`] with five wall-clock levers
 //! the scalar reference backend lacks:
 //!
-//! * **Packed masks** — every `Plane<bool>` mask inside the bit-serial
-//!   `min`/`selected_min` loop is a [`PackedMask`]: 64 PEs per `u64`
-//!   word, so votes, knockouts and occupancy counting are word ops and
-//!   popcounts instead of per-PE byte walks.
-//! * **Plane arena** — mask words are recycled through a shared
-//!   [`WordPool`]; after warm-up the O(h) scan loop allocates nothing.
-//! * **One-pass bit slicing** — the first bit-plane extraction of a scan
-//!   operand transposes every bit the scan needs at once (8×8 bit-matrix
-//!   transposes) and later extractions copy one sliced plane. The slices
-//!   are keyed by the operand's shared storage, so a plane written after
-//!   slicing (copy-on-write) can never be served stale bits.
+//! * **Packed masks** — every mask is a [`PackedMask`]: 64 PEs per `u64`
+//!   word, so votes, knockouts, logic and occupancy counting are word ops
+//!   and popcounts instead of per-PE byte walks.
+//! * **Bit-sliced registers** — an `h`-bit integer register is a
+//!   [`PackedInt`]: `h` plane-major bit-planes of such words, exactly the
+//!   bit-serial PPA's register file. `bit(j)` is plane `j`; the saturating
+//!   add is a ripple-carry chain over the planes; compares are an OR of
+//!   XORs; a masked write is one word blend per plane. Values are sliced
+//!   into planes once, when they are loaded (8×8 bit-matrix transposes).
+//! * **Word arena** — mask and register words are recycled through a
+//!   shared [`WordPool`], bucketed by length; after warm-up a solve
+//!   allocates nothing.
 //! * **Plan-free broadcasts** — a cluster-head broadcast reads the packed
-//!   Open words directly: row buses fill the runs between Open bits,
-//!   column buses carry one row of head values and copy it into each
-//!   output row. No cluster plan is derived or cached.
+//!   Open words directly. Row buses derive one piece list per Open mask
+//!   and replay it on every bit-plane; column buses carry one row image
+//!   per plane, updated with word ops at each row's Open bits and copied
+//!   into each output row. No cluster plan is derived or cached.
 //! * **Bus-plan cache** — the wired-OR's cluster resolution
 //!   (`bus::cluster_keys`) is computed once per distinct (direction,
 //!   Open-mask) switch configuration and reused; the MCP inner loop
@@ -31,8 +33,8 @@
 //! step counts across the two backends.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use crate::bus;
 use crate::error::MachineError;
@@ -44,11 +46,6 @@ use crate::plane::Plane;
 /// Retained bus plans; the MCP loop needs ~5 distinct configurations, so a
 /// small LRU never evicts a live plan while tolerating mask churn.
 const PLAN_CACHE_CAP: usize = 32;
-
-/// Retained bit-sliced scan operands. An MCP iteration scans `SOW` (fresh
-/// every iteration) and then `COL` (the same plane every iteration), so
-/// two LRU entries keep `COL` sliced across the whole solve.
-const SLICE_CACHE_CAP: usize = 2;
 
 /// Number of words needed to back one bit per PE of `dim`.
 fn words_for(dim: Dim) -> usize {
@@ -112,6 +109,48 @@ fn set_bit(words: &mut [u64], i: usize) {
     words[i / 64] |= 1u64 << (i % 64);
 }
 
+/// Keeps only the low `len % 64` bits of the last of `len.div_ceil(64)`
+/// words (a no-op when `len` fills its last word).
+fn trim_to(words: &mut [u64], len: usize) {
+    let rem = len % 64;
+    if rem != 0 {
+        if let Some(last) = words.get_mut(len.div_ceil(64) - 1) {
+            *last &= (1u64 << rem) - 1;
+        }
+    }
+}
+
+/// Copies bits `start..start + len` of a flat bitset into the first
+/// `len.div_ceil(64)` words of `out` (bit `k` of the range lands on bit
+/// `k`), with the bits past `len` cleared. Shifts, not per-bit loops: rows
+/// of 32 or 96 PEs do not start on a word boundary.
+fn read_bits(words: &[u64], start: usize, len: usize, out: &mut [u64]) {
+    let (w0, off) = (start / 64, start % 64);
+    for (k, o) in out[..len.div_ceil(64)].iter_mut().enumerate() {
+        let lo = words[w0 + k] >> off;
+        let hi = match (off, words.get(w0 + k + 1)) {
+            (0, _) | (_, None) => 0,
+            (_, Some(&next)) => next << (64 - off),
+        };
+        *o = lo | hi;
+    }
+    trim_to(out, len);
+}
+
+/// ORs the low `len` bits of `src` (zero past `len`) into bits
+/// `start..start + len` of a flat bitset.
+fn write_bits(words: &mut [u64], start: usize, len: usize, src: &[u64]) {
+    let (w0, off) = (start / 64, start % 64);
+    for (k, &v) in src[..len.div_ceil(64)].iter().enumerate() {
+        words[w0 + k] |= v << off;
+        if off != 0 {
+            if let Some(next) = words.get_mut(w0 + k + 1) {
+                *next |= v >> (64 - off);
+            }
+        }
+    }
+}
+
 /// Packs a flat boolean plane into `out`, 64 PEs per word.
 fn pack(src: &[bool], out: &mut [u64]) {
     for (w, chunk) in out.iter_mut().zip(src.chunks(64)) {
@@ -146,108 +185,46 @@ fn transpose8(mut x: u64) -> u64 {
     x
 }
 
-/// Slices bits `0..bits` of every value into bit-planes in one pass over
-/// `src`: plane `j` occupies `out[j * nwords..(j + 1) * nwords]` and holds
-/// bit `j` of every PE. Each group of eight PEs costs one 8×8 transpose
-/// per value byte, instead of eight single-bit extractions per plane.
-fn slice_bits(src: &[i64], bits: u32, nwords: usize, out: &mut [u64]) {
-    let bits = bits as usize;
-    debug_assert!(bits <= 64 && out.len() == bits * nwords);
-    out.fill(0);
-    for (wi, chunk) in src.chunks(64).enumerate() {
-        debug_assert!(
-            chunk.iter().all(|&x| x >= 0),
-            "bit-serial scan expects non-negative values"
-        );
-        // One 64-PE word per bit-plane, assembled value byte by value byte:
-        // byte `k` of eight PEs is an 8×8 bit matrix whose transpose holds
-        // their bits `8k..8k + 8`, one byte per bit-plane.
-        let mut planes = [0u64; 64];
-        for k in 0..bits.div_ceil(8) {
-            let mut bytes = [0u8; 64];
-            for (b, &x) in bytes.iter_mut().zip(chunk) {
-                *b = (x as u64 >> (8 * k)) as u8;
-            }
-            for (g, rows) in bytes.as_chunks::<8>().0.iter().enumerate() {
-                let cols = transpose8(u64::from_le_bytes(*rows));
-                for b in 0..8.min(bits - 8 * k) {
-                    planes[8 * k + b] |= ((cols >> (8 * b)) & 0xff) << (8 * g);
-                }
-            }
-        }
-        for (j, &p) in planes[..bits].iter().enumerate() {
-            out[j * nwords + wi] = p;
+/// Transposes eight words as an 8×8 byte matrix: byte `g` of word `b`
+/// moves to byte `b` of word `g` (three rounds of block swaps).
+fn transpose_bytes(t: &mut [u64; 8]) {
+    for (half, mask, pairs) in [
+        (32, 0xffff_ffff, [(0, 4), (1, 5), (2, 6), (3, 7)]),
+        (16, 0x0000_ffff_0000_ffff, [(0, 2), (1, 3), (4, 6), (5, 7)]),
+        (8, 0x00ff_00ff_00ff_00ff, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+    ] {
+        for (a, b) in pairs {
+            let x = ((t[a] >> half) ^ t[b]) & mask;
+            t[a] ^= x << half;
+            t[b] ^= x;
         }
     }
 }
 
-/// Cluster-head broadcast straight from packed Open words, with no plan:
-/// every PE receives the `src` value of the Open node heading its cluster
-/// (`bus::broadcast` semantics, circular lines). Lines with no Open node
-/// are returned in the error, ascending.
-fn broadcast_words<T: Copy>(
-    dim: Dim,
-    src: &[T],
-    dir: Direction,
-    open: &[u64],
-) -> Result<Plane<T>, MachineError> {
-    let out = match dir.axis() {
-        Axis::Row => broadcast_rows(dim, src, dir, open),
-        Axis::Col => broadcast_cols(dim, src, dir, open),
-    };
-    out.map(|data| Plane::from_vec(dim, data))
-        .map_err(|lines| MachineError::BusFault {
-            axis: dir.axis(),
-            lines,
-        })
+/// Slices bits `0..bits` of 64 values into one word per bit-plane: bit `i`
+/// of `planes[j]` is bit `j` of `chunk[i]`. Per value byte, each group of
+/// eight values is an 8×8 bit matrix whose transpose holds one byte of
+/// eight bit-planes; a byte transpose across the eight groups then
+/// assembles whole plane words.
+fn slice_chunk(chunk: &[i64; 64], bits: usize, planes: &mut [u64; 64]) {
+    for k in 0..bits.div_ceil(8) {
+        let mut t = [0u64; 8];
+        for (g, values) in t.iter_mut().zip(chunk.as_chunks::<8>().0) {
+            let row = values.iter().enumerate().fold(0u64, |row, (i, &x)| {
+                row | (((x as u64 >> (8 * k)) & 0xff) << (8 * i))
+            });
+            *g = transpose8(row);
+        }
+        transpose_bytes(&mut t);
+        let n = 8.min(bits - 8 * k);
+        planes[8 * k..8 * k + n].copy_from_slice(&t[..n]);
+    }
 }
 
-/// Row buses: each row's Open bits cut it into runs, and every run is one
-/// fill with its head's value.
-fn broadcast_rows<T: Copy>(
-    dim: Dim,
-    src: &[T],
-    dir: Direction,
-    open: &[u64],
-) -> Result<Vec<T>, Vec<usize>> {
-    let cols = dim.cols;
-    let mut out = Vec::with_capacity(dim.len());
-    let mut driverless = Vec::new();
-    let mut heads = Vec::with_capacity(cols);
-    for r in 0..dim.rows {
-        let base = r * cols;
-        heads.clear();
-        for_each_set_bit_in(open, base, base + cols, |p| heads.push(p - base));
-        let (Some(&first), Some(&last)) = (heads.first(), heads.last()) else {
-            driverless.push(r);
-            continue;
-        };
-        if !driverless.is_empty() {
-            // The broadcast already faults; only later lines' drivers matter.
-            continue;
-        }
-        let row = &src[base..base + cols];
-        if dir.is_increasing() {
-            // Eastward, a head drives up to the next Open node; the PEs
-            // before the first one wrap around to the last head.
-            out.resize(base + first, row[last]);
-            for (k, &p) in heads.iter().enumerate() {
-                let end = heads.get(k + 1).map_or(cols, |&q| q);
-                out.resize(base + end, row[p]);
-            }
-        } else {
-            // Westward, a head drives back to the previous Open node; the
-            // PEs after the last one wrap around to the first head.
-            for &p in &heads {
-                out.resize(base + p + 1, row[p]);
-            }
-            out.resize(base + cols, row[first]);
-        }
-    }
-    if driverless.is_empty() {
-        Ok(out)
-    } else {
-        Err(driverless)
+fn bus_fault(dir: Direction, lines: Vec<usize>) -> MachineError {
+    MachineError::BusFault {
+        axis: dir.axis(),
+        lines,
     }
 }
 
@@ -292,10 +269,371 @@ fn broadcast_cols<T: Copy>(
     Ok(out)
 }
 
-/// The shared mask arena: spent word buffers waiting to be reissued.
+/// The first set bit at or after `from` and before `limit` of a flat
+/// bitset, or `limit` when there is none.
+fn next_set(words: &[u64], from: usize, limit: usize) -> usize {
+    let mut wi = from / 64;
+    let mut w = words[wi] & (!0u64 << (from % 64));
+    loop {
+        if w != 0 {
+            return (wi * 64 + w.trailing_zeros() as usize).min(limit);
+        }
+        wi += 1;
+        if wi * 64 >= limit {
+            return limit;
+        }
+        w = words[wi];
+    }
+}
+
+/// The last set bit at or after `floor` and before `before` of a flat
+/// bitset, if any.
+fn prev_set(words: &[u64], floor: usize, before: usize) -> Option<usize> {
+    if before <= floor {
+        return None;
+    }
+    let last = before - 1;
+    let mut wi = last / 64;
+    let mut w = words[wi] & (!0u64 >> (63 - last % 64));
+    loop {
+        if w != 0 {
+            let p = wi * 64 + 63 - w.leading_zeros() as usize;
+            return (p >= floor).then_some(p);
+        }
+        if wi * 64 <= floor {
+            return None;
+        }
+        wi -= 1;
+        w = words[wi];
+    }
+}
+
+/// Splits the Open PEs of a row-bus pattern into `alone` heads, whose
+/// cluster is the head itself (the next PE downstream in its row is Open
+/// too, or it sits at the row's downstream end), and `drivers`, the rest.
+fn find_alone(
+    dim: Dim,
+    increasing: bool,
+    open: &[u64],
+    alone: &mut Vec<u64>,
+    drivers: &mut Vec<u64>,
+) {
+    alone.extend(open.iter().enumerate().map(|(wi, &w)| {
+        if increasing {
+            w >> 1 | open.get(wi + 1).map_or(0, |&n| n << 63)
+        } else {
+            w << 1 | wi.checked_sub(1).map_or(0, |p| open[p] >> 63)
+        }
+    }));
+    for r in 0..dim.rows {
+        let end = if increasing {
+            (r + 1) * dim.cols - 1
+        } else {
+            r * dim.cols
+        };
+        set_bit(alone, end);
+    }
+    for (a, &o) in alone.iter_mut().zip(open) {
+        *a &= o;
+        drivers.push(o & !*a);
+    }
+}
+
+/// The cluster structure of one row-bus broadcast, derived once per Open
+/// mask and replayed on every bit-plane of a register. A cluster longer
+/// than one PE is a segment of flat PEs filled with its head's value; a
+/// head whose cluster is itself alone (the next PE downstream is also
+/// Open) drives only itself, so runs of Open PEs are found with word
+/// shifts and cost one copy mask per word — dense Open masks, such as the
+/// ties of an all-`MAXINT` row, stay cheap.
+#[derive(Debug, Clone, Default)]
+struct RowPieces {
+    /// `(start, end, head)` flat ranges; a single-head row is one segment.
+    segs: Vec<(usize, usize, usize)>,
+    /// `(word, mask)` of the one-PE clusters.
+    copies: Vec<(usize, u64)>,
+    /// The one-PE-cluster heads, then the other heads, as flat bitsets.
+    alone: Vec<u64>,
+    drivers: Vec<u64>,
+    /// The geometry and Open words the pieces were derived from (no words:
+    /// none). The MCP loop replays one West pattern (`COL == n - 1`) for a
+    /// whole session.
+    key: (Option<Dim>, Vec<u64>),
+}
+
+impl RowPieces {
+    /// Derives the pieces for `open` unless they are already held; the
+    /// driverless rows, ascending, are the error.
+    fn derive(&mut self, dim: Dim, dir: Direction, open: &[u64]) -> Result<(), Vec<usize>> {
+        if self.key.0 == Some(dim) && self.key.1 == open {
+            return Ok(());
+        }
+        self.key.1.clear();
+        self.derive_afresh(dim, dir, open)?;
+        self.key = (Some(dim), std::mem::take(&mut self.key.1));
+        self.key.1.extend_from_slice(open);
+        Ok(())
+    }
+
+    fn derive_afresh(&mut self, dim: Dim, dir: Direction, open: &[u64]) -> Result<(), Vec<usize>> {
+        let cols = dim.cols;
+        let increasing = dir.is_increasing();
+        let RowPieces {
+            segs,
+            copies,
+            alone,
+            drivers,
+            ..
+        } = self;
+        segs.clear();
+        copies.clear();
+        alone.clear();
+        drivers.clear();
+        let mut push = |s: usize, e: usize, head: usize| match segs.last_mut() {
+            Some((_, end, h)) if *end == s && *h == head => *end = e,
+            _ => segs.push((s, e, head)),
+        };
+        let mut driverless = Vec::new();
+        for r in 0..dim.rows {
+            let (base, end) = (r * cols, (r + 1) * cols);
+            let first = next_set(open, base, end);
+            let Some(last) = prev_set(open, base, end) else {
+                driverless.push(r);
+                continue;
+            };
+            if !driverless.is_empty() {
+                continue; // the broadcast faults; only later lines matter
+            }
+            if first == last {
+                // One head drives the whole (circular) row.
+                push(base, end, first);
+                continue;
+            }
+            if alone.is_empty() {
+                find_alone(dim, increasing, open, alone, drivers);
+            }
+            // The wrap segment: before the first head eastward (driven by
+            // the last), after the last head westward (driven by the first).
+            if increasing && first > base {
+                push(base, first, last);
+            }
+            // Eastward a head drives up to the next Open node; westward
+            // back to the previous one.
+            for_each_set_bit_in(drivers, base, end, |head| {
+                if increasing {
+                    push(head, next_set(open, head + 1, end), head);
+                } else {
+                    push(
+                        prev_set(open, base, head).map_or(base, |q| q + 1),
+                        head + 1,
+                        head,
+                    );
+                }
+            });
+            if !increasing && last + 1 < end {
+                push(last + 1, end, first);
+            }
+        }
+        if !driverless.is_empty() {
+            return Err(driverless);
+        }
+        // A single-head row's head may be marked alone too; copying its
+        // own bit under its fill is harmless.
+        copies.extend(
+            alone
+                .iter()
+                .enumerate()
+                .filter(|&(_, &a)| a != 0)
+                .map(|(wi, &a)| (wi, a)),
+        );
+        Ok(())
+    }
+
+    /// Broadcasts every bit-plane of `src` (`nw` words each) into the
+    /// zeroed planes of `out`. Each segment reads its head's value once,
+    /// then sets its range in the planes of the value's one bits.
+    fn apply(&self, nw: usize, src: &[u64], out: &mut [u64]) {
+        for (s, o) in src.chunks(nw).zip(out.chunks_mut(nw)) {
+            for &(wi, m) in &self.copies {
+                o[wi] |= s[wi] & m;
+            }
+        }
+        let bits = src.len() / nw.max(1);
+        for &(start, end, head) in &self.segs {
+            let (hw, hb) = (head / 64, head % 64);
+            let value = (0..bits).fold(0u64, |v, j| v | ((src[j * nw + hw] >> hb) & 1) << j);
+            if value == 0 {
+                continue;
+            }
+            for (wi, m) in pieces(start, end) {
+                let mut ones = value;
+                while ones != 0 {
+                    out[ones.trailing_zeros() as usize * nw + wi] |= m;
+                    ones &= ones - 1;
+                }
+            }
+        }
+    }
+}
+
+/// The Open pattern of one column-bus broadcast, analysed once and replayed
+/// on every bit-plane of a register.
+#[derive(Debug, Clone, Default)]
+struct ColHeads {
+    /// Per column, the flat index of its Open node — meaningful when every
+    /// column has exactly one (`single`): then each column is one cluster
+    /// and every output row is the same image.
+    heads: Vec<usize>,
+    single: bool,
+    /// Row `r`'s Open bits at words `r * rw..(r + 1) * rw` (multi-head
+    /// patterns only).
+    open_rows: Vec<u64>,
+    /// Working rows: source rows, the carried image, the tiling period.
+    rows: Vec<u64>,
+    image: Vec<u64>,
+    pattern: Vec<u64>,
+}
+
+impl ColHeads {
+    /// Analyses `open`; the driverless columns, ascending, are the error.
+    fn derive(&mut self, dim: Dim, open: &[u64]) -> Result<(), Vec<usize>> {
+        let (rows, cols, rw) = (dim.rows, dim.cols, dim.cols.div_ceil(64));
+        const NONE: usize = usize::MAX;
+        self.heads.clear();
+        self.heads.resize(cols, NONE);
+        self.single = true;
+        // One walk over the Open bits in flat order, tracking the row.
+        let mut base = 0;
+        for (wi, &w) in open.iter().enumerate() {
+            let mut bits = w;
+            while bits != 0 {
+                let p = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                while p >= base + cols {
+                    base += cols;
+                }
+                let head = &mut self.heads[p - base];
+                self.single &= *head == NONE;
+                *head = p;
+            }
+        }
+        let driverless: Vec<usize> = (0..cols).filter(|&c| self.heads[c] == NONE).collect();
+        if !driverless.is_empty() {
+            return Err(driverless);
+        }
+        if !self.single {
+            self.open_rows.clear();
+            self.open_rows.resize(rows * rw, 0);
+            for r in 0..rows {
+                read_bits(open, r * cols, cols, &mut self.open_rows[r * rw..]);
+            }
+        }
+        Ok(())
+    }
+
+    /// Broadcasts one bit-plane `src` into the zeroed plane `out`.
+    fn apply(&mut self, dim: Dim, dir: Direction, open: &[u64], src: &[u64], out: &mut [u64]) {
+        let (rows, cols, rw) = (dim.rows, dim.cols, dim.cols.div_ceil(64));
+        self.image.clear();
+        self.image.resize(rw, 0);
+        if self.single {
+            // One head per column: every output row is the image of the
+            // heads' bits. When `cols` divides 64 every word holds whole
+            // rows in the same slots, so the image is an OR-fold of
+            // `src & open`, then of the slots, halving; otherwise each
+            // column's head bit is gathered.
+            if row_period(cols) == 1 {
+                let mut w = src.iter().zip(open).fold(0, |acc, (&x, &y)| acc | (x & y));
+                let mut width = 64;
+                while width > cols {
+                    width /= 2;
+                    w |= w >> width;
+                }
+                self.image[0] = w & range_mask(0, cols);
+            } else {
+                for (c, &p) in self.heads.iter().enumerate() {
+                    self.image[c / 64] |= ((src[p / 64] >> (p % 64)) & 1) << (c % 64);
+                }
+            }
+            tile_rows(dim, &self.image, &mut self.pattern, out);
+            return;
+        }
+        self.rows.clear();
+        self.rows.resize(rows * rw, 0);
+        for r in 0..rows {
+            read_bits(src, r * cols, cols, &mut self.rows[r * rw..]);
+        }
+        // Pass 0 primes each column with its last head in movement order
+        // (the driver of the PEs before its first Open node); pass 1
+        // updates `(carried & !open) | (src & open)` and writes each row.
+        for pass in 0..2 {
+            for pos in 0..rows {
+                let r = if dir.is_increasing() {
+                    pos
+                } else {
+                    rows - 1 - pos
+                };
+                let open = &self.open_rows[r * rw..(r + 1) * rw];
+                let row = &self.rows[r * rw..(r + 1) * rw];
+                for ((c, &o), &s) in self.image.iter_mut().zip(open).zip(row) {
+                    *c = (*c & !o) | (s & o);
+                }
+                if pass == 1 {
+                    write_bits(out, r * cols, cols, &self.image);
+                }
+            }
+        }
+    }
+}
+
+/// Rows of `cols` bits repeat every `cols / gcd(cols, 64)` words.
+fn row_period(cols: usize) -> usize {
+    cols >> cols.trailing_zeros().min(6)
+}
+
+/// Writes the row image `image` into every row of the zeroed plane `out`.
+/// The rows repeat with a period of `cols / gcd(cols, 64)` words, so one
+/// period is assembled in `pattern` and copied word for word.
+fn tile_rows(dim: Dim, image: &[u64], pattern: &mut Vec<u64>, out: &mut [u64]) {
+    let cols = dim.cols;
+    let period = row_period(cols);
+    if period == 1 {
+        // `cols` divides 64: a multiply copies the row into every slot.
+        let word = if cols == 64 {
+            image[0]
+        } else {
+            image[0] * (!0 / range_mask(0, cols))
+        };
+        out.fill(word);
+        trim_to(out, dim.len());
+        return;
+    }
+    if period >= out.len() {
+        for r in 0..dim.rows {
+            write_bits(out, r * cols, cols, image);
+        }
+        return;
+    }
+    pattern.clear();
+    pattern.resize(period, 0);
+    for r in 0..period * 64 / cols {
+        write_bits(pattern, r * cols, cols, image);
+    }
+    for (k, &p) in pattern.iter().enumerate() {
+        for w in out[k..].iter_mut().step_by(period) {
+            *w = p;
+        }
+    }
+    trim_to(out, dim.len());
+}
+
+/// The shared word arena: spent buffers waiting to be reissued, bucketed by
+/// length. A backend leases a handful of lengths (one mask, one register,
+/// the wired-OR accumulator), so mixed mask and register traffic never
+/// throws a buffer away.
 #[derive(Debug, Default)]
 struct WordPool {
-    free: Vec<Vec<u64>>,
+    free: Vec<(usize, Vec<Vec<u64>>)>,
     fresh: u64,
     reused: u64,
 }
@@ -303,48 +641,88 @@ struct WordPool {
 impl WordPool {
     /// A zeroed buffer of exactly `words` words, recycled when possible.
     fn get(&mut self, words: usize) -> Vec<u64> {
-        while let Some(mut buf) = self.free.pop() {
-            if buf.len() == words {
+        let spare = self
+            .free
+            .iter_mut()
+            .find(|(len, _)| *len == words)
+            .and_then(|(_, bucket)| bucket.pop());
+        match spare {
+            Some(mut buf) => {
                 self.reused += 1;
                 buf.fill(0);
-                return buf;
+                buf
             }
-            // Stale geometry (machine rebuilt with another dim): discard.
+            None => {
+                self.fresh += 1;
+                vec![0; words]
+            }
         }
-        self.fresh += 1;
-        vec![0; words]
     }
 
     fn put(&mut self, buf: Vec<u64>) {
-        if !buf.is_empty() {
-            self.free.push(buf);
+        if buf.is_empty() {
+            return;
         }
+        match self.free.iter_mut().find(|(len, _)| *len == buf.len()) {
+            Some((_, bucket)) => bucket.push(buf),
+            None => self.free.push((buf.len(), vec![buf])),
+        }
+    }
+}
+
+/// A word buffer leased from a [`WordPool`]: dropping or cloning it goes
+/// through the arena.
+struct Lease {
+    words: Vec<u64>,
+    pool: Rc<RefCell<WordPool>>,
+}
+
+impl Lease {
+    fn new(pool: &Rc<RefCell<WordPool>>, words: usize) -> Self {
+        Lease {
+            words: pool.borrow_mut().get(words),
+            pool: Rc::clone(pool),
+        }
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        self.pool.borrow_mut().put(std::mem::take(&mut self.words));
+    }
+}
+
+impl Clone for Lease {
+    fn clone(&self) -> Self {
+        let mut copy = Lease::new(&self.pool, self.words.len());
+        copy.words.copy_from_slice(&self.words);
+        copy
     }
 }
 
 /// A boolean mask plane packed 64 PEs per `u64` word (row-major flat
 /// order).
 ///
-/// Buffers are leased from the backend's [`WordPool`]: dropping or cloning
-/// a mask goes through the arena, so steady-state mask traffic allocates
-/// nothing. Bits at positions `>= dim.len()` in the last word are always
-/// zero (every producing operation maintains the invariant).
+/// Buffers are leased from the backend's [`WordPool`], so steady-state
+/// mask traffic allocates nothing. Bits at positions `>= dim.len()` in the
+/// last word are always zero (every producing operation maintains the
+/// invariant).
+#[derive(Clone)]
 pub struct PackedMask {
     dim: Dim,
-    words: Vec<u64>,
-    pool: Rc<RefCell<WordPool>>,
+    buf: Lease,
 }
 
 impl PackedMask {
     /// Whether the bit for flat PE index `i` is set.
     #[inline]
     pub fn bit(&self, i: usize) -> bool {
-        test_bit(&self.words, i)
+        test_bit(&self.buf.words, i)
     }
 
     /// Number of set PEs (a popcount per word).
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.buf.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The mask geometry.
@@ -352,38 +730,14 @@ impl PackedMask {
         self.dim
     }
 
-    /// Zeroes any bits at positions `>= dim.len()` in the last word.
-    fn trim(&mut self) {
-        let rem = self.dim.len() % 64;
-        if rem != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << rem) - 1;
-            }
-        }
-    }
-}
-
-impl Drop for PackedMask {
-    fn drop(&mut self) {
-        self.pool.borrow_mut().put(std::mem::take(&mut self.words));
-    }
-}
-
-impl Clone for PackedMask {
-    fn clone(&self) -> Self {
-        let mut words = self.pool.borrow_mut().get(self.words.len());
-        words.copy_from_slice(&self.words);
-        PackedMask {
-            dim: self.dim,
-            words,
-            pool: Rc::clone(&self.pool),
-        }
+    fn words(&self) -> &[u64] {
+        &self.buf.words
     }
 }
 
 impl PartialEq for PackedMask {
     fn eq(&self, other: &Self) -> bool {
-        self.dim == other.dim && self.words == other.words
+        self.dim == other.dim && self.words() == other.words()
     }
 }
 
@@ -392,6 +746,57 @@ impl std::fmt::Debug for PackedMask {
         f.debug_struct("PackedMask")
             .field("dim", &self.dim)
             .field("set", &self.count())
+            .finish()
+    }
+}
+
+/// An `h`-bit unsigned integer register held as `h` bit-planes: plane `j`
+/// is a [`PackedMask`]-layout bitset of bit `j` of every PE, stored at
+/// words `j * nwords..(j + 1) * nwords`. Leased from the same arena as the
+/// masks; every plane keeps the mask trim invariant.
+#[derive(Clone)]
+pub struct PackedInt {
+    dim: Dim,
+    bits: u32,
+    buf: Lease,
+}
+
+impl PackedInt {
+    /// The register geometry.
+    pub fn dim(&self) -> Dim {
+        self.dim
+    }
+
+    /// The register width `h` (number of bit-planes).
+    pub fn bits(&self) -> u32 {
+        self.bits
+    }
+
+    /// The value at flat PE index `i`.
+    pub fn value(&self, i: usize) -> i64 {
+        let nw = words_for(self.dim);
+        (0..self.bits as usize).fold(0i64, |v, j| {
+            v | (i64::from(test_bit(&self.buf.words[j * nw..], i)) << j)
+        })
+    }
+
+    fn plane(&self, j: usize) -> &[u64] {
+        let nw = words_for(self.dim);
+        &self.buf.words[j * nw..(j + 1) * nw]
+    }
+}
+
+impl PartialEq for PackedInt {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim && self.bits == other.bits && self.buf.words == other.buf.words
+    }
+}
+
+impl std::fmt::Debug for PackedInt {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedInt")
+            .field("dim", &self.dim)
+            .field("bits", &self.bits)
             .finish()
     }
 }
@@ -453,17 +858,14 @@ fn fingerprint(dir: Direction, words: &[u64]) -> u64 {
     h
 }
 
-/// One scan operand sliced into bit-planes by [`slice_bits`].
-#[derive(Debug, Clone)]
-struct SliceEntry {
-    /// The sliced plane's storage. Holding it keys the entry by identity
-    /// and rules out stale bits: a later write to the plane unshares its
-    /// buffer (copy-on-write), so the written plane misses the cache.
-    src: Arc<Vec<i64>>,
-    /// Bits `0..bits` are sliced.
-    bits: u32,
-    /// Bit-plane `j` occupies words `j * nwords..(j + 1) * nwords`.
-    planes: Vec<u64>,
+/// The kernel a mutation drill corrupts.
+#[cfg(any(test, feature = "mutation-drill"))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Drill {
+    /// Flip bit 0 of every vote's first word.
+    Vote,
+    /// Flip the lowest bit of every saturating sum.
+    Adder,
 }
 
 /// The packed bit-plane execution backend (see module docs).
@@ -473,12 +875,13 @@ pub struct PackedBackend {
     plans: Vec<PlanEntry>,
     plan_hits: u64,
     plan_misses: u64,
-    /// Bit-sliced scan operands, least recently used first.
-    slices: Vec<SliceEntry>,
     scratch: Vec<u64>,
-    /// Bench-gate mutation drill only: corrupt one bit of every vote.
+    /// Row-bus pieces, one set per direction of movement (East, West).
+    pieces: [RowPieces; 2],
+    col_heads: ColHeads,
+    /// Bench-gate mutation drill only: the kernel to corrupt.
     #[cfg(any(test, feature = "mutation-drill"))]
-    perturb_vote: bool,
+    drill: Option<Drill>,
 }
 
 impl PackedBackend {
@@ -489,10 +892,11 @@ impl PackedBackend {
             plans: Vec::new(),
             plan_hits: 0,
             plan_misses: 0,
-            slices: Vec::new(),
             scratch: Vec::new(),
+            pieces: Default::default(),
+            col_heads: ColHeads::default(),
             #[cfg(any(test, feature = "mutation-drill"))]
-            perturb_vote: false,
+            drill: None,
         }
     }
 
@@ -503,17 +907,48 @@ impl PackedBackend {
     #[cfg(any(test, feature = "mutation-drill"))]
     pub fn with_perturbed_vote() -> Self {
         let mut be = PackedBackend::new();
-        be.perturb_vote = true;
+        be.drill = Some(Drill::Vote);
         be
     }
 
+    /// A deliberately broken backend whose register adder flips the lowest
+    /// bit of every sum — the mutation drill's register-kernel case. Never
+    /// compiled into release binaries.
+    #[cfg(any(test, feature = "mutation-drill"))]
+    pub fn with_perturbed_adder() -> Self {
+        let mut be = PackedBackend::new();
+        be.drill = Some(Drill::Adder);
+        be
+    }
+
+    #[cfg(any(test, feature = "mutation-drill"))]
+    fn drilled(&self, kernel: Drill) -> bool {
+        self.drill == Some(kernel)
+    }
+
     fn alloc_mask(&mut self, dim: Dim) -> PackedMask {
-        let words = self.pool.borrow_mut().get(words_for(dim));
         PackedMask {
             dim,
-            words,
-            pool: Rc::clone(&self.pool),
+            buf: Lease::new(&self.pool, words_for(dim)),
         }
+    }
+
+    fn alloc_int(&mut self, dim: Dim, bits: u32) -> PackedInt {
+        PackedInt {
+            dim,
+            bits,
+            buf: Lease::new(&self.pool, bits as usize * words_for(dim)),
+        }
+    }
+
+    /// A mask computed word by word from `f(word index)`.
+    fn mask_from_words(&mut self, dim: Dim, f: impl Fn(usize) -> u64) -> PackedMask {
+        let mut out = self.alloc_mask(dim);
+        for (wi, w) in out.buf.words.iter_mut().enumerate() {
+            *w = f(wi);
+        }
+        trim_to(&mut out.buf.words, dim.len());
+        out
     }
 
     /// The cached cluster plan for `open` given as packed words.
@@ -562,34 +997,42 @@ impl PackedBackend {
         plan
     }
 
-    /// The slice entry holding bit `j` of `src`, most recently used last.
-    /// A miss slices bits `0..=j` — every bit an MSB-first scan still
-    /// needs — into the buffer of the entry it replaces.
-    fn sliced(&mut self, src: &Plane<i64>, j: u32, nwords: usize) -> &SliceEntry {
-        let data = src.shared();
-        let same = |e: &SliceEntry| Arc::ptr_eq(&e.src, &data);
-        if let Some(pos) = self.slices.iter().position(|e| same(e) && j < e.bits) {
-            let entry = self.slices.remove(pos);
-            self.slices.push(entry);
-        } else {
-            // Re-slice a shallower entry for the same plane, else evict
-            // the least recently used entry once the cache is full.
-            let evict = self
-                .slices
-                .iter()
-                .position(same)
-                .or_else(|| (self.slices.len() >= SLICE_CACHE_CAP).then_some(0));
-            let mut planes = evict.map_or_else(Vec::new, |pos| self.slices.remove(pos).planes);
-            let bits = j + 1;
-            planes.resize(bits as usize * nwords, 0);
-            slice_bits(&data, bits, nwords, &mut planes);
-            self.slices.push(SliceEntry {
-                src: data,
-                bits,
-                planes,
-            });
+    /// A register with the same value on every PE of each row (`by_row`)
+    /// or of each column: plane `j` of a row image has bit `c` set when
+    /// bit `j` of `value(c)` is, and is copied into every row.
+    fn int_by_line(
+        &mut self,
+        dim: Dim,
+        h: u32,
+        by_row: bool,
+        mut value: impl FnMut(usize) -> i64,
+    ) -> PackedInt {
+        let mut out = self.alloc_int(dim, h);
+        let (nw, cols) = (words_for(dim), dim.cols);
+        if by_row {
+            for r in 0..dim.rows {
+                let v = value(r) as u64;
+                for j in (0..h as usize).filter(|&j| (v >> j) & 1 == 1) {
+                    set_range(&mut out.buf.words[j * nw..], r * cols, (r + 1) * cols);
+                }
+            }
+            return out;
         }
-        &self.slices[self.slices.len() - 1]
+        let rw = cols.div_ceil(64);
+        let mut images = vec![0u64; h as usize * rw];
+        for c in 0..cols {
+            let v = value(c) as u64;
+            for j in (0..h as usize).filter(|&j| (v >> j) & 1 == 1) {
+                set_bit(&mut images[j * rw..], c);
+            }
+        }
+        for j in 0..h as usize {
+            let plane = &mut out.buf.words[j * nw..(j + 1) * nw];
+            for r in 0..dim.rows {
+                write_bits(plane, r * cols, cols, &images[j * rw..(j + 1) * rw]);
+            }
+        }
+        out
     }
 }
 
@@ -601,12 +1044,13 @@ impl Default for PackedBackend {
 
 impl Executor for PackedBackend {
     type Mask = PackedMask;
+    type Int = PackedInt;
 
     const NAME: &'static str = "packed";
 
     fn mask_from_plane(&mut self, dim: Dim, plane: &Plane<bool>) -> PackedMask {
         let mut mask = self.alloc_mask(dim);
-        pack(plane.as_slice(), &mut mask.words);
+        pack(plane.as_slice(), &mut mask.buf.words);
         mask
     }
 
@@ -615,25 +1059,28 @@ impl Executor for PackedBackend {
     }
 
     fn mask_filled(&mut self, dim: Dim, value: bool) -> PackedMask {
-        let mut mask = self.alloc_mask(dim);
-        if value {
-            mask.words.fill(!0);
-            mask.trim();
-        }
-        mask
+        self.mask_from_words(dim, |_| if value { !0 } else { 0 })
     }
 
     fn mask_count(&self, _dim: Dim, mask: &PackedMask) -> usize {
         mask.count()
     }
 
-    fn bit_plane(&mut self, dim: Dim, src: &Plane<i64>, j: u32) -> PackedMask {
-        let nwords = words_for(dim);
-        let mut mask = self.alloc_mask(dim);
-        let at = j as usize * nwords;
-        mask.words
-            .copy_from_slice(&self.sliced(src, j, nwords).planes[at..at + nwords]);
-        mask
+    fn mask_any_in(&self, dim: Dim, mask: &PackedMask, row: usize, cols: Range<usize>) -> bool {
+        let base = row * dim.cols;
+        range_any(mask.words(), base + cols.start, base + cols.end)
+    }
+
+    fn mask_and(&mut self, dim: Dim, a: &PackedMask, b: &PackedMask) -> PackedMask {
+        self.mask_from_words(dim, |wi| a.words()[wi] & b.words()[wi])
+    }
+
+    fn mask_or(&mut self, dim: Dim, a: &PackedMask, b: &PackedMask) -> PackedMask {
+        self.mask_from_words(dim, |wi| a.words()[wi] | b.words()[wi])
+    }
+
+    fn mask_not(&mut self, dim: Dim, a: &PackedMask) -> PackedMask {
+        self.mask_from_words(dim, |wi| !a.words()[wi])
     }
 
     fn vote(
@@ -643,15 +1090,17 @@ impl Executor for PackedBackend {
         bit: &PackedMask,
         keep_low: bool,
     ) -> PackedMask {
-        // Min rule `e & !b`, Max rule `e & b`. `enable` has zero trailing
-        // bits, so the negation preserves the trim invariant.
-        let mut out = self.alloc_mask(dim);
-        for ((o, &e), &b) in out.words.iter_mut().zip(&enable.words).zip(&bit.words) {
-            *o = if keep_low { e & !b } else { e & b };
-        }
+        // Min rule `e & !b`, Max rule `e & b`.
+        let (e, b) = (enable.words(), bit.words());
+        #[allow(unused_mut)]
+        let mut out = if keep_low {
+            self.mask_from_words(dim, |wi| e[wi] & !b[wi])
+        } else {
+            self.mask_from_words(dim, |wi| e[wi] & b[wi])
+        };
         #[cfg(any(test, feature = "mutation-drill"))]
-        if self.perturb_vote {
-            out.words[0] ^= 1;
+        if self.drilled(Drill::Vote) {
+            out.buf.words[0] ^= 1;
         }
         out
     }
@@ -665,12 +1114,12 @@ impl Executor for PackedBackend {
         keep_low: bool,
     ) -> PackedMask {
         // Min rule `e & !(p & b)`, Max rule `e & (!p | b)`.
-        let mut out = self.alloc_mask(dim);
-        let inputs = enable.words.iter().zip(&present.words).zip(&bit.words);
-        for (o, ((&e, &p), &b)) in out.words.iter_mut().zip(inputs) {
-            *o = if keep_low { e & !(p & b) } else { e & (!p | b) };
+        let (e, p, b) = (enable.words(), present.words(), bit.words());
+        if keep_low {
+            self.mask_from_words(dim, |wi| e[wi] & !(p[wi] & b[wi]))
+        } else {
+            self.mask_from_words(dim, |wi| e[wi] & (!p[wi] | b[wi]))
         }
-        out
     }
 
     fn mask_bus_or(
@@ -680,38 +1129,225 @@ impl Executor for PackedBackend {
         dir: Direction,
         open: &PackedMask,
     ) -> Result<PackedMask, MachineError> {
-        let plan = self.plan_for_words(dim, dir, &open.words);
+        let plan = self.plan_for_words(dim, dir, open.words());
         let mut out = self.alloc_mask(dim);
         // Accumulator bitset indexed by cluster key: pass 1 deposits set
         // value bits at their cluster key, pass 2 reads each PE's key back.
-        let mut acc = self.pool.borrow_mut().get(words_for(dim));
+        let mut acc = Lease::new(&self.pool, words_for(dim));
+        let acc = &mut acc.words;
+        let vals = values.words();
+        let out_words = &mut out.buf.words;
         if !plan.segs.is_empty() {
             // Row-axis fast path: each cluster is a handful of contiguous
             // runs, so both passes are word-masked range ops instead of
             // per-PE bit walks.
             for &(s, e, k) in &plan.segs {
-                if range_any(&values.words, s as usize, e as usize) {
-                    set_bit(&mut acc, k as usize);
+                if range_any(vals, s as usize, e as usize) {
+                    set_bit(acc, k as usize);
                 }
             }
             for &(s, e, k) in &plan.segs {
-                if test_bit(&acc, k as usize) {
-                    set_range(&mut out.words, s as usize, e as usize);
+                if test_bit(acc, k as usize) {
+                    set_range(out_words, s as usize, e as usize);
                 }
             }
         } else {
-            for_each_set_bit_in(&values.words, 0, dim.len(), |i| {
-                set_bit(&mut acc, plan.keys[i] as usize);
+            for_each_set_bit_in(vals, 0, dim.len(), |i| {
+                set_bit(acc, plan.keys[i] as usize);
             });
-            for (wi, w) in out.words.iter_mut().enumerate() {
+            for (wi, w) in out_words.iter_mut().enumerate() {
                 let keys = &plan.keys[wi * 64..dim.len().min(wi * 64 + 64)];
                 for (b, &key) in keys.iter().enumerate() {
-                    *w |= (test_bit(&acc, key as usize) as u64) << b;
+                    *w |= (test_bit(acc, key as usize) as u64) << b;
                 }
             }
         }
-        self.pool.borrow_mut().put(acc);
         Ok(out)
+    }
+
+    fn int_from_fn(
+        &mut self,
+        dim: Dim,
+        h: u32,
+        mut value: impl FnMut(usize, usize) -> i64,
+    ) -> PackedInt {
+        let mut out = self.alloc_int(dim, h);
+        let (nw, bits) = (words_for(dim), h as usize);
+        let (mut chunk, mut planes) = ([0i64; 64], [0u64; 64]);
+        let (mut filled, mut wi) = (0, 0);
+        let mut flush = |chunk: &mut [i64; 64], filled: usize, wi: usize| {
+            // A partial last word's missing PEs slice as zeros (the trim
+            // invariant).
+            chunk[filled..].fill(0);
+            slice_chunk(chunk, bits, &mut planes);
+            for (j, &p) in planes[..bits].iter().enumerate() {
+                out.buf.words[j * nw + wi] = p;
+            }
+        };
+        for r in 0..dim.rows {
+            for c in 0..dim.cols {
+                chunk[filled] = value(r, c);
+                filled += 1;
+                if filled == 64 {
+                    flush(&mut chunk, filled, wi);
+                    (filled, wi) = (0, wi + 1);
+                }
+            }
+        }
+        if filled > 0 {
+            flush(&mut chunk, filled, wi);
+        }
+        out
+    }
+
+    fn int_by_row(&mut self, dim: Dim, h: u32, value: impl FnMut(usize) -> i64) -> PackedInt {
+        self.int_by_line(dim, h, true, value)
+    }
+
+    fn int_by_col(&mut self, dim: Dim, h: u32, value: impl FnMut(usize) -> i64) -> PackedInt {
+        self.int_by_line(dim, h, false, value)
+    }
+
+    fn int_to_plane(&self, dim: Dim, reg: &PackedInt) -> Plane<i64> {
+        let mut data = vec![0i64; dim.len()];
+        for j in 0..reg.bits as usize {
+            for_each_set_bit_in(reg.plane(j), 0, dim.len(), |i| data[i] |= 1 << j);
+        }
+        Plane::from_vec(dim, data)
+    }
+
+    fn int_row(&self, dim: Dim, reg: &PackedInt, row: usize, cols: Range<usize>) -> Vec<i64> {
+        let start = row * dim.cols + cols.start;
+        let mut out = vec![0i64; cols.len()];
+        for j in 0..reg.bits as usize {
+            for_each_set_bit_in(reg.plane(j), start, start + cols.len(), |i| {
+                out[i - start] |= 1 << j;
+            });
+        }
+        out
+    }
+
+    fn int_sat_add(&mut self, dim: Dim, h: u32, a: &PackedInt, b: &PackedInt) -> PackedInt {
+        debug_assert!(a.bits == h && b.bits == h, "register width mismatch");
+        let mut out = self.alloc_int(dim, h);
+        let nw = words_for(dim);
+        // Ripple carry up the planes, one word vector per plane; a carry out
+        // of the top plane means the sum reached 2^h, which saturates to
+        // MAXINT (all ones).
+        let mut carry = Lease::new(&self.pool, nw);
+        let carry = &mut carry.words;
+        let planes = a.buf.words.chunks(nw).zip(b.buf.words.chunks(nw));
+        for (s, (x, y)) in out.buf.words.chunks_mut(nw).zip(planes) {
+            for (((s, &p), &q), c) in s.iter_mut().zip(x).zip(y).zip(carry.iter_mut()) {
+                *s = p ^ q ^ *c;
+                *c = (p & q) | (*c & (p ^ q));
+            }
+        }
+        for s in out.buf.words.chunks_mut(nw) {
+            for (s, &c) in s.iter_mut().zip(carry.iter()) {
+                *s |= c;
+            }
+        }
+        #[cfg(any(test, feature = "mutation-drill"))]
+        if self.drilled(Drill::Adder) {
+            for w in &mut out.buf.words[..nw] {
+                *w = !*w;
+            }
+            trim_to(&mut out.buf.words[..nw], dim.len());
+        }
+        out
+    }
+
+    fn int_eq(&mut self, dim: Dim, a: &PackedInt, b: &PackedInt, equal: bool) -> PackedMask {
+        let nw = words_for(dim);
+        let mut out = self.alloc_mask(dim);
+        for (x, y) in a.buf.words.chunks(nw).zip(b.buf.words.chunks(nw)) {
+            for ((d, &p), &q) in out.buf.words.iter_mut().zip(x).zip(y) {
+                *d |= p ^ q;
+            }
+        }
+        if equal {
+            for d in out.buf.words.iter_mut() {
+                *d = !*d;
+            }
+            trim_to(&mut out.buf.words, dim.len());
+        }
+        out
+    }
+
+    fn int_assign(
+        &mut self,
+        dim: Dim,
+        dst: &mut PackedInt,
+        src: &PackedInt,
+        mask: Option<&PackedMask>,
+    ) {
+        debug_assert_eq!(dst.bits, src.bits, "register width mismatch");
+        let Some(mask) = mask else {
+            dst.buf.words.copy_from_slice(&src.buf.words);
+            return;
+        };
+        let m = mask.words();
+        for (d, s) in dst
+            .buf
+            .words
+            .chunks_mut(words_for(dim))
+            .zip(src.buf.words.chunks(words_for(dim)))
+        {
+            for ((d, &s), &m) in d.iter_mut().zip(s).zip(m) {
+                *d = (*d & !m) | (s & m);
+            }
+        }
+    }
+
+    fn int_broadcast(
+        &mut self,
+        dim: Dim,
+        src: &PackedInt,
+        dir: Direction,
+        open: &PackedMask,
+    ) -> Result<PackedInt, MachineError> {
+        let mut out = self.alloc_int(dim, src.bits);
+        let nw = words_for(dim);
+        match dir.axis() {
+            Axis::Row => {
+                let pieces = &mut self.pieces[usize::from(dir.is_increasing())];
+                pieces
+                    .derive(dim, dir, open.words())
+                    .map_err(|lines| bus_fault(dir, lines))?;
+                pieces.apply(nw, &src.buf.words, &mut out.buf.words);
+            }
+            Axis::Col => {
+                self.col_heads
+                    .derive(dim, open.words())
+                    .map_err(|lines| bus_fault(dir, lines))?;
+                for (s, o) in src.buf.words.chunks(nw).zip(out.buf.words.chunks_mut(nw)) {
+                    self.col_heads.apply(dim, dir, open.words(), s, o);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    fn int_bit(&mut self, dim: Dim, src: &PackedInt, j: u32) -> PackedMask {
+        let plane = src.plane(j as usize);
+        self.mask_from_words(dim, |wi| plane[wi])
+    }
+
+    fn assign_plane<T: Copy>(
+        &mut self,
+        dim: Dim,
+        dst: &mut Plane<T>,
+        src: &Plane<T>,
+        mask: Option<&PackedMask>,
+    ) {
+        let Some(mask) = mask else {
+            *dst = src.clone();
+            return;
+        };
+        // In place: a shared `dst` buffer is unshared first (copy-on-write).
+        let (s, d) = (src.as_slice(), dst.as_mut_slice());
+        for_each_set_bit_in(mask.words(), 0, dim.len(), |i| d[i] = s[i]);
     }
 
     fn broadcast<T: Copy>(
@@ -721,38 +1357,35 @@ impl Executor for PackedBackend {
         dir: Direction,
         open: &Plane<bool>,
     ) -> Result<Plane<T>, MachineError> {
-        if src.dim() != dim {
-            return Err(MachineError::DimMismatch {
-                expected: dim,
-                found: src.dim(),
-            });
+        for found in [src.dim(), open.dim()] {
+            if found != dim {
+                return Err(MachineError::DimMismatch {
+                    expected: dim,
+                    found,
+                });
+            }
         }
-        if open.dim() != dim {
-            return Err(MachineError::DimMismatch {
-                expected: dim,
-                found: open.dim(),
-            });
-        }
+        // Plan-free, straight from the packed Open words: row buses fill
+        // each cluster segment with its head's value (one-PE clusters keep
+        // their own), column buses carry a row of head values.
         let words = self.pack_scratch(dim, open);
-        let out = broadcast_words(dim, src.as_slice(), dir, &words);
+        let src = src.as_slice();
+        let out = match dir.axis() {
+            Axis::Row => {
+                let pieces = &mut self.pieces[usize::from(dir.is_increasing())];
+                pieces.derive(dim, dir, &words).map(|()| {
+                    let mut out = src.to_vec();
+                    for &(s, e, head) in &pieces.segs {
+                        out[s..e].fill(src[head]);
+                    }
+                    out
+                })
+            }
+            Axis::Col => broadcast_cols(dim, src, dir, &words),
+        };
         self.scratch = words;
-        out
-    }
-
-    fn broadcast_masked<T: Copy>(
-        &mut self,
-        dim: Dim,
-        src: &Plane<T>,
-        dir: Direction,
-        open: &PackedMask,
-    ) -> Result<Plane<T>, MachineError> {
-        if src.dim() != dim {
-            return Err(MachineError::DimMismatch {
-                expected: dim,
-                found: src.dim(),
-            });
-        }
-        broadcast_words(dim, src.as_slice(), dir, &open.words)
+        out.map(|data| Plane::from_vec(dim, data))
+            .map_err(|lines| bus_fault(dir, lines))
     }
 
     fn bus_or(
@@ -762,17 +1395,13 @@ impl Executor for PackedBackend {
         dir: Direction,
         open: &Plane<bool>,
     ) -> Result<Plane<bool>, MachineError> {
-        if values.dim() != dim {
-            return Err(MachineError::DimMismatch {
-                expected: dim,
-                found: values.dim(),
-            });
-        }
-        if open.dim() != dim {
-            return Err(MachineError::DimMismatch {
-                expected: dim,
-                found: open.dim(),
-            });
+        for found in [values.dim(), open.dim()] {
+            if found != dim {
+                return Err(MachineError::DimMismatch {
+                    expected: dim,
+                    found,
+                });
+            }
         }
         let plan = self.plan_for_plane(dim, dir, open);
         let v = values.as_slice();
@@ -843,7 +1472,10 @@ mod tests {
         let mut be = PackedBackend::new();
         let mask = be.mask_filled(dim, true);
         assert_eq!(mask.count(), 9);
-        assert_eq!(mask.words[0], 0x1ff);
+        assert_eq!(mask.words()[0], 0x1ff);
+        let none = be.mask_filled(dim, false);
+        let not = be.mask_not(dim, &none);
+        assert_eq!(not.words()[0], 0x1ff, "negation keeps the trim");
     }
 
     #[test]
@@ -876,6 +1508,55 @@ mod tests {
             }
             if e < 768 {
                 assert!(!range_any(&words, e, 768), "suffix clean {s}..{e}");
+            }
+        }
+    }
+
+    #[test]
+    fn bit_reads_and_writes_round_trip_at_every_offset() {
+        let words: Vec<u64> = (0..6u64)
+            .map(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        for start in [0, 1, 31, 63, 64, 65, 100] {
+            for len in [1, 13, 32, 63, 64, 65, 96, 128] {
+                if start + len > 384 {
+                    continue;
+                }
+                let mut row = vec![0u64; 3];
+                read_bits(&words, start, len, &mut row);
+                let mut back = vec![0u64; 6];
+                write_bits(&mut back, start, len, &row);
+                for i in 0..384 {
+                    let want = (start..start + len).contains(&i) && test_bit(&words, i);
+                    assert_eq!(test_bit(&back, i), want, "start {start} len {len} bit {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slicing_matches_per_bit_extraction() {
+        let mut be = PackedBackend::new();
+        for (rows, cols) in [(5, 13), (1, 64), (3, 100)] {
+            let dim = Dim::new(rows, cols);
+            for h in [1u32, 7, 8, 9, 16, 17, 62] {
+                let value = |r: usize, c: usize| {
+                    let x = ((r * cols + c) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    (x >> (64 - h)) as i64
+                };
+                let reg = be.int_from_fn(dim, h, value);
+                for i in 0..dim.len() {
+                    assert_eq!(reg.value(i), value(i / cols, i % cols), "h={h} PE {i}");
+                }
+                for j in 0..h as usize {
+                    let ones: u32 = reg.plane(j).iter().map(|w| w.count_ones()).sum();
+                    let want = (0..dim.len()).filter(|&i| (reg.value(i) >> j) & 1 == 1);
+                    assert_eq!(
+                        ones as usize,
+                        want.count(),
+                        "plane {j}: no bit past the last PE"
+                    );
+                }
             }
         }
     }
@@ -948,26 +1629,29 @@ mod tests {
         let mut be = PackedBackend::new();
         let open = plane_of(dim, |i| i % 8 == 0);
         let src = Plane::from_vec(dim, (0..dim.len() as i64).collect());
+        let reg = be.int_from_fn(dim, 6, |r, c| (r * 8 + c) as i64);
         let mask = be.mask_from_plane(dim, &open);
         // East is fully driven; South faults on seven driverless columns.
         for dir in [Direction::East, Direction::South] {
             let _ = be.broadcast(dim, &src, dir, &open);
-            let _ = be.broadcast_masked(dim, &src, dir, &mask);
+            let _ = be.int_broadcast(dim, &reg, dir, &mask);
         }
         assert_eq!(be.stats().plan_hits + be.stats().plan_misses, 0);
     }
 
     #[test]
-    fn arena_recycles_mask_buffers() {
+    fn arena_recycles_mask_and_register_buffers() {
         let dim = Dim::square(16);
         let mut be = PackedBackend::new();
         for _ in 0..10 {
+            // Interleaved lengths: a mask, then an 11-plane register.
             let m = be.mask_filled(dim, true);
-            drop(m);
+            let r = be.int_by_row(dim, 11, |_| 5);
+            drop((m, r));
         }
         let stats = be.stats();
-        assert_eq!(stats.arena_fresh, 1, "one physical buffer serves the loop");
-        assert_eq!(stats.arena_reused, 9);
+        assert_eq!(stats.arena_fresh, 2, "one physical buffer per length");
+        assert_eq!(stats.arena_reused, 18);
     }
 
     #[test]
@@ -1003,5 +1687,21 @@ mod tests {
             .filter(|&i| want.bit(i) != got.bit(i))
             .count();
         assert_eq!(diff, 1, "exactly PE 0 corrupted");
+    }
+
+    #[test]
+    fn perturbed_adder_flips_the_lowest_bit_of_every_sum() {
+        let dim = Dim::new(5, 13); // 65 PEs: the flip must keep the trim
+        let value = |r: usize, c: usize| (r * 13 + c) as i64;
+        let mut clean = PackedBackend::new();
+        let mut drilled = PackedBackend::with_perturbed_adder();
+        let a = clean.int_from_fn(dim, 8, value);
+        let b = drilled.int_from_fn(dim, 8, value);
+        let want = clean.int_sat_add(dim, 8, &a, &a);
+        let got = drilled.int_sat_add(dim, 8, &b, &b);
+        for i in 0..dim.len() {
+            assert_eq!(got.value(i), want.value(i) ^ 1, "PE {i}");
+        }
+        assert_eq!(got.plane(0)[1], 1, "no bit past the last PE");
     }
 }

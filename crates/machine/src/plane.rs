@@ -15,9 +15,7 @@ use std::sync::Arc;
 ///
 /// Storage is shared copy-on-write: cloning a plane is an `Arc` bump, and
 /// the mutating helpers ([`Plane::set`], [`Plane::as_mut_slice`]) unshare
-/// the buffer first. The packed backend leans on this: it keys its
-/// bit-sliced scan operands by the storage they were sliced from, so a
-/// plane written after slicing can never be served stale bits.
+/// the buffer first.
 #[derive(PartialEq, Eq)]
 pub struct Plane<T> {
     dim: Dim,
@@ -74,12 +72,6 @@ impl<T> Plane<T> {
     /// Borrow the underlying row-major storage.
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// The shared handle to the row-major storage — how a backend keys
-    /// per-plane caches by storage identity.
-    pub(crate) fn shared(&self) -> Arc<Vec<T>> {
-        Arc::clone(&self.data)
     }
 
     /// Reference to the value at `c`.
@@ -258,10 +250,7 @@ mod tests {
     fn clone_shares_storage_and_mutation_unshares() {
         let a = Plane::filled(d23(), 1i64);
         let mut b = a.clone();
-        assert!(
-            Arc::ptr_eq(&a.shared(), &b.shared()),
-            "clone is an Arc bump"
-        );
+        assert!(Arc::ptr_eq(&a.data, &b.data), "clone is an Arc bump");
         b.set(Coord::new(0, 0), 9);
         assert_eq!(*a.at(0, 0), 1, "copy-on-write leaves the original alone");
         assert_eq!(*b.at(0, 0), 9);

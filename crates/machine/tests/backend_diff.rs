@@ -1,11 +1,12 @@
 //! Differential suite: [`PackedBackend`] must be bit-identical to
 //! [`ScalarBackend`] — same results *and* same step counts — over
-//! arbitrary switch patterns, masks and directions, with and without
-//! fault injection. The backends share the issue side of the
+//! arbitrary switch patterns, masks, registers and directions, with and
+//! without fault injection. The backends share the issue side of the
 //! machine, so any divergence here is an execution-side bug.
 
 use ppa_machine::{
-    bus, Coord, Dim, Direction, Executor, FaultMap, Machine, Plane, ScalarBackend, TransientFaults,
+    bus, Dim, Direction, Executor, FaultMap, Machine, MachineError, PackedBackend, Plane,
+    ScalarBackend, TransientFaults,
 };
 use proptest::prelude::*;
 
@@ -72,13 +73,17 @@ proptest! {
 
         let l_s = s.pack_mask(&open).unwrap();
         let l_p = p.pack_mask(&open).unwrap();
+        let (sel_s, sel_p) = (s.pack_mask(&sel).unwrap(), p.pack_mask(&sel).unwrap());
+        let vals = src.as_slice();
+        let reg_s = s.load_int(10, |r, c| vals[r * cols + c]);
+        let reg_p = p.load_int(10, |r, c| vals[r * cols + c]);
 
-        let en_s = s.load_mask(&sel).unwrap();
-        let en_p = p.load_mask(&sel).unwrap();
+        let en_s = s.mask_copy(&sel_s).unwrap();
+        let en_p = p.mask_copy(&sel_p).unwrap();
         prop_assert_eq!(s.unpack_mask(&en_s), p.unpack_mask(&en_p));
 
-        let bit_s = s.mask_bit(&src, j).unwrap();
-        let bit_p = p.mask_bit(&src, j).unwrap();
+        let bit_s = s.int_bit(&reg_s, j).unwrap();
+        let bit_p = p.int_bit(&reg_p, j).unwrap();
         prop_assert_eq!(s.unpack_mask(&bit_s), p.unpack_mask(&bit_p));
 
         let votes_s = s.mask_vote(&en_s, &bit_s, keep_low);
@@ -96,10 +101,10 @@ proptest! {
 
         // Head resolution: the Open mask may leave lines driverless, so
         // errors must agree exactly too.
-        let head_s = s.broadcast_open(&src, dir, &out_s);
-        let head_p = p.broadcast_open(&src, dir, &out_p);
+        let head_s = s.int_broadcast(&reg_s, dir, &out_s);
+        let head_p = p.int_broadcast(&reg_p, dir, &out_p);
         match (head_s, head_p) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+            (Ok(a), Ok(b)) => prop_assert_eq!(s.read_int(&a), p.read_int(&b)),
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
             (a, b) => prop_assert!(false, "divergent outcomes: {:?} vs {:?}", a, b),
         }
@@ -171,14 +176,23 @@ proptest! {
             let or_p = p.bus_or(&vals, d, &open).unwrap();
             prop_assert_eq!(or_s, or_p);
 
-            // The masked path routes through the same fault model.
+            // The masked and register paths route through the same fault
+            // model.
             let lm_s = s.pack_mask(&open).unwrap();
             let lm_p = p.pack_mask(&open).unwrap();
-            let vm_s = s.load_mask(&vals).unwrap();
-            let vm_p = p.load_mask(&vals).unwrap();
+            let vm_s = s.pack_mask(&vals).unwrap();
+            let vm_p = p.pack_mask(&vals).unwrap();
             let mo_s = s.mask_bus_or(&vm_s, d, &lm_s).unwrap();
             let mo_p = p.mask_bus_or(&vm_p, d, &lm_p).unwrap();
             prop_assert_eq!(s.unpack_mask(&mo_s), p.unpack_mask(&mo_p));
+            let v = src.as_slice();
+            let reg_s = s.load_int(10, |r, c| v[r * n + c]);
+            let reg_p = p.load_int(10, |r, c| v[r * n + c]);
+            match (s.int_broadcast(&reg_s, d, &lm_s), p.int_broadcast(&reg_p, d, &lm_p)) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(s.read_int(&a), p.read_int(&b)),
+                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => prop_assert!(false, "divergent outcomes: {:?} vs {:?}", a, b),
+            }
         }
         prop_assert_eq!(s.controller().report(), p.controller().report());
     }
@@ -202,11 +216,13 @@ proptest! {
         // The identity plane: a wrong head shows up as a wrong value.
         let src = Plane::from_fn(dim, |c| dim.index(c) as i64);
         let mut packed = Machine::new_packed(rows, cols);
+        let reg = packed.load_int(11, |r, c| (r * cols + c) as i64);
         for dir in DIRECTIONS {
             let want = bus::broadcast(dim, &src, dir, &open);
             prop_assert_eq!(&packed.broadcast(&src, dir, &open), &want, "{:?} plane", dir);
             let mask = packed.pack_mask(&open).unwrap();
-            prop_assert_eq!(&packed.broadcast_open(&src, dir, &mask), &want, "{:?} mask", dir);
+            let got = packed.int_broadcast(&reg, dir, &mask).map(|r| packed.read_int(&r));
+            prop_assert_eq!(&got, &want, "{:?} register", dir);
         }
     }
 
@@ -261,53 +277,318 @@ fn h_bit_plane(dim: Dim, h: u32, seed: u64) -> Plane<i64> {
     })
 }
 
-/// Every bit `0..h` of `src` extracted on `m`, in `order`, must match the
-/// scalar backend's per-bit extraction.
-fn assert_bits_match<E: Executor>(m: &mut Machine<E>, src: &Plane<i64>, order: &[u32]) {
-    let mut scalar = Machine::with_backend(m.dim(), ScalarBackend);
-    for &j in order {
-        let got = m.mask_bit(src, j).unwrap();
-        let want = scalar.mask_bit(src, j).unwrap();
-        assert_eq!(m.unpack_mask(&got), want, "{} bit {j}", E::NAME);
-    }
+/// A plane loaded into an `h`-bit register.
+fn load<E: Executor>(m: &mut Machine<E>, h: u32, p: &Plane<i64>) -> E::Int {
+    let (cols, v) = (p.dim().cols, p.as_slice());
+    m.load_int(h, |r, c| v[r * cols + c])
 }
 
 #[test]
-fn one_pass_bit_slices_match_per_bit_extraction() {
+fn register_loads_match_per_bit_extraction() {
     // 65, 279 and 300 PEs each end in a partial 64-bit word.
     for (rows, cols) in [(5, 13), (9, 31), (1, 300)] {
         let dim = Dim::new(rows, cols);
         for h in 1..=62u32 {
             let src = h_bit_plane(dim, h, u64::from(h) * 7919 + cols as u64);
-            // MSB first, as the scan runs: the first extraction slices
-            // every bit. LSB first: every extraction re-slices deeper.
-            let msb_first: Vec<u32> = (0..h).rev().collect();
-            let lsb_first: Vec<u32> = (0..h).collect();
-            for order in [&msb_first, &lsb_first] {
-                assert_bits_match(&mut Machine::new_packed(rows, cols), &src, order);
+            let mut scalar = Machine::new(rows, cols);
+            let mut packed = Machine::new_packed(rows, cols);
+            let (rs, rp) = (load(&mut scalar, h, &src), load(&mut packed, h, &src));
+            assert_eq!(packed.read_int(&rp), src, "h={h} round trip");
+            for j in (0..h).rev() {
+                let want = scalar.int_bit(&rs, j).unwrap();
+                let got = packed.int_bit(&rp, j).unwrap();
+                assert_eq!(packed.unpack_mask(&got), want, "h={h} bit {j}");
             }
         }
     }
 }
 
+/// The shapes the register differential runs: rows straddling words,
+/// word-aligned and unaligned squares, rows that divide a word, and
+/// 2-lane layouts.
+const SHAPES: [(usize, usize, usize); 7] = [
+    (5, 13, 13),
+    (9, 31, 31),
+    (64, 64, 64),
+    (96, 96, 96),
+    (20, 40, 20),
+    (12, 8, 8),
+    (7, 32, 16),
+];
+
+const WIDTHS: [u32; 5] = [1, 2, 11, 31, 62];
+
+/// Runs the same register program on a scalar and a packed machine and
+/// asserts every value, every mask and the step report agree.
+struct Pair {
+    s: Machine<ScalarBackend>,
+    p: Machine<PackedBackend>,
+    h: u32,
+}
+
+impl Pair {
+    fn new(rows: usize, cols: usize, h: u32) -> Self {
+        Pair {
+            s: Machine::new(rows, cols),
+            p: Machine::new_packed(rows, cols),
+            h,
+        }
+    }
+
+    fn load(&mut self, v: &Plane<i64>) -> (Plane<i64>, <PackedBackend as Executor>::Int) {
+        (load(&mut self.s, self.h, v), load(&mut self.p, self.h, v))
+    }
+
+    fn mask(&mut self, m: &Plane<bool>) -> (Plane<bool>, <PackedBackend as Executor>::Mask) {
+        (self.s.pack_mask(m).unwrap(), self.p.pack_mask(m).unwrap())
+    }
+
+    fn same_int(&self, what: &str, r: &(Plane<i64>, <PackedBackend as Executor>::Int)) {
+        assert_eq!(
+            self.s.read_int(&r.0),
+            self.p.read_int(&r.1),
+            "{what} (h={})",
+            self.h
+        );
+    }
+
+    fn same_mask(&self, what: &str, m: &(Plane<bool>, <PackedBackend as Executor>::Mask)) {
+        assert_eq!(m.0, self.p.unpack_mask(&m.1), "{what} (h={})", self.h);
+    }
+}
+
 #[test]
-fn slices_never_serve_a_plane_written_after_slicing() {
-    let dim = Dim::new(9, 31);
-    let scan: Vec<u32> = (0..8).rev().collect();
-    let mut packed = Machine::new_packed(9, 31);
-    let mut src = h_bit_plane(dim, 8, 3);
-    assert_bits_match(&mut packed, &src, &scan);
+fn register_opcodes_match_scalar() {
+    for (rows, cols, lane_cols) in SHAPES {
+        let dim = Dim::new(rows, cols);
+        for h in WIDTHS {
+            let max = (1i64 << h) - 1;
+            let mut t = Pair::new(rows, cols, h);
+            let a_plane = h_bit_plane(dim, h, 11 + h as u64);
+            // Saturation: MAXINT and near-MAXINT operands on a stripe.
+            let b_plane = Plane::from_fn(dim, |c| match (c.row + c.col) % 4 {
+                0 => max,
+                1 => (max - *a_plane.get(c)).min(max),
+                _ => *a_plane.get(c) / 2 + 1,
+            })
+            .map_free(|&v| v.min(max));
+            // Equal except for the top plane at a third of the PEs.
+            let top = 1i64 << (h - 1);
+            let c_plane = Plane::from_fn(dim, |c| {
+                *a_plane.get(c) ^ if c.col % 3 == 0 { top } else { 0 }
+            });
+            let (a, b, c) = (t.load(&a_plane), t.load(&b_plane), t.load(&c_plane));
 
-    // A host-side write to the sliced plane.
-    src.set(Coord::new(4, 7), 255);
-    src.set(Coord::new(0, 0), 0);
-    assert_bits_match(&mut packed, &src, &scan);
-    let top = packed.mask_bit(&src, 7).unwrap();
-    assert!(packed.unpack_mask(&top).get(Coord::new(4, 7)));
+            let sum = (
+                t.s.int_sat_add(&a.0, &b.0, h).unwrap(),
+                t.p.int_sat_add(&a.1, &b.1, h).unwrap(),
+            );
+            t.same_int("sat_add", &sum);
+            assert!(t.s.read_int(&sum.0).iter().all(|&v| (0..=max).contains(&v)));
+            for equal in [true, false] {
+                let m = (
+                    t.s.int_eq(&a.0, &c.0, equal).unwrap(),
+                    t.p.int_eq(&a.1, &c.1, equal).unwrap(),
+                );
+                t.same_mask("eq/ne on the top plane", &m);
+                let m = (
+                    t.s.int_eq(&a.0, &b.0, equal).unwrap(),
+                    t.p.int_eq(&a.1, &b.1, equal).unwrap(),
+                );
+                t.same_mask("eq/ne", &m);
+            }
+            for j in 0..h {
+                let m = (t.s.int_bit(&a.0, j).unwrap(), t.p.int_bit(&a.1, j).unwrap());
+                t.same_mask("bit", &m);
+            }
 
-    // A costed in-place masked write, as the solver updates SOW.
-    let other = h_bit_plane(dim, 8, 4);
-    let mask = Plane::from_fn(dim, |c| (c.row + c.col) % 3 == 0);
-    packed.assign_masked(&mut src, &other, &mask).unwrap();
-    assert_bits_match(&mut packed, &src, &scan);
+            // Immediates and index registers, where they fit the word.
+            for v in [0, max, a_plane.as_slice()[0]] {
+                let r = (t.s.int_imm(v, h), t.p.int_imm(v, h));
+                t.same_int("imm", &r);
+            }
+            let lanes = cols / lane_cols;
+            let lane_values: Vec<i64> = (0..lanes).map(|l| max - l as i64 % (max + 1)).collect();
+            let r = (
+                t.s.int_lane_imm(&lane_values, lane_cols, h),
+                t.p.int_lane_imm(&lane_values, lane_cols, h),
+            );
+            t.same_int("lane imm", &r);
+            if rows as i64 - 1 <= max {
+                let r = (t.s.int_row_index(h), t.p.int_row_index(h));
+                t.same_int("ROW", &r);
+            }
+            if lane_cols as i64 - 1 <= max {
+                let r = (
+                    t.s.int_col_index(lane_cols, h),
+                    t.p.int_col_index(lane_cols, h),
+                );
+                t.same_int("COL", &r);
+            }
+
+            // Mask logic, copies, host reads and the global OR.
+            let sel = t.mask(&Plane::from_fn(dim, |c| (c.row * 7 + c.col) % 5 < 2));
+            let other = t.mask(&Plane::from_fn(dim, |c| c.col % 2 == 0));
+            let and = (
+                t.s.mask_and(&sel.0, &other.0).unwrap(),
+                t.p.mask_and(&sel.1, &other.1).unwrap(),
+            );
+            t.same_mask("and", &and);
+            let or = (
+                t.s.mask_or(&sel.0, &other.0).unwrap(),
+                t.p.mask_or(&sel.1, &other.1).unwrap(),
+            );
+            t.same_mask("or", &or);
+            let not = (t.s.mask_not(&sel.0).unwrap(), t.p.mask_not(&sel.1).unwrap());
+            t.same_mask("not", &not);
+            let copy = (
+                t.s.mask_copy(&not.0).unwrap(),
+                t.p.mask_copy(&not.1).unwrap(),
+            );
+            t.same_mask("copy", &copy);
+            assert_eq!(
+                t.s.mask_global_or(&and.0).unwrap(),
+                t.p.mask_global_or(&and.1).unwrap()
+            );
+            for row in [0, rows - 1] {
+                for range in [0..cols, cols / 2..cols, 0..1] {
+                    assert_eq!(
+                        t.s.mask_any_in(&sel.0, row, range.clone()),
+                        t.p.mask_any_in(&sel.1, row, range.clone())
+                    );
+                    assert_eq!(
+                        t.s.read_int_row(&a.0, row, range.clone()),
+                        t.p.read_int_row(&a.1, row, range)
+                    );
+                }
+            }
+
+            // Masked and unmasked writes.
+            let mut d = (a.0.clone(), a.1.clone());
+            t.s.int_assign(&mut d.0, &b.0, Some(&sel.0)).unwrap();
+            t.p.int_assign(&mut d.1, &b.1, Some(&sel.1)).unwrap();
+            t.same_int("masked assign", &d);
+            t.s.int_assign(&mut d.0, &c.0, None).unwrap();
+            t.p.int_assign(&mut d.1, &c.1, None).unwrap();
+            t.same_int("assign", &d);
+
+            // Broadcasts under the MCP switch patterns and a sparse one
+            // with driverless lines, in every direction.
+            let patterns = [
+                Plane::from_fn(dim, |c| c.row == c.col % lane_cols),
+                Plane::from_fn(dim, |c| c.col % lane_cols == lane_cols - 1),
+                Plane::from_fn(dim, |c| c.row == rows / 2),
+                Plane::from_fn(dim, |c| (c.row * 3 + c.col * 5) % 7 == 0),
+                Plane::from_fn(dim, |c| (c.row * 13 + c.col * 29) % 97 == 0),
+                // Dense: runs of one-PE clusters and fully Open rows.
+                Plane::from_fn(dim, |c| c.col % 4 != 1 || c.row % 3 == 0),
+            ];
+            for open in &patterns {
+                let open = t.mask(open);
+                for dir in DIRECTIONS {
+                    match (
+                        t.s.int_broadcast(&a.0, dir, &open.0),
+                        t.p.int_broadcast(&a.1, dir, &open.1),
+                    ) {
+                        (Ok(x), Ok(y)) => t.same_int(&format!("broadcast {dir:?}"), &(x, y)),
+                        (Err(x), Err(y)) => assert_eq!(x, y, "{dir:?} (h={h})"),
+                        (x, y) => panic!("{dir:?} (h={h}): {x:?} vs {y:?}"),
+                    }
+                }
+            }
+            assert_eq!(
+                t.s.controller().report(),
+                t.p.controller().report(),
+                "{rows}x{cols} h={h}: per-class steps"
+            );
+        }
+    }
+}
+
+/// The lines of a bus fault, sorted, or the broadcast values.
+fn outcome(r: Result<Plane<i64>, MachineError>) -> String {
+    match r {
+        Ok(p) => format!("{:?}", p.as_slice()),
+        Err(MachineError::BusFault { axis, mut lines }) => {
+            lines.sort_unstable();
+            format!("fault {axis:?} {lines:?}")
+        }
+        Err(e) => format!("{e}"),
+    }
+}
+
+#[test]
+fn register_broadcasts_route_faults_like_scalar() {
+    for (rows, cols, lane_cols) in SHAPES {
+        let dim = Dim::new(rows, cols);
+        let src = h_bit_plane(dim, 11, cols as u64);
+        let patterns = [
+            Plane::from_fn(dim, |c| c.row == c.col % lane_cols),
+            Plane::from_fn(dim, |c| c.col % lane_cols == lane_cols - 1),
+            Plane::from_fn(dim, |c| (c.row * 3 + c.col * 5) % 7 == 0),
+        ];
+        for seed in 0..4u64 {
+            let faults = FaultMap::random(dim, 1 + seed as usize, seed);
+            // The reference: scalar plane broadcasts. Then scalar and packed
+            // register broadcasts under the same fault models.
+            let mut plane = Machine::new(rows, cols);
+            let mut scalar = Machine::new(rows, cols);
+            let mut packed = Machine::new_packed(rows, cols);
+            for_each_fault_model(&mut plane, &faults, seed);
+            for_each_fault_model(&mut scalar, &faults, seed);
+            for_each_fault_model(&mut packed, &faults, seed);
+            let rs = load(&mut scalar, 11, &src);
+            let rp = load(&mut packed, 11, &src);
+            for round in 0..6 {
+                let open = &patterns[round % patterns.len()];
+                let dir = DIRECTIONS[(round + seed as usize) % 4];
+                let want = plane.broadcast(&src, dir, open);
+                let (ms, mp) = (
+                    scalar.pack_mask(open).unwrap(),
+                    packed.pack_mask(open).unwrap(),
+                );
+                let got_s = scalar
+                    .int_broadcast(&rs, dir, &ms)
+                    .map(|r| scalar.read_int(&r));
+                let got_p = packed
+                    .int_broadcast(&rp, dir, &mp)
+                    .map(|r| packed.read_int(&r));
+                let want = outcome(want);
+                assert_eq!(
+                    outcome(got_s),
+                    want,
+                    "{rows}x{cols} seed {seed} round {round}"
+                );
+                assert_eq!(
+                    outcome(got_p),
+                    want,
+                    "{rows}x{cols} seed {seed} round {round}"
+                );
+            }
+            // The transient process was sampled once per transfer on every
+            // machine: the flip and distortion tallies agree.
+            let want = tallies(&mut plane);
+            assert_eq!(want.0, 6, "p = 1.0 flips one switch per transfer");
+            assert_eq!(tallies(&mut scalar), want);
+            assert_eq!(tallies(&mut packed), want);
+            assert_eq!(scalar.controller().report(), packed.controller().report());
+        }
+    }
+}
+
+/// The transient-flip and distorted-transfer counters of `m`.
+fn tallies<E: Executor>(m: &mut Machine<E>) -> (u64, u64) {
+    let metrics = m.controller_mut().take_metrics();
+    (
+        metrics.counter("faults.transient_flips"),
+        metrics.counter("faults.distorted_transfers"),
+    )
+}
+
+/// Attaches `faults` and a certain (p = 1.0) transient process, with
+/// metrics on.
+fn for_each_fault_model<E: Executor>(m: &mut Machine<E>, faults: &FaultMap, seed: u64) {
+    m.controller_mut().enable_metrics();
+    m.attach_faults(faults.clone());
+    m.attach_transient_faults(TransientFaults::new(1.0, seed ^ 0x5eed));
 }

@@ -15,7 +15,10 @@
 //! `selected_min()` is identical except that the initial candidate set is
 //! given by a fourth parallel-logical argument instead of being all nodes
 //! (the paper presents only `min()` and notes the other "is similar").
-//! [`Ppa::max`]/[`Ppa::selected_max`] are the order duals. A word-parallel
+//! [`Ppa::max`]/[`Ppa::selected_max`] are the order duals. The scan is
+//! written once, on registers ([`Ppa::int_min`] and its three siblings,
+//! where bit `j` is bit-plane `j`); the `Parallel<i64>` entry points load,
+//! scan and read. A word-parallel
 //! [`Ppa::min_word`] — a hypothetical single-step combining bus — is
 //! provided purely as the ablation A2 comparator.
 
@@ -36,14 +39,16 @@ impl<E: Executor> Ppa<E> {
     /// defined by the Open mask `l` for movement direction `dir`).
     ///
     /// Costs `O(h)` controller steps (`4h + 4` exactly, measured by the
-    /// step-count tests). Values must fit the `h`-bit unsigned word.
+    /// step-count tests). Values must fit the `h`-bit unsigned word. This
+    /// plane entry point loads `src` into a register, runs [`Ppa::int_min`]
+    /// and reads the result back; the load and the read are host I/O.
     pub fn min(
         &mut self,
         src: &Parallel<i64>,
         dir: Direction,
         l: &Parallel<bool>,
     ) -> Result<Parallel<i64>> {
-        self.bitserial_extreme(src, dir, l, None, Extreme::Min)
+        self.plane_extreme(src, dir, l, None, Extreme::Min)
     }
 
     /// The paper's `selected_min(src, orientation, L, sel)`: the minimum of
@@ -59,7 +64,7 @@ impl<E: Executor> Ppa<E> {
         l: &Parallel<bool>,
         sel: &Parallel<bool>,
     ) -> Result<Parallel<i64>> {
-        self.bitserial_extreme(src, dir, l, Some(sel), Extreme::Min)
+        self.plane_extreme(src, dir, l, Some(sel), Extreme::Min)
     }
 
     /// Order dual of [`Ppa::min`]: cluster-wide maximum in `O(h)` steps.
@@ -69,7 +74,7 @@ impl<E: Executor> Ppa<E> {
         dir: Direction,
         l: &Parallel<bool>,
     ) -> Result<Parallel<i64>> {
-        self.bitserial_extreme(src, dir, l, None, Extreme::Max)
+        self.plane_extreme(src, dir, l, None, Extreme::Max)
     }
 
     /// Order dual of [`Ppa::selected_min`].
@@ -80,10 +85,50 @@ impl<E: Executor> Ppa<E> {
         l: &Parallel<bool>,
         sel: &Parallel<bool>,
     ) -> Result<Parallel<i64>> {
+        self.plane_extreme(src, dir, l, Some(sel), Extreme::Max)
+    }
+
+    /// [`Ppa::min`] on a register, with the switch pattern held as a mask
+    /// register.
+    pub fn int_min(&mut self, src: &E::Int, dir: Direction, l: &E::Mask) -> Result<E::Int> {
+        self.bitserial_extreme(src, dir, l, None, Extreme::Min)
+    }
+
+    /// [`Ppa::selected_min`] on registers.
+    ///
+    /// # Errors
+    /// [`PpcError::EmptySelection`] if some cluster selects no node.
+    pub fn int_selected_min(
+        &mut self,
+        src: &E::Int,
+        dir: Direction,
+        l: &E::Mask,
+        sel: &E::Mask,
+    ) -> Result<E::Int> {
+        self.bitserial_extreme(src, dir, l, Some(sel), Extreme::Min)
+    }
+
+    /// [`Ppa::max`] on a register.
+    pub fn int_max(&mut self, src: &E::Int, dir: Direction, l: &E::Mask) -> Result<E::Int> {
+        self.bitserial_extreme(src, dir, l, None, Extreme::Max)
+    }
+
+    /// [`Ppa::selected_max`] on registers.
+    ///
+    /// # Errors
+    /// [`PpcError::EmptySelection`] if some cluster selects no node.
+    pub fn int_selected_max(
+        &mut self,
+        src: &E::Int,
+        dir: Direction,
+        l: &E::Mask,
+        sel: &E::Mask,
+    ) -> Result<E::Int> {
         self.bitserial_extreme(src, dir, l, Some(sel), Extreme::Max)
     }
 
-    fn bitserial_extreme(
+    /// The plane entry points: load, scan, read.
+    fn plane_extreme(
         &mut self,
         src: &Parallel<i64>,
         dir: Direction,
@@ -91,16 +136,26 @@ impl<E: Executor> Ppa<E> {
         sel: Option<&Parallel<bool>>,
         which: Extreme,
     ) -> Result<Parallel<i64>> {
-        self.check_representable(src)?;
-        // Pack the selection and the loop-invariant switch pattern once
-        // (register views, uncosted): the guardrail reads both, and every
-        // bus instruction of the scan and the head re-broadcast reuse `l`.
-        let sel_mask = sel.map(|s| self.machine_mut().pack_mask(s)).transpose()?;
-        let l_mask = self.machine_mut().pack_mask(l)?;
+        let src = self.load(src)?;
+        let sel = sel.map(|s| self.machine_mut().pack_mask(s)).transpose()?;
+        let l = self.machine_mut().pack_mask(l)?;
+        let out = self.bitserial_extreme(&src, dir, &l, sel.as_ref(), which)?;
+        Ok(self.read(&out))
+    }
+
+    /// The one bit-serial scan behind all eight entry points.
+    fn bitserial_extreme(
+        &mut self,
+        src: &E::Int,
+        dir: Direction,
+        l: &E::Mask,
+        sel: Option<&E::Mask>,
+        which: Extreme,
+    ) -> Result<E::Int> {
         // Guardrail (uncosted): every cluster must select at least one node,
         // otherwise statements 11-12 would leak a value across clusters.
-        if let Some(s) = &sel_mask {
-            if !self.machine_mut().clusters_covered(s, dir, &l_mask)? {
+        if let Some(s) = sel {
+            if !self.machine_mut().clusters_covered(s, dir, l)? {
                 return Err(PpcError::EmptySelection);
             }
         }
@@ -125,20 +180,21 @@ impl<E: Executor> Ppa<E> {
         // Statement 7: `parallel logical enable = 1;` (or the selection).
         let mut enable = match sel {
             None => self.machine_mut().mask_imm(true),
-            Some(s) => self.machine_mut().load_mask(s)?,
+            Some(s) => self.machine_mut().mask_copy(s)?,
         };
 
-        // Statements 8-10: the most-significant-first bit scan.
+        // Statements 8-10: the most-significant-first bit scan. Bit `j` of
+        // a register is its bit-plane `j`: nothing is sliced here.
         let h = self.word_bits();
         for j in (0..h).rev() {
             if observed {
                 self.enter_span(&format!("bit[{j}]"));
             }
-            let bitj = self.machine_mut().mask_bit(src, j)?;
+            let bitj = self.machine_mut().int_bit(src, j)?;
             // A candidate "votes" if it is enabled and could win this bit:
             // for min, a 0 at position j beats any 1; for max, vice versa.
             let votes = self.machine_mut().mask_vote(&enable, &bitj, keep_low);
-            let present = self.machine_mut().mask_bus_or(&votes, dir, &l_mask)?;
+            let present = self.machine_mut().mask_bus_or(&votes, dir, l)?;
             // Statements 9-10: knock out every candidate beaten at bit j.
             enable = self
                 .machine_mut()
@@ -155,14 +211,15 @@ impl<E: Executor> Ppa<E> {
         }
         let to_head = self
             .machine_mut()
-            .broadcast_open(src, dir.opposite(), &enable)?;
+            .int_broadcast(src, dir.opposite(), &enable)?;
         let mut staged = src.clone();
-        self.machine_mut().assign_masked(&mut staged, &to_head, l)?;
+        self.machine_mut()
+            .int_assign(&mut staged, &to_head, Some(l))?;
 
         // Statement 13: the heads re-broadcast to their whole cluster.
         let out = self
             .machine_mut()
-            .broadcast_open(&staged, dir, &l_mask)
+            .int_broadcast(&staged, dir, l)
             .map_err(PpcError::from);
         if observed {
             self.exit_span(); // resolve

@@ -119,15 +119,68 @@ impl<E: Executor> Ppa<E> {
 
     /// Checks (without issuing controller steps — this is a simulator
     /// guardrail, not a machine instruction) that every element of `a` fits
-    /// the `h`-bit unsigned word scanned by the bit-serial routines.
+    /// the `h`-bit unsigned word of a register: the validation of
+    /// [`Ppa::load`].
+    ///
+    /// # Errors
+    /// [`PpcError::ValueOutOfRange`](crate::PpcError::ValueOutOfRange)
+    /// naming the first offending value in row-major order.
     pub fn check_representable(&self, a: &Parallel<i64>) -> Result<()> {
-        let max = self.maxint();
-        for &v in a.iter() {
-            if v < 0 || v > max {
-                return Err(crate::PpcError::ValueOutOfRange(v));
-            }
+        // One branch-free OR-fold: any value with a bit at or above `h` —
+        // a negative `i64` sets bit 63 — leaves one in the fold. Only a
+        // failing plane is walked again to name its first offender.
+        let folded = a.iter().fold(0u64, |acc, &v| acc | v as u64);
+        if folded >> self.word_bits() == 0 {
+            return Ok(());
         }
-        Ok(())
+        let max = self.maxint();
+        match a.iter().find(|&&v| v < 0 || v > max) {
+            Some(&v) => Err(crate::PpcError::ValueOutOfRange(v)),
+            None => Ok(()),
+        }
+    }
+
+    // ----- integer registers and masks ----------------------------------------
+    //
+    // The closed register opcode set the MCP loop issues. Each costs one ALU
+    // step, exactly like its plane twin above.
+
+    /// Elementwise saturating `h`-bit addition of two registers (one step):
+    /// a sum that reaches `MAXINT` yields `MAXINT`.
+    pub fn int_sat_add(&mut self, a: &E::Int, b: &E::Int) -> Result<E::Int> {
+        let h = self.word_bits();
+        Ok(self.machine_mut().int_sat_add(a, b, h)?)
+    }
+
+    /// Elementwise register equality into a mask (one step).
+    pub fn int_eq(&mut self, a: &E::Int, b: &E::Int) -> Result<E::Mask> {
+        Ok(self.machine_mut().int_eq(a, b, true)?)
+    }
+
+    /// Elementwise register inequality into a mask (one step).
+    pub fn int_ne(&mut self, a: &E::Int, b: &E::Int) -> Result<E::Mask> {
+        Ok(self.machine_mut().int_eq(a, b, false)?)
+    }
+
+    /// The paper's `bit(x, i)` on a register: bit-plane `i` as a mask
+    /// (one step).
+    pub fn int_bit(&mut self, a: &E::Int, i: u32) -> Result<E::Mask> {
+        Ok(self.machine_mut().int_bit(a, i)?)
+    }
+
+    /// Elementwise logical AND of two mask registers (one step).
+    pub fn mask_and(&mut self, a: &E::Mask, b: &E::Mask) -> Result<E::Mask> {
+        Ok(self.machine_mut().mask_and(a, b)?)
+    }
+
+    /// Elementwise logical OR of two mask registers (one step).
+    pub fn mask_or(&mut self, a: &E::Mask, b: &E::Mask) -> Result<E::Mask> {
+        Ok(self.machine_mut().mask_or(a, b)?)
+    }
+
+    /// Elementwise logical NOT of a mask register (one step).
+    pub fn mask_not(&mut self, a: &E::Mask) -> Result<E::Mask> {
+        Ok(self.machine_mut().mask_not(a)?)
     }
 }
 
@@ -229,6 +282,65 @@ mod tests {
         ));
         let neg = Parallel::filled(ppa.dim(), -1i64);
         assert!(ppa.check_representable(&neg).is_err());
+    }
+
+    #[test]
+    fn representability_names_the_first_offender_at_every_width() {
+        for h in [1u32, 11, 62] {
+            let ppa = Ppa::square(3).with_word_bits(h);
+            let max = ppa.maxint();
+            let last = ppa.dim().len() - 1;
+            // Exactly MAXINT everywhere is accepted.
+            let full = Parallel::filled(ppa.dim(), max);
+            assert_eq!(ppa.check_representable(&full), Ok(()), "h={h}");
+            for bad in [-1, i64::MIN, max + 1] {
+                for at in [0, last] {
+                    // A second, different offender later in row-major
+                    // order must not be the one reported.
+                    let v = Parallel::from_vec(
+                        ppa.dim(),
+                        (0..=last)
+                            .map(|i| match i {
+                                i if i == at => bad,
+                                i if i == last => -7,
+                                _ => max,
+                            })
+                            .collect(),
+                    );
+                    assert_eq!(
+                        ppa.check_representable(&v),
+                        Err(PpcError::ValueOutOfRange(bad)),
+                        "h={h} value {bad} at PE {at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn register_ops_match_their_plane_twins() {
+        let (mut ppa, a, b) = fixture();
+        let (ra, rb) = (ppa.load(&a).unwrap(), ppa.load(&b).unwrap());
+        let before = ppa.steps();
+        let sum = ppa.int_sat_add(&ra, &rb).unwrap();
+        let eq = ppa.int_eq(&ra, &rb).unwrap();
+        let ne = ppa.int_ne(&ra, &rb).unwrap();
+        let bit = ppa.int_bit(&ra, 1).unwrap();
+        let and = ppa.mask_and(&eq, &bit).unwrap();
+        let or = ppa.mask_or(&eq, &bit).unwrap();
+        let not = ppa.mask_not(&eq).unwrap();
+        let reg_steps = ppa.steps().since(&before);
+        let before = ppa.steps();
+        assert_eq!(ppa.read(&sum), ppa.sat_add(&a, &b).unwrap());
+        let peq = ppa.eq(&a, &b).unwrap();
+        assert_eq!(eq, peq);
+        assert_eq!(ne, ppa.ne(&a, &b).unwrap());
+        let pbit = ppa.bit(&a, 1).unwrap();
+        assert_eq!(bit, pbit);
+        assert_eq!(and, ppa.and(&peq, &pbit).unwrap());
+        assert_eq!(or, ppa.or(&peq, &pbit).unwrap());
+        assert_eq!(not, ppa.not(&peq).unwrap());
+        assert_eq!(reg_steps, ppa.steps().since(&before), "same ALU steps");
     }
 
     #[test]

@@ -7,6 +7,7 @@ use ppa_machine::{
     Dim, Direction, ExecStats, Executor, Machine, OccupancySampling, PackedBackend, Plane,
     ScalarBackend, StepReport,
 };
+use std::ops::Range;
 
 /// A PPC `parallel` variable: one value per PE.
 ///
@@ -28,7 +29,7 @@ pub type Parallel<T> = Plane<T>;
 pub struct Ppa<E: Executor = ScalarBackend> {
     machine: Machine<E>,
     /// Stack of effective (pre-ANDed) activity masks; empty = all active.
-    masks: Vec<Plane<bool>>,
+    masks: Vec<E::Mask>,
     word_bits: u32,
 }
 
@@ -254,7 +255,7 @@ impl<E: Executor> Ppa<E> {
     // ----- activity masks ---------------------------------------------------
 
     /// The effective activity mask (`None` when all PEs are active).
-    pub fn current_mask(&self) -> Option<&Plane<bool>> {
+    pub fn current_mask(&self) -> Option<&E::Mask> {
         self.masks.last()
     }
 
@@ -266,6 +267,16 @@ impl<E: Executor> Ppa<E> {
     pub fn where_<R>(
         &mut self,
         cond: &Parallel<bool>,
+        body: impl FnOnce(&mut Ppa<E>) -> R,
+    ) -> Result<R> {
+        let cond = self.machine.pack_mask(cond)?;
+        self.where_mask(&cond, body)
+    }
+
+    /// [`Ppa::where_`] with the condition held as a mask register.
+    pub fn where_mask<R>(
+        &mut self,
+        cond: &E::Mask,
         body: impl FnOnce(&mut Ppa<E>) -> R,
     ) -> Result<R> {
         self.push_mask(cond)?;
@@ -283,23 +294,20 @@ impl<E: Executor> Ppa<E> {
         then_body: impl FnOnce(&mut Ppa<E>) -> R,
         else_body: impl FnOnce(&mut Ppa<E>) -> S,
     ) -> Result<(R, S)> {
-        self.push_mask(cond)?;
-        let r = then_body(self);
-        self.masks.pop();
-        let ncond = self.machine.map(cond, |&b| !b)?;
-        self.push_mask(&ncond)?;
-        let s = else_body(self);
-        self.masks.pop();
+        let cond = self.machine.pack_mask(cond)?;
+        let r = self.where_mask(&cond, then_body)?;
+        let ncond = self.machine.mask_not(&cond)?;
+        let s = self.where_mask(&ncond, else_body)?;
         Ok((r, s))
     }
 
-    fn push_mask(&mut self, cond: &Parallel<bool>) -> Result<()> {
+    fn push_mask(&mut self, cond: &E::Mask) -> Result<()> {
         let effective = match self.masks.last() {
             None => {
                 self.machine.record_step(ppa_machine::Op::Alu);
                 cond.clone()
             }
-            Some(parent) => self.machine.zip(parent, cond, |&a, &b| a && b)?,
+            Some(parent) => self.machine.mask_and(parent, cond)?,
         };
         self.masks.push(effective);
         Ok(())
@@ -310,18 +318,7 @@ impl<E: Executor> Ppa<E> {
     /// Masked assignment `dst = src` under the current activity mask:
     /// one controller step. Inactive PEs keep their previous value.
     pub fn assign<T: Copy>(&mut self, dst: &mut Parallel<T>, src: &Parallel<T>) -> Result<()> {
-        match self.masks.last() {
-            None => {
-                // All active: plain register copy.
-                let all = Plane::filled(self.dim(), true);
-                self.machine.assign_masked(dst, src, &all)?;
-            }
-            Some(mask) => {
-                let mask = mask.clone();
-                self.machine.assign_masked(dst, src, &mask)?;
-            }
-        }
-        Ok(())
+        Ok(self.machine.assign_where(dst, src, self.masks.last())?)
     }
 
     /// Masked assignment of an immediate (`dst = k`): one controller step
@@ -329,6 +326,142 @@ impl<E: Executor> Ppa<E> {
     pub fn assign_imm<T: Copy>(&mut self, dst: &mut Parallel<T>, value: T) -> Result<()> {
         let imm = self.machine.imm(value);
         self.assign(dst, &imm)
+    }
+
+    /// Masked register write `dst = src` under the current activity mask:
+    /// one controller step. Inactive PEs keep their previous value.
+    pub fn int_assign(&mut self, dst: &mut E::Int, src: &E::Int) -> Result<()> {
+        Ok(self.machine.int_assign(dst, src, self.masks.last())?)
+    }
+
+    // ----- integer registers: the host I/O boundary -------------------------
+
+    /// Loads a plane into an `h`-bit register (uncosted host I/O).
+    ///
+    /// # Errors
+    /// [`PpcError::ValueOutOfRange`] naming the first value, in row-major
+    /// order, outside `0..=MAXINT`; a plane of another shape is a
+    /// [`MachineError::DimMismatch`](ppa_machine::MachineError).
+    pub fn load(&mut self, src: &Parallel<i64>) -> Result<E::Int> {
+        if src.dim() != self.dim() {
+            return Err(PpcError::Machine(ppa_machine::MachineError::DimMismatch {
+                expected: self.dim(),
+                found: src.dim(),
+            }));
+        }
+        self.check_representable(src)?;
+        let (h, cols, values) = (self.word_bits, self.dim().cols, src.as_slice());
+        Ok(self.machine.load_int(h, |r, c| values[r * cols + c]))
+    }
+
+    /// Loads `value(row, col)` into every PE of an `h`-bit register
+    /// (uncosted host I/O) without staging a plane — how a weight matrix is
+    /// sliced straight into bit-planes. The values are validated with the
+    /// same OR-fold as [`Ppa::check_representable`], in the same pass.
+    ///
+    /// # Errors
+    /// [`PpcError::ValueOutOfRange`] naming the first value, in row-major
+    /// order, outside `0..=MAXINT`.
+    pub fn load_with(&mut self, mut value: impl FnMut(usize, usize) -> i64) -> Result<E::Int> {
+        let h = self.word_bits;
+        let mut folded = 0u64;
+        let reg = self.machine.load_int(h, |r, c| {
+            let v = value(r, c);
+            folded |= v as u64;
+            v
+        });
+        if folded >> h != 0 {
+            let (dim, max) = (self.dim(), self.maxint());
+            let pes = (0..dim.rows).flat_map(|r| (0..dim.cols).map(move |c| (r, c)));
+            if let Some(v) = pes.map(|(r, c)| value(r, c)).find(|&v| v < 0 || v > max) {
+                return Err(PpcError::ValueOutOfRange(v));
+            }
+        }
+        Ok(reg)
+    }
+
+    /// Reads a register back into a plane (uncosted host I/O).
+    pub fn read(&self, reg: &E::Int) -> Parallel<i64> {
+        self.machine.read_int(reg)
+    }
+
+    /// Reads columns `cols` of row `row` of a register (uncosted host
+    /// I/O).
+    pub fn read_row(&self, reg: &E::Int, row: usize, cols: Range<usize>) -> Vec<i64> {
+        self.machine.read_int_row(reg, row, cols)
+    }
+
+    /// Whether any PE of row `row` in columns `cols` is set (uncosted host
+    /// read of a mask register).
+    pub fn mask_any_in(&self, mask: &E::Mask, row: usize, cols: Range<usize>) -> bool {
+        self.machine.mask_any_in(mask, row, cols)
+    }
+
+    /// Fails with [`PpcError::ValueOutOfRange`] unless `v` fits the word.
+    fn fits(&self, v: i64) -> Result<()> {
+        if (0..=self.maxint()).contains(&v) {
+            Ok(())
+        } else {
+            Err(PpcError::ValueOutOfRange(v))
+        }
+    }
+
+    /// Broadcast of a controller scalar into every PE of an `h`-bit
+    /// register (one step).
+    ///
+    /// # Errors
+    /// [`PpcError::ValueOutOfRange`] if `value` does not fit the word.
+    pub fn int_constant(&mut self, value: i64) -> Result<E::Int> {
+        self.fits(value)?;
+        Ok(self.machine.int_imm(value, self.word_bits))
+    }
+
+    /// Per-lane scalar broadcast into a register: lane `l` (columns
+    /// `l*lane_cols .. (l+1)*lane_cols`) receives `values[l]` (one step).
+    ///
+    /// # Errors
+    /// [`PpcError::ValueOutOfRange`] naming the first value that does not
+    /// fit the word.
+    pub fn int_lane_constant(&mut self, values: &[i64], lane_cols: usize) -> Result<E::Int> {
+        for &v in values {
+            self.fits(v)?;
+        }
+        Ok(self.machine.int_lane_imm(values, lane_cols, self.word_bits))
+    }
+
+    /// The `ROW` register (one step).
+    ///
+    /// # Errors
+    /// [`PpcError::ValueOutOfRange`] if the last row index does not fit.
+    pub fn int_row_index(&mut self) -> Result<E::Int> {
+        self.fits(self.dim().rows as i64 - 1)?;
+        Ok(self.machine.int_row_index(self.word_bits))
+    }
+
+    /// The per-lane `COL` register, `col % lane_cols` (one step);
+    /// `lane_cols` equal to the column count is the plain `COL`.
+    ///
+    /// # Errors
+    /// [`PpcError::ValueOutOfRange`] if the last lane column does not fit.
+    pub fn int_col_index(&mut self, lane_cols: usize) -> Result<E::Int> {
+        self.fits(lane_cols as i64 - 1)?;
+        Ok(self.machine.int_col_index(lane_cols, self.word_bits))
+    }
+
+    /// The PPC `broadcast(src, dir, L)` primitive on a register, with the
+    /// switch pattern held as a mask register (one step).
+    pub fn int_broadcast(
+        &mut self,
+        src: &E::Int,
+        dir: Direction,
+        open: &E::Mask,
+    ) -> Result<E::Int> {
+        Ok(self.machine.int_broadcast(src, dir, open)?)
+    }
+
+    /// Controller-side global OR of a mask register (one step).
+    pub fn mask_any(&mut self, flags: &E::Mask) -> Result<bool> {
+        Ok(self.machine.mask_global_or(flags)?)
     }
 
     // ----- hardwired registers & immediates ---------------------------------
@@ -346,18 +479,6 @@ impl<E: Executor> Ppa<E> {
     /// Broadcast of a controller scalar into every PE (one step).
     pub fn constant<T: Clone>(&mut self, value: T) -> Parallel<T> {
         self.machine.imm(value)
-    }
-
-    /// Per-lane scalar broadcast: lane `l` (columns `l*lane_cols ..
-    /// (l+1)*lane_cols`) receives `values[l]` (one step — each lane's
-    /// sub-controller issues its immediate in lockstep).
-    pub fn lane_constant<T: Clone>(&mut self, values: &[T], lane_cols: usize) -> Parallel<T> {
-        self.machine.lane_imm(values, lane_cols)
-    }
-
-    /// The per-lane `COL` register, `col % lane_cols` (one step).
-    pub fn lane_col_index(&mut self, lane_cols: usize) -> Parallel<i64> {
-        self.machine.lane_col_index(lane_cols)
     }
 
     // ----- communication ----------------------------------------------------

@@ -173,3 +173,106 @@ proptest! {
         prop_assert_eq!(s.steps(), p.steps());
     }
 }
+
+/// Which of the four scans a case runs.
+#[derive(Debug, Clone, Copy)]
+enum Scan {
+    Min,
+    Max,
+    SelectedMin,
+    SelectedMax,
+}
+
+const SCANS: [Scan; 4] = [Scan::Min, Scan::Max, Scan::SelectedMin, Scan::SelectedMax];
+
+/// The plane entry point of `scan`.
+fn plane_scan<E: ppa_machine::Executor>(
+    ppa: &mut Ppa<E>,
+    scan: Scan,
+    src: &Parallel<i64>,
+    dir: Direction,
+    l: &Parallel<bool>,
+    sel: &Parallel<bool>,
+) -> Result<Parallel<i64>, PpcError> {
+    match scan {
+        Scan::Min => ppa.min(src, dir, l),
+        Scan::Max => ppa.max(src, dir, l),
+        Scan::SelectedMin => ppa.selected_min(src, dir, l, sel),
+        Scan::SelectedMax => ppa.selected_max(src, dir, l, sel),
+    }
+}
+
+/// The register entry point of `scan`: load, scan, read.
+fn register_scan<E: ppa_machine::Executor>(
+    ppa: &mut Ppa<E>,
+    scan: Scan,
+    src: &Parallel<i64>,
+    dir: Direction,
+    l: &Parallel<bool>,
+    sel: &Parallel<bool>,
+) -> Result<Parallel<i64>, PpcError> {
+    let src = ppa.load(src)?;
+    let sel = ppa.machine_mut().pack_mask(sel)?;
+    let l = ppa.machine_mut().pack_mask(l)?;
+    let out = match scan {
+        Scan::Min => ppa.int_min(&src, dir, &l),
+        Scan::Max => ppa.int_max(&src, dir, &l),
+        Scan::SelectedMin => ppa.int_selected_min(&src, dir, &l, &sel),
+        Scan::SelectedMax => ppa.int_selected_max(&src, dir, &l, &sel),
+    }?;
+    Ok(ppa.read(&out))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn register_scans_match_their_plane_entry_points_and_scalar(
+        args in (3usize..=7).prop_flat_map(|n| {
+            (
+                Just(n),
+                proptest::collection::vec(0i64..=4095, n * n),
+                proptest::collection::vec(0u32..100, n * n),
+                proptest::collection::vec(0u32..100, n * n),
+            )
+        }),
+        dir in direction(),
+        h in prop_oneof![Just(1u32), Just(2), Just(6), Just(12)],
+        overflow in any::<bool>(),
+    ) {
+        let (n, vals, open_draws, sel_draws) = args;
+        let dim = Dim::square(n);
+        let cap = (1i64 << h) - 1;
+        // One value past MAXINT when `overflow`: every entry point must
+        // report it as ValueOutOfRange.
+        let vals: Vec<i64> = vals
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| if overflow && i == n { cap + 1 } else { v.min(cap) })
+            .collect();
+        let src = Parallel::from_vec(dim, vals);
+        let mut open = Parallel::from_vec(dim, open_draws.into_iter().map(|d| d < 25).collect());
+        force_driver(dim, dir, &mut open);
+        // Unrepaired selection: some clusters may select nothing.
+        let sel = Parallel::from_vec(dim, sel_draws.into_iter().map(|d| d < 40).collect());
+        for scan in SCANS {
+            let (mut s, mut p) = pair(n, h);
+            let (mut sr, mut pr) = pair(n, h);
+            let want = plane_scan(&mut s, scan, &src, dir, &open, &sel);
+            if overflow {
+                prop_assert_eq!(&want, &Err(PpcError::ValueOutOfRange(cap + 1)));
+            } else if matches!(scan, Scan::SelectedMin | Scan::SelectedMax)
+                && !bus::bus_or(dim, &sel, dir, &open).unwrap().all()
+            {
+                prop_assert_eq!(&want, &Err(PpcError::EmptySelection));
+            }
+            prop_assert_eq!(&plane_scan(&mut p, scan, &src, dir, &open, &sel), &want, "{:?}", scan);
+            prop_assert_eq!(&register_scan(&mut sr, scan, &src, dir, &open, &sel), &want, "{:?}", scan);
+            prop_assert_eq!(&register_scan(&mut pr, scan, &src, dir, &open, &sel), &want, "{:?}", scan);
+            // One scan, one step report, whichever entry point and backend.
+            prop_assert_eq!(s.steps(), p.steps());
+            prop_assert_eq!(s.steps(), sr.steps());
+            prop_assert_eq!(s.steps(), pr.steps());
+        }
+    }
+}

@@ -2147,7 +2147,10 @@ mod tests {
 
     #[test]
     fn deadline_cancels_cooperatively() {
-        let w = gen::random_connected(32, 0.4, 9, 8);
+        // The n = 96 campaign lasts many times its deadline on the default
+        // packed backend, so the watchdog fires mid-run even when its
+        // thread wakes late on a busy host.
+        let w = gen::random_connected(96, 0.4, 9, 8);
         let svc = SolveService::start(quick_config());
         let mut spec = JobSpec::new(
             w,
@@ -2177,27 +2180,13 @@ mod tests {
 
     #[test]
     fn client_cancel_stops_a_running_job_with_a_typed_error() {
-        let w = gen::random_connected(32, 0.4, 9, 8);
+        // The blocker campaign outlasts the cancel by far on the default
+        // packed backend, so the job is still running when the cancel lands.
         let svc = SolveService::start(ServeConfig {
             workers: 1,
             ..quick_config()
         });
-        let ticket = svc
-            .submit(JobSpec::new(
-                w,
-                JobKind::Apsp {
-                    resume_from: None,
-                    checkpoint_every: 1,
-                },
-            ))
-            .unwrap();
-        // Wait until the worker has picked the campaign up, then cancel.
-        for _ in 0..400 {
-            if !svc.introspect().inflight.is_empty() {
-                break;
-            }
-            thread::sleep(Duration::from_millis(2));
-        }
+        let ticket = occupy(&svc);
         assert!(svc.cancel(ticket.id()), "a running job must be known");
         let report = ticket.wait();
         let err = report.outcome.unwrap_err();
@@ -2511,7 +2500,10 @@ mod tests {
 
     #[test]
     fn live_snapshot_round_trips_exactly_and_sees_running_jobs() {
-        let w = gen::random_connected(24, 0.4, 9, 23);
+        // At n = 96 the campaign lasts many polling intervals on the
+        // default packed backend; a small one can start and finish between
+        // two polls.
+        let w = gen::random_connected(96, 0.4, 9, 23);
         let svc = SolveService::start(ServeConfig {
             workers: 1,
             queue_capacity: 8,
@@ -2537,7 +2529,7 @@ mod tests {
             }
             thread::sleep(Duration::from_millis(2));
         }
-        let snap = seen_running.expect("a 24-vertex APSP must be observable in flight");
+        let snap = seen_running.expect("a 96-vertex APSP must be observable in flight");
         let job = &snap.inflight[0];
         assert_eq!(job.id, ticket.id());
         assert_eq!(job.kind, "apsp");
@@ -2820,12 +2812,13 @@ mod tests {
         let _ = disagreements_seen;
     }
 
-    /// Occupies the only worker of `svc` with a long scalar all-pairs
-    /// campaign and returns its ticket once the worker has picked it up,
-    /// so the jobs submitted next queue behind it. At n = 64 even a
-    /// faulty machine's three failing attempts last tens of milliseconds.
+    /// Occupies the only worker of `svc` with a long all-pairs campaign
+    /// and returns its ticket once the worker has picked it up, so the
+    /// jobs submitted next queue behind it. At n = 96 even a packed
+    /// campaign, or a faulty machine's three failing attempts, lasts tens
+    /// of milliseconds.
     fn occupy(svc: &SolveService) -> JobTicket {
-        let w = gen::random_connected(64, 0.3, 9, 0xB10C);
+        let w = gen::random_connected(96, 0.3, 9, 0xB10C);
         let blocker = svc
             .submit(JobSpec::new(
                 w,

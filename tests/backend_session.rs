@@ -78,6 +78,35 @@ fn session_reuses_planes_and_plans_across_destinations() {
     );
 }
 
+#[test]
+fn packed_register_traffic_allocates_nothing_after_warm_up() {
+    // Masks (one word per 64 PEs) and h-plane registers (h words per 64
+    // PEs) share one arena. After one warm-up solve, every later solve —
+    // solo or lane-batched, verified or not — must be served from it.
+    let w = gen::random_connected(20, 0.3, 15, 5);
+    let mut session = McpSession::new_packed(&w).unwrap();
+    session.solve(0).unwrap();
+    let warm = session.exec_stats();
+    for d in 1..20 {
+        session.solve(d).unwrap();
+        session.solve_verified(d).unwrap();
+    }
+    let delta = session.exec_stats().since(&warm);
+    assert_eq!(delta.arena_fresh, 0, "solo: {delta:?}");
+    assert!(delta.arena_reused > 0);
+
+    let mut batch = BatchSession::new_packed(&replicate(&w, 3)).unwrap();
+    batch.solve(&[0, 1, 2]).unwrap();
+    let warm = batch.exec_stats();
+    for wave in 1..6 {
+        let dests = [wave, wave + 6, wave + 12];
+        batch.solve(&dests).unwrap();
+        batch.solve_verified(&dests).unwrap();
+    }
+    let delta = batch.exec_stats().since(&warm);
+    assert_eq!(delta.arena_fresh, 0, "batch: {delta:?}");
+}
+
 /// A packed runtime of `n x n` PEs at `h` bits.
 fn packed_ppa(n: usize, h: u32) -> Ppa<PackedBackend> {
     Ppa::<PackedBackend>::packed(n).with_word_bits(h)
@@ -216,10 +245,22 @@ fn packed_midflight_cancellation_leaves_the_runtime_usable() {
         let token = CancelToken::new();
         packed.attach_cancel(token.clone());
         let delay = Duration::from_micros(rng.gen_range(0..2 * solve_us));
-        let killer = std::thread::spawn(move || {
-            std::thread::sleep(delay);
-            token.cancel();
-        });
+        // The killer is running before the solve starts and spins out its
+        // delay: a sleeping thread on a busy host can wake only after a
+        // millisecond-long solve has finished, and never cancel anything.
+        let ready = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let killer = {
+            let ready = std::sync::Arc::clone(&ready);
+            std::thread::spawn(move || {
+                ready.wait();
+                let start = Instant::now();
+                while start.elapsed() < delay {
+                    std::hint::spin_loop();
+                }
+                token.cancel();
+            })
+        };
+        ready.wait();
         match minimum_cost_path(&mut packed, &w, 0) {
             Ok(out) => {
                 assert_eq!(out.sow, want.sow, "iter {iter}");
