@@ -73,6 +73,25 @@ fn campaign_is_deterministic_per_seed() {
     assert_eq!(other.rows.len(), 27);
 }
 
+/// The `overhead steps` column row by row. It counts the steps of failed
+/// solve attempts plus self-test sweeps, so it pins where a faulty solve
+/// stops: a bus fault mid-scan, or an invariant violation before the
+/// loop test.
+#[test]
+fn campaign_overhead_steps_are_pinned() {
+    let table = faults_campaign(7);
+    let overhead = col(&table, "overhead steps");
+    let steps: Vec<&str> = table.rows.iter().map(|r| r[overhead].as_str()).collect();
+    assert_eq!(
+        steps,
+        [
+            "29", "23", "134", "24", "29", "23", "23", "23", "136", // n = 4
+            "134", "23", "23", "23", "74", "0", "23", "24", "352", // n = 6
+            "134", "23", "244", "24", "352", "24", "23", "24", "23", // n = 8
+        ]
+    );
+}
+
 /// Prunes every edge touching an excluded vertex, mirroring what the
 /// degraded hardware can still compute.
 fn prune(w: &WeightMatrix, excluded: &[usize]) -> WeightMatrix {

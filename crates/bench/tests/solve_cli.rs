@@ -81,3 +81,34 @@ fn listen_mode_defaults_to_the_packed_backend() {
         answers(&solve(&["--demo", "--dest", "3"]))
     );
 }
+
+/// `solve --demo --dest {0,5} --steps` for every problem, a 4-lane batch
+/// and a TMR vote, byte for byte against `tests/golden/`: answers, the
+/// batch and vote summaries and the per-class step report. Scalar and
+/// packed must both print the recorded bytes, so a change that moves the
+/// two backends together still shows here.
+#[test]
+fn demo_outputs_match_the_golden_files() {
+    let cases: [(&str, &[&str]); 6] = [
+        ("shortest", &["--problem", "shortest"]),
+        ("widest", &["--problem", "widest"]),
+        ("hops", &["--problem", "hops"]),
+        ("reach", &["--problem", "reach"]),
+        ("batch4", &["--batch", "4"]),
+        ("tmr", &["--redundancy", "tmr"]),
+    ];
+    for backend in ["scalar", "packed"] {
+        for d in ["0", "5"] {
+            for (name, extra) in cases {
+                let mut args = vec!["--demo", "--dest", d, "--steps", "--backend", backend];
+                args.extend_from_slice(extra);
+                let path = format!(
+                    "{}/tests/golden/{name}.d{d}.txt",
+                    env!("CARGO_MANIFEST_DIR")
+                );
+                let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+                assert_eq!(solve(&args), want, "solve {args:?} differs from {path}");
+            }
+        }
+    }
+}

@@ -9,7 +9,7 @@
 //! * **all pairs**: run the solver once per destination (`n` runs of
 //!   `O(p * h)` steps each on the same machine).
 
-use crate::mcp::{minimum_cost_path, McpOutput, Prepared};
+use crate::mcp::{minimum_cost_path, solve_prepared, McpOutput, Prepared};
 use crate::Result;
 use ppa_graph::{Weight, WeightMatrix};
 use ppa_machine::Executor;
@@ -102,7 +102,7 @@ pub fn all_pairs<E: Executor>(ppa: &mut Ppa<E>, w: &WeightMatrix) -> Result<AllP
     let prep = Prepared::build(ppa, w)?;
     let mut runs = Vec::with_capacity(w.n());
     for d in 0..w.n() {
-        runs.push(prep.solve(ppa, w, d, false)?);
+        runs.push(solve_prepared(ppa, &prep, w, d, false)?);
     }
     Ok(AllPairs { runs })
 }

@@ -23,17 +23,18 @@
 //! head — so row buses partition exactly at lane boundaries. The only
 //! statement that would leak is the solo initializer's `EAST` broadcast
 //! of `W` from column `d` (one head per *row*, not per lane-row
-//! segment); the batch initializer instead preloads the transposed
-//! weight plane (host I/O, exactly as legitimate as preloading `W`) and
-//! uses two `SOUTH` broadcasts of identical step cost.
+//! segment). A batch of more than one lane therefore preloads the
+//! transposed weight plane (host I/O, exactly as legitimate as
+//! preloading `W`) and reads it with two `SOUTH` broadcasts of identical
+//! step cost; a one-lane batch keeps the paper's form.
 //!
 //! ## Step accounting
 //!
-//! Every phase issues the same number of controller steps per
-//! [`Op`](ppa_machine::Op) class as the solo solver: 5 ALU prepare, 4
-//! ALU destination masks, a 4-constant + 2-broadcast + 4-ALU
-//! initializer, and the identical do-while body. A lane that converges
-//! after `k` passes therefore reports the *same* [`McpStats`] as a solo
+//! There is one solve driver, `mcp::solve_lanes`, and a solo solve is
+//! its one-lane case: the same 5 ALU prepare steps, 4 ALU destination
+//! masks, 4-constant + 2-broadcast + 4-ALU initializer and do-while body,
+//! issued once for all lanes. A lane that converges after `k` passes
+//! therefore reports the *same* [`McpStats`](crate::McpStats) as a solo
 //! run of its problem — the differential harness asserts this
 //! bit-for-bit at every lane count.
 //!
@@ -51,55 +52,17 @@
 
 use crate::apsp::AllPairs;
 use crate::error::McpError;
-use crate::mcp::{self, LoopRegs, McpOutput, Prepared};
-use crate::stats::McpStats;
+pub use crate::mcp::LaneLimit;
+use crate::mcp::{self, McpOutput, Prepared};
 use crate::Result;
 use ppa_graph::WeightMatrix;
-use ppa_machine::{
-    CancelToken, Dim, Direction, ExecStats, Executor, LaneLayout, Machine, MachineError,
-    PackedBackend, ScalarBackend, StepReport,
-};
-use ppa_ppc::{Ppa, PpcError};
-
-/// Steps a solo session spends in `Prepared::build` (the `ROW`/`COL`
-/// registers, the `n - 1` immediate and the two derived masks). The
-/// batch prepare costs the same 5 steps once for all lanes; per-lane
-/// budget ledgers charge it to every lane so budgets mean the same
-/// thing they mean on a fresh solo machine.
-const PREPARE_STEPS: u64 = 5;
+use ppa_machine::{Dim, ExecStats, Executor, LaneLayout, Machine, PackedBackend, ScalarBackend};
+use ppa_ppc::Ppa;
 
 /// The most lanes a batch can hold. A lane is a column band, not a word
 /// bit, so the cap is independent of the backend's word width; 64 bounds
 /// the composite machine at a size the admission layer is sized for.
 pub const MAX_LANES: usize = 64;
-
-/// Per-lane resource limits for [`BatchSession::solve_with`].
-#[derive(Debug, Clone, Default)]
-pub struct LaneLimit {
-    /// Solo-equivalent step budget: the lane fails with
-    /// [`MachineError::StepBudgetExhausted`] exactly when a fresh solo
-    /// machine with `limit_steps(budget)` would (prepare included).
-    pub step_budget: Option<u64>,
-    /// Cooperative cancellation for this lane only; observed at
-    /// iteration boundaries. Batchmates are unaffected.
-    pub cancel: Option<CancelToken>,
-}
-
-impl LaneLimit {
-    /// No budget, no cancellation.
-    pub fn unlimited() -> Self {
-        LaneLimit::default()
-    }
-}
-
-/// The lane-batched analogue of [`Prepared`](crate::mcp): the solo
-/// registers built with the *lane-local* `COL`, plus `wt`, the per-lane
-/// *transposed* weight layout used by the lane-safe initializer.
-#[derive(Debug)]
-struct BatchPrepared<E: Executor> {
-    base: Prepared<E>,
-    wt: E::Int,
-}
 
 /// A lane-batched solver session: one `n x (n * L)` runtime prepared
 /// for `L` same-size graphs, solving one destination per lane per call.
@@ -108,7 +71,7 @@ pub struct BatchSession<E: Executor = ScalarBackend> {
     ppa: Ppa<E>,
     layout: LaneLayout,
     graphs: Vec<WeightMatrix>,
-    prep: BatchPrepared<E>,
+    prep: Prepared<E>,
 }
 
 /// `lanes` copies of one graph — the wavefront-of-destinations use of
@@ -188,8 +151,8 @@ impl<E: Executor> BatchSession<E> {
     ///
     /// The preparation costs the same five ALU steps as a solo
     /// session's (the `ROW` register, the per-lane `COL` register, the
-    /// `n - 1` immediate and the two derived masks); the two weight
-    /// layouts are host I/O and free.
+    /// `n - 1` immediate and the two derived masks); the weight layouts
+    /// are host I/O and free.
     ///
     /// # Errors
     /// [`McpError::BatchShape`], [`McpError::SizeMismatch`], or
@@ -217,37 +180,18 @@ impl<E: Executor> BatchSession<E> {
                 actual: ppa.word_bits(),
             });
         }
-        // The W layouts arrive preloaded (host I/O, not SIMD steps) with
-        // the diagonal pinned to 0 — the same dynamic-program convention
-        // the solo solver documents — sliced straight into bit-planes.
-        // `wt` holds each lane's *transpose*: the initializer reads it
-        // southwards so no bus transaction ever crosses a lane boundary.
-        // Composite column -> (lane, lane-local column), once per session.
-        let lane_cols: Vec<(usize, usize)> = (0..n * lanes).map(|c| (c / n, c % n)).collect();
-        let maxint = ppa.maxint();
-        let w = ppa.load_with(|r, c| {
-            let (l, c) = lane_cols[c];
-            mcp::loaded_weight(&graphs[l], maxint, r, c)
-        })?;
-        let wt = ppa.load_with(|r, c| {
-            let (l, c) = lane_cols[c];
-            mcp::loaded_weight(&graphs[l], maxint, c, r)
-        })?;
-        // The shared registers: `ROW`, the lane-local `COL` and the two
-        // derived masks (5 ALU, like solo).
-        let base = Prepared::new(&mut ppa, n, w)?;
-
+        let prep = Prepared::load(&mut ppa, graphs)?;
         Ok(BatchSession {
             ppa,
             layout,
             graphs: graphs.to_vec(),
-            prep: BatchPrepared { base, wt },
+            prep,
         })
     }
 
     /// Per-lane problem size.
     pub fn n(&self) -> usize {
-        self.prep.base.n
+        self.prep.n
     }
 
     /// Number of lanes in the batch.
@@ -297,7 +241,8 @@ impl<E: Executor> BatchSession<E> {
     /// The outer `Result` is the machine: a machine-level budget,
     /// cancellation, or bus fault aborts the whole batch. The inner
     /// per-lane `Result`s are the problems: each is bit-identical —
-    /// outputs *and* [`McpStats`] — to a solo solve of that lane.
+    /// outputs *and* [`McpStats`](crate::McpStats) — to a solo solve of
+    /// that lane.
     ///
     /// # Errors
     /// [`McpError::BatchShape`] if `dests` does not cover every lane;
@@ -357,7 +302,7 @@ impl<E: Executor> BatchSession<E> {
     /// [`McpError::BatchShape`] unless every lane holds the same graph;
     /// the first per-destination failure otherwise.
     pub fn all_pairs(&mut self) -> Result<AllPairs> {
-        let n = self.prep.base.n;
+        let n = self.prep.n;
         let lanes = self.layout.lanes();
         if self.graphs.iter().any(|g| *g != self.graphs[0]) {
             return Err(McpError::BatchShape {
@@ -387,10 +332,7 @@ impl<E: Executor> BatchSession<E> {
         limits: &[LaneLimit],
         verify: bool,
     ) -> Result<Vec<Result<McpOutput>>> {
-        let prep = &self.prep.base;
-        let n = prep.n;
         let lanes = self.layout.lanes();
-        let layout = self.layout;
         if dests.len() != lanes {
             return Err(McpError::BatchShape {
                 detail: format!("{} destination(s) for {lanes} lane(s)", dests.len()),
@@ -401,230 +343,17 @@ impl<E: Executor> BatchSession<E> {
                 detail: format!("{} lane limit(s) for {lanes} lane(s)", limits.len()),
             });
         }
-
-        let before_exec = self.ppa.exec_stats();
-        let ppa = &mut self.ppa;
-        let start = ppa.steps();
-        let observed = ppa.observing();
-        if observed {
-            ppa.enter_span("batch");
-        }
-        ppa.set_phase(Some("setup"));
-
-        // Lanes that can never run resolve before the first instruction:
-        // a pre-raised cancel token fails at the first guarded op of a
-        // solo run, and an out-of-range destination fails its range
-        // check. Both ride along on a safe substitute destination.
-        let mut results: Vec<Option<Result<McpOutput>>> = (0..lanes)
-            .map(|l| {
-                if limits[l].cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                    Some(Err(McpError::Ppc(PpcError::Machine(
-                        MachineError::Cancelled,
-                    ))))
-                } else if dests[l] >= n {
-                    Some(Err(McpError::DestinationOutOfRange { d: dests[l], n }))
-                } else {
-                    None
-                }
-            })
-            .collect();
-
-        // --- destination registers (4 ALU, like solo) --------------------
-        // `col_is_d` is issued for step parity with the solo block; the
-        // batch initializer reads `wt` southwards instead of broadcasting
-        // `W` eastwards from column d (which would cross lane boundaries:
-        // row buses see one head per lane, not one).
-        let safe_dests: Vec<i64> = dests.iter().map(|&d| d.min(n - 1) as i64).collect();
-        let d_imm = ppa.int_lane_constant(&safe_dests, n)?;
-        let masks = prep.dest_masks(ppa, d_imm)?;
-        let mut regs = LoopRegs::declare(ppa, prep.maxint)?;
-
-        // --- Step 1: statements 4-7, lane-safe form ---------------------
-        ppa.set_phase(Some("step 1 (stmts 4-7)"));
-        // Solo realizes `SOW[d][i] = w_id` with an EAST spread of column
-        // d followed by a SOUTH diagonal fold. The lane-safe equivalent
-        // reads the preloaded transpose: a SOUTH broadcast from row d
-        // puts w_id into every cell of lane column i, and the SOUTH
-        // diagonal fold is then value-identical — two broadcast steps
-        // either way, so the init report matches solo exactly.
-        let b1 = ppa.int_broadcast(&self.prep.wt, Direction::South, &masks.row_is_d)?;
-        let in_weights_t = ppa.int_broadcast(&b1, Direction::South, &prep.diag)?;
-        regs.init(ppa, &masks, &in_weights_t)?;
-
-        let init_report = ppa.steps().checked_since(&start).unwrap_or_default();
-
-        // --- the per-lane solo-equivalent step ledger -------------------
-        // Every costed op is one step and the last op of every pass is
-        // guarded, so a solo run with `limit_steps(B)` succeeds iff it
-        // completes within B total steps (prepare included) and
-        // otherwise dies with `StepBudgetExhausted` — which lets the
-        // ledger resolve budgets exactly at iteration boundaries.
-        let cum = |ppa: &Ppa<E>| {
-            PREPARE_STEPS
-                + ppa
-                    .steps()
-                    .checked_since(&start)
-                    .unwrap_or_default()
-                    .total()
-        };
-        let cancelled = |l: usize| limits[l].cancel.as_ref().is_some_and(|t| t.is_cancelled());
-
-        // Init boundary: a lane whose budget cannot even cover the
-        // masks + initializer dies before pass 1's first guarded op.
-        let cum_init = cum(ppa);
-        for l in 0..lanes {
-            if results[l].is_some() {
-                continue;
-            }
-            if cancelled(l) {
-                results[l] = Some(Err(McpError::Ppc(PpcError::Machine(
-                    MachineError::Cancelled,
-                ))));
-            } else if limits[l].step_budget.is_some_and(|b| cum_init >= b) {
-                results[l] = Some(Err(McpError::Ppc(PpcError::Machine(
-                    MachineError::StepBudgetExhausted {
-                        budget: limits[l].step_budget.unwrap_or_default(),
-                    },
-                ))));
-            }
-        }
-
-        // Invariant 1 state per lane (host-side reads, verify only).
-        let lane_row =
-            |ppa: &Ppa<E>, reg: &E::Int, l: usize| ppa.read_row(reg, dests[l], layout.col_range(l));
-        let mut prev_row_d: Vec<Option<Vec<i64>>> = (0..lanes)
-            .map(|l| (verify && results[l].is_none()).then(|| lane_row(ppa, &regs.sow, l)))
-            .collect();
-
-        // --- Step 2: the do-while loop, statements 8-20 -----------------
-        let mut per_iteration: Vec<StepReport> = Vec::new();
-        let mut iterations = 0usize;
-        while results.iter().any(Option::is_none) {
-            let iter_start = ppa.steps();
-            if observed {
-                ppa.enter_span(&format!("iteration[{iterations}]"));
-            }
-            iterations += 1;
-
-            let changed = prep.relax(ppa, &masks, &mut regs)?;
-
-            per_iteration.push(ppa.steps().checked_since(&iter_start).unwrap_or_default());
-
-            // ---- invariant 1 per lane: row-d costs never increase ----
-            for l in 0..lanes {
-                let Some(prev) = prev_row_d[l].as_mut() else {
-                    continue;
-                };
-                if results[l].is_some() {
-                    continue;
-                }
-                let now = lane_row(ppa, &regs.sow, l);
-                if now.iter().zip(prev.iter()).any(|(new, old)| new > old) {
-                    results[l] = Some(Err(McpError::InvariantViolation {
-                        invariant: "a row-d cost increased across an iteration",
-                    }));
-                    continue;
-                }
-                *prev = now;
-            }
-
-            // ---- statement 20: the loop test ----
-            ppa.set_phase(Some("stmt 20: loop test"));
-            let changed_in_row_d = ppa.mask_and(&changed, &masks.row_is_d)?;
-            // The global OR is issued every pass for step parity; the
-            // batch's own loop condition is the per-lane host read
-            // below (a converged lane is idempotent under further
-            // passes, so riders cannot re-assert it).
-            let _keep_going = ppa.mask_any(&changed_in_row_d)?;
-            if observed {
-                ppa.exit_span(); // iteration[i] (includes the loop test)
-            }
-
-            // ---- iteration boundary: resolve lanes ----
-            let since = ppa.steps().checked_since(&start).unwrap_or_default();
-            let cum_now = PREPARE_STEPS + since.total();
-            for l in 0..lanes {
-                if results[l].is_some() {
-                    continue;
-                }
-                let lane_changed =
-                    ppa.mask_any_in(&changed_in_row_d, dests[l], layout.col_range(l));
-                let budget = limits[l].step_budget;
-                let within = budget.is_none_or(|b| cum_now <= b);
-                if !lane_changed && within {
-                    // Converged inside budget: the solo twin returned
-                    // here, before any cancellation could be observed.
-                    results[l] = Some(
-                        mcp::read_out(
-                            &self.graphs[l],
-                            dests[l],
-                            prep.maxint,
-                            &lane_row(ppa, &regs.sow, l),
-                            &lane_row(ppa, &regs.ptn, l),
-                            verify,
-                        )
-                        .map(|(sow, ptn)| McpOutput {
-                            dest: dests[l],
-                            sow,
-                            ptn,
-                            iterations,
-                            stats: McpStats {
-                                init: init_report,
-                                per_iteration: per_iteration.clone(),
-                                total: since,
-                            },
-                        }),
-                    );
-                } else if cancelled(l) {
-                    // The guard checks cancellation before the budget.
-                    results[l] = Some(Err(McpError::Ppc(PpcError::Machine(
-                        MachineError::Cancelled,
-                    ))));
-                } else if !lane_changed || budget.is_some_and(|b| cum_now >= b) {
-                    // Converged over budget (the solo twin died inside
-                    // this pass) or out of steps before the next pass's
-                    // first guarded op.
-                    results[l] = Some(Err(McpError::Ppc(PpcError::Machine(
-                        MachineError::StepBudgetExhausted {
-                            budget: budget.unwrap_or_default(),
-                        },
-                    ))));
-                } else if iterations > n {
-                    results[l] = Some(Err(McpError::NoConvergence { rounds: iterations }));
-                }
-            }
-        }
-
-        ppa.set_phase(None);
-        if observed {
-            ppa.exit_span(); // batch
-        }
-        if let Some(m) = ppa.metrics_mut() {
-            for r in &per_iteration {
-                m.observe("mcp.steps_per_iteration", r.total());
-            }
-            m.inc("mcp.iterations", iterations as u64);
+        let before = self.ppa.exec_stats();
+        let start = self.ppa.steps();
+        let wave = mcp::in_solve_span(&mut self.ppa, "batch", |ppa| {
+            mcp::solve_lanes(ppa, &self.prep, &self.graphs, dests, limits, verify, start)
+        })?;
+        if let Some(m) = self.ppa.metrics_mut() {
             m.inc("batch.solves", 1);
             m.inc("batch.lanes", lanes as u64);
         }
-        self.publish_backend_metrics(&before_exec);
-
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("lane resolved"))
-            .collect())
-    }
-
-    /// Publishes the backend's execution-stat deltas since `before` as
-    /// `backend.*` counters, when a metrics registry is attached.
-    fn publish_backend_metrics(&mut self, before: &ExecStats) {
-        let delta = self.ppa.exec_stats().since(before);
-        if let Some(m) = self.ppa.metrics_mut() {
-            m.inc("backend.plan_hits", delta.plan_hits);
-            m.inc("backend.plan_misses", delta.plan_misses);
-            m.inc("backend.arena_fresh", delta.arena_fresh);
-            m.inc("backend.arena_reused", delta.arena_reused);
-        }
+        mcp::publish_backend_metrics(&mut self.ppa, &before);
+        Ok(wave)
     }
 }
 
@@ -633,6 +362,7 @@ mod tests {
     use super::*;
     use crate::McpSession;
     use ppa_graph::gen;
+    use ppa_machine::CancelToken;
 
     fn solo(w: &WeightMatrix, d: usize, word_bits: u32) -> Result<McpOutput> {
         let ppa = Ppa::square(w.n()).with_word_bits(word_bits);
@@ -734,6 +464,30 @@ mod tests {
             }
             // The unlimited batchmate always completes.
             assert!(wave[1].is_ok(), "budget {budget}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn one_lane_batch_is_the_solo_solve_even_under_faults() -> Result<()> {
+        // One lane issues a session solve's exact instruction stream, so a
+        // fault map routes both the same way: same outcome, same steps.
+        use ppa_machine::FaultMap;
+        for seed in 0..24u64 {
+            let w = gen::random_connected(6, 0.4, 9, seed);
+            let faults = FaultMap::random(Dim::new(6, 6), 1 + seed as usize % 3, seed);
+            let mut batch = BatchSession::new(std::slice::from_ref(&w))?;
+            batch.ppa_mut().machine_mut().attach_faults(faults.clone());
+            let mut session = McpSession::new(&w)?;
+            session.ppa_mut().machine_mut().attach_faults(faults);
+            for d in [0usize, 5] {
+                let lane = batch
+                    .solve_verified(&[d])
+                    .and_then(|mut wave| wave.remove(0));
+                let solo = session.solve_verified(d);
+                assert_eq!(lane, solo, "seed {seed} destination {d}");
+                assert_eq!(batch.ppa().steps(), session.ppa().steps(), "seed {seed}");
+            }
         }
         Ok(())
     }

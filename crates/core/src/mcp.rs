@@ -30,13 +30,19 @@
 //! initialization). Complexity: initialization `O(1)`, each iteration
 //! `O(h)` (two bit-serial bus minima), `max(1, p)` iterations — total
 //! `O(p * h)` SIMD steps, independent of `n`.
+//!
+//! One driver, `solve_lanes`, runs statements 3-20 for one destination
+//! per lane of a prepared machine. The one-shot entry points here,
+//! [`crate::session::McpSession`] and [`crate::apsp::all_pairs`] run it
+//! with one lane; [`crate::batch::BatchSession`] runs it with one lane per
+//! problem.
 
 use crate::error::McpError;
 use crate::stats::McpStats;
 use crate::Result;
 use ppa_graph::{Weight, WeightMatrix, INF};
-use ppa_machine::{Direction, Executor, StepReport};
-use ppa_ppc::Ppa;
+use ppa_machine::{CancelToken, Direction, ExecStats, Executor, MachineError, StepReport};
+use ppa_ppc::{Ppa, PpcError};
 
 /// Result of one `minimum_cost_path` run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,40 +111,46 @@ pub fn minimum_cost_path_verified<E: Executor>(
 
 /// The destination-independent registers of `minimum_cost_path`:
 /// everything the do-while body reads that does not depend on `d`, plus
-/// the preloaded `W` register. Building one costs five ALU steps (`ROW`,
-/// `COL`, the `n - 1` immediate and the two derived masks); the `W` load
-/// itself is host I/O, not a SIMD step. The struct holds plain registers —
-/// no machine borrow — so one build can serve any number of destination
-/// solves on the same runtime. The consumers are
-/// [`crate::apsp::all_pairs`], [`crate::session::McpSession`] and, with
-/// the lane-local `COL`, [`crate::batch::BatchSession`]; the one-shot entry
-/// points below simply build and solve in one go.
+/// the preloaded weights. Building one costs five ALU steps (see
+/// [`PREPARE_STEPS`]); loading the weights is host I/O, not a SIMD step.
+/// The struct holds plain registers — no machine borrow — so one build can
+/// serve any number of solves on the same runtime. Every solve runs
+/// [`solve_lanes`] on it: the one-shot entry points, [`crate::apsp::all_pairs`]
+/// and [`crate::session::McpSession`] with one lane, and
+/// [`crate::batch::BatchSession`] with one lane per problem.
 #[derive(Debug)]
 pub(crate) struct Prepared<E: Executor> {
     pub(crate) n: usize,
-    pub(crate) maxint: i64,
+    maxint: i64,
     row: E::Int,
     /// `COL` — lane-local on a lane-batched machine — the register that
     /// statement 12 selects from.
     col: E::Int,
-    pub(crate) diag: E::Mask,
+    diag: E::Mask,
     last_col: E::Mask,
     w: E::Int,
+    /// Statement 5's source, chosen once from the lane count. With one lane
+    /// it is `None`, and the initializer spreads `W` East from `COL == d`
+    /// as the paper does. With more lanes an East spread would cross lane
+    /// boundaries (row buses see one head per lane, not one), so each
+    /// lane's *transposed* weights are preloaded here and read South from
+    /// `ROW == d` — two broadcast steps either way.
+    wt: Option<E::Int>,
 }
 
-/// The four destination-dependent registers (4 ALU steps per destination).
-pub(crate) struct DestMasks<E: Executor> {
+/// The four destination-dependent registers (4 ALU steps per solve).
+struct DestMasks<E: Executor> {
     d_imm: E::Int,
-    pub(crate) row_is_d: E::Mask,
+    row_is_d: E::Mask,
     row_ne_d: E::Mask,
     col_is_d: E::Mask,
 }
 
 /// The parallel variables of the do-while loop.
-pub(crate) struct LoopRegs<E: Executor> {
-    pub(crate) sow: E::Int,
+struct LoopRegs<E: Executor> {
+    sow: E::Int,
     min_sow: E::Int,
-    pub(crate) ptn: E::Int,
+    ptn: E::Int,
     old_sow: E::Int,
 }
 
@@ -146,7 +158,7 @@ impl<E: Executor> LoopRegs<E> {
     /// Statement 3 and the PPC declarations (4 ALU steps). PPC leaves the
     /// variables uninitialized; the simulator pins them to MAXINT (fidelity
     /// note 2 at the crate root).
-    pub(crate) fn declare(ppa: &mut Ppa<E>, maxint: i64) -> Result<Self> {
+    fn declare(ppa: &mut Ppa<E>, maxint: i64) -> Result<Self> {
         Ok(LoopRegs {
             sow: ppa.int_constant(maxint)?,
             min_sow: ppa.int_constant(maxint)?,
@@ -157,7 +169,7 @@ impl<E: Executor> LoopRegs<E> {
 
     /// Statements 4-7 given the in-weights `[*][i] = w_id`: one `where`
     /// and three masked writes.
-    pub(crate) fn init(
+    fn init(
         &mut self,
         ppa: &mut Ppa<E>,
         masks: &DestMasks<E>,
@@ -179,46 +191,79 @@ impl<E: Executor> LoopRegs<E> {
     }
 }
 
+/// The size and word-width contract of a solo machine, with the
+/// one-shot's destination range check between the two (its historical
+/// guard order).
+fn check_fit<E: Executor>(ppa: &Ppa<E>, w: &WeightMatrix, d: Option<usize>) -> Result<()> {
+    let n = w.n();
+    let dim = ppa.dim();
+    if dim.rows != n || dim.cols != n {
+        return Err(McpError::SizeMismatch {
+            n,
+            rows: dim.rows,
+            cols: dim.cols,
+        });
+    }
+    if let Some(d) = d.filter(|&d| d >= n) {
+        return Err(McpError::DestinationOutOfRange { d, n });
+    }
+    let required = fit_word_bits(w);
+    if ppa.word_bits() < required {
+        return Err(McpError::WordWidthTooSmall {
+            required,
+            actual: ppa.word_bits(),
+        });
+    }
+    Ok(())
+}
+
 impl<E: Executor> Prepared<E> {
-    /// Checks the size/word-width contract and builds the shared registers
-    /// under the caller's current span and phase.
+    /// Checks the solo size/word-width contract and prepares `w` under the
+    /// caller's current span and phase.
     pub(crate) fn build(ppa: &mut Ppa<E>, w: &WeightMatrix) -> Result<Self> {
-        let n = w.n();
-        let dim = ppa.dim();
-        if dim.rows != n || dim.cols != n {
-            return Err(McpError::SizeMismatch {
-                n,
-                rows: dim.rows,
-                cols: dim.cols,
-            });
-        }
-        let required = fit_word_bits(w);
-        if ppa.word_bits() < required {
-            return Err(McpError::WordWidthTooSmall {
-                required,
-                actual: ppa.word_bits(),
-            });
-        }
-        // `parallel int W` arrives preloaded in each PE's memory (host I/O,
-        // not a SIMD step). The diagonal is loaded as 0 — the dynamic-program
-        // convention the paper's statement 16 silently relies on: with
-        // `w_ii = 0` the candidate `j = i` of `min_j(w_ij + SOW_jd)` is the
-        // *old* `SOW_id`, which is how the pure overwrite of statement 16
-        // realizes the prose's "minimum between its old value and the new
-        // sums" (fidelity note 2 in DESIGN.md); it also pins `SOW_dd` to 0
-        // so one-edge paths keep their `j = d` witness in later iterations.
-        // The word-width check above keeps every finite weight below MAXINT.
-        let maxint = ppa.maxint();
-        let w = ppa.load_with(|r, c| loaded_weight(w, maxint, r, c))?;
-        Prepared::new(ppa, n, w)
+        check_fit(ppa, w, None)?;
+        Prepared::load(ppa, std::slice::from_ref(w))
     }
 
-    /// The five prepare steps shared by solo and lane-batched sessions:
-    /// `ROW`, the `COL` of an `n`-column lane, the `n - 1` immediate and
-    /// the masks `ROW == COL` and `COL == n - 1`, next to the preloaded
-    /// weight register `w`.
-    pub(crate) fn new(ppa: &mut Ppa<E>, n: usize, w: E::Int) -> Result<Self> {
+    /// Loads the lanes' weights side by side — lane `l` owns columns
+    /// `l*n .. (l+1)*n` of the `n x (n * L)` machine — and issues the five
+    /// prepare steps: `ROW`, the lane-local `COL`, the `n - 1` immediate and
+    /// the masks `ROW == COL` and `COL == n - 1`. The caller has checked the
+    /// machine's shape and word width.
+    pub(crate) fn load(ppa: &mut Ppa<E>, graphs: &[WeightMatrix]) -> Result<Self> {
+        // `parallel int W` arrives preloaded in each PE's memory (host I/O,
+        // not a SIMD step), sliced straight into bit-planes. The diagonal
+        // is loaded as 0 — the dynamic-program convention the paper's
+        // statement 16 silently relies on: with `w_ii = 0` the candidate
+        // `j = i` of `min_j(w_ij + SOW_jd)` is the *old* `SOW_id`, which is
+        // how the pure overwrite of statement 16 realizes the prose's
+        // "minimum between its old value and the new sums" (fidelity note 2
+        // in DESIGN.md); it also pins `SOW_dd` to 0 so one-edge paths keep
+        // their `j = d` witness in later iterations. The word-width check
+        // keeps every finite weight below MAXINT.
+        let dim = ppa.dim();
+        let n = dim.rows;
         let maxint = ppa.maxint();
+        let (w, wt) = match graphs {
+            // One lane preloads no transpose (see `wt`) and reads `W` straight
+            // from its graph: the composite-column lookup below made a packed
+            // session's setup 11-15% slower at n = 16-64.
+            [g] => (ppa.load_with(|r, c| loaded_weight(g, maxint, r, c))?, None),
+            _ => {
+                // Composite column -> (lane, lane-local column), once per load.
+                let lane_cols: Vec<(usize, usize)> =
+                    (0..dim.cols).map(|c| (c / n, c % n)).collect();
+                let w = ppa.load_with(|r, c| {
+                    let (l, c) = lane_cols[c];
+                    loaded_weight(&graphs[l], maxint, r, c)
+                })?;
+                let wt = ppa.load_with(|r, c| {
+                    let (l, c) = lane_cols[c];
+                    loaded_weight(&graphs[l], maxint, c, r)
+                })?;
+                (w, Some(wt))
+            }
+        };
         let row = ppa.int_row_index()?;
         let col = ppa.int_col_index(n)?;
         let nm1_imm = ppa.int_constant(n as i64 - 1)?;
@@ -232,12 +277,14 @@ impl<E: Executor> Prepared<E> {
             diag,
             last_col,
             w,
+            wt,
         })
     }
 
-    /// The destination registers for the per-PE destination `d_imm`
-    /// (one immediate, here or per lane, plus three ALU steps).
-    pub(crate) fn dest_masks(&self, ppa: &mut Ppa<E>, d_imm: E::Int) -> Result<DestMasks<E>> {
+    /// The destination registers for one destination per lane (one
+    /// immediate plus three ALU steps).
+    fn dest_masks(&self, ppa: &mut Ppa<E>, dests: &[i64]) -> Result<DestMasks<E>> {
+        let d_imm = ppa.int_lane_constant(dests, self.n)?;
         let row_is_d = ppa.int_eq(&self.row, &d_imm)?;
         let row_ne_d = ppa.mask_not(&row_is_d)?;
         let col_is_d = ppa.int_eq(&self.col, &d_imm)?;
@@ -249,41 +296,9 @@ impl<E: Executor> Prepared<E> {
         })
     }
 
-    /// The destination registers for `d`.
-    fn dest_masks_for(&self, ppa: &mut Ppa<E>, d: usize) -> Result<DestMasks<E>> {
-        let n = self.n;
-        if d >= n {
-            return Err(McpError::DestinationOutOfRange { d, n });
-        }
-        let d_imm = ppa.int_constant(d as i64)?;
-        self.dest_masks(ppa, d_imm)
-    }
-
-    /// One complete solve against the prepared registers. Step accounting
-    /// starts here, so the shared prepare cost is amortized out of every
-    /// per-destination report; only the four destination registers are
-    /// rebuilt per call.
-    pub(crate) fn solve(
-        &self,
-        ppa: &mut Ppa<E>,
-        w: &WeightMatrix,
-        d: usize,
-        verify: bool,
-    ) -> Result<McpOutput> {
-        let start = ppa.steps();
-        let observed = ppa.observing();
-        if observed {
-            ppa.enter_span("mcp");
-        }
-        ppa.set_phase(Some("setup"));
-        let masks = self.dest_masks_for(ppa, d)?;
-        self.run(ppa, &masks, w, d, start, observed, verify)
-    }
-
-    /// Statements 9-18: one pass of the do-while body up to the loop test,
-    /// shared by the solo and the lane-batched solver. Returns the
-    /// statement-17 mask `SOW != OLD_SOW`.
-    pub(crate) fn relax(
+    /// Statements 9-18: one pass of the do-while body up to the loop test.
+    /// Returns the statement-17 mask `SOW != OLD_SOW`.
+    fn relax(
         &self,
         ppa: &mut Ppa<E>,
         masks: &DestMasks<E>,
@@ -336,126 +351,330 @@ impl<E: Executor> Prepared<E> {
         })??;
         Ok(changed)
     }
+}
 
-    /// Statements 3-20 plus readout and (optionally) verification,
-    /// assuming the caller has already entered the `mcp` span (when
-    /// observed) and set the `setup` phase.
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &self,
-        ppa: &mut Ppa<E>,
-        masks: &DestMasks<E>,
-        w: &WeightMatrix,
-        d: usize,
-        start: StepReport,
-        observed: bool,
-        verify: bool,
-    ) -> Result<McpOutput> {
-        let n = self.n;
-        let mut regs = LoopRegs::declare(ppa, self.maxint)?;
+/// Runs `solve` as one observed solve: inside the span `name` (when a
+/// sink is installed), starting in the `setup` phase. Every exit — a
+/// result, a typed error, or a machine error raised mid-scan — clears the
+/// phase and closes every span opened since, so the next solve on the
+/// runtime never nests under stale ones.
+pub(crate) fn in_solve_span<E: Executor, T>(
+    ppa: &mut Ppa<E>,
+    name: &str,
+    solve: impl FnOnce(&mut Ppa<E>) -> Result<T>,
+) -> Result<T> {
+    let depth = ppa.span_depth();
+    ppa.enter_span(name);
+    ppa.set_phase(Some("setup"));
+    let out = solve(ppa);
+    ppa.set_phase(None);
+    while ppa.span_depth() > depth {
+        ppa.exit_span();
+    }
+    out
+}
 
-        // --- Step 1: statements 4-7 -------------------------------------------
-        ppa.set_phase(Some("step 1 (stmts 4-7)"));
-        // Statement 5 reads `SOW = W`, but the prose demands
-        // `SOW[d][i] = w_id` — the weight of the edge *from i to d*, which in
-        // the standard layout lives in W's d-th *column*, not its d-th row
-        // (fidelity note 3 in DESIGN.md). The intended initialization is
-        // realized with two O(1) bus steps: spread column d across each row,
-        // then fold the diagonal down into row d.
-        let in_weights = ppa.int_broadcast(&self.w, Direction::East, &masks.col_is_d)?; // [i][*] = w_id
-        let in_weights_t = ppa.int_broadcast(&in_weights, Direction::South, &self.diag)?; // [*][i] = w_id
-        regs.init(ppa, masks, &in_weights_t)?;
+/// A machine error as a lane's typed result.
+fn machine_error(e: MachineError) -> McpError {
+    McpError::Ppc(PpcError::Machine(e))
+}
 
-        // The counters are monotonic within the run, so the subtraction cannot
-        // fail; `checked_since` keeps the stats path panic-free regardless.
-        let init_report = ppa.steps().checked_since(&start).unwrap_or_default();
+/// Steps [`Prepared::load`] issues: the `ROW` register, the `COL`
+/// register, the `n - 1` immediate and the two derived masks — five for
+/// any number of lanes.
+const PREPARE_STEPS: u64 = 5;
 
-        // --- Step 2: the do-while loop, statements 8-20 ------------------------
-        let mut per_iteration: Vec<StepReport> = Vec::new();
-        let mut iterations = 0usize;
-        // Invariant 1 state: the row-d cost snapshot of the previous pass
-        // (host-side read of the bit-planes; never touches the array).
-        let mut prev_row_d: Option<Vec<i64>> = verify.then(|| ppa.read_row(&regs.sow, d, 0..n));
-        loop {
-            let iter_start = ppa.steps();
-            if observed {
-                ppa.enter_span(&format!("iteration[{iterations}]"));
-            }
-            iterations += 1;
+/// Per-lane resource limits of one solve: the solve driver takes one per
+/// lane, and [`BatchSession::solve_with`](crate::batch::BatchSession::solve_with)
+/// exposes them.
+#[derive(Debug, Clone, Default)]
+pub struct LaneLimit {
+    /// Solo-equivalent step budget: the lane fails with
+    /// [`MachineError::StepBudgetExhausted`] exactly when a fresh solo
+    /// machine with `limit_steps(budget)` would. The lane's ledger charges
+    /// every shared step to every lane, the five prepare steps included.
+    pub step_budget: Option<u64>,
+    /// Cooperative cancellation for this lane only; observed at
+    /// iteration boundaries. Batchmates are unaffected.
+    pub cancel: Option<CancelToken>,
+}
 
-            let changed = self.relax(ppa, masks, &mut regs)?;
+impl LaneLimit {
+    /// No budget, no cancellation.
+    pub fn unlimited() -> Self {
+        LaneLimit::default()
+    }
+}
 
-            per_iteration.push(ppa.steps().checked_since(&iter_start).unwrap_or_default());
-
-            // ---- invariant 1: row-d costs never increase ----
-            if let Some(prev) = prev_row_d.as_mut() {
-                let now = ppa.read_row(&regs.sow, d, 0..n);
-                if now.iter().zip(prev.iter()).any(|(new, old)| new > old) {
-                    ppa.set_phase(None);
-                    if observed {
-                        ppa.exit_span(); // iteration[i]
-                        ppa.exit_span(); // mcp
-                    }
-                    return Err(McpError::InvariantViolation {
-                        invariant: "a row-d cost increased across an iteration",
-                    });
-                }
-                *prev = now;
-            }
-
-            // ---- statement 20: while at least one SOW in row d has changed ----
-            ppa.set_phase(Some("stmt 20: loop test"));
-            let changed_in_row_d = ppa.mask_and(&changed, &masks.row_is_d)?;
-            let keep_going = ppa.mask_any(&changed_in_row_d)?;
-            if observed {
-                ppa.exit_span(); // iteration[i] (includes the loop test)
-            }
-            if !keep_going {
-                break;
-            }
-            if iterations > n {
-                return Err(McpError::NoConvergence { rounds: iterations });
-            }
+/// Statements 3-20 plus readout and (optionally) verification, for one
+/// destination per lane: the solve driver. Lane `l` solves toward
+/// `dests[l]` on `graphs[l]` under `limits[l]`; one lane is a solo solve.
+/// Callers run it inside [`in_solve_span`], after `prep`'s five steps.
+///
+/// Every lane's [`McpStats`] count from `start`: before the prepare steps
+/// for a one-shot, after them for a session or a wave. The outer `Result`
+/// is the machine — a machine-level budget, cancellation or bus fault
+/// aborts every lane — and the inner ones are the problems.
+///
+/// The driver returns as soon as every lane is resolved. A lane that can
+/// never run (a raised cancel token, an out-of-range destination) is
+/// resolved before any instruction issues, and a pass after which every
+/// lane still running failed invariant 1 returns at once, with no loop
+/// test and no pass metrics — exactly where a solo run returns.
+pub(crate) fn solve_lanes<E: Executor>(
+    ppa: &mut Ppa<E>,
+    prep: &Prepared<E>,
+    graphs: &[WeightMatrix],
+    dests: &[usize],
+    limits: &[LaneLimit],
+    verify: bool,
+    start: StepReport,
+) -> Result<Vec<Result<McpOutput>>> {
+    let n = prep.n;
+    let cols = |l: usize| l * n..(l + 1) * n;
+    let cancelled = |l: usize| {
+        limits[l]
+            .cancel
+            .as_ref()
+            .is_some_and(CancelToken::is_cancelled)
+    };
+    let mut done: Vec<(usize, Result<McpOutput>)> = Vec::with_capacity(dests.len());
+    let mut live: Vec<usize> = Vec::with_capacity(dests.len());
+    for (l, &d) in dests.iter().enumerate() {
+        if cancelled(l) {
+            // A solo run fails at its first guarded op.
+            done.push((l, Err(machine_error(MachineError::Cancelled))));
+        } else if d >= n {
+            done.push((l, Err(McpError::DestinationOutOfRange { d, n })));
+        } else {
+            live.push(l);
         }
+    }
+    if live.is_empty() {
+        return Ok(lane_order(done));
+    }
 
-        ppa.set_phase(None);
+    // --- destination registers (4 ALU) and statement 3 (4 ALU) -----------
+    // A resolved lane rides along on a safe destination; its PEs cannot
+    // perturb the others, because no instruction carries data across a
+    // lane boundary.
+    let origin = ppa.steps();
+    let safe: Vec<i64> = dests.iter().map(|&d| d.min(n - 1) as i64).collect();
+    let masks = prep.dest_masks(ppa, &safe)?;
+    let mut regs = LoopRegs::declare(ppa, prep.maxint)?;
+
+    // --- Step 1: statements 4-7 -------------------------------------------
+    ppa.set_phase(Some("step 1 (stmts 4-7)"));
+    // Statement 5 reads `SOW = W`, but the prose demands `SOW[d][i] = w_id`
+    // — the weight of the edge *from i to d*, which in the standard layout
+    // lives in W's d-th *column*, not its d-th row (fidelity note 3 in
+    // DESIGN.md). Two broadcast steps realize it:
+    let spread = match &prep.wt {
+        // one lane: spread column d across each row, [i][*] = w_id ...
+        None => ppa.int_broadcast(&prep.w, Direction::East, &masks.col_is_d)?,
+        // ... or, lane-safe, read row d of the transpose, [*][i] = w_id;
+        Some(wt) => ppa.int_broadcast(wt, Direction::South, &masks.row_is_d)?,
+    };
+    // then fold the diagonal down, [*][i] = w_id either way.
+    let in_weights_t = ppa.int_broadcast(&spread, Direction::South, &prep.diag)?;
+    regs.init(ppa, &masks, &in_weights_t)?;
+    // The counters are monotonic within the run, so the subtraction cannot
+    // fail; `checked_since` keeps the stats path panic-free regardless.
+    let init = ppa.steps().checked_since(&start).unwrap_or_default();
+
+    // --- the per-lane solo-equivalent step ledger -------------------------
+    // Every costed op is one step and the last op of every pass is guarded,
+    // so a solo run with `limit_steps(B)` succeeds iff it completes within B
+    // total steps (prepare included) and otherwise dies with
+    // `StepBudgetExhausted` — which lets the ledger resolve budgets exactly
+    // at pass boundaries. A guard checks cancellation before the budget.
+    let spent = |ppa: &Ppa<E>| {
+        PREPARE_STEPS
+            + ppa
+                .steps()
+                .checked_since(&origin)
+                .unwrap_or_default()
+                .total()
+    };
+    let stopped = |l: usize, spent: u64| -> Option<McpError> {
+        if cancelled(l) {
+            return Some(machine_error(MachineError::Cancelled));
+        }
+        let budget = limits[l].step_budget.filter(|&b| spent >= b)?;
+        Some(machine_error(MachineError::StepBudgetExhausted { budget }))
+    };
+    // A lane whose budget cannot even cover its masks and initializer dies
+    // before pass 1's first guarded op.
+    let at_init = spent(ppa);
+    live.retain(|&l| match stopped(l, at_init) {
+        Some(e) => {
+            done.push((l, Err(e)));
+            false
+        }
+        None => true,
+    });
+
+    // Invariant 1 state per lane still running: its row-d costs after the
+    // last pass (host-side reads of the bit-planes; never touch the array).
+    let lane_row = |ppa: &Ppa<E>, reg: &E::Int, l: usize| ppa.read_row(reg, dests[l], cols(l));
+    let mut live: Vec<(usize, Option<Vec<i64>>)> = live
+        .into_iter()
+        .map(|l| (l, verify.then(|| lane_row(ppa, &regs.sow, l))))
+        .collect();
+
+    // --- Step 2: the do-while loop, statements 8-20 ------------------------
+    let observed = ppa.observing();
+    let mut per_iteration: Vec<StepReport> = Vec::new();
+    let mut iterations = 0usize;
+    while !live.is_empty() {
+        let iter_start = ppa.steps();
         if observed {
-            ppa.exit_span(); // mcp
+            ppa.enter_span(&format!("iteration[{iterations}]"));
         }
-        if let Some(m) = ppa.metrics_mut() {
-            for r in &per_iteration {
-                m.observe("mcp.steps_per_iteration", r.total());
+        iterations += 1;
+
+        let changed = prep.relax(ppa, &masks, &mut regs)?;
+
+        per_iteration.push(ppa.steps().checked_since(&iter_start).unwrap_or_default());
+
+        // ---- invariant 1 per lane: row-d costs never increase ----
+        live.retain_mut(|(l, prev)| {
+            let Some(prev) = prev.as_mut() else {
+                return true;
+            };
+            let now = lane_row(ppa, &regs.sow, *l);
+            if now.iter().zip(prev.iter()).any(|(new, old)| new > old) {
+                done.push((
+                    *l,
+                    Err(McpError::InvariantViolation {
+                        invariant: "a row-d cost increased across an iteration",
+                    }),
+                ));
+                return false;
             }
-            m.inc("mcp.iterations", iterations as u64);
+            *prev = now;
+            true
+        });
+        if live.is_empty() {
+            return Ok(lane_order(done));
         }
 
-        // --- read out row d -----------------------------------------------------
-        let (sow, ptn) = read_out(
-            w,
-            d,
-            self.maxint,
-            &ppa.read_row(&regs.sow, d, 0..n),
-            &ppa.read_row(&regs.ptn, d, 0..n),
-            verify,
-        )?;
+        // ---- statement 20: while at least one SOW in row d has changed ----
+        ppa.set_phase(Some("stmt 20: loop test"));
+        let changed_in_row_d = ppa.mask_and(&changed, &masks.row_is_d)?;
+        let keep_going = ppa.mask_any(&changed_in_row_d)?;
+        if observed {
+            ppa.exit_span(); // iteration[i] (includes the loop test)
+        }
+
+        // ---- pass boundary: resolve lanes ----
+        // The global OR covers every lane; a lane's own row d is a host read
+        // (a converged lane is idempotent under further passes, so it cannot
+        // re-assert the OR for its batchmates).
         let total = ppa.steps().checked_since(&start).unwrap_or_default();
-        Ok(McpOutput {
-            dest: d,
-            sow,
-            ptn,
-            iterations,
-            stats: McpStats {
-                init: init_report,
-                per_iteration,
-                total,
-            },
-        })
+        let at_pass = spent(ppa);
+        live.retain(|&(l, _)| {
+            let lane_changed = keep_going && ppa.mask_any_in(&changed_in_row_d, dests[l], cols(l));
+            let within = limits[l].step_budget.is_none_or(|b| at_pass <= b);
+            let result = if !lane_changed && within {
+                // Converged inside budget: the solo run returned here,
+                // before any cancellation could be observed.
+                read_out(
+                    &graphs[l],
+                    dests[l],
+                    prep.maxint,
+                    &lane_row(ppa, &regs.sow, l),
+                    &lane_row(ppa, &regs.ptn, l),
+                    verify,
+                )
+                .map(|(sow, ptn)| McpOutput {
+                    dest: dests[l],
+                    sow,
+                    ptn,
+                    iterations,
+                    stats: McpStats {
+                        init,
+                        per_iteration: per_iteration.clone(),
+                        total,
+                    },
+                })
+            } else if let Some(e) = stopped(l, at_pass) {
+                // Out of steps before the next pass's first guarded op, or
+                // converged over budget (the solo run died inside this pass).
+                Err(e)
+            } else if iterations > n {
+                Err(McpError::NoConvergence { rounds: iterations })
+            } else {
+                return true;
+            };
+            done.push((l, result));
+            false
+        });
+    }
+
+    if let Some(m) = ppa.metrics_mut() {
+        for r in &per_iteration {
+            m.observe("mcp.steps_per_iteration", r.total());
+        }
+        m.inc("mcp.iterations", iterations as u64);
+    }
+    Ok(lane_order(done))
+}
+
+/// Resolved lanes back in lane order.
+fn lane_order(mut done: Vec<(usize, Result<McpOutput>)>) -> Vec<Result<McpOutput>> {
+    done.sort_unstable_by_key(|(l, _)| *l);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// [`solve_lanes`] with one lane: a solo solve toward `d`.
+fn solve_solo<E: Executor>(
+    ppa: &mut Ppa<E>,
+    prep: &Prepared<E>,
+    w: &WeightMatrix,
+    d: usize,
+    verify: bool,
+    start: StepReport,
+) -> Result<McpOutput> {
+    let graphs = std::slice::from_ref(w);
+    let limits = [LaneLimit::unlimited()];
+    solve_lanes(ppa, prep, graphs, &[d], &limits, verify, start)?
+        .pop()
+        .unwrap_or(Err(McpError::InvariantViolation {
+            invariant: "a one-lane solve returns one lane",
+        }))
+}
+
+/// One destination on prepared registers, in its own `mcp` span: a
+/// session's and the all-pairs driver's solve. Its report starts here,
+/// so the shared prepare cost is amortized out of every per-destination
+/// report.
+pub(crate) fn solve_prepared<E: Executor>(
+    ppa: &mut Ppa<E>,
+    prep: &Prepared<E>,
+    w: &WeightMatrix,
+    d: usize,
+    verify: bool,
+) -> Result<McpOutput> {
+    let start = ppa.steps();
+    in_solve_span(ppa, "mcp", |ppa| solve_solo(ppa, prep, w, d, verify, start))
+}
+
+/// Publishes the backend's execution-stat deltas since `before` as
+/// `backend.*` counters, when a metrics registry is attached.
+pub(crate) fn publish_backend_metrics<E: Executor>(ppa: &mut Ppa<E>, before: &ExecStats) {
+    let delta = ppa.exec_stats().since(before);
+    if let Some(m) = ppa.metrics_mut() {
+        m.inc("backend.plan_hits", delta.plan_hits);
+        m.inc("backend.plan_misses", delta.plan_misses);
+        m.inc("backend.arena_fresh", delta.arena_fresh);
+        m.inc("backend.arena_reused", delta.arena_reused);
     }
 }
 
 /// The preloaded `W` value of PE `(r, c)`: `w_rc` with absent edges as
 /// `MAXINT` and the diagonal as 0.
-pub(crate) fn loaded_weight(w: &WeightMatrix, maxint: i64, r: usize, c: usize) -> i64 {
+fn loaded_weight(w: &WeightMatrix, maxint: i64, r: usize, c: usize) -> i64 {
     match w.get(r, c) {
         _ if r == c => 0,
         INF => maxint,
@@ -466,7 +685,7 @@ pub(crate) fn loaded_weight(w: &WeightMatrix, maxint: i64, r: usize, c: usize) -
 /// Converts row `d` of the final `SOW`/`PTN` registers into the output
 /// vectors and, when `verify` is set, checks invariants 2 and 3 of
 /// [`minimum_cost_path_verified`] host-side.
-pub(crate) fn read_out(
+fn read_out(
     w: &WeightMatrix,
     d: usize,
     maxint: i64,
@@ -524,46 +743,20 @@ pub(crate) fn read_out(
     Ok((out_sow, out_ptn))
 }
 
+/// The one-shot: every guard before any observation starts, then the
+/// prepare steps inside the `mcp` span and counted in the report.
 fn mcp_run<E: Executor>(
     ppa: &mut Ppa<E>,
     w: &WeightMatrix,
     d: usize,
     verify: bool,
 ) -> Result<McpOutput> {
-    // Keep the historical guard order of the one-shot entry point: size,
-    // destination range, word width — all before any observation starts.
-    let n = w.n();
-    let dim = ppa.dim();
-    if dim.rows != n || dim.cols != n {
-        return Err(McpError::SizeMismatch {
-            n,
-            rows: dim.rows,
-            cols: dim.cols,
-        });
-    }
-    if d >= n {
-        return Err(McpError::DestinationOutOfRange { d, n });
-    }
-    let required = fit_word_bits(w);
-    if ppa.word_bits() < required {
-        return Err(McpError::WordWidthTooSmall {
-            required,
-            actual: ppa.word_bits(),
-        });
-    }
-
+    check_fit(ppa, w, Some(d))?;
     let start = ppa.steps();
-    // When a sink or metrics registry is attached, the run is wrapped in a
-    // `mcp` span with one `iteration[i]` child per do-while pass; the
-    // `set_phase` labels below become the statement-level frames inside.
-    let observed = ppa.observing();
-    if observed {
-        ppa.enter_span("mcp");
-    }
-    ppa.set_phase(Some("setup"));
-    let prep = Prepared::build(ppa, w)?;
-    let masks = prep.dest_masks_for(ppa, d)?;
-    prep.run(ppa, &masks, w, d, start, observed, verify)
+    in_solve_span(ppa, "mcp", |ppa| {
+        let prep = Prepared::load(ppa, std::slice::from_ref(w))?;
+        solve_solo(ppa, &prep, w, d, verify, start)
+    })
 }
 
 /// Convenience wrapper: builds a machine of the right size and word width

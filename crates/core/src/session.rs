@@ -10,8 +10,9 @@
 //!
 //! An [`McpSession`] owns a runtime (machine + execution backend) together
 //! with the destination-independent registers prepared once from a weight
-//! matrix. Each [`McpSession::solve`] then only rebuilds the four
-//! destination masks before running the do-while loop, and — on a
+//! matrix. Each [`McpSession::solve`] is a one-lane run of the solve
+//! driver every entry point shares (`mcp::solve_lanes`): it only rebuilds
+//! the four destination masks before running the do-while loop, and — on a
 //! plan-caching backend such as
 //! [`PackedBackend`](ppa_machine::PackedBackend) — reuses the bus plans
 //! and mask buffers warmed up by earlier solves. When a metrics registry
@@ -109,8 +110,8 @@ impl<E: Executor> McpSession<E> {
 
     fn solve_inner(&mut self, d: usize, verify: bool) -> Result<McpOutput> {
         let before = self.ppa.exec_stats();
-        let out = self.prep.solve(&mut self.ppa, &self.w, d, verify);
-        self.publish_backend_metrics(&before);
+        let out = mcp::solve_prepared(&mut self.ppa, &self.prep, &self.w, d, verify);
+        mcp::publish_backend_metrics(&mut self.ppa, &before);
         out
     }
 
@@ -127,18 +128,6 @@ impl<E: Executor> McpSession<E> {
             runs.push(self.solve(d)?);
         }
         Ok(AllPairs { runs })
-    }
-
-    /// Publishes the backend's execution-stat deltas since `before` as
-    /// `backend.*` counters, when a metrics registry is attached.
-    fn publish_backend_metrics(&mut self, before: &ExecStats) {
-        let delta = self.ppa.exec_stats().since(before);
-        if let Some(m) = self.ppa.metrics_mut() {
-            m.inc("backend.plan_hits", delta.plan_hits);
-            m.inc("backend.plan_misses", delta.plan_misses);
-            m.inc("backend.arena_fresh", delta.arena_fresh);
-            m.inc("backend.arena_reused", delta.arena_reused);
-        }
     }
 
     /// The graph this session was prepared for.

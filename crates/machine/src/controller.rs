@@ -316,6 +316,11 @@ impl Controller {
         }
     }
 
+    /// Named spans currently open on the installed sink (0 without one).
+    pub fn span_depth(&self) -> u64 {
+        self.span_depth
+    }
+
     /// Closes the innermost named span (and any phase frame inside it).
     /// If a phase is still set, its frame reopens at the outer level, so
     /// steps issued after a nested routine under the same statement stay

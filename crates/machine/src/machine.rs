@@ -844,19 +844,6 @@ impl<E: Executor> Machine<E> {
         out
     }
 
-    /// Masked assignment `where (mask) dst = src` with the mask given as a
-    /// plane: an uncosted [`Machine::pack_mask`] and then
-    /// [`Machine::assign_where`], so one controller step.
-    pub fn assign_masked<T: Copy>(
-        &mut self,
-        dst: &mut Plane<T>,
-        src: &Plane<T>,
-        mask: &Plane<bool>,
-    ) -> Result<(), MachineError> {
-        let mask = self.pack_mask(mask)?;
-        self.assign_where(dst, src, Some(&mask))
-    }
-
     /// Masked plane write `where (mask) dst = src` under a backend
     /// activity mask (`None`: every PE is active): one controller step.
     /// PEs where `mask` is false keep their previous `dst` value — the
@@ -1169,12 +1156,12 @@ mod tests {
     }
 
     #[test]
-    fn assign_masked_preserves_unmasked() {
+    fn assign_where_preserves_unmasked() {
         let mut m = Machine::square(2);
         let mut dst = Plane::filled(m.dim(), 0i64);
         let src = Plane::filled(m.dim(), 9i64);
         let mask = Plane::from_fn(m.dim(), |c| c.col == 1);
-        m.assign_masked(&mut dst, &src, &mask).unwrap();
+        m.assign_where(&mut dst, &src, Some(&mask)).unwrap();
         assert_eq!(*dst.at(0, 0), 0);
         assert_eq!(*dst.at(0, 1), 9);
     }
@@ -1465,7 +1452,7 @@ mod tests {
         let v = m.mask_vote(&e, &b, true);
         let _ = m.mask_knockout(&e, &v, &b, true);
         let mut dst = Plane::filled(m.dim(), 0i64);
-        m.assign_masked(&mut dst, &p, &flags).unwrap();
+        m.assign_where(&mut dst, &p, Some(&l)).unwrap();
         let _ = m.mask_bus_or(&v, Direction::West, &l).unwrap();
         let _ = m.int_broadcast(&r, Direction::East, &l).unwrap();
         let _ = m.mask_imm(false);

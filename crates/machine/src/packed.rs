@@ -1026,11 +1026,10 @@ impl PackedBackend {
                 set_bit(&mut images[j * rw..], c);
             }
         }
-        for j in 0..h as usize {
+        let mut pattern = Vec::new();
+        for (j, image) in images.chunks_exact(rw).enumerate() {
             let plane = &mut out.buf.words[j * nw..(j + 1) * nw];
-            for r in 0..dim.rows {
-                write_bits(plane, r * cols, cols, &images[j * rw..(j + 1) * rw]);
-            }
+            tile_rows(dim, image, &mut pattern, plane);
         }
         out
     }

@@ -1,97 +1,15 @@
 //! Wall-clock profiles: the host-time view that reconciles against the
 //! simulated step counts.
 //!
-//! The step counters answer "how long would the PPA take"; these types
-//! answer "where did the *simulator* spend host time", so a slow phase can
-//! be attributed either to genuinely many simulated steps or to expensive
-//! per-step host work (large planes, pool rendezvous overhead).
+//! The step counters answer "how long would the PPA take"; a
+//! [`MicroProfile`] answers "where did the *simulator* spend host time",
+//! per micro-op class and backend, so a slow run can be attributed either
+//! to genuinely many simulated steps or to expensive per-step host work
+//! (large planes, costly word kernels).
 
 use crate::json::Json;
 use crate::metrics::Metrics;
 use std::collections::BTreeMap;
-
-/// Wall-clock and step tallies of one phase (span path).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseWall {
-    /// Host nanoseconds attributed to the phase.
-    pub nanos: u64,
-    /// Simulated controller steps attributed to the phase.
-    pub steps: u64,
-}
-
-impl PhaseWall {
-    /// Host nanoseconds per simulated step (0.0 when no steps ran).
-    pub fn nanos_per_step(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.nanos as f64 / self.steps as f64
-        }
-    }
-}
-
-/// Per-phase wall-clock profile, in order of first appearance.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WallProfile {
-    phases: Vec<(String, PhaseWall)>,
-}
-
-impl WallProfile {
-    /// A fresh, empty profile.
-    pub fn new() -> Self {
-        WallProfile::default()
-    }
-
-    /// Attributes `nanos` host time and `steps` simulated steps to `phase`.
-    pub fn add(&mut self, phase: &str, nanos: u64, steps: u64) {
-        match self.phases.iter_mut().find(|(p, _)| p == phase) {
-            Some((_, w)) => {
-                w.nanos += nanos;
-                w.steps += steps;
-            }
-            None => self
-                .phases
-                .push((phase.to_owned(), PhaseWall { nanos, steps })),
-        }
-    }
-
-    /// The recorded phases in order of first appearance.
-    pub fn phases(&self) -> &[(String, PhaseWall)] {
-        &self.phases
-    }
-
-    /// Totals across all phases.
-    pub fn total(&self) -> PhaseWall {
-        let mut t = PhaseWall::default();
-        for (_, w) in &self.phases {
-            t.nanos += w.nanos;
-            t.steps += w.steps;
-        }
-        t
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty()
-    }
-
-    /// Serializes the profile to JSON.
-    pub fn to_json(&self) -> Json {
-        Json::Array(
-            self.phases
-                .iter()
-                .map(|(p, w)| {
-                    Json::obj(vec![
-                        ("phase", p.as_str().into()),
-                        ("nanos", w.nanos.into()),
-                        ("steps", w.steps.into()),
-                        ("nanos_per_step", w.nanos_per_step().into()),
-                    ])
-                })
-                .collect(),
-        )
-    }
-}
 
 /// Wall-clock and invocation tally of one micro-op class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -243,40 +161,6 @@ pub fn parse_folded(text: &str) -> Result<Vec<(Vec<String>, u64)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wall_profile_accumulates_per_phase() {
-        let mut p = WallProfile::new();
-        p.add("min", 100, 10);
-        p.add("min", 50, 5);
-        p.add("setup", 7, 1);
-        assert_eq!(p.phases().len(), 2);
-        assert_eq!(
-            p.phases()[0].1,
-            PhaseWall {
-                nanos: 150,
-                steps: 15
-            }
-        );
-        assert_eq!(
-            p.total(),
-            PhaseWall {
-                nanos: 157,
-                steps: 16
-            }
-        );
-        assert!((p.phases()[0].1.nanos_per_step() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let mut p = WallProfile::new();
-        p.add("x", 10, 2);
-        let j = p.to_json();
-        let first = &j.as_array().unwrap()[0];
-        assert_eq!(first.get("phase").unwrap().as_str(), Some("x"));
-        assert_eq!(first.get("nanos").unwrap().as_u64(), Some(10));
-    }
 
     #[test]
     fn micro_profile_accumulates_per_class() {

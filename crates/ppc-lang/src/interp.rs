@@ -166,6 +166,24 @@ impl<'a> Interpreter<'a> {
                     ),
                 ));
             }
+            // A parallel binding must have the array's shape: a masked
+            // write checks its destination and source planes, not the
+            // activity mask a `where` built from this binding.
+            let dim = match &pre {
+                Value::PInt(p) => Some(p.dim()),
+                Value::PBool(p) => Some(p.dim()),
+                _ => None,
+            };
+            if let Some(dim) = dim.filter(|&dim| dim != self.ppa.dim()) {
+                let want = self.ppa.dim();
+                return Err(LangError::runtime(
+                    d.span,
+                    format!(
+                        "host binding for `{}` is {}x{}, the array is {}x{}",
+                        d.name, dim.rows, dim.cols, want.rows, want.cols
+                    ),
+                ));
+            }
             pre
         } else {
             // PPC leaves these uninitialized; the simulator zero-fills.
@@ -340,7 +358,7 @@ impl<'a> Interpreter<'a> {
                     Some(m) => {
                         self.ppa
                             .machine_mut()
-                            .assign_masked(&mut plane, &src, m)
+                            .assign_where(&mut plane, &src, Some(m))
                             .map_err(|e| rt(span, PpcError::from(e)))?;
                         Value::PInt(plane)
                     }
@@ -363,7 +381,7 @@ impl<'a> Interpreter<'a> {
                     Some(m) => {
                         self.ppa
                             .machine_mut()
-                            .assign_masked(&mut plane, &src, m)
+                            .assign_where(&mut plane, &src, Some(m))
                             .map_err(|e| rt(span, PpcError::from(e)))?;
                         Value::PBool(plane)
                     }
@@ -887,6 +905,21 @@ mod tests {
         interp.bind("W", Value::Int(3));
         let err = interp.run(&program).unwrap_err();
         assert!(err.message.contains("host binding"), "{err}");
+    }
+
+    #[test]
+    fn misshapen_where_binding_fails_before_any_write() {
+        let program =
+            parse("parallel int x; x = 7; parallel logical flag; where (flag) x = 5;").unwrap();
+        let mut ppa = Ppa::square(3).with_word_bits(8);
+        let mut interp = Interpreter::new(&mut ppa);
+        let flag = Parallel::from_fn(ppa_machine::Dim::new(2, 2), |_| true);
+        interp.bind("flag", Value::PBool(flag));
+        let err = interp.run(&program).unwrap_err();
+        assert_eq!(err.phase, crate::error::Phase::Runtime);
+        assert!(err.message.contains("is 2x2, the array is 3x3"), "{err}");
+        let x = interp.get_parallel_int("x").unwrap();
+        assert!(x.iter().all(|&v| v == 7), "a partial write leaked: {x:?}");
     }
 
     #[test]

@@ -246,6 +246,11 @@ impl<E: Executor> Ppa<E> {
         self.machine.controller_mut().exit_span();
     }
 
+    /// Named spans currently open (0 when no sink is installed).
+    pub fn span_depth(&self) -> u64 {
+        self.machine.controller().span_depth()
+    }
+
     /// Whether any observer (sink or metrics) is attached. Routines use
     /// this to skip building span names on unobserved hot paths.
     pub fn observing(&self) -> bool {

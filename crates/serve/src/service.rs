@@ -14,7 +14,12 @@
 //! An idle worker never waits for batchmates: it takes the oldest queued
 //! job at once. With batching on, it also takes queued jobs of the same
 //! batch key (see [`BatchingConfig`]), so waves form only from jobs that
-//! would otherwise wait behind busy workers.
+//! would otherwise wait behind busy workers. Every pickup — one job or a
+//! wave — runs through the same bookkeeping: an inflight entry per job,
+//! the worker's running state, panic isolation, cleanup and one report
+//! per job. A job cancelled or expired while queued resolves at the same
+//! queued gate either way; a wave then solves its remaining jobs as the
+//! lanes of one [`BatchSession`].
 //!
 //! Every attempt runs on a **fresh machine** (transient faults do not
 //! outlive an attempt), under a cooperative [`CancelToken`] armed by the
@@ -867,7 +872,7 @@ fn worker_loop(ctx: WorkerCtx, index: u64) {
         // sweep under the duty-cycle budget (the intake lock is already
         // released, so a sweep never stalls pickup on other workers).
         let idle = scrub.enabled.then_some(scrub.idle_after);
-        let mut jobs = match ctx.shared.intake.pop(idle) {
+        let jobs = match ctx.shared.intake.pop(idle) {
             Pickup::Jobs(jobs) => jobs,
             Pickup::Idle => {
                 maybe_idle_scrub(&ctx, index, &mut clock);
@@ -886,61 +891,10 @@ fn worker_loop(ctx: WorkerCtx, index: u64) {
         if lock(&ctx.shared.health).is_benched(index) {
             lock(&ctx.shared.metrics).inc("serve.health.quarantine_leaks", 1);
         }
-        if jobs.len() > 1 {
-            if run_batch_on_worker(&ctx, index, jobs, &mut rng) {
-                continue;
-            }
-            // The batch panicked; this worker is done (the supervisor
-            // was already asked for a replacement).
+        if !run_pickup(&ctx, index, jobs, &mut rng) {
+            // A job panicked; this worker is done (the supervisor was
+            // already asked for a replacement).
             return;
-        }
-        let Some(job) = jobs.pop() else {
-            continue;
-        };
-        let (id, submitted, reply) = (job.id, job.submitted, job.reply.clone());
-        lock(&ctx.shared.inflight).insert(
-            id,
-            InflightEntry {
-                kind: job.spec.kind.label(),
-                submitted,
-                deadline: job.spec.deadline.or(ctx.shared.config.default_deadline),
-                worker: index,
-            },
-        );
-        lock(&ctx.shared.workers).insert(index, WorkerState::Running(id));
-        let verdict = catch_unwind(AssertUnwindSafe(|| run_job(&ctx, index, job, &mut rng)));
-        lock(&ctx.shared.inflight).remove(&id);
-        lock(&ctx.shared.cancels).remove(&id);
-        lock(&ctx.shared.client_cancelled).remove(&id);
-        match verdict {
-            Ok(report) => {
-                lock(&ctx.shared.workers).insert(index, WorkerState::Idle);
-                let _ = reply.send(report);
-            }
-            Err(payload) => {
-                // The dying worker disappears from introspection; its
-                // replacement is registered under a fresh index.
-                lock(&ctx.shared.workers).remove(&index);
-                let latency = submitted.elapsed();
-                let mut m = lock(&ctx.shared.metrics);
-                m.inc("serve.worker_panics", 1);
-                m.inc("serve.failed", 1);
-                m.observe("serve.latency_us", latency.as_micros() as u64);
-                drop(m);
-                let _ = reply.send(JobReport {
-                    id,
-                    outcome: Err(ServeError::WorkerPanicked {
-                        message: panic_message(payload),
-                    }),
-                    attempts: 1,
-                    backend: None,
-                    latency,
-                });
-                // A worker that panicked may hold corrupted thread state;
-                // report the death and let the supervisor replace it.
-                let _ = ctx.death_tx.send(Supervise::Died);
-                return;
-            }
         }
     }
 }
@@ -1136,69 +1090,89 @@ fn note_vote(shared: &Shared, index: u64, vote: &VoteReport) {
     }
 }
 
-/// Runs a batched wave on this worker with the same bookkeeping and
-/// panic isolation as a single job: every lane gets its own inflight
-/// entry and its own report, and a panic anywhere in the wave reports
-/// [`ServeError::WorkerPanicked`] to *every* lane's ticket. Returns
-/// `false` when the worker must die (panic path).
-fn run_batch_on_worker(
-    ctx: &WorkerCtx,
-    index: u64,
-    jobs: Vec<QueuedJob>,
-    rng: &mut SmallRng,
-) -> bool {
-    let lanes = jobs.len() as u64;
+/// Runs one pickup — a single job, or a batched wave of several — with
+/// the bookkeeping and panic isolation every job gets: an inflight entry
+/// per job, the worker's `Running` state, `catch_unwind`, cleanup, and one
+/// report per job. A panic anywhere reports
+/// [`ServeError::WorkerPanicked`] to *every* job's ticket. Returns `false`
+/// when the worker must die (panic path).
+fn run_pickup(ctx: &WorkerCtx, index: u64, jobs: Vec<QueuedJob>, rng: &mut SmallRng) -> bool {
+    let shared = &ctx.shared;
+    let Some(first) = jobs.first().map(|j| j.id) else {
+        return true;
+    };
     let meta: Vec<(u64, Instant, Sender<JobReport>)> = jobs
         .iter()
         .map(|j| (j.id, j.submitted, j.reply.clone()))
         .collect();
     {
-        let mut inflight = lock(&ctx.shared.inflight);
+        let mut inflight = lock(&shared.inflight);
         for job in &jobs {
             inflight.insert(
                 job.id,
                 InflightEntry {
                     kind: job.spec.kind.label(),
                     submitted: job.submitted,
-                    deadline: job.spec.deadline.or(ctx.shared.config.default_deadline),
+                    deadline: job.spec.deadline.or(shared.config.default_deadline),
                     worker: index,
                 },
             );
         }
     }
-    lock(&ctx.shared.workers).insert(index, WorkerState::Running(meta[0].0));
-    ctx.shared
-        .batch_lanes_inflight
-        .fetch_add(lanes, Ordering::AcqRel);
-    let verdict = catch_unwind(AssertUnwindSafe(|| run_batch(ctx, index, jobs, rng)));
-    ctx.shared
-        .batch_lanes_inflight
-        .fetch_sub(lanes, Ordering::AcqRel);
+    lock(&shared.workers).insert(index, WorkerState::Running(first));
+    // Only a wave of several jobs counts as batch lanes; a single leaves
+    // the shared counter alone. On a 2-vCPU host, perfbench serve-burst
+    // read 0.74-0.79x of the parent with the counter updated on every
+    // pickup and 0.89x with singles skipping it, both builds with
+    // `run_batch` inlined; what made the difference was not isolated.
+    let wave_lanes = (jobs.len() > 1).then_some(jobs.len() as u64);
+    if let Some(lanes) = wave_lanes {
+        shared
+            .batch_lanes_inflight
+            .fetch_add(lanes, Ordering::AcqRel);
+    }
+    let verdict = catch_unwind(AssertUnwindSafe(|| {
+        if wave_lanes.is_some() {
+            run_batch(ctx, index, jobs, rng)
+        } else {
+            jobs.into_iter()
+                .map(|job| run_job(ctx, index, job, rng))
+                .collect()
+        }
+    }));
+    if let Some(lanes) = wave_lanes {
+        shared
+            .batch_lanes_inflight
+            .fetch_sub(lanes, Ordering::AcqRel);
+    }
     for (id, _, _) in &meta {
-        lock(&ctx.shared.inflight).remove(id);
-        lock(&ctx.shared.cancels).remove(id);
-        lock(&ctx.shared.client_cancelled).remove(id);
+        lock(&shared.inflight).remove(id);
+        lock(&shared.cancels).remove(id);
+        lock(&shared.client_cancelled).remove(id);
     }
     match verdict {
         Ok(reports) => {
-            lock(&ctx.shared.workers).insert(index, WorkerState::Idle);
+            lock(&shared.workers).insert(index, WorkerState::Idle);
             for ((_, _, reply), report) in meta.into_iter().zip(reports) {
                 let _ = reply.send(report);
             }
             true
         }
         Err(payload) => {
-            lock(&ctx.shared.workers).remove(&index);
+            // The dying worker disappears from introspection; its
+            // replacement is registered under a fresh index.
+            lock(&shared.workers).remove(&index);
             let message = panic_message(payload);
+            let latencies: Vec<Duration> = meta.iter().map(|(_, at, _)| at.elapsed()).collect();
             {
-                let mut m = lock(&ctx.shared.metrics);
+                let mut m = lock(&shared.metrics);
                 m.inc("serve.worker_panics", 1);
-                m.inc("serve.failed", lanes);
-                for (_, submitted, _) in &meta {
-                    m.observe("serve.latency_us", submitted.elapsed().as_micros() as u64);
+                m.inc("serve.failed", meta.len() as u64);
+                for latency in &latencies {
+                    m.observe("serve.latency_us", latency.as_micros() as u64);
                 }
             }
-            for (id, submitted, reply) in meta {
+            for ((id, _, reply), latency) in meta.into_iter().zip(latencies) {
                 let _ = reply.send(JobReport {
                     id,
                     outcome: Err(ServeError::WorkerPanicked {
@@ -1206,9 +1180,11 @@ fn run_batch_on_worker(
                     }),
                     attempts: 1,
                     backend: None,
-                    latency: submitted.elapsed(),
+                    latency,
                 });
             }
+            // A worker that panicked may hold corrupted thread state;
+            // report the death and let the supervisor replace it.
             let _ = ctx.death_tx.send(Supervise::Died);
             false
         }
@@ -1229,12 +1205,26 @@ fn batch_key(spec: &JobSpec) -> (usize, u32) {
     (spec.graph.n(), mcp::fit_word_bits(&spec.graph).clamp(2, 62))
 }
 
-/// Executes a batched wave: per-lane queued gates, one
-/// [`BatchSession`] solve on the routed backend with each job's budget
-/// and cancel token as its lane limit, then per-lane error mapping
-/// identical to the solo path. A corrupted lane (or a whole-wave
-/// machine failure) falls back to [`run_job`] so the retry/breaker
-/// machinery treats it exactly like a solo corruption.
+/// One job of a wave that passed the queued gate, at its position in the
+/// pickup.
+struct WaveLane {
+    at: usize,
+    dest: usize,
+    job: QueuedJob,
+}
+
+/// Executes a batched wave: the queued gate per job, one
+/// [`BatchSession`] solve of the live lanes on the routed backend with
+/// each job's budget and cancel token as its lane limit, then per-lane
+/// error mapping identical to the solo path. A corrupted lane (or a
+/// whole-wave machine failure) falls back to [`run_job`] so the
+/// retry/breaker machinery treats it exactly like a solo corruption.
+/// Reports come back in pickup order.
+// Out of line on purpose. On a 2-vCPU host, a build with this function
+// inlined into `run_pickup`'s unwind closure read perfbench serve-burst at
+// 0.85-0.89x of the same build with this attribute; why inlining it slows
+// a workload of mostly single-job pickups was not isolated.
+#[inline(never)]
 fn run_batch(
     ctx: &WorkerCtx,
     index: u64,
@@ -1243,76 +1233,36 @@ fn run_batch(
 ) -> Vec<JobReport> {
     let shared = &ctx.shared;
     let config = &shared.config;
-    let total = jobs.len();
-    let mut slots: Vec<Option<QueuedJob>> = jobs.into_iter().map(Some).collect();
-    let mut reports: Vec<Option<JobReport>> = (0..total).map(|_| None).collect();
-
-    // Queued gates, per lane: client cancels and queue expiry resolve a
-    // lane before any machine is built — identically to the solo path.
-    let mut live: Vec<usize> = Vec::new();
-    for i in 0..total {
-        let job = slots[i].as_ref().expect("unresolved slot");
-        let deadline = job.spec.deadline.or(config.default_deadline);
-        if job.token.is_cancelled() && lock(&shared.client_cancelled).contains(&job.id) {
-            let job = slots[i].take().expect("unresolved slot");
-            reports[i] = Some(finish(
-                ctx,
-                &job,
-                Err(ServeError::Cancelled),
-                0,
-                None,
-                false,
-                None,
-            ));
+    let mut reports: Vec<(usize, JobReport)> = Vec::with_capacity(jobs.len());
+    let mut lanes: Vec<WaveLane> = Vec::with_capacity(jobs.len());
+    for (at, job) in jobs.into_iter().enumerate() {
+        if let Some(report) = queued_gate(ctx, &job) {
+            reports.push((at, report));
             continue;
         }
-        let waited = job.submitted.elapsed();
-        if let Some(d) = deadline {
-            if waited >= d {
-                let job = slots[i].take().expect("unresolved slot");
-                let mut m = lock(&shared.metrics);
-                m.inc("serve.failed", 1);
-                m.inc("serve.deadline_exceeded", 1);
-                m.inc("serve.expired_in_queue", 1);
-                m.observe("serve.latency_us", waited.as_micros() as u64);
-                drop(m);
-                reports[i] = Some(JobReport {
-                    id: job.id,
-                    outcome: Err(ServeError::DeadlineExpiredInQueue { waited }),
-                    attempts: 0,
-                    backend: None,
-                    latency: waited,
-                });
-                continue;
-            }
+        let JobKind::Shortest { dest } = job.spec.kind else {
+            // Only shortest-path jobs carry a batch key; run anything else
+            // as a single.
+            reports.push((at, run_job(ctx, index, job, rng)));
+            continue;
+        };
+        if let Some(d) = job.spec.deadline.or(config.default_deadline) {
             let _ = ctx.watchdog_tx.send((job.submitted + d, job.token.clone()));
         }
-        live.push(i);
+        lanes.push(WaveLane { at, dest, job });
     }
 
-    if !live.is_empty() {
+    if !lanes.is_empty() {
         let backend = route_backend(ctx);
         // The breaker guards only the fast backends.
         let fast = backend != BackendSpec::Scalar;
-        let graphs: Vec<WeightMatrix> = live
+        let graphs: Vec<WeightMatrix> = lanes.iter().map(|l| l.job.spec.graph.clone()).collect();
+        let dests: Vec<usize> = lanes.iter().map(|l| l.dest).collect();
+        let limits: Vec<LaneLimit> = lanes
             .iter()
-            .map(|&i| slots[i].as_ref().expect("live slot").spec.graph.clone())
-            .collect();
-        let dests: Vec<usize> = live
-            .iter()
-            .map(|&i| match slots[i].as_ref().expect("live slot").spec.kind {
-                JobKind::Shortest { dest } => dest,
-                _ => unreachable!("only shortest jobs carry a batch key"),
-            })
-            .collect();
-        let limits: Vec<LaneLimit> = live
-            .iter()
-            .map(|&i| {
-                let job = slots[i].as_ref().expect("live slot");
-                LaneLimit {
-                    step_budget: job.spec.step_budget.or(config.default_step_budget),
-                    cancel: Some(job.token.clone()),
-                }
+            .map(|l| LaneLimit {
+                step_budget: l.job.spec.step_budget.or(config.default_step_budget),
+                cancel: Some(l.job.token.clone()),
             })
             .collect();
         let wave = on_machine(
@@ -1327,23 +1277,9 @@ fn run_batch(
             },
         );
         match wave {
-            Err(_whole_wave) => {
-                // A machine-global failure takes down every lane at once;
-                // rather than inventing per-lane results, each job re-runs
-                // on the solo path with its full retry/breaker treatment.
-                if fast && lock(&shared.breaker).record_failure() {
-                    lock(&shared.metrics).inc("serve.breaker.trips", 1);
-                }
-                lock(&shared.metrics).inc("serve.batch.fallback_single", live.len() as u64);
-                for &i in &live {
-                    let job = slots[i].take().expect("live slot");
-                    reports[i] = Some(run_job(ctx, index, job, rng));
-                }
-            }
-            Ok(wave) => {
+            Ok(outcomes) if outcomes.len() == lanes.len() => {
                 let mut fast_success = false;
-                for (&i, lane) in live.iter().zip(wave) {
-                    let job = slots[i].take().expect("live slot");
+                for (WaveLane { at, job, .. }, lane) in lanes.into_iter().zip(outcomes) {
                     let report = match lane {
                         Ok(out) => {
                             fast_success = true;
@@ -1396,18 +1332,28 @@ fn run_batch(
                             None,
                         ),
                     };
-                    reports[i] = Some(report);
+                    reports.push((at, report));
                 }
                 if fast_success && fast {
                     lock(&shared.breaker).record_success();
                 }
             }
+            _whole_wave => {
+                // A machine-global failure takes down every lane at once;
+                // rather than inventing per-lane results, each job re-runs
+                // on the solo path with its full retry/breaker treatment.
+                if fast && lock(&shared.breaker).record_failure() {
+                    lock(&shared.metrics).inc("serve.breaker.trips", 1);
+                }
+                lock(&shared.metrics).inc("serve.batch.fallback_single", lanes.len() as u64);
+                for WaveLane { at, job, .. } in lanes {
+                    reports.push((at, run_job(ctx, index, job, rng)));
+                }
+            }
         }
     }
-    reports
-        .into_iter()
-        .map(|r| r.expect("every lane resolves to a report"))
-        .collect()
+    reports.sort_unstable_by_key(|(at, _)| *at);
+    reports.into_iter().map(|(_, report)| report).collect()
 }
 
 /// A batched wave: one lane-batch solve of every live job, verified
@@ -1499,29 +1445,8 @@ fn run_job(ctx: &WorkerCtx, index: u64, job: QueuedJob, rng: &mut SmallRng) -> J
     let config = &shared.config;
     let deadline = job.spec.deadline.or(config.default_deadline);
 
-    // Cancelled while queued: drop unrun (no machine was built).
-    if job.token.is_cancelled() && lock(&shared.client_cancelled).contains(&job.id) {
-        return finish(ctx, &job, Err(ServeError::Cancelled), 0, None, false, None);
-    }
-
-    // Expired while queued: reject unrun (no machine was built).
-    let waited = job.submitted.elapsed();
-    if let Some(d) = deadline {
-        if waited >= d {
-            let mut m = lock(&shared.metrics);
-            m.inc("serve.failed", 1);
-            m.inc("serve.deadline_exceeded", 1);
-            m.inc("serve.expired_in_queue", 1);
-            m.observe("serve.latency_us", waited.as_micros() as u64);
-            drop(m);
-            return JobReport {
-                id: job.id,
-                outcome: Err(ServeError::DeadlineExpiredInQueue { waited }),
-                attempts: 0,
-                backend: None,
-                latency: waited,
-            };
-        }
+    if let Some(report) = queued_gate(ctx, &job) {
+        return report;
     }
 
     // Chaos probes panic on purpose — before any lock is held, so the
@@ -1659,6 +1584,42 @@ fn run_job(ctx: &WorkerCtx, index: u64, job: QueuedJob, rng: &mut SmallRng) -> J
         is_apsp,
         last_flush,
     )
+}
+
+/// The queued gate every job passes before any machine is built: a job
+/// its client cancelled, or whose deadline expired while it was queued,
+/// resolves here to its report, unrun.
+fn queued_gate(ctx: &WorkerCtx, job: &QueuedJob) -> Option<JobReport> {
+    let shared = &ctx.shared;
+    if job.token.is_cancelled() && lock(&shared.client_cancelled).contains(&job.id) {
+        return Some(finish(
+            ctx,
+            job,
+            Err(ServeError::Cancelled),
+            0,
+            None,
+            false,
+            None,
+        ));
+    }
+    let deadline = job.spec.deadline.or(shared.config.default_deadline)?;
+    let waited = job.submitted.elapsed();
+    if waited < deadline {
+        return None;
+    }
+    let mut m = lock(&shared.metrics);
+    m.inc("serve.failed", 1);
+    m.inc("serve.deadline_exceeded", 1);
+    m.inc("serve.expired_in_queue", 1);
+    m.observe("serve.latency_us", waited.as_micros() as u64);
+    drop(m);
+    Some(JobReport {
+        id: job.id,
+        outcome: Err(ServeError::DeadlineExpiredInQueue { waited }),
+        attempts: 0,
+        backend: None,
+        latency: waited,
+    })
 }
 
 /// Wraps APSP interruptions around their checkpoint, records outcome
@@ -2000,6 +1961,15 @@ impl Attempt<'_> {
         fresh: Fresh<'_, E>,
         lanes: usize,
     ) -> Result<JobOutcome, McpError> {
+        let JobKind::Apsp {
+            checkpoint_every, ..
+        } = self.spec.kind
+        else {
+            return Err(McpError::InvariantViolation {
+                invariant: "only APSP jobs run as campaign waves",
+            });
+        };
+        let every = checkpoint_every.max(1);
         let metrics = &fresh.shared.metrics;
         let mut batch = fresh.batch(&replicate(&self.spec.graph, lanes))?;
         // The campaign is one job: deadline/cancel and the step budget apply
@@ -2008,12 +1978,6 @@ impl Attempt<'_> {
         if let Some(b) = self.budget {
             batch.ppa_mut().limit_steps(b);
         }
-        let every = match &self.spec.kind {
-            JobKind::Apsp {
-                checkpoint_every, ..
-            } => (*checkpoint_every).max(1),
-            _ => unreachable!("batched campaigns are APSP jobs"),
-        };
         let n = self.spec.graph.n();
         let mut cp = self.resume()?;
         while !cp.is_complete() {
