@@ -322,7 +322,7 @@ fn wall_tolerance_ns(committed: &WallStats, candidate: &WallStats) -> u64 {
 /// * schema/name/grid mismatches, step drift, and counter drift are
 ///   **hard failures** — these are deterministic, so any drift means the
 ///   measured algorithm changed without the baseline being re-recorded;
-/// * wall-clock regression beyond [`wall_tolerance_ns`] is a hard
+/// * wall-clock regression beyond `wall_tolerance_ns` is a hard
 ///   failure on a matching host fingerprint and a warning otherwise;
 /// * a wall-clock *improvement* beyond tolerance on a matching host is a
 ///   warning suggesting a re-baseline.

@@ -520,8 +520,8 @@ pub fn backend_run() -> BenchRun {
     t.note("outputs and per-class step reports are asserted identical before timing is");
     t.note("reported, and the packed session's backend.* ppa-obs counters are reconciled");
     t.note("exactly against its exec stats; the packed backend executes mask logic 64");
-    t.note("PEs per u64 word and reuses cached wired-OR plans keyed by (switch-pattern");
-    t.note("fingerprint, direction).");
+    t.note("PEs per u64 word and compiles each (direction, switch pattern) once into");
+    t.note("word masks that the session's wired-ORs and register broadcasts reuse.");
     BenchRun {
         table: t,
         baseline: Baseline::new("backend", entries),
@@ -1224,8 +1224,8 @@ pub fn faults_campaign(seed: u64) -> Table {
 /// [`ppa_serve::SolveService`] pool.
 ///
 /// Each scenario row reports throughput, p50/p99 latency (from the
-/// `serve.latency_us` histogram's [`quantile_bound`]
-/// [`ppa_obs::Histogram::quantile_bound`]), and the failure-class counts
+/// `serve.latency_us` histogram's
+/// [`quantile_bound`](ppa_obs::Histogram::quantile_bound)), and the failure-class counts
 /// — and every count is **reconciled 1:1** against what the client
 /// observed on its tickets (`reconciled` column). Completed results are
 /// re-verified against the host-side references, so the summary notes
@@ -2493,7 +2493,8 @@ fn degraded_matches_reference(w: &WeightMatrix, d: usize, r: &ppa_mcp::Recovered
 /// 3. **tmr correct** — the stuck-at grid again under correcting TMR:
 ///    every accepted output must be bit-identical to the fault-free
 ///    solo solve (sow, ptn, iterations, and the step ledger).
-/// 4. **quarantine drill** + **net flood** — a live [`SolveService`]
+/// 4. **quarantine drill** + **net flood** — a live
+///    [`SolveService`](ppa_serve::SolveService)
 ///    with a planted per-machine fault plan (one machine heals, one is
 ///    faulty forever), background scrubbing, and DMR redundancy: the
 ///    faulty machines must be quarantined and replaced, the healed one

@@ -4,9 +4,9 @@
 //! baseline.
 //!
 //! The drill flips one bit of every packed `vote` result — a mask
-//! kernel — or of every sum of the packed register adder (the
-//! `mutation-drill` feature of `ppa-machine`, never compiled into
-//! release binaries) and asserts that [`ppa_bench::measure_identical`]
+//! kernel — of every sum of the packed register adder, or of every
+//! result of the compiled wired-OR (the `mutation-drill` feature of
+//! `ppa-machine`, never compiled into release binaries) and asserts that [`ppa_bench::measure_identical`]
 //! — the exact helper the BK table runs every cell through before
 //! timing it — panics on each corrupted backend while passing on the
 //! healthy one. A panic inside `backend_run` aborts the `report` binary
@@ -86,6 +86,25 @@ fn one_bit_adder_corruption_trips_the_gate() {
     assert!(
         tripped.is_err(),
         "the bit-identity gate must fail on a one-bit register-adder corruption"
+    );
+}
+
+#[test]
+fn one_pe_wired_or_corruption_trips_the_gate() {
+    let (w, h, want) = reference();
+    let n = w.n();
+    let tripped = catch_unwind(AssertUnwindSafe(|| {
+        measure_identical(
+            &|| Ppa::with_backend(n, PackedBackend::with_perturbed_bus_or()).with_word_bits(h),
+            &w,
+            DRILL_DEST,
+            &want,
+            "drill, packed wired-OR",
+        )
+    }));
+    assert!(
+        tripped.is_err(),
+        "the bit-identity gate must fail on a one-PE wired-OR corruption"
     );
 }
 

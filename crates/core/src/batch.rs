@@ -6,7 +6,7 @@
 //! [`BatchSession`] lifts that assumption by packing `L` independent
 //! `n x n` problems side by side into one `n x (n * L)` machine (lane
 //! `l` owns columns `l*n .. (l+1)*n`, see
-//! [`LaneLayout`](ppa_machine::LaneLayout)) and retiring all of them in
+//! [`LaneLayout`]) and retiring all of them in
 //! a single replay of the paper's statement sequence. One batch solves
 //! a wavefront of `L` destinations of one graph, or up to
 //! [`MAX_LANES`] independent same-size graphs — bus-plan lookups and

@@ -18,10 +18,11 @@
 //! * **TMR** (`R = 3`) — the majority value is the healthy result: at
 //!   most one replica of a group can be corrupted by a single stuck-at
 //!   fault, so a 2-of-3 vote both detects *and corrects*, bit-identical
-//!   to a fault-free solo run (outputs **and** [`McpStats`] — the vote
+//!   to a fault-free solo run (outputs **and** [`McpStats`](crate::McpStats) — the vote
 //!   compares the full [`McpOutput`]).
 //!
-//! A disagreeing vote names its suspect lanes; [`LaneLayout::band`]
+//! A disagreeing vote names its suspect lanes;
+//! [`LaneLayout::band`](ppa_machine::LaneLayout::band)
 //! maps each suspect back to a physical column window, and a targeted
 //! BIST sweep ([`Machine::self_test`](ppa_machine::Machine::self_test)
 //! intersected with the suspect bands via

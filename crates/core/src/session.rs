@@ -1,6 +1,6 @@
 //! Reusable solver sessions: one machine, many destinations.
 //!
-//! [`mcp::minimum_cost_path`](crate::mcp::minimum_cost_path) is a one-shot
+//! [`mcp::minimum_cost_path`] is a one-shot
 //! entry point: every call rebuilds the `ROW`/`COL` registers, the derived
 //! masks, and the `W` layout from scratch. That is the right accounting
 //! for reproducing the paper's single-destination step counts, but it
@@ -14,7 +14,7 @@
 //! driver every entry point shares (`mcp::solve_lanes`): it only rebuilds
 //! the four destination masks before running the do-while loop, and — on a
 //! plan-caching backend such as
-//! [`PackedBackend`](ppa_machine::PackedBackend) — reuses the bus plans
+//! [`PackedBackend`] — reuses the bus plans
 //! and mask buffers warmed up by earlier solves. When a metrics registry
 //! is attached, every solve publishes the backend's plan-cache and arena
 //! deltas under `backend.*`.
@@ -88,7 +88,7 @@ impl<E: Executor> McpSession<E> {
     /// Solves for one destination on the prepared planes.
     ///
     /// Result-identical to
-    /// [`mcp::minimum_cost_path`](crate::mcp::minimum_cost_path) on the
+    /// [`mcp::minimum_cost_path`] on the
     /// same machine; only the per-run step report is smaller because the
     /// shared setup is amortized across the session.
     ///
@@ -99,7 +99,7 @@ impl<E: Executor> McpSession<E> {
     }
 
     /// [`McpSession::solve`] with the host-side invariant checks of
-    /// [`mcp::minimum_cost_path_verified`](crate::mcp::minimum_cost_path_verified).
+    /// [`mcp::minimum_cost_path_verified`].
     ///
     /// # Errors
     /// Any solver failure, including

@@ -98,7 +98,7 @@ pub fn broadcast<T: Copy>(
 /// segment spans the whole line) and reported in the returned `driverless`
 /// list (sorted ascending). [`bus_or`] uses the keys directly; [`broadcast`]
 /// treats a non-empty `driverless` list as a [`MachineError::BusFault`].
-/// The packed backend's bus-plan cache stores exactly this derivation.
+/// The packed backend compiles the same clusters into word masks.
 pub fn cluster_keys(dim: Dim, dir: Direction, open: &[bool]) -> (Vec<u32>, Vec<usize>) {
     let axis = dir.axis();
     let lines = dim.lines(axis);

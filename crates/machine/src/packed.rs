@@ -1,8 +1,8 @@
 //! The packed execution backend: 64-PE bitset masks, bit-sliced integer
-//! registers, a recycling word arena, plan-free broadcasts, and a bus-plan
-//! cache for the wired-OR.
+//! registers, a recycling word arena, and switch patterns compiled once
+//! into word masks for the mask and register bus operations.
 //!
-//! [`PackedBackend`] implements [`Executor`] with five wall-clock levers
+//! [`PackedBackend`] implements [`Executor`] with four wall-clock levers
 //! the scalar reference backend lacks:
 //!
 //! * **Packed masks** — every mask is a [`PackedMask`]: 64 PEs per `u64`
@@ -15,18 +15,44 @@
 //!   XORs; a masked write is one word blend per plane. Values are sliced
 //!   into planes once, when they are loaded (8×8 bit-matrix transposes).
 //! * **Word arena** — mask and register words are recycled through a
-//!   shared [`WordPool`], bucketed by length; after warm-up a solve
+//!   shared `WordPool`, bucketed by length; after warm-up a solve
 //!   allocates nothing.
-//! * **Plan-free broadcasts** — a cluster-head broadcast reads the packed
-//!   Open words directly. Row buses derive one piece list per Open mask
-//!   and replay it on every bit-plane; column buses carry one row image
-//!   per plane, updated with word ops at each row's Open bits and copied
-//!   into each output row. No cluster plan is derived or cached.
-//! * **Bus-plan cache** — the wired-OR's cluster resolution
-//!   (`bus::cluster_keys`) is computed once per distinct (direction,
-//!   Open-mask) switch configuration and reused; the MCP inner loop
-//!   replays the same configuration across all h bit passes, so nearly
-//!   every wired-OR hits the cache.
+//! * **Compiled switch patterns** — the first time a (direction, Open
+//!   mask) pattern is seen it is compiled into word masks, in the form its
+//!   shape runs fastest:
+//!   - row buses whose clusters are exactly the aligned slots of 1–64
+//!     bits (rows of 8, 16, 32 or 64 columns with one Open PE each, and
+//!     lanes whose Open PE sits at the lane's upstream end) fill every
+//!     slot that holds a set bit with a handful of word ops;
+//!   - other East patterns with at least one Open PE per word (the scans'
+//!     survivor sets in lanes of n ≤ 64) cut the rows into runs at the
+//!     Open PEs and carry values along them with one add per word;
+//!   - every other row pattern (sparser East sets, which run faster this
+//!     way, and rows that straddle words, as at n = 96) keeps its one-PE
+//!     clusters as a word mask and every other cluster as a list of word
+//!     pieces;
+//!   - column buses with at most one Open PE per column fold a plane by
+//!     its row period into one row image and tile it back;
+//!   - any other column pattern carries row images along the columns.
+//!
+//!   The wired-OR runs the compiled form on one bit-plane. Each cluster
+//!   holds exactly one Open PE, its head, so once the pattern's
+//!   driverless-line list is empty a register broadcast is, plane by
+//!   plane, the wired-OR of `src & open` over the same clusters. The
+//!   carry-chain and word-piece forms broadcast more directly: chains carry
+//!   each head's bit up to the next Open PE, and word pieces read each
+//!   head's value once and fill its cluster in the planes of the value's
+//!   one bits.
+//!   Compiled patterns are cached, the most recent one checked before any
+//!   hashing. A pattern that has not been reused yet is held on probation:
+//!   once four such are held a new pattern evicts the oldest of them, so
+//!   the scans' survivor sets, which change on every call, never push out
+//!   any of the four most recently used replayed patterns (the MCP loop
+//!   replays three or four).
+//!
+//! Plane broadcasts of an arbitrary `T` run the bus reference (the
+//! [`Executor::broadcast`] default); the plane wired-OR packs its operands
+//! and runs the compiled pattern.
 //!
 //! Semantics are bit-identical to [`ScalarBackend`](crate::ScalarBackend):
 //! the differential suites in `tests/backend_diff.rs` assert values *and*
@@ -36,16 +62,23 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
 
-use crate::bus;
 use crate::error::MachineError;
 use crate::geometry::{Axis, Dim, Direction};
 use crate::isa::{ExecStats, Executor};
 use crate::machine::Machine;
 use crate::plane::Plane;
 
-/// Retained bus plans; the MCP loop needs ~5 distinct configurations, so a
-/// small LRU never evicts a live plan while tolerating mask churn.
-const PLAN_CACHE_CAP: usize = 32;
+/// Retained switch patterns. The MCP loop replays three or four per solve
+/// (`COL == n - 1` West, `ROW == COL` and `ROW == d` South); a survivor-set
+/// pattern in lanes holds tens of KiB, so the cache stays small.
+const PLAN_CACHE_CAP: usize = 8;
+
+/// Compiled patterns that have not been reused yet. A new pattern evicts
+/// the oldest of them once this many are held, and the least recently used
+/// pattern of all only when fewer are held and the cache is full. So masks
+/// that change on every call (the scans' survivor sets) never push out any
+/// of the `PLAN_CACHE_CAP - PROBATION` most recently used replayed plans.
+const PROBATION: usize = 4;
 
 /// Number of words needed to back one bit per PE of `dim`.
 fn words_for(dim: Dim) -> usize {
@@ -60,7 +93,7 @@ fn range_mask(start: usize, end: usize) -> u64 {
 
 /// The `(word index, in-word mask)` pieces of the flat bit range
 /// `start..end`, in ascending order.
-fn pieces(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
+fn word_pieces(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
     let mut i = start;
     std::iter::from_fn(move || {
         (i < end).then(|| {
@@ -75,12 +108,12 @@ fn pieces(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
 
 /// Whether any bit in `start..end` of a flat bitset is set.
 fn range_any(words: &[u64], start: usize, end: usize) -> bool {
-    pieces(start, end).any(|(wi, m)| words[wi] & m != 0)
+    word_pieces(start, end).any(|(wi, m)| words[wi] & m != 0)
 }
 
 /// Sets every bit in `start..end` of a flat bitset.
 fn set_range(words: &mut [u64], start: usize, end: usize) {
-    for (wi, m) in pieces(start, end) {
+    for (wi, m) in word_pieces(start, end) {
         words[wi] |= m;
     }
 }
@@ -88,7 +121,7 @@ fn set_range(words: &mut [u64], start: usize, end: usize) {
 /// Calls `f` with the position of every set bit in `start..end` of a flat
 /// bitset, in ascending order.
 fn for_each_set_bit_in(words: &[u64], start: usize, end: usize, mut f: impl FnMut(usize)) {
-    for (wi, m) in pieces(start, end) {
+    for (wi, m) in word_pieces(start, end) {
         let mut bits = words[wi] & m;
         while bits != 0 {
             f(wi * 64 + bits.trailing_zeros() as usize);
@@ -228,47 +261,6 @@ fn bus_fault(dir: Direction, lines: Vec<usize>) -> MachineError {
     }
 }
 
-/// Column buses: one row of head values is carried along the movement
-/// direction, updated at each row's Open bits and copied into that output
-/// row. A first pass primes it with each column's last head, which drives
-/// the PEs before the column's first Open node.
-fn broadcast_cols<T: Copy>(
-    dim: Dim,
-    src: &[T],
-    dir: Direction,
-    open: &[u64],
-) -> Result<Vec<T>, Vec<usize>> {
-    let (rows, cols) = (dim.rows, dim.cols);
-    let row_at = |pos: usize| {
-        if dir.is_increasing() {
-            pos
-        } else {
-            rows - 1 - pos
-        }
-    };
-    // Placeholder values: every driven column is overwritten by pass 1.
-    let mut carried = src[..cols].to_vec();
-    let mut driven = vec![false; cols];
-    for pos in 0..rows {
-        let base = row_at(pos) * cols;
-        for_each_set_bit_in(open, base, base + cols, |p| {
-            carried[p - base] = src[p];
-            driven[p - base] = true;
-        });
-    }
-    let driverless: Vec<usize> = (0..cols).filter(|&c| !driven[c]).collect();
-    if !driverless.is_empty() {
-        return Err(driverless);
-    }
-    let mut out = src.to_vec();
-    for pos in 0..rows {
-        let base = row_at(pos) * cols;
-        for_each_set_bit_in(open, base, base + cols, |p| carried[p - base] = src[p]);
-        out[base..base + cols].copy_from_slice(&carried);
-    }
-    Ok(out)
-}
-
 /// The first set bit at or after `from` and before `limit` of a flat
 /// bitset, or `limit` when there is none.
 fn next_set(words: &[u64], from: usize, limit: usize) -> usize {
@@ -308,284 +300,6 @@ fn prev_set(words: &[u64], floor: usize, before: usize) -> Option<usize> {
     }
 }
 
-/// Splits the Open PEs of a row-bus pattern into `alone` heads, whose
-/// cluster is the head itself (the next PE downstream in its row is Open
-/// too, or it sits at the row's downstream end), and `drivers`, the rest.
-fn find_alone(
-    dim: Dim,
-    increasing: bool,
-    open: &[u64],
-    alone: &mut Vec<u64>,
-    drivers: &mut Vec<u64>,
-) {
-    alone.extend(open.iter().enumerate().map(|(wi, &w)| {
-        if increasing {
-            w >> 1 | open.get(wi + 1).map_or(0, |&n| n << 63)
-        } else {
-            w << 1 | wi.checked_sub(1).map_or(0, |p| open[p] >> 63)
-        }
-    }));
-    for r in 0..dim.rows {
-        let end = if increasing {
-            (r + 1) * dim.cols - 1
-        } else {
-            r * dim.cols
-        };
-        set_bit(alone, end);
-    }
-    for (a, &o) in alone.iter_mut().zip(open) {
-        *a &= o;
-        drivers.push(o & !*a);
-    }
-}
-
-/// The cluster structure of one row-bus broadcast, derived once per Open
-/// mask and replayed on every bit-plane of a register. A cluster longer
-/// than one PE is a segment of flat PEs filled with its head's value; a
-/// head whose cluster is itself alone (the next PE downstream is also
-/// Open) drives only itself, so runs of Open PEs are found with word
-/// shifts and cost one copy mask per word — dense Open masks, such as the
-/// ties of an all-`MAXINT` row, stay cheap.
-#[derive(Debug, Clone, Default)]
-struct RowPieces {
-    /// `(start, end, head)` flat ranges; a single-head row is one segment.
-    segs: Vec<(usize, usize, usize)>,
-    /// `(word, mask)` of the one-PE clusters.
-    copies: Vec<(usize, u64)>,
-    /// The one-PE-cluster heads, then the other heads, as flat bitsets.
-    alone: Vec<u64>,
-    drivers: Vec<u64>,
-    /// The geometry and Open words the pieces were derived from (no words:
-    /// none). The MCP loop replays one West pattern (`COL == n - 1`) for a
-    /// whole session.
-    key: (Option<Dim>, Vec<u64>),
-}
-
-impl RowPieces {
-    /// Derives the pieces for `open` unless they are already held; the
-    /// driverless rows, ascending, are the error.
-    fn derive(&mut self, dim: Dim, dir: Direction, open: &[u64]) -> Result<(), Vec<usize>> {
-        if self.key.0 == Some(dim) && self.key.1 == open {
-            return Ok(());
-        }
-        self.key.1.clear();
-        self.derive_afresh(dim, dir, open)?;
-        self.key = (Some(dim), std::mem::take(&mut self.key.1));
-        self.key.1.extend_from_slice(open);
-        Ok(())
-    }
-
-    fn derive_afresh(&mut self, dim: Dim, dir: Direction, open: &[u64]) -> Result<(), Vec<usize>> {
-        let cols = dim.cols;
-        let increasing = dir.is_increasing();
-        let RowPieces {
-            segs,
-            copies,
-            alone,
-            drivers,
-            ..
-        } = self;
-        segs.clear();
-        copies.clear();
-        alone.clear();
-        drivers.clear();
-        let mut push = |s: usize, e: usize, head: usize| match segs.last_mut() {
-            Some((_, end, h)) if *end == s && *h == head => *end = e,
-            _ => segs.push((s, e, head)),
-        };
-        let mut driverless = Vec::new();
-        for r in 0..dim.rows {
-            let (base, end) = (r * cols, (r + 1) * cols);
-            let first = next_set(open, base, end);
-            let Some(last) = prev_set(open, base, end) else {
-                driverless.push(r);
-                continue;
-            };
-            if !driverless.is_empty() {
-                continue; // the broadcast faults; only later lines matter
-            }
-            if first == last {
-                // One head drives the whole (circular) row.
-                push(base, end, first);
-                continue;
-            }
-            if alone.is_empty() {
-                find_alone(dim, increasing, open, alone, drivers);
-            }
-            // The wrap segment: before the first head eastward (driven by
-            // the last), after the last head westward (driven by the first).
-            if increasing && first > base {
-                push(base, first, last);
-            }
-            // Eastward a head drives up to the next Open node; westward
-            // back to the previous one.
-            for_each_set_bit_in(drivers, base, end, |head| {
-                if increasing {
-                    push(head, next_set(open, head + 1, end), head);
-                } else {
-                    push(
-                        prev_set(open, base, head).map_or(base, |q| q + 1),
-                        head + 1,
-                        head,
-                    );
-                }
-            });
-            if !increasing && last + 1 < end {
-                push(last + 1, end, first);
-            }
-        }
-        if !driverless.is_empty() {
-            return Err(driverless);
-        }
-        // A single-head row's head may be marked alone too; copying its
-        // own bit under its fill is harmless.
-        copies.extend(
-            alone
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a != 0)
-                .map(|(wi, &a)| (wi, a)),
-        );
-        Ok(())
-    }
-
-    /// Broadcasts every bit-plane of `src` (`nw` words each) into the
-    /// zeroed planes of `out`. Each segment reads its head's value once,
-    /// then sets its range in the planes of the value's one bits.
-    fn apply(&self, nw: usize, src: &[u64], out: &mut [u64]) {
-        for (s, o) in src.chunks(nw).zip(out.chunks_mut(nw)) {
-            for &(wi, m) in &self.copies {
-                o[wi] |= s[wi] & m;
-            }
-        }
-        let bits = src.len() / nw.max(1);
-        for &(start, end, head) in &self.segs {
-            let (hw, hb) = (head / 64, head % 64);
-            let value = (0..bits).fold(0u64, |v, j| v | ((src[j * nw + hw] >> hb) & 1) << j);
-            if value == 0 {
-                continue;
-            }
-            for (wi, m) in pieces(start, end) {
-                let mut ones = value;
-                while ones != 0 {
-                    out[ones.trailing_zeros() as usize * nw + wi] |= m;
-                    ones &= ones - 1;
-                }
-            }
-        }
-    }
-}
-
-/// The Open pattern of one column-bus broadcast, analysed once and replayed
-/// on every bit-plane of a register.
-#[derive(Debug, Clone, Default)]
-struct ColHeads {
-    /// Per column, the flat index of its Open node — meaningful when every
-    /// column has exactly one (`single`): then each column is one cluster
-    /// and every output row is the same image.
-    heads: Vec<usize>,
-    single: bool,
-    /// Row `r`'s Open bits at words `r * rw..(r + 1) * rw` (multi-head
-    /// patterns only).
-    open_rows: Vec<u64>,
-    /// Working rows: source rows, the carried image, the tiling period.
-    rows: Vec<u64>,
-    image: Vec<u64>,
-    pattern: Vec<u64>,
-}
-
-impl ColHeads {
-    /// Analyses `open`; the driverless columns, ascending, are the error.
-    fn derive(&mut self, dim: Dim, open: &[u64]) -> Result<(), Vec<usize>> {
-        let (rows, cols, rw) = (dim.rows, dim.cols, dim.cols.div_ceil(64));
-        const NONE: usize = usize::MAX;
-        self.heads.clear();
-        self.heads.resize(cols, NONE);
-        self.single = true;
-        // One walk over the Open bits in flat order, tracking the row.
-        let mut base = 0;
-        for (wi, &w) in open.iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                let p = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                while p >= base + cols {
-                    base += cols;
-                }
-                let head = &mut self.heads[p - base];
-                self.single &= *head == NONE;
-                *head = p;
-            }
-        }
-        let driverless: Vec<usize> = (0..cols).filter(|&c| self.heads[c] == NONE).collect();
-        if !driverless.is_empty() {
-            return Err(driverless);
-        }
-        if !self.single {
-            self.open_rows.clear();
-            self.open_rows.resize(rows * rw, 0);
-            for r in 0..rows {
-                read_bits(open, r * cols, cols, &mut self.open_rows[r * rw..]);
-            }
-        }
-        Ok(())
-    }
-
-    /// Broadcasts one bit-plane `src` into the zeroed plane `out`.
-    fn apply(&mut self, dim: Dim, dir: Direction, open: &[u64], src: &[u64], out: &mut [u64]) {
-        let (rows, cols, rw) = (dim.rows, dim.cols, dim.cols.div_ceil(64));
-        self.image.clear();
-        self.image.resize(rw, 0);
-        if self.single {
-            // One head per column: every output row is the image of the
-            // heads' bits. When `cols` divides 64 every word holds whole
-            // rows in the same slots, so the image is an OR-fold of
-            // `src & open`, then of the slots, halving; otherwise each
-            // column's head bit is gathered.
-            if row_period(cols) == 1 {
-                let mut w = src.iter().zip(open).fold(0, |acc, (&x, &y)| acc | (x & y));
-                let mut width = 64;
-                while width > cols {
-                    width /= 2;
-                    w |= w >> width;
-                }
-                self.image[0] = w & range_mask(0, cols);
-            } else {
-                for (c, &p) in self.heads.iter().enumerate() {
-                    self.image[c / 64] |= ((src[p / 64] >> (p % 64)) & 1) << (c % 64);
-                }
-            }
-            tile_rows(dim, &self.image, &mut self.pattern, out);
-            return;
-        }
-        self.rows.clear();
-        self.rows.resize(rows * rw, 0);
-        for r in 0..rows {
-            read_bits(src, r * cols, cols, &mut self.rows[r * rw..]);
-        }
-        // Pass 0 primes each column with its last head in movement order
-        // (the driver of the PEs before its first Open node); pass 1
-        // updates `(carried & !open) | (src & open)` and writes each row.
-        for pass in 0..2 {
-            for pos in 0..rows {
-                let r = if dir.is_increasing() {
-                    pos
-                } else {
-                    rows - 1 - pos
-                };
-                let open = &self.open_rows[r * rw..(r + 1) * rw];
-                let row = &self.rows[r * rw..(r + 1) * rw];
-                for ((c, &o), &s) in self.image.iter_mut().zip(open).zip(row) {
-                    *c = (*c & !o) | (s & o);
-                }
-                if pass == 1 {
-                    write_bits(out, r * cols, cols, &self.image);
-                }
-            }
-        }
-    }
-}
-
 /// Rows of `cols` bits repeat every `cols / gcd(cols, 64)` words.
 fn row_period(cols: usize) -> usize {
     cols >> cols.trailing_zeros().min(6)
@@ -619,12 +333,612 @@ fn tile_rows(dim: Dim, image: &[u64], pattern: &mut Vec<u64>, out: &mut [u64]) {
     for r in 0..period * 64 / cols {
         write_bits(pattern, r * cols, cols, image);
     }
-    for (k, &p) in pattern.iter().enumerate() {
-        for w in out[k..].iter_mut().step_by(period) {
-            *w = p;
-        }
+    for chunk in out.chunks_mut(period) {
+        chunk.copy_from_slice(&pattern[..chunk.len()]);
     }
     trim_to(out, dim.len());
+}
+
+/// All ones in the low `width` bits (`width` at most 64).
+fn ones(width: u32) -> u64 {
+    if width >= 64 {
+        !0
+    } else {
+        (1 << width) - 1
+    }
+}
+
+/// Fills every aligned `width`-bit slot of a word that holds a set bit
+/// (`width` a power of two up to 64): per slot, adding the slot's bits
+/// below its top to all ones below its top carries into the top bit
+/// exactly when one of them is set; then each top bit `t` becomes the
+/// slot's fill `2t - (t >> (width - 1))`, with no multiply.
+#[derive(Debug, Clone, Copy)]
+struct SlotFill {
+    width: u32,
+    /// Bit 0 of every slot.
+    lows: u64,
+    /// Every bit of every slot but its top one.
+    rest: u64,
+}
+
+impl SlotFill {
+    fn new(width: u32) -> Self {
+        let lows = !0 / ones(width);
+        SlotFill {
+            width,
+            lows,
+            rest: (lows << (width - 1)) - lows,
+        }
+    }
+
+    #[inline]
+    fn apply(self, w: u64) -> u64 {
+        let tops = (((w & self.rest) + self.rest) | w) & (self.rest + self.lows);
+        (tops << 1).wrapping_sub(tops >> (self.width - 1))
+    }
+}
+
+/// The slot width when the clusters of a row pattern are exactly the
+/// aligned slots of the flat bitset: rows of a power-of-two width up to 64
+/// with at most one Open PE each (a row with none is one floating
+/// cluster), or rows cut into narrower power-of-two slots whose Open PEs
+/// are exactly the slots' upstream ends (lanes). Widest first.
+fn slot_width(dim: Dim, increasing: bool, open: &[u64]) -> Option<SlotFill> {
+    let (cols, len) = (dim.cols, dim.len());
+    (0..=6u32)
+        .rev()
+        .map(|k| 1u32 << k)
+        .filter(|&s| cols % s as usize == 0)
+        .find(|&s| {
+            if s as usize == cols {
+                return open.iter().all(|&w| {
+                    (0..64)
+                        .step_by(s as usize)
+                        .all(|at| ((w >> at) & ones(s)).count_ones() <= 1)
+                });
+            }
+            let lows = !0 / ones(s);
+            let ends = if increasing { lows } else { lows << (s - 1) };
+            open.iter()
+                .enumerate()
+                .all(|(wi, &w)| w == ends & range_mask(0, (len - wi * 64).min(64)))
+        })
+        .map(SlotFill::new)
+}
+
+/// Sets `alone` to the one-PE clusters of a row pattern: the Open PEs whose
+/// downstream neighbour in their row, cyclically, is Open too.
+fn one_pe_clusters(dim: Dim, increasing: bool, open: &[u64], alone: &mut Vec<u64>) {
+    alone.extend(open.iter().enumerate().map(|(wi, &w)| {
+        w & if increasing {
+            w >> 1 | open.get(wi + 1).map_or(0, |&n| n << 63)
+        } else {
+            w << 1 | wi.checked_sub(1).map_or(0, |p| open[p] >> 63)
+        }
+    }));
+    for r in 0..dim.rows {
+        let (base, end) = (r * dim.cols, (r + 1) * dim.cols);
+        let (at, wrap) = if increasing {
+            (end - 1, base)
+        } else {
+            (base, end - 1)
+        };
+        alone[at / 64] &= !(1 << (at % 64));
+        if test_bit(open, at) && test_bit(open, wrap) {
+            set_bit(alone, at);
+        }
+    }
+}
+
+/// The head of a driverless row's floating cluster.
+const NO_HEAD: u32 = u32::MAX;
+
+/// How a compiled switch pattern runs, chosen from its shape.
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    /// Row buses whose clusters are exactly the aligned slots.
+    Slots(SlotFill),
+    /// Any other East pattern with at least as many Open PEs as words:
+    /// carry chains cut at `bounds`, with `wraps`.
+    Chain,
+    /// Any other row pattern: `alone` plus the word pieces of `clusters`.
+    Runs,
+    /// Column buses with at most one Open PE per column: every column is
+    /// one cluster.
+    Fold,
+    /// Any other column pattern: the Open row images in `rows`.
+    Carry,
+}
+
+/// One (direction, Open mask) switch pattern compiled into word masks.
+#[derive(Debug, Clone)]
+struct Switch {
+    dim: Dim,
+    dir: Direction,
+    fp: u64,
+    open: Vec<u64>,
+    /// Looked up again since it was compiled (see [`PROBATION`]).
+    reused: bool,
+    /// The lookup clock of its last use.
+    used: u64,
+    /// Lines with no Open PE, ascending: a broadcast faults on them, and
+    /// the wired-OR treats each as one floating cluster.
+    driverless: Vec<usize>,
+    form: Form,
+    /// `Chain`: the Open PEs and the first PE of every row.
+    bounds: Vec<u64>,
+    /// `Chain`: `(first PE, last head)` of every row whose first PE is
+    /// driven by its last head, round the end of the row.
+    wraps: Vec<(u32, u32)>,
+    /// `Runs`: the one-PE clusters as a bitset, left empty when every row
+    /// has at most one head.
+    alone: Vec<u64>,
+    /// `Runs`: every other cluster as `(head, end)`, its word pieces being
+    /// `pieces[previous end..end]`; a driverless row's head is `NO_HEAD`.
+    clusters: Vec<(u32, u32)>,
+    pieces: Vec<(u32, u64)>,
+    /// `Carry`: the Open bits of row `r` at words `r * rw..(r + 1) * rw`.
+    rows: Vec<u64>,
+    /// `Fold` on rows narrower than a word that straddle words: each
+    /// column's Open PE.
+    heads: Vec<u32>,
+}
+
+impl Switch {
+    fn new(dim: Dim, dir: Direction) -> Self {
+        Switch {
+            dim,
+            dir,
+            fp: 0,
+            open: Vec::new(),
+            reused: false,
+            used: 0,
+            driverless: Vec::new(),
+            form: Form::Runs,
+            bounds: Vec::new(),
+            wraps: Vec::new(),
+            alone: Vec::new(),
+            clusters: Vec::new(),
+            pieces: Vec::new(),
+            rows: Vec::new(),
+            heads: Vec::new(),
+        }
+    }
+
+    /// Compiles `open` along `dir` into this slot, reusing its buffers.
+    fn compile(&mut self, dim: Dim, dir: Direction, fp: u64, open: &[u64]) {
+        (self.dim, self.dir, self.fp, self.reused) = (dim, dir, fp, false);
+        self.open.clear();
+        self.open.extend_from_slice(open);
+        self.driverless.clear();
+        self.bounds.clear();
+        self.wraps.clear();
+        self.alone.clear();
+        self.clusters.clear();
+        self.pieces.clear();
+        self.rows.clear();
+        self.heads.clear();
+        self.form = match dir.axis() {
+            Axis::Row => self.compile_rows(),
+            Axis::Col => self.compile_cols(),
+        };
+    }
+
+    fn compile_rows(&mut self) -> Form {
+        let Switch {
+            dim,
+            dir,
+            open,
+            driverless,
+            bounds,
+            wraps,
+            alone,
+            clusters,
+            pieces,
+            ..
+        } = self;
+        let (rows, cols, increasing) = (dim.rows, dim.cols, dir.is_increasing());
+        if let Some(fill) = slot_width(*dim, increasing, open) {
+            // Narrower slots than the row put an Open PE in every slot.
+            if fill.width as usize == cols {
+                driverless
+                    .extend((0..rows).filter(|&r| !range_any(open, r * cols, (r + 1) * cols)));
+            }
+            return Form::Slots(fill);
+        }
+        // Chains cost a few word ops per word and plane, pieces a few per
+        // cluster and piece. Measured (EXPERIMENTS.md § BK): with fewer
+        // Open PEs than words (one per row at n = 80–128) pieces run the
+        // scans' sets 1.5–2× faster; with at least as many (lanes of
+        // n ≤ 64) chains run them 1.1–3.6× faster.
+        let heads = open.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        if increasing && heads >= open.len() {
+            bounds.extend_from_slice(open);
+            for r in 0..rows {
+                let (base, end) = (r * cols, (r + 1) * cols);
+                set_bit(bounds, base);
+                match prev_set(open, base, end) {
+                    None => driverless.push(r),
+                    Some(last) if !test_bit(open, base) => wraps.push((base as u32, last as u32)),
+                    Some(_) => {}
+                }
+            }
+            return Form::Chain;
+        }
+        let mut add = |ranges: [(usize, usize); 2], head: u32| {
+            let first = pieces.len();
+            for (mut i, end) in ranges {
+                while i < end {
+                    let (wi, off) = ((i / 64) as u32, i % 64);
+                    let take = (64 - off).min(end - i);
+                    let m = range_mask(off, off + take);
+                    match pieces[first..].last_mut() {
+                        Some((w, pm)) if *w == wi => *pm |= m,
+                        _ => pieces.push((wi, m)),
+                    }
+                    i += take;
+                }
+            }
+            clusters.push((head, pieces.len() as u32));
+        };
+        for r in 0..rows {
+            let (base, end) = (r * cols, (r + 1) * cols);
+            let Some(last) = prev_set(open, base, end) else {
+                driverless.push(r);
+                add([(base, end), (0, 0)], NO_HEAD);
+                continue;
+            };
+            let first = next_set(open, base, end);
+            if first == last {
+                // One head drives the whole row.
+                add([(base, end), (0, 0)], first as u32);
+                continue;
+            }
+            if alone.is_empty() {
+                one_pe_clusters(*dim, increasing, open, alone);
+            }
+            for (wi, m) in word_pieces(base, end) {
+                let mut heads = open[wi] & !alone[wi] & m;
+                while heads != 0 {
+                    let h = wi * 64 + heads.trailing_zeros() as usize;
+                    heads &= heads - 1;
+                    // A head drives downstream up to the next Open PE; the
+                    // row's last head in movement order wraps round.
+                    let ranges = if increasing {
+                        match (h + 1 < end).then(|| next_set(open, h + 1, end)) {
+                            Some(next) if next < end => [(h, next), (0, 0)],
+                            _ => [(h, end), (base, first)],
+                        }
+                    } else {
+                        match prev_set(open, base, h) {
+                            Some(q) => [(q + 1, h + 1), (0, 0)],
+                            None => [(base, h + 1), (last + 1, end)],
+                        }
+                    };
+                    add(ranges, h as u32);
+                }
+            }
+        }
+        Form::Runs
+    }
+
+    fn compile_cols(&mut self) -> Form {
+        let (rows, cols) = (self.dim.rows, self.dim.cols);
+        let rw = cols.div_ceil(64);
+        self.rows.resize(rows * rw, 0);
+        for r in 0..rows {
+            read_bits(&self.open, r * cols, cols, &mut self.rows[r * rw..]);
+        }
+        // Columns with an Open PE, and columns with two.
+        let (mut seen, mut twice) = (vec![0u64; rw], vec![0u64; rw]);
+        for row in self.rows.chunks(rw) {
+            for ((s, t), &o) in seen.iter_mut().zip(&mut twice).zip(row) {
+                *t |= *s & o;
+                *s |= o;
+            }
+        }
+        self.driverless
+            .extend((0..cols).filter(|&c| !test_bit(&seen, c)));
+        if twice.iter().any(|&t| t != 0) {
+            return Form::Carry;
+        }
+        if cols < 64 && row_period(cols) > 1 {
+            // Rows narrower than a word that straddle words: folding by
+            // the period would read every row, so broadcasts read each
+            // column's head directly.
+            self.heads.resize(cols, 0);
+            for (r, row) in self.rows.chunks(rw).enumerate() {
+                let mut bits = row[0];
+                while bits != 0 {
+                    let c = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.heads[c] = (r * cols + c) as u32;
+                }
+            }
+        }
+        self.rows.clear();
+        Form::Fold
+    }
+
+    /// The wired-OR of the bit-plane `v`, ANDed with `gate` when given,
+    /// into the zeroed plane `out`.
+    fn wired_or(&self, v: &[u64], gate: Option<&[u64]>, out: &mut [u64], s: &mut Scratch) {
+        let word = |wi: usize| v[wi] & gate.map_or(!0, |g| g[wi]);
+        match self.form {
+            Form::Slots(fill) => match gate {
+                None => {
+                    for (o, &x) in out.iter_mut().zip(v) {
+                        *o = fill.apply(x);
+                    }
+                }
+                Some(g) => {
+                    for ((o, &x), &y) in out.iter_mut().zip(v).zip(g) {
+                        *o = fill.apply(x & y);
+                    }
+                }
+            },
+            Form::Chain => {
+                // Prefixes within the runs between bounds, then each run's
+                // total handed back down from its last PE; a row's first
+                // and last runs form one cluster when the row wraps.
+                for (wi, o) in out.iter_mut().enumerate() {
+                    *o = word(wi);
+                }
+                spread_up(&self.bounds, out);
+                spread_down(&self.bounds, out, self.dim.len());
+                let cols = self.dim.cols;
+                for &(start, last) in &self.wraps {
+                    let (start, last, end) = (start as usize, last as usize, start as usize + cols);
+                    if test_bit(out, start) || test_bit(out, end - 1) {
+                        set_range(out, start, next_set(&self.open, start, end));
+                        set_range(out, last, end);
+                    }
+                }
+            }
+            Form::Runs => {
+                for (wi, &a) in self.alone.iter().enumerate().filter(|&(_, &a)| a != 0) {
+                    out[wi] = word(wi) & a;
+                }
+                let mut start = 0;
+                for &(_, end) in &self.clusters {
+                    let cluster = &self.pieces[start..end as usize];
+                    start = end as usize;
+                    if cluster.iter().any(|&(w, m)| word(w as usize) & m != 0) {
+                        for &(w, m) in cluster {
+                            out[w as usize] |= m;
+                        }
+                    }
+                }
+            }
+            Form::Fold => fold_cols(self.dim, v, gate, out, s),
+            Form::Carry => {
+                let mut vals = std::mem::take(&mut s.vals);
+                vals.clear();
+                vals.extend((0..out.len()).map(word));
+                carry_cols(self.dim, self.dir, &self.rows, &vals, out, s);
+                s.vals = vals;
+            }
+        }
+    }
+
+    /// Broadcasts every `nw`-word bit-plane of `src` into the zeroed planes
+    /// of `out`. The caller has checked that the pattern drives every line.
+    fn broadcast(&self, nw: usize, src: &[u64], out: &mut [u64], s: &mut Scratch) {
+        let planes = src.chunks(nw).zip(out.chunks_mut(nw));
+        match self.form {
+            Form::Chain => {
+                // Each head's value carried up to the next bound; a row's
+                // first PE, when no head, starts with its last head's value.
+                for (x, o) in planes {
+                    for ((o, &x), &h) in o.iter_mut().zip(x).zip(&self.open) {
+                        *o = x & h;
+                    }
+                    for &(start, last) in &self.wraps {
+                        if test_bit(x, last as usize) {
+                            set_bit(o, start as usize);
+                        }
+                    }
+                    spread_up(&self.bounds, o);
+                    trim_to(o, self.dim.len());
+                }
+            }
+            Form::Runs => {
+                // One-PE clusters keep their own bits; every other cluster
+                // reads its head's value once and fills its pieces in the
+                // planes of the value's one bits.
+                let bits = src.len() / nw;
+                for (wi, &a) in self.alone.iter().enumerate().filter(|&(_, &a)| a != 0) {
+                    for j in 0..bits {
+                        out[j * nw + wi] = src[j * nw + wi] & a;
+                    }
+                }
+                let mut start = 0;
+                for &(head, end) in &self.clusters {
+                    let cluster = &self.pieces[start..end as usize];
+                    start = end as usize;
+                    let (hw, hb) = (head as usize / 64, head % 64);
+                    let mut ones =
+                        (0..bits).fold(0, |v, j| v | ((src[j * nw + hw] >> hb) & 1) << j);
+                    while ones != 0 {
+                        let plane = ones.trailing_zeros() as usize * nw;
+                        ones &= ones - 1;
+                        for &(w, m) in cluster {
+                            out[plane + w as usize] |= m;
+                        }
+                    }
+                }
+            }
+            Form::Fold if !self.heads.is_empty() => {
+                for (x, o) in planes {
+                    let line = self.heads.iter().enumerate().fold(0, |line, (c, &p)| {
+                        line | ((x[p as usize / 64] >> (p % 64)) & 1) << c
+                    });
+                    tile_rows(self.dim, &[line], &mut s.pattern, o);
+                }
+            }
+            // Each cluster holds one Open PE, its head, so plane by plane the
+            // broadcast is the wired-OR of `src & open`.
+            Form::Slots(_) | Form::Fold | Form::Carry => {
+                for (x, o) in planes {
+                    self.wired_or(x, Some(&self.open), o, s);
+                }
+            }
+        }
+    }
+}
+
+/// Carries every set bit of `g` up the flat bitset, towards higher
+/// positions, until the next bit of `bounds`, with one add per word: adding
+/// `g | !bounds` to `g` generates a carry at every set bit and propagates
+/// it through every position that is no bound.
+fn spread_up(bounds: &[u64], g: &mut [u64]) {
+    let mut carry = 0;
+    for (g, &b) in g.iter_mut().zip(bounds) {
+        let (x, pass) = (*g, !b);
+        let y = x | pass;
+        let (sum, c1) = x.overflowing_add(y);
+        let (sum, c2) = sum.overflowing_add(carry);
+        *g = x | ((sum ^ x ^ y) & pass);
+        carry = u64::from(c1 | c2);
+    }
+}
+
+/// Hands the value at the last PE of every run between `bounds` (the PE
+/// before a bound, or the last of `len`) down to the run's other PEs:
+/// [`spread_up`] on bit-reversed words, from the top word down.
+fn spread_down(bounds: &[u64], f: &mut [u64], len: usize) {
+    let mut carry = 0;
+    for wi in (0..f.len()).rev() {
+        let mut tails = bounds[wi] >> 1 | bounds.get(wi + 1).map_or(0, |&b| b << 63);
+        if wi == (len - 1) / 64 {
+            tails |= 1 << ((len - 1) % 64);
+        }
+        let (x, pass) = ((f[wi] & tails).reverse_bits(), (!tails).reverse_bits());
+        let y = x | pass;
+        let (sum, c1) = x.overflowing_add(y);
+        let (sum, c2) = sum.overflowing_add(carry);
+        f[wi] = (x | ((sum ^ x ^ y) & pass)).reverse_bits();
+        carry = u64::from(c1 | c2);
+    }
+}
+
+/// Work buffers of the column kernels, reused across calls.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    vals: Vec<u64>,
+    rows: Vec<u64>,
+    line: Vec<u64>,
+    spare: Vec<u64>,
+    pattern: Vec<u64>,
+}
+
+/// The wired-OR of column buses holding at most one Open PE each, over the
+/// bit-plane `v` ANDed with `gate` when given: every column is one
+/// cluster, so every output row is the OR of all rows. Words a row period
+/// apart hold the same columns, so they are ORed into one period, whose
+/// rows are ORed into one row image and tiled back.
+fn fold_cols(dim: Dim, v: &[u64], gate: Option<&[u64]>, out: &mut [u64], s: &mut Scratch) {
+    let cols = dim.cols;
+    let period = row_period(cols);
+    s.vals.clear();
+    if period == 1 {
+        s.vals.push(match gate {
+            None => v.iter().fold(0, |acc, &x| acc | x),
+            Some(g) => v.iter().zip(g).fold(0, |acc, (&x, &y)| acc | (x & y)),
+        });
+    }
+    s.vals.extend((s.vals.len()..period).map(|k| {
+        let words = v.iter().skip(k).step_by(period);
+        match gate {
+            None => words.fold(0, |acc, &x| acc | x),
+            Some(g) => words
+                .zip(g.iter().skip(k).step_by(period))
+                .fold(0, |acc, (&x, &y)| acc | (x & y)),
+        }
+    }));
+    s.line.clear();
+    s.line.resize(cols.div_ceil(64), 0);
+    if period == 1 {
+        // `cols` divides 64: OR the row slots, halving.
+        let mut w = s.vals[0];
+        let mut width = 64;
+        while width > cols {
+            width /= 2;
+            w |= w >> width;
+        }
+        s.line[0] = w & range_mask(0, cols);
+    } else {
+        s.spare.resize(s.line.len(), 0);
+        for r in 0..(period * 64 / cols).min(dim.rows) {
+            read_bits(&s.vals, r * cols, cols, &mut s.spare);
+            for (l, &x) in s.line.iter_mut().zip(&s.spare) {
+                *l |= x;
+            }
+        }
+    }
+    tile_rows(dim, &s.line, &mut s.pattern, out);
+}
+
+/// The wired-OR of column buses cut by the Open row images `open_rows`.
+/// Row images of `v` are carried in movement order, restarting at each
+/// row's Open bits, so each row holds the OR from its head down to itself;
+/// then, against movement order, each cluster's last row (the one before
+/// the next head) hands its total back up to the head. Each pass runs
+/// twice round the line so that clusters wrapping past its end see their
+/// other part; a driverless column keeps the OR of the whole line.
+fn carry_cols(
+    dim: Dim,
+    dir: Direction,
+    open_rows: &[u64],
+    v: &[u64],
+    out: &mut [u64],
+    s: &mut Scratch,
+) {
+    let (rows, cols, rw) = (dim.rows, dim.cols, dim.cols.div_ceil(64));
+    let at = |pos: usize| {
+        if dir.is_increasing() {
+            pos
+        } else {
+            rows - 1 - pos
+        }
+    };
+    s.rows.clear();
+    s.rows.resize(rows * rw, 0);
+    for r in 0..rows {
+        read_bits(v, r * cols, cols, &mut s.rows[r * rw..]);
+    }
+    s.line.clear();
+    s.line.resize(rw, 0);
+    for round in 0..2 {
+        for pos in 0..rows {
+            let r = at(pos);
+            let open = &open_rows[r * rw..(r + 1) * rw];
+            let row = &mut s.rows[r * rw..(r + 1) * rw];
+            for ((acc, &o), x) in s.line.iter_mut().zip(open).zip(row) {
+                *acc = (*acc & !o) | *x;
+                if round == 1 {
+                    *x = *acc;
+                }
+            }
+        }
+    }
+    let last = at(rows - 1) * rw;
+    s.spare.clear();
+    s.spare.extend_from_slice(&s.rows[last..last + rw]);
+    for round in 0..2 {
+        for pos in (0..rows).rev() {
+            let (r, next) = (at(pos), at((pos + 1) % rows));
+            let tail = &open_rows[next * rw..(next + 1) * rw];
+            let prefix = &s.rows[r * rw..(r + 1) * rw];
+            for ((t, &o), &p) in s.spare.iter_mut().zip(tail).zip(prefix) {
+                *t = (*t & !o) | (p & o);
+            }
+            if round == 1 {
+                write_bits(out, r * cols, cols, &s.spare);
+            }
+        }
+    }
 }
 
 /// The shared word arena: spent buffers waiting to be reissued, bucketed by
@@ -703,7 +1017,7 @@ impl Clone for Lease {
 /// A boolean mask plane packed 64 PEs per `u64` word (row-major flat
 /// order).
 ///
-/// Buffers are leased from the backend's [`WordPool`], so steady-state
+/// Buffers are leased from the backend's `WordPool`, so steady-state
 /// mask traffic allocates nothing. Bits at positions `>= dim.len()` in the
 /// last word are always zero (every producing operation maintains the
 /// invariant).
@@ -801,53 +1115,6 @@ impl std::fmt::Debug for PackedInt {
     }
 }
 
-/// A cached bus-cluster resolution for one (direction, Open mask) pair.
-#[derive(Debug)]
-struct BusPlan {
-    /// Flat index of the driving Open node, per PE (floating-segment key on
-    /// driverless lines — see [`bus::cluster_keys`]).
-    keys: Vec<u32>,
-    /// Maximal runs of equal key as `(start, end, key)` flat-index ranges —
-    /// populated only for row-axis plans, where each line's positions are
-    /// contiguous in row-major order. A cluster that wraps around its line
-    /// contributes two runs with the same key; the wired-OR fast path
-    /// accumulates per key, so that is handled naturally.
-    segs: Vec<(u32, u32, u32)>,
-}
-
-/// Derives the cluster plan for a packed Open mask from scratch (the
-/// cache-miss path).
-fn compute_plan(dim: Dim, dir: Direction, words: &[u64]) -> BusPlan {
-    let open: Vec<bool> = (0..dim.len()).map(|i| test_bit(words, i)).collect();
-    let (keys, _driverless) = bus::cluster_keys(dim, dir, &open);
-    let segs = if dir.axis() == Axis::Row {
-        let mut segs = Vec::new();
-        for r in 0..dim.rows {
-            let base = r * dim.cols;
-            let mut s = base;
-            for p in base + 1..base + dim.cols {
-                if keys[p] != keys[s] {
-                    segs.push((s as u32, p as u32, keys[s]));
-                    s = p;
-                }
-            }
-            segs.push((s as u32, (base + dim.cols) as u32, keys[s]));
-        }
-        segs
-    } else {
-        Vec::new()
-    };
-    BusPlan { keys, segs }
-}
-
-#[derive(Debug, Clone)]
-struct PlanEntry {
-    dir: Direction,
-    fp: u64,
-    words: Vec<u64>,
-    plan: Rc<BusPlan>,
-}
-
 /// FNV-1a over the packed words, seeded with the direction.
 fn fingerprint(dir: Direction, words: &[u64]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (dir as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -866,19 +1133,23 @@ enum Drill {
     Vote,
     /// Flip the lowest bit of every saturating sum.
     Adder,
+    /// Flip PE 0 of every wired-OR result.
+    BusOr,
 }
 
 /// The packed bit-plane execution backend (see module docs).
 #[derive(Debug, Clone)]
 pub struct PackedBackend {
     pool: Rc<RefCell<WordPool>>,
-    plans: Vec<PlanEntry>,
+    /// Compiled switch patterns.
+    switches: Vec<Switch>,
+    /// The index of the most recently used one.
+    recent: usize,
+    /// Pattern lookups so far: a pattern's `used` is the clock of its last.
+    clock: u64,
     plan_hits: u64,
     plan_misses: u64,
-    scratch: Vec<u64>,
-    /// Row-bus pieces, one set per direction of movement (East, West).
-    pieces: [RowPieces; 2],
-    col_heads: ColHeads,
+    scratch: Scratch,
     /// Bench-gate mutation drill only: the kernel to corrupt.
     #[cfg(any(test, feature = "mutation-drill"))]
     drill: Option<Drill>,
@@ -889,12 +1160,12 @@ impl PackedBackend {
     pub fn new() -> Self {
         PackedBackend {
             pool: Rc::new(RefCell::new(WordPool::default())),
-            plans: Vec::new(),
+            switches: Vec::new(),
+            recent: 0,
+            clock: 0,
             plan_hits: 0,
             plan_misses: 0,
-            scratch: Vec::new(),
-            pieces: Default::default(),
-            col_heads: ColHeads::default(),
+            scratch: Scratch::default(),
             #[cfg(any(test, feature = "mutation-drill"))]
             drill: None,
         }
@@ -918,6 +1189,16 @@ impl PackedBackend {
     pub fn with_perturbed_adder() -> Self {
         let mut be = PackedBackend::new();
         be.drill = Some(Drill::Adder);
+        be
+    }
+
+    /// A deliberately broken backend whose compiled wired-OR flips PE 0 of
+    /// every result — the mutation drill's bus-kernel case. Never compiled
+    /// into release binaries.
+    #[cfg(any(test, feature = "mutation-drill"))]
+    pub fn with_perturbed_bus_or() -> Self {
+        let mut be = PackedBackend::new();
+        be.drill = Some(Drill::BusOr);
         be
     }
 
@@ -951,50 +1232,58 @@ impl PackedBackend {
         out
     }
 
-    /// The cached cluster plan for `open` given as packed words.
-    fn plan_for_words(&mut self, dim: Dim, dir: Direction, words: &[u64]) -> Rc<BusPlan> {
-        let fp = fingerprint(dir, words);
-        if let Some(pos) = self
-            .plans
-            .iter()
-            .position(|e| e.dir == dir && e.fp == fp && e.words == words)
-        {
-            self.plan_hits += 1;
-            let entry = self.plans.remove(pos);
-            let plan = Rc::clone(&entry.plan);
-            self.plans.push(entry); // LRU: most recent at the back
-            return plan;
-        }
+    /// The index of the compiled form of the switch pattern `open` along
+    /// `dir`, compiled on a miss. The most recent pattern is checked
+    /// before any hashing: a scan's wired-ORs replay one pattern for all
+    /// `h` bits.
+    fn switch(&mut self, dim: Dim, dir: Direction, open: &[u64]) -> usize {
+        self.clock += 1;
+        let same = |s: &Switch| s.dir == dir && s.dim == dim && s.open == open;
+        let i = if self.switches.get(self.recent).is_some_and(same) {
+            self.recent
+        } else {
+            let fp = fingerprint(dir, open);
+            match self.switches.iter().position(|s| s.fp == fp && same(s)) {
+                Some(i) => i,
+                None => return self.compile(dim, dir, fp, open),
+            }
+        };
+        self.plan_hits += 1;
+        let sw = &mut self.switches[i];
+        (sw.used, sw.reused) = (self.clock, true);
+        self.recent = i;
+        i
+    }
+
+    /// Compiles a missed pattern into a new slot, or over the least
+    /// recently used pattern on probation once [`PROBATION`] are held, or
+    /// over the least recently used one once the cache is full.
+    fn compile(&mut self, dim: Dim, dir: Direction, fp: u64, open: &[u64]) -> usize {
         self.plan_misses += 1;
-        let plan = Rc::new(compute_plan(dim, dir, words));
-        if self.plans.len() >= PLAN_CACHE_CAP {
-            self.plans.remove(0);
-        }
-        self.plans.push(PlanEntry {
-            dir,
-            fp,
-            words: words.to_vec(),
-            plan: Rc::clone(&plan),
+        let fresh = self.switches.iter().filter(|s| !s.reused).count();
+        let oldest = |fresh_only: bool| {
+            let candidates = self.switches.iter().enumerate();
+            candidates
+                .filter(|(_, s)| !(fresh_only && s.reused))
+                .min_by_key(|(_, s)| s.used)
+                .map(|(i, _)| i)
+        };
+        let slot = if fresh >= PROBATION {
+            oldest(true)
+        } else if self.switches.len() >= PLAN_CACHE_CAP {
+            oldest(false)
+        } else {
+            None
+        };
+        let i = slot.unwrap_or_else(|| {
+            self.switches.push(Switch::new(dim, dir));
+            self.switches.len() - 1
         });
-        plan
-    }
-
-    /// `open` packed into the reusable scratch buffer; hand the buffer
-    /// back with `self.scratch = words` when done.
-    fn pack_scratch(&mut self, dim: Dim, open: &Plane<bool>) -> Vec<u64> {
-        let mut words = std::mem::take(&mut self.scratch);
-        words.clear();
-        words.resize(words_for(dim), 0);
-        pack(open.as_slice(), &mut words);
-        words
-    }
-
-    /// The cached cluster plan for `open` given as a plane.
-    fn plan_for_plane(&mut self, dim: Dim, dir: Direction, open: &Plane<bool>) -> Rc<BusPlan> {
-        let words = self.pack_scratch(dim, open);
-        let plan = self.plan_for_words(dim, dir, &words);
-        self.scratch = words;
-        plan
+        let sw = &mut self.switches[i];
+        sw.compile(dim, dir, fp, open);
+        sw.used = self.clock;
+        self.recent = i;
+        i
     }
 
     /// A register with the same value on every PE of each row (`by_row`)
@@ -1128,38 +1417,13 @@ impl Executor for PackedBackend {
         dir: Direction,
         open: &PackedMask,
     ) -> Result<PackedMask, MachineError> {
-        let plan = self.plan_for_words(dim, dir, open.words());
         let mut out = self.alloc_mask(dim);
-        // Accumulator bitset indexed by cluster key: pass 1 deposits set
-        // value bits at their cluster key, pass 2 reads each PE's key back.
-        let mut acc = Lease::new(&self.pool, words_for(dim));
-        let acc = &mut acc.words;
-        let vals = values.words();
-        let out_words = &mut out.buf.words;
-        if !plan.segs.is_empty() {
-            // Row-axis fast path: each cluster is a handful of contiguous
-            // runs, so both passes are word-masked range ops instead of
-            // per-PE bit walks.
-            for &(s, e, k) in &plan.segs {
-                if range_any(vals, s as usize, e as usize) {
-                    set_bit(acc, k as usize);
-                }
-            }
-            for &(s, e, k) in &plan.segs {
-                if test_bit(acc, k as usize) {
-                    set_range(out_words, s as usize, e as usize);
-                }
-            }
-        } else {
-            for_each_set_bit_in(vals, 0, dim.len(), |i| {
-                set_bit(acc, plan.keys[i] as usize);
-            });
-            for (wi, w) in out_words.iter_mut().enumerate() {
-                let keys = &plan.keys[wi * 64..dim.len().min(wi * 64 + 64)];
-                for (b, &key) in keys.iter().enumerate() {
-                    *w |= (test_bit(acc, key as usize) as u64) << b;
-                }
-            }
+        let i = self.switch(dim, dir, open.words());
+        let v = values.words();
+        self.switches[i].wired_or(v, None, &mut out.buf.words, &mut self.scratch);
+        #[cfg(any(test, feature = "mutation-drill"))]
+        if self.drilled(Drill::BusOr) {
+            out.buf.words[0] ^= 1;
         }
         Ok(out)
     }
@@ -1307,24 +1571,17 @@ impl Executor for PackedBackend {
         open: &PackedMask,
     ) -> Result<PackedInt, MachineError> {
         let mut out = self.alloc_int(dim, src.bits);
-        let nw = words_for(dim);
-        match dir.axis() {
-            Axis::Row => {
-                let pieces = &mut self.pieces[usize::from(dir.is_increasing())];
-                pieces
-                    .derive(dim, dir, open.words())
-                    .map_err(|lines| bus_fault(dir, lines))?;
-                pieces.apply(nw, &src.buf.words, &mut out.buf.words);
-            }
-            Axis::Col => {
-                self.col_heads
-                    .derive(dim, open.words())
-                    .map_err(|lines| bus_fault(dir, lines))?;
-                for (s, o) in src.buf.words.chunks(nw).zip(out.buf.words.chunks_mut(nw)) {
-                    self.col_heads.apply(dim, dir, open.words(), s, o);
-                }
-            }
+        let i = self.switch(dim, dir, open.words());
+        let sw = &self.switches[i];
+        if !sw.driverless.is_empty() {
+            return Err(bus_fault(dir, sw.driverless.clone()));
         }
+        sw.broadcast(
+            words_for(dim),
+            &src.buf.words,
+            &mut out.buf.words,
+            &mut self.scratch,
+        );
         Ok(out)
     }
 
@@ -1349,44 +1606,6 @@ impl Executor for PackedBackend {
         for_each_set_bit_in(mask.words(), 0, dim.len(), |i| d[i] = s[i]);
     }
 
-    fn broadcast<T: Copy>(
-        &mut self,
-        dim: Dim,
-        src: &Plane<T>,
-        dir: Direction,
-        open: &Plane<bool>,
-    ) -> Result<Plane<T>, MachineError> {
-        for found in [src.dim(), open.dim()] {
-            if found != dim {
-                return Err(MachineError::DimMismatch {
-                    expected: dim,
-                    found,
-                });
-            }
-        }
-        // Plan-free, straight from the packed Open words: row buses fill
-        // each cluster segment with its head's value (one-PE clusters keep
-        // their own), column buses carry a row of head values.
-        let words = self.pack_scratch(dim, open);
-        let src = src.as_slice();
-        let out = match dir.axis() {
-            Axis::Row => {
-                let pieces = &mut self.pieces[usize::from(dir.is_increasing())];
-                pieces.derive(dim, dir, &words).map(|()| {
-                    let mut out = src.to_vec();
-                    for &(s, e, head) in &pieces.segs {
-                        out[s..e].fill(src[head]);
-                    }
-                    out
-                })
-            }
-            Axis::Col => broadcast_cols(dim, src, dir, &words),
-        };
-        self.scratch = words;
-        out.map(|data| Plane::from_vec(dim, data))
-            .map_err(|lines| bus_fault(dir, lines))
-    }
-
     fn bus_or(
         &mut self,
         dim: Dim,
@@ -1402,17 +1621,12 @@ impl Executor for PackedBackend {
                 });
             }
         }
-        let plan = self.plan_for_plane(dim, dir, open);
-        let v = values.as_slice();
-        let keys = &plan.keys;
-        let mut acc = vec![false; dim.len()];
-        for (i, &set) in v.iter().enumerate() {
-            if set {
-                acc[keys[i] as usize] = true;
-            }
-        }
-        let data = (0..dim.len()).map(|i| acc[keys[i] as usize]).collect();
-        Ok(Plane::from_vec(dim, data))
+        let (values, open) = (
+            self.mask_from_plane(dim, values),
+            self.mask_from_plane(dim, open),
+        );
+        let out = self.mask_bus_or(dim, &values, dir, &open)?;
+        Ok(self.mask_to_plane(dim, &out))
     }
 
     fn stats(&self) -> ExecStats {
@@ -1623,19 +1837,76 @@ mod tests {
     }
 
     #[test]
-    fn broadcasts_need_no_plan() {
+    fn broadcasts_share_the_wired_or_plan() {
+        // One compile serves every bus operation on a pattern: the wired-OR
+        // and the register broadcast along East replay the same plan, and a
+        // South broadcast on the same mask compiles once, then faults from
+        // its driverless-column list on every replay.
         let dim = Dim::square(8);
         let mut be = PackedBackend::new();
-        let open = plane_of(dim, |i| i % 8 == 0);
-        let src = Plane::from_vec(dim, (0..dim.len() as i64).collect());
         let reg = be.int_from_fn(dim, 6, |r, c| (r * 8 + c) as i64);
-        let mask = be.mask_from_plane(dim, &open);
-        // East is fully driven; South faults on seven driverless columns.
-        for dir in [Direction::East, Direction::South] {
-            let _ = be.broadcast(dim, &src, dir, &open);
-            let _ = be.int_broadcast(dim, &reg, dir, &mask);
+        let open = be.mask_from_plane(dim, &plane_of(dim, |i| i % 8 == 0));
+        for _ in 0..2 {
+            be.mask_bus_or(dim, &open, Direction::East, &open).unwrap();
+            be.int_broadcast(dim, &reg, Direction::East, &open).unwrap();
+            match be.int_broadcast(dim, &reg, Direction::South, &open) {
+                Err(MachineError::BusFault { lines, .. }) => {
+                    assert_eq!(lines, [1, 2, 3, 4, 5, 6, 7])
+                }
+                other => panic!("expected BusFault, got {other:?}"),
+            }
         }
-        assert_eq!(be.stats().plan_hits + be.stats().plan_misses, 0);
+        let stats = be.stats();
+        assert_eq!((stats.plan_misses, stats.plan_hits), (2, 4));
+    }
+
+    #[test]
+    fn one_off_patterns_keep_the_most_recent_replayed_plans() {
+        // Masks that change on every call (the scans' survivor sets) never
+        // push out a replayed pattern that a loop keeps using: six replayed
+        // patterns all stay cached, and once two of them fall idle the other
+        // four still do while the idle two give way.
+        fn misses(be: &mut PackedBackend, reg: &PackedInt, open: &PackedMask) -> u64 {
+            let before = be.stats().plan_misses;
+            be.int_broadcast(reg.dim(), reg, Direction::West, open)
+                .unwrap();
+            be.stats().plan_misses - before
+        }
+        let dim = Dim::new(4, 96);
+        let mut be = PackedBackend::new();
+        let reg = be.int_from_fn(dim, 4, |r, c| ((r + c) % 16) as i64);
+        let replayed: Vec<_> = (0..6)
+            .map(|k| be.mask_from_plane(dim, &plane_of(dim, |i| i % 96 == 95 - k)))
+            .collect();
+        for open in &replayed {
+            assert_eq!(misses(&mut be, &reg, open), 1);
+            assert_eq!(misses(&mut be, &reg, open), 0);
+        }
+        let mut fresh = 0..97;
+        let mut one_off = |be: &mut PackedBackend| {
+            let m = fresh.next().unwrap();
+            let open = be.mask_from_plane(dim, &plane_of(dim, |i| i % 97 == m));
+            let before = be.stats().plan_misses;
+            be.mask_bus_or(dim, &open, Direction::East, &open).unwrap();
+            assert_eq!(be.stats().plan_misses - before, 1, "one-off {m}");
+        };
+        for _ in 0..40 {
+            for (k, open) in replayed.iter().enumerate() {
+                assert_eq!(misses(&mut be, &reg, open), 0, "pattern {k} stayed");
+            }
+            one_off(&mut be);
+            one_off(&mut be);
+        }
+        for _ in 0..15 {
+            for (k, open) in replayed.iter().enumerate().skip(2) {
+                assert_eq!(misses(&mut be, &reg, open), 0, "pattern {k} stayed");
+            }
+            one_off(&mut be);
+        }
+        for open in &replayed[..2] {
+            assert_eq!(misses(&mut be, &reg, open), 1, "an idle pattern gave way");
+        }
+        assert!(be.switches.len() <= PLAN_CACHE_CAP);
     }
 
     #[test]

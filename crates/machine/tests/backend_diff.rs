@@ -198,7 +198,7 @@ proptest! {
     }
 }
 
-// The packed backend's plan-free broadcasts and packed coverage guardrail
+// The packed backend's compiled broadcasts and packed coverage guardrail
 // against the scalar bus reference. Dims run to 24 rows and 70 columns,
 // so rows straddle 64-bit words; sparse patterns give wrapping clusters
 // and driverless lines, whose `BusFault` line lists must agree exactly.
@@ -591,4 +591,92 @@ fn for_each_fault_model<E: Executor>(m: &mut Machine<E>, faults: &FaultMap, seed
     m.controller_mut().enable_metrics();
     m.attach_faults(faults.clone());
     m.attach_transient_faults(TransientFaults::new(1.0, seed ^ 0x5eed));
+}
+
+/// The shapes the compiled bus kernels serve, with their lane width: rows
+/// of one 8-, 16- or 32-bit slot, narrow rows straddling words (27, and
+/// lanes of 12), whole-word rows, wide rows straddling words (96), rows of
+/// two words, and lanes of 64 columns.
+const BUS_SHAPES: [(usize, usize, usize); 10] = [
+    (8, 8, 8),
+    (16, 16, 16),
+    (32, 32, 32),
+    (27, 27, 27),
+    (12, 24, 12),
+    (64, 64, 64),
+    (96, 96, 96),
+    (128, 128, 128),
+    (64, 128, 64),
+    (64, 1024, 64),
+];
+
+#[test]
+fn bus_kernels_match_the_bus_reference_at_served_shapes() {
+    for (rows, cols, lane) in BUS_SHAPES {
+        let dim = Dim::new(rows, cols);
+        let noise = h_bit_plane(dim, 7, (rows * cols) as u64);
+        let drawn = h_bit_plane(Dim::new(rows, 1), 16, cols as u64);
+        let (r0, c0) = (rows / 3, cols / 2 + 1);
+        let patterns = [
+            (
+                "one Open per row",
+                Plane::from_fn(dim, |c| c.col == drawn.as_slice()[c.row] as usize % cols),
+            ),
+            (
+                "lane ends",
+                Plane::from_fn(dim, |c| c.col % lane == lane - 1),
+            ),
+            (
+                "ROW == lane COL",
+                Plane::from_fn(dim, |c| c.row == c.col % lane),
+            ),
+            ("all Open", Plane::filled(dim, true)),
+            (
+                "an empty row and column",
+                Plane::from_fn(dim, |c| {
+                    c.row != r0 && c.col != c0 && *noise.get(c) % 3 == 0
+                }),
+            ),
+            ("sparse", Plane::from_fn(dim, |c| *noise.get(c) < 4)),
+        ];
+        let values = Plane::from_fn(dim, |c| *noise.get(c) % 19 == 0);
+        let mut s = Machine::<ScalarBackend>::new(rows, cols);
+        let mut p = Machine::new_packed(rows, cols);
+        let (vs, vp) = (s.pack_mask(&values).unwrap(), p.pack_mask(&values).unwrap());
+        let srcs: Vec<_> = [1u32, 11, 62]
+            .into_iter()
+            .map(|h| {
+                let src = h_bit_plane(dim, h, u64::from(h) + cols as u64);
+                let regs = (load(&mut s, h, &src), load(&mut p, h, &src));
+                (h, src, regs)
+            })
+            .collect();
+        for (name, open) in &patterns {
+            let (os, op) = (s.pack_mask(open).unwrap(), p.pack_mask(open).unwrap());
+            for dir in DIRECTIONS {
+                let at = format!("{rows}x{cols}, {name}, {dir:?}");
+                let want = bus::bus_or(dim, &values, dir, open).unwrap();
+                s.mask_bus_or(&vs, dir, &os).unwrap();
+                let got = p.mask_bus_or(&vp, dir, &op).unwrap();
+                assert_eq!(p.unpack_mask(&got), want, "{at}: mask_bus_or");
+                s.bus_or(&values, dir, open).unwrap();
+                assert_eq!(p.bus_or(&values, dir, open).unwrap(), want, "{at}: bus_or");
+                for (h, src, (rs, rp)) in &srcs {
+                    let want = bus::broadcast(dim, src, dir, open);
+                    let _ = s.int_broadcast(rs, dir, &os);
+                    let got = p.int_broadcast(rp, dir, &op).map(|r| p.read_int(&r));
+                    assert_eq!(got, want, "{at}: int_broadcast h={h}");
+                }
+                let src = &srcs[1].1;
+                let _ = s.broadcast(src, dir, open);
+                let got = p.broadcast(src, dir, open);
+                assert_eq!(got, bus::broadcast(dim, src, dir, open), "{at}: broadcast");
+            }
+        }
+        assert_eq!(
+            s.controller().report(),
+            p.controller().report(),
+            "{rows}x{cols}: per-class steps"
+        );
+    }
 }

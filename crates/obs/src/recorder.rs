@@ -1,7 +1,7 @@
 //! [`Recorder`] — the emitter-side bundle for components that keep their
 //! own step clocks (the baseline architecture models, host-side tools).
 //!
-//! The PPA controller drives a [`TraceSink`](crate::trace::TraceSink)
+//! The PPA controller drives a [`TraceSink`]
 //! directly because it owns the authoritative step counter. Everything
 //! else — the hypercube/GCN/mesh cost models, host utilities — goes
 //! through a `Recorder`, which carries a sink, a [`Metrics`] registry and

@@ -149,7 +149,7 @@ impl<E: Executor> Ppa<E> {
     /// [`Machine::limit_steps`]): once spent, machine primitives fail with
     /// [`MachineError::StepBudgetExhausted`](ppa_machine::MachineError::StepBudgetExhausted)
     /// instead of issuing, and the error surfaces through
-    /// [`PpcError::Machine`](crate::PpcError::Machine).
+    /// [`PpcError::Machine`].
     pub fn limit_steps(&mut self, budget: u64) {
         self.machine.limit_steps(budget);
     }

@@ -1,5 +1,5 @@
 //! Point-in-time service introspection: a JSON-round-trippable snapshot
-//! of everything a live [`SolveService`](crate::SolveService) knows
+//! of everything a live [`SolveService`] knows
 //! about itself — queue depth, in-flight jobs with their age and
 //! deadline, per-worker state, breaker state, the retry/replacement
 //! counters, and the full merged metrics registry.

@@ -36,7 +36,7 @@
 //! interactive traffic at every destination), streaming a `progress`
 //! frame per completed destination and finishing with the campaign's
 //! checkpoint document — byte-identical to the in-process
-//! [`ApspCheckpoint`](crate::ApspCheckpoint) for the same graph. A
+//! [`ApspCheckpoint`] for the same graph. A
 //! failure mid-campaign carries the partial checkpoint so the client
 //! can resume instead of restarting.
 

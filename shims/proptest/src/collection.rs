@@ -7,7 +7,7 @@ use rand::Rng;
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Acceptable size arguments for [`vec`]: an exact length or a range.
+/// Acceptable size arguments for [`vec()`]: an exact length or a range.
 pub trait IntoSizeRange {
     /// Draws a concrete length.
     fn pick_len(&self, rng: &mut TestRng) -> usize;
