@@ -1,13 +1,19 @@
-//! The packed execution backend: 64-PE bitset masks, bit-sliced integer
-//! registers, a recycling word arena, and switch patterns compiled once
-//! into word masks for the mask and register bus operations.
+//! The packed execution backend: row-aligned bitset masks, bit-sliced
+//! integer registers, a recycling word arena, and switch patterns compiled
+//! once into word masks for the mask and register bus operations.
 //!
 //! [`PackedBackend`] implements [`Executor`] with four wall-clock levers
 //! the scalar reference backend lacks:
 //!
-//! * **Packed masks** — every mask is a [`PackedMask`]: 64 PEs per `u64`
-//!   word, so votes, knockouts, logic and occupancy counting are word ops
-//!   and popcounts instead of per-PE byte walks.
+//! * **Packed masks** — every mask is a [`PackedMask`]: a bitset of `u64`
+//!   words in which no row straddles a word. A row of up to 64 columns
+//!   takes a power-of-two slot, so a word holds `64 / slot` whole rows; a
+//!   wider row takes whole words. The bits past a row's last column are
+//!   padding and always zero. Votes, knockouts, logic and occupancy
+//!   counting are word ops and popcounts, and every bus kernel reaches a
+//!   row as one slot or one word range. Rows whose width divides 64 or is
+//!   a multiple of it have no padding: their planes are the flat
+//!   row-major bitset.
 //! * **Bit-sliced registers** — an `h`-bit integer register is a
 //!   [`PackedInt`]: `h` plane-major bit-planes of such words, exactly the
 //!   bit-serial PPA's register file. `bit(j)` is plane `j`; the saturating
@@ -20,35 +26,33 @@
 //! * **Compiled switch patterns** — the first time a (direction, Open
 //!   mask) pattern is seen it is compiled into word masks, in the form its
 //!   shape runs fastest:
-//!   - row buses whose clusters are exactly the aligned slots of 1–64
-//!     bits (rows of 8, 16, 32 or 64 columns with one Open PE each, and
-//!     lanes whose Open PE sits at the lane's upstream end) fill every
-//!     slot that holds a set bit with a handful of word ops;
-//!   - other East patterns with at least one Open PE per word (the scans'
-//!     survivor sets in lanes of n ≤ 64) cut the rows into runs at the
-//!     Open PEs and carry values along them with one add per word;
-//!   - every other row pattern (sparser East sets, which run faster this
-//!     way, and rows that straddle words, as at n = 96) keeps its one-PE
-//!     clusters as a word mask and every other cluster as a list of word
-//!     pieces;
-//!   - column buses with at most one Open PE per column fold a plane by
-//!     its row period into one row image and tile it back;
+//!   - row buses whose clusters are exactly aligned slots of 1–64 bits
+//!     (rows of up to 64 columns with at most one Open PE each, and lanes
+//!     of a power-of-two width whose Open PE sits at the lane's upstream
+//!     end) fill every slot that holds a set bit with a handful of word
+//!     ops;
+//!   - rows wider than a word with at most one Open PE each (the MCP
+//!     loop's `COL == n - 1` and the scans' survivor sets at n > 64) are
+//!     one cluster each: a row's words are ORed and filled;
+//!   - every other row pattern, in either direction, cuts the rows into
+//!     runs at the Open PEs and carries values along them with one add
+//!     per word;
+//!   - column buses with at most one Open PE per column OR every row
+//!     image into one and copy it back into every row;
 //!   - any other column pattern carries row images along the columns.
 //!
 //!   The wired-OR runs the compiled form on one bit-plane. Each cluster
 //!   holds exactly one Open PE, its head, so once the pattern's
 //!   driverless-line list is empty a register broadcast is, plane by
-//!   plane, the wired-OR of `src & open` over the same clusters. The
-//!   carry-chain and word-piece forms broadcast more directly: chains carry
-//!   each head's bit up to the next Open PE, and word pieces read each
-//!   head's value once and fill its cluster in the planes of the value's
-//!   one bits.
-//!   Compiled patterns are cached, the most recent one checked before any
-//!   hashing. A pattern that has not been reused yet is held on probation:
-//!   once four such are held a new pattern evicts the oldest of them, so
-//!   the scans' survivor sets, which change on every call, never push out
-//!   any of the four most recently used replayed patterns (the MCP loop
-//!   replays three or four).
+//!   plane, the wired-OR of `src & open` over the same clusters; the
+//!   carry-chain form broadcasts more directly, carrying each head's bit
+//!   to the end of its cluster.
+//!   Compiled patterns are cached, the most recent one checked first. A
+//!   pattern that has not been reused yet is held on probation: once four
+//!   such are held a new pattern evicts the oldest of them, so the scans'
+//!   survivor sets, which change on every call, never push out any of the
+//!   four most recently used replayed patterns (the MCP loop replays three
+//!   or four).
 //!
 //! Plane broadcasts of an arbitrary `T` run the bus reference (the
 //! [`Executor::broadcast`] default); the plane wired-OR packs its operands
@@ -80,19 +84,217 @@ const PLAN_CACHE_CAP: usize = 8;
 /// of the `PLAN_CACHE_CAP - PROBATION` most recently used replayed plans.
 const PROBATION: usize = 4;
 
-/// Number of words needed to back one bit per PE of `dim`.
-fn words_for(dim: Dim) -> usize {
-    dim.len().div_ceil(64)
+/// All ones in the low `width` bits (`width` at most 64).
+fn ones(width: usize) -> u64 {
+    if width >= 64 {
+        !0
+    } else {
+        (1 << width) - 1
+    }
+}
+
+/// Bit 0 of every aligned `width`-bit slot of a word (`width` a power of
+/// two up to 64).
+fn lows(width: usize) -> u64 {
+    !0 / ones(width)
+}
+
+/// Where a plane keeps its PEs: row `r` starts at bit `r * stride`, and
+/// the bits past its `cols` columns, up to the next row, are padding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Layout {
+    rows: usize,
+    cols: usize,
+    /// Bits per row: a power of two up to 64, or a multiple of 64.
+    stride: usize,
+    /// Words per plane.
+    words: usize,
+}
+
+impl Layout {
+    fn of(dim: Dim) -> Self {
+        let (rows, cols) = (dim.rows, dim.cols);
+        let stride = if cols <= 64 {
+            cols.next_power_of_two()
+        } else {
+            cols.next_multiple_of(64)
+        };
+        Layout {
+            rows,
+            cols,
+            stride,
+            words: (rows * stride).div_ceil(64),
+        }
+    }
+
+    /// The bit that holds flat PE index `i`.
+    #[inline]
+    fn bit(self, i: usize) -> usize {
+        i / self.cols * self.stride + i % self.cols
+    }
+
+    /// The bits of row `r`'s PEs.
+    #[inline]
+    fn row(self, r: usize) -> Range<usize> {
+        r * self.stride..r * self.stride + self.cols
+    }
+
+    /// Words of one row image: a row of up to 64 columns is one word.
+    fn row_words(self) -> usize {
+        self.stride.div_ceil(64)
+    }
+
+    /// The PE bits of every row slot of a word (rows of up to 64 columns).
+    fn slot_mask(self) -> u64 {
+        ones(self.cols) * lows(self.stride)
+    }
+
+    /// The bits of word `wi` that hold PEs.
+    fn valid(self, wi: usize) -> u64 {
+        if self.stride > 64 {
+            let k = wi % (self.stride / 64);
+            return ones(self.cols - 64 * k);
+        }
+        let per = 64 / self.stride;
+        self.slot_mask() & ones((self.rows - wi * per).min(per) * self.stride)
+    }
+
+    /// Clears the padding bits of the plane `words`.
+    fn trim(self, words: &mut [u64]) {
+        if self.stride > 64 {
+            if !self.cols.is_multiple_of(64) {
+                let last = ones(self.cols % 64);
+                match self.row_words() {
+                    2 => trim_rows(2, last, words),
+                    rw => trim_rows(rw, last, words),
+                }
+            }
+            return;
+        }
+        let keep = self.slot_mask();
+        if keep != !0 {
+            for w in words.iter_mut() {
+                *w &= keep;
+            }
+        }
+        if let Some(last) = words.last_mut() {
+            *last &= self.valid(self.words - 1);
+        }
+    }
+
+    /// Copies row `r` of the plane `words` into the row image `image`
+    /// (`row_words()` words, bit `c` for column `c`).
+    fn read_row(self, words: &[u64], r: usize, image: &mut [u64]) {
+        if self.stride >= 64 {
+            image.copy_from_slice(&words[r * image.len()..(r + 1) * image.len()]);
+        } else {
+            let at = r * self.stride;
+            image[0] = (words[at / 64] >> (at % 64)) & ones(self.stride);
+        }
+    }
+
+    /// ORs the row image `image` into row `r` of the plane `words`.
+    fn or_row(self, words: &mut [u64], r: usize, image: &[u64]) {
+        if self.stride >= 64 {
+            let row = &mut words[r * image.len()..(r + 1) * image.len()];
+            for (w, &x) in row.iter_mut().zip(image) {
+                *w |= x;
+            }
+        } else {
+            let at = r * self.stride;
+            words[at / 64] |= image[0] << (at % 64);
+        }
+    }
+
+    /// Writes the row image `image` into every row of the plane `out`.
+    fn tile_rows(self, image: &[u64], out: &mut [u64]) {
+        if self.stride > 64 {
+            match image.len() {
+                2 => copy_rows(2, image, out),
+                rw => copy_rows(rw, image, out),
+            }
+            return;
+        }
+        out.fill(image[0] * lows(self.stride));
+        if let Some(last) = out.last_mut() {
+            *last &= self.valid(self.words - 1);
+        }
+    }
+}
+
+// The row kernels below take the row's word count `rw` and are inlined
+// into calls that pass it as a literal where rows are two words wide
+// (n = 65-128), so those rows run as straight-line code.
+
+/// Keeps only the low bits `last` of the last word of every `rw`-word row.
+#[inline(always)]
+fn trim_rows(rw: usize, last: u64, words: &mut [u64]) {
+    for row in words.chunks_exact_mut(rw) {
+        row[rw - 1] &= last;
+    }
+}
+
+/// Copies the `rw`-word row image `image` into every row of `out`.
+#[inline(always)]
+fn copy_rows(rw: usize, image: &[u64], out: &mut [u64]) {
+    for row in out.chunks_exact_mut(rw) {
+        row.copy_from_slice(image);
+    }
+}
+
+/// ORs every `rw`-word row of `v`, ANDed with `gate` when given, into
+/// `line`.
+#[inline(always)]
+fn or_rows(rw: usize, v: &[u64], gate: Option<&[u64]>, line: &mut [u64]) {
+    match gate {
+        None => {
+            for row in v.chunks_exact(rw) {
+                for (l, &x) in line.iter_mut().zip(row) {
+                    *l |= x;
+                }
+            }
+        }
+        Some(g) => {
+            for (row, g) in v.chunks_exact(rw).zip(g.chunks_exact(rw)) {
+                for ((l, &x), &y) in line.iter_mut().zip(row).zip(g) {
+                    *l |= x & y;
+                }
+            }
+        }
+    }
+}
+
+/// Fills every `rw`-word row of `out` whose row of `v`, ANDed with `gate`
+/// when given, has a bit set; a row's last word only up to `last`.
+#[inline(always)]
+fn fill_rows(rw: usize, last: u64, v: &[u64], gate: Option<&[u64]>, out: &mut [u64]) {
+    let fill = |o: &mut [u64], any: u64| {
+        let m = u64::from(any != 0).wrapping_neg();
+        o.fill(m);
+        o[rw - 1] &= last;
+    };
+    let rows = out.chunks_exact_mut(rw).zip(v.chunks_exact(rw));
+    match gate {
+        None => {
+            for (o, x) in rows {
+                fill(o, x.iter().fold(0, |a, &x| a | x));
+            }
+        }
+        Some(g) => {
+            for ((o, x), g) in rows.zip(g.chunks_exact(rw)) {
+                fill(o, x.iter().zip(g).fold(0, |a, (&x, &y)| a | (x & y)));
+            }
+        }
+    }
 }
 
 /// Bits `start..end` of one word set (`start < 64`, `end <= 64`).
 fn range_mask(start: usize, end: usize) -> u64 {
-    let below_end = if end >= 64 { !0 } else { (1u64 << end) - 1 };
-    below_end & !((1u64 << start) - 1)
+    ones(end) & !ones(start)
 }
 
-/// The `(word index, in-word mask)` pieces of the flat bit range
-/// `start..end`, in ascending order.
+/// The `(word index, in-word mask)` pieces of the bit range `start..end`,
+/// in ascending order.
 fn word_pieces(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
     let mut i = start;
     std::iter::from_fn(move || {
@@ -106,19 +308,19 @@ fn word_pieces(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
     })
 }
 
-/// Whether any bit in `start..end` of a flat bitset is set.
+/// Whether any bit in `start..end` of a bitset is set.
 fn range_any(words: &[u64], start: usize, end: usize) -> bool {
     word_pieces(start, end).any(|(wi, m)| words[wi] & m != 0)
 }
 
-/// Sets every bit in `start..end` of a flat bitset.
+/// Sets every bit in `start..end` of a bitset.
 fn set_range(words: &mut [u64], start: usize, end: usize) {
     for (wi, m) in word_pieces(start, end) {
         words[wi] |= m;
     }
 }
 
-/// Calls `f` with the position of every set bit in `start..end` of a flat
+/// Calls `f` with the position of every set bit in `start..end` of a
 /// bitset, in ascending order.
 fn for_each_set_bit_in(words: &[u64], start: usize, end: usize, mut f: impl FnMut(usize)) {
     for (wi, m) in word_pieces(start, end) {
@@ -130,58 +332,25 @@ fn for_each_set_bit_in(words: &[u64], start: usize, end: usize, mut f: impl FnMu
     }
 }
 
-/// Whether bit `i` of a flat bitset is set.
+/// Calls `f` with the flat PE index of every set bit of the plane `words`,
+/// in ascending order.
+fn for_each_set_pe(lay: Layout, words: &[u64], mut f: impl FnMut(usize)) {
+    for r in 0..lay.rows {
+        let (bits, base) = (lay.row(r), r * lay.cols);
+        for_each_set_bit_in(words, bits.start, bits.end, |p| f(base + p - bits.start));
+    }
+}
+
+/// Whether bit `i` of a bitset is set.
 #[inline]
 fn test_bit(words: &[u64], i: usize) -> bool {
     (words[i / 64] >> (i % 64)) & 1 == 1
 }
 
-/// Sets bit `i` of a flat bitset.
+/// Sets bit `i` of a bitset.
 #[inline]
 fn set_bit(words: &mut [u64], i: usize) {
     words[i / 64] |= 1u64 << (i % 64);
-}
-
-/// Keeps only the low `len % 64` bits of the last of `len.div_ceil(64)`
-/// words (a no-op when `len` fills its last word).
-fn trim_to(words: &mut [u64], len: usize) {
-    let rem = len % 64;
-    if rem != 0 {
-        if let Some(last) = words.get_mut(len.div_ceil(64) - 1) {
-            *last &= (1u64 << rem) - 1;
-        }
-    }
-}
-
-/// Copies bits `start..start + len` of a flat bitset into the first
-/// `len.div_ceil(64)` words of `out` (bit `k` of the range lands on bit
-/// `k`), with the bits past `len` cleared. Shifts, not per-bit loops: rows
-/// of 32 or 96 PEs do not start on a word boundary.
-fn read_bits(words: &[u64], start: usize, len: usize, out: &mut [u64]) {
-    let (w0, off) = (start / 64, start % 64);
-    for (k, o) in out[..len.div_ceil(64)].iter_mut().enumerate() {
-        let lo = words[w0 + k] >> off;
-        let hi = match (off, words.get(w0 + k + 1)) {
-            (0, _) | (_, None) => 0,
-            (_, Some(&next)) => next << (64 - off),
-        };
-        *o = lo | hi;
-    }
-    trim_to(out, len);
-}
-
-/// ORs the low `len` bits of `src` (zero past `len`) into bits
-/// `start..start + len` of a flat bitset.
-fn write_bits(words: &mut [u64], start: usize, len: usize, src: &[u64]) {
-    let (w0, off) = (start / 64, start % 64);
-    for (k, &v) in src[..len.div_ceil(64)].iter().enumerate() {
-        words[w0 + k] |= v << off;
-        if off != 0 {
-            if let Some(next) = words.get_mut(w0 + k + 1) {
-                *next |= v >> (64 - off);
-            }
-        }
-    }
 }
 
 /// Packs a flat boolean plane into `out`, 64 PEs per word.
@@ -261,93 +430,6 @@ fn bus_fault(dir: Direction, lines: Vec<usize>) -> MachineError {
     }
 }
 
-/// The first set bit at or after `from` and before `limit` of a flat
-/// bitset, or `limit` when there is none.
-fn next_set(words: &[u64], from: usize, limit: usize) -> usize {
-    let mut wi = from / 64;
-    let mut w = words[wi] & (!0u64 << (from % 64));
-    loop {
-        if w != 0 {
-            return (wi * 64 + w.trailing_zeros() as usize).min(limit);
-        }
-        wi += 1;
-        if wi * 64 >= limit {
-            return limit;
-        }
-        w = words[wi];
-    }
-}
-
-/// The last set bit at or after `floor` and before `before` of a flat
-/// bitset, if any.
-fn prev_set(words: &[u64], floor: usize, before: usize) -> Option<usize> {
-    if before <= floor {
-        return None;
-    }
-    let last = before - 1;
-    let mut wi = last / 64;
-    let mut w = words[wi] & (!0u64 >> (63 - last % 64));
-    loop {
-        if w != 0 {
-            let p = wi * 64 + 63 - w.leading_zeros() as usize;
-            return (p >= floor).then_some(p);
-        }
-        if wi * 64 <= floor {
-            return None;
-        }
-        wi -= 1;
-        w = words[wi];
-    }
-}
-
-/// Rows of `cols` bits repeat every `cols / gcd(cols, 64)` words.
-fn row_period(cols: usize) -> usize {
-    cols >> cols.trailing_zeros().min(6)
-}
-
-/// Writes the row image `image` into every row of the zeroed plane `out`.
-/// The rows repeat with a period of `cols / gcd(cols, 64)` words, so one
-/// period is assembled in `pattern` and copied word for word.
-fn tile_rows(dim: Dim, image: &[u64], pattern: &mut Vec<u64>, out: &mut [u64]) {
-    let cols = dim.cols;
-    let period = row_period(cols);
-    if period == 1 {
-        // `cols` divides 64: a multiply copies the row into every slot.
-        let word = if cols == 64 {
-            image[0]
-        } else {
-            image[0] * (!0 / range_mask(0, cols))
-        };
-        out.fill(word);
-        trim_to(out, dim.len());
-        return;
-    }
-    if period >= out.len() {
-        for r in 0..dim.rows {
-            write_bits(out, r * cols, cols, image);
-        }
-        return;
-    }
-    pattern.clear();
-    pattern.resize(period, 0);
-    for r in 0..period * 64 / cols {
-        write_bits(pattern, r * cols, cols, image);
-    }
-    for chunk in out.chunks_mut(period) {
-        chunk.copy_from_slice(&pattern[..chunk.len()]);
-    }
-    trim_to(out, dim.len());
-}
-
-/// All ones in the low `width` bits (`width` at most 64).
-fn ones(width: u32) -> u64 {
-    if width >= 64 {
-        !0
-    } else {
-        (1 << width) - 1
-    }
-}
-
 /// Fills every aligned `width`-bit slot of a word that holds a set bit
 /// (`width` a power of two up to 64): per slot, adding the slot's bits
 /// below its top to all ones below its top carries into the top bit
@@ -363,10 +445,10 @@ struct SlotFill {
 }
 
 impl SlotFill {
-    fn new(width: u32) -> Self {
-        let lows = !0 / ones(width);
+    fn new(width: usize) -> Self {
+        let lows = lows(width);
         SlotFill {
-            width,
+            width: width as u32,
             lows,
             rest: (lows << (width - 1)) - lows,
         }
@@ -379,71 +461,49 @@ impl SlotFill {
     }
 }
 
-/// The slot width when the clusters of a row pattern are exactly the
-/// aligned slots of the flat bitset: rows of a power-of-two width up to 64
-/// with at most one Open PE each (a row with none is one floating
-/// cluster), or rows cut into narrower power-of-two slots whose Open PEs
-/// are exactly the slots' upstream ends (lanes). Widest first.
-fn slot_width(dim: Dim, increasing: bool, open: &[u64]) -> Option<SlotFill> {
-    let (cols, len) = (dim.cols, dim.len());
+/// The slot width when the clusters of a row pattern are exactly aligned
+/// slots: a row's whole slot, when rows of up to 64 columns hold at most
+/// one Open PE each (a row with none is one floating cluster), or narrower
+/// power-of-two slots dividing the row whose Open PEs are exactly the
+/// slots' upstream ends (lanes). Widest first.
+fn slot_width(lay: Layout, increasing: bool, open: &[u64]) -> Option<SlotFill> {
     (0..=6u32)
         .rev()
-        .map(|k| 1u32 << k)
-        .filter(|&s| cols % s as usize == 0)
+        .map(|k| 1usize << k)
+        .filter(|&s| s == lay.stride || (s < lay.cols && lay.cols.is_multiple_of(s)))
         .find(|&s| {
-            if s as usize == cols {
-                return open.iter().all(|&w| {
-                    (0..64)
-                        .step_by(s as usize)
-                        .all(|at| ((w >> at) & ones(s)).count_ones() <= 1)
-                });
+            if s == lay.stride {
+                return s == 1
+                    || open.iter().all(|&w| {
+                        (0..64)
+                            .step_by(s)
+                            .all(|at| ((w >> at) & ones(s)).count_ones() <= 1)
+                    });
             }
-            let lows = !0 / ones(s);
-            let ends = if increasing { lows } else { lows << (s - 1) };
+            let ends = if increasing {
+                lows(s)
+            } else {
+                lows(s) << (s - 1)
+            };
             open.iter()
                 .enumerate()
-                .all(|(wi, &w)| w == ends & range_mask(0, (len - wi * 64).min(64)))
+                .all(|(wi, &w)| w == ends & lay.valid(wi))
         })
         .map(SlotFill::new)
 }
 
-/// Sets `alone` to the one-PE clusters of a row pattern: the Open PEs whose
-/// downstream neighbour in their row, cyclically, is Open too.
-fn one_pe_clusters(dim: Dim, increasing: bool, open: &[u64], alone: &mut Vec<u64>) {
-    alone.extend(open.iter().enumerate().map(|(wi, &w)| {
-        w & if increasing {
-            w >> 1 | open.get(wi + 1).map_or(0, |&n| n << 63)
-        } else {
-            w << 1 | wi.checked_sub(1).map_or(0, |p| open[p] >> 63)
-        }
-    }));
-    for r in 0..dim.rows {
-        let (base, end) = (r * dim.cols, (r + 1) * dim.cols);
-        let (at, wrap) = if increasing {
-            (end - 1, base)
-        } else {
-            (base, end - 1)
-        };
-        alone[at / 64] &= !(1 << (at % 64));
-        if test_bit(open, at) && test_bit(open, wrap) {
-            set_bit(alone, at);
-        }
-    }
-}
-
-/// The head of a driverless row's floating cluster.
-const NO_HEAD: u32 = u32::MAX;
-
 /// How a compiled switch pattern runs, chosen from its shape.
 #[derive(Debug, Clone, Copy)]
 enum Form {
-    /// Row buses whose clusters are exactly the aligned slots.
-    Slots(SlotFill),
-    /// Any other East pattern with at least as many Open PEs as words:
-    /// carry chains cut at `bounds`, with `wraps`.
+    /// Row buses whose clusters are exactly the aligned slots; the output
+    /// keeps the given bits (a row's slot past its columns is padding).
+    Slots(SlotFill, u64),
+    /// Rows wider than a word with at most one Open PE each: every row is
+    /// one cluster.
+    Rows,
+    /// Any other row pattern: carry chains round each row, cut at
+    /// `starts` going up and at `ends` going down.
     Chain,
-    /// Any other row pattern: `alone` plus the word pieces of `clusters`.
-    Runs,
     /// Column buses with at most one Open PE per column: every column is
     /// one cluster.
     Fold,
@@ -454,9 +514,8 @@ enum Form {
 /// One (direction, Open mask) switch pattern compiled into word masks.
 #[derive(Debug, Clone)]
 struct Switch {
-    dim: Dim,
+    lay: Layout,
     dir: Direction,
-    fp: u64,
     open: Vec<u64>,
     /// Looked up again since it was compiled (see [`PROBATION`]).
     reused: bool,
@@ -466,59 +525,44 @@ struct Switch {
     /// the wired-OR treats each as one floating cluster.
     driverless: Vec<usize>,
     form: Form,
-    /// `Chain`: the Open PEs and the first PE of every row.
-    bounds: Vec<u64>,
-    /// `Chain`: `(first PE, last head)` of every row whose first PE is
-    /// driven by its last head, round the end of the row.
-    wraps: Vec<(u32, u32)>,
-    /// `Runs`: the one-PE clusters as a bitset, left empty when every row
-    /// has at most one head.
-    alone: Vec<u64>,
-    /// `Runs`: every other cluster as `(head, end)`, its word pieces being
-    /// `pieces[previous end..end]`; a driverless row's head is `NO_HEAD`.
-    clusters: Vec<(u32, u32)>,
-    pieces: Vec<(u32, u64)>,
-    /// `Carry`: the Open bits of row `r` at words `r * rw..(r + 1) * rw`.
+    /// `Chain`: the first bit of every cluster (the Open PEs going East,
+    /// the bits after them going West), each row a cycle of `stride` bits.
+    starts: Vec<u64>,
+    /// `Chain`: the last bit of every cluster (the bits before the Open PEs
+    /// going East, the Open PEs going West), each word bit-reversed for
+    /// [`spread_down`]. A driverless row is one cluster from its first bit
+    /// to its last.
+    ends: Vec<u64>,
+    /// `Carry`: the Open row image of row `r` at words `r * rw..(r + 1) *
+    /// rw`.
     rows: Vec<u64>,
-    /// `Fold` on rows narrower than a word that straddle words: each
-    /// column's Open PE.
-    heads: Vec<u32>,
 }
 
 impl Switch {
-    fn new(dim: Dim, dir: Direction) -> Self {
+    fn new(lay: Layout, dir: Direction) -> Self {
         Switch {
-            dim,
+            lay,
             dir,
-            fp: 0,
             open: Vec::new(),
             reused: false,
             used: 0,
             driverless: Vec::new(),
-            form: Form::Runs,
-            bounds: Vec::new(),
-            wraps: Vec::new(),
-            alone: Vec::new(),
-            clusters: Vec::new(),
-            pieces: Vec::new(),
+            form: Form::Chain,
+            starts: Vec::new(),
+            ends: Vec::new(),
             rows: Vec::new(),
-            heads: Vec::new(),
         }
     }
 
     /// Compiles `open` along `dir` into this slot, reusing its buffers.
-    fn compile(&mut self, dim: Dim, dir: Direction, fp: u64, open: &[u64]) {
-        (self.dim, self.dir, self.fp, self.reused) = (dim, dir, fp, false);
+    fn compile(&mut self, lay: Layout, dir: Direction, open: &[u64]) {
+        (self.lay, self.dir, self.reused) = (lay, dir, false);
         self.open.clear();
         self.open.extend_from_slice(open);
         self.driverless.clear();
-        self.bounds.clear();
-        self.wraps.clear();
-        self.alone.clear();
-        self.clusters.clear();
-        self.pieces.clear();
+        self.starts.clear();
+        self.ends.clear();
         self.rows.clear();
-        self.heads.clear();
         self.form = match dir.axis() {
             Axis::Row => self.compile_rows(),
             Axis::Col => self.compile_cols(),
@@ -527,108 +571,103 @@ impl Switch {
 
     fn compile_rows(&mut self) -> Form {
         let Switch {
-            dim,
+            lay,
             dir,
             open,
             driverless,
-            bounds,
-            wraps,
-            alone,
-            clusters,
-            pieces,
+            starts,
+            ends,
             ..
         } = self;
-        let (rows, cols, increasing) = (dim.rows, dim.cols, dir.is_increasing());
-        if let Some(fill) = slot_width(*dim, increasing, open) {
+        let (lay, increasing) = (*lay, dir.is_increasing());
+        if let Some(fill) = slot_width(lay, increasing, open) {
             // Narrower slots than the row put an Open PE in every slot.
-            if fill.width as usize == cols {
-                driverless
-                    .extend((0..rows).filter(|&r| !range_any(open, r * cols, (r + 1) * cols)));
+            if fill.width as usize != lay.stride {
+                return Form::Slots(fill, !0);
             }
-            return Form::Slots(fill);
+            driverless.extend((0..lay.rows).filter(|&r| {
+                let bits = lay.row(r);
+                !range_any(open, bits.start, bits.end)
+            }));
+            return Form::Slots(fill, lay.slot_mask());
         }
-        // Chains cost a few word ops per word and plane, pieces a few per
-        // cluster and piece. Measured (EXPERIMENTS.md § BK): with fewer
-        // Open PEs than words (one per row at n = 80–128) pieces run the
-        // scans' sets 1.5–2× faster; with at least as many (lanes of
-        // n ≤ 64) chains run them 1.1–3.6× faster.
-        let heads = open.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-        if increasing && heads >= open.len() {
-            bounds.extend_from_slice(open);
-            for r in 0..rows {
-                let (base, end) = (r * cols, (r + 1) * cols);
-                set_bit(bounds, base);
-                match prev_set(open, base, end) {
-                    None => driverless.push(r),
-                    Some(last) if !test_bit(open, base) => wraps.push((base as u32, last as u32)),
-                    Some(_) => {}
-                }
+        if lay.stride > 64 {
+            let heads = |row: &[u64]| row.iter().map(|w| w.count_ones()).sum::<u32>();
+            let rows = open.chunks(lay.row_words());
+            if rows.clone().all(|row| heads(row) <= 1) {
+                let none = rows.enumerate().filter(|(_, row)| heads(row) == 0);
+                driverless.extend(none.map(|(r, _)| r));
+                return Form::Rows;
             }
-            return Form::Chain;
         }
-        let mut add = |ranges: [(usize, usize); 2], head: u32| {
-            let first = pieces.len();
-            for (mut i, end) in ranges {
-                while i < end {
-                    let (wi, off) = ((i / 64) as u32, i % 64);
-                    let take = (64 - off).min(end - i);
-                    let m = range_mask(off, off + take);
-                    match pieces[first..].last_mut() {
-                        Some((w, pm)) if *w == wi => *pm |= m,
-                        _ => pieces.push((wi, m)),
-                    }
-                    i += take;
-                }
+        // Each row is a cycle: going East a cluster runs from its head up
+        // to the bit before the next head round the row, padding included;
+        // going West from the bit after a head up to the next head. `turn`
+        // is the other end's bits: the heads turned by one bit round their
+        // row.
+        let first_last = |head: u64, turn: u64| {
+            if increasing {
+                (head, turn)
+            } else {
+                (turn, head)
             }
-            clusters.push((head, pieces.len() as u32));
         };
-        for r in 0..rows {
-            let (base, end) = (r * cols, (r + 1) * cols);
-            let Some(last) = prev_set(open, base, end) else {
-                driverless.push(r);
-                add([(base, end), (0, 0)], NO_HEAD);
-                continue;
-            };
-            let first = next_set(open, base, end);
-            if first == last {
-                // One head drives the whole row.
-                add([(base, end), (0, 0)], first as u32);
-                continue;
+        if lay.stride >= 64 {
+            let rw = lay.row_words();
+            for (r, row) in open.chunks(rw).enumerate() {
+                for (k, &w) in row.iter().enumerate() {
+                    let (first, last) = first_last(
+                        w,
+                        if increasing {
+                            w >> 1 | row[(k + 1) % rw] << 63
+                        } else {
+                            w << 1 | row[(k + rw - 1) % rw] >> 63
+                        },
+                    );
+                    starts.push(first);
+                    ends.push(last);
+                }
+                if row.iter().all(|&w| w == 0) {
+                    driverless.push(r);
+                    starts[r * rw] |= 1;
+                    ends[r * rw + rw - 1] |= 1 << 63;
+                }
             }
-            if alone.is_empty() {
-                one_pe_clusters(*dim, increasing, open, alone);
-            }
-            for (wi, m) in word_pieces(base, end) {
-                let mut heads = open[wi] & !alone[wi] & m;
-                while heads != 0 {
-                    let h = wi * 64 + heads.trailing_zeros() as usize;
-                    heads &= heads - 1;
-                    // A head drives downstream up to the next Open PE; the
-                    // row's last head in movement order wraps round.
-                    let ranges = if increasing {
-                        match (h + 1 < end).then(|| next_set(open, h + 1, end)) {
-                            Some(next) if next < end => [(h, next), (0, 0)],
-                            _ => [(h, end), (base, first)],
-                        }
+        } else {
+            let (s, fill) = (lay.stride, SlotFill::new(lay.stride));
+            let (firsts, tops) = (lows(s), lows(s) << (s - 1));
+            for (wi, &w) in open.iter().enumerate() {
+                let (first, last) = first_last(
+                    w,
+                    if increasing {
+                        (w >> 1 & !tops) | (w & firsts) << (s - 1)
                     } else {
-                        match prev_set(open, base, h) {
-                            Some(q) => [(q + 1, h + 1), (0, 0)],
-                            None => [(base, h + 1), (last + 1, end)],
-                        }
-                    };
-                    add(ranges, h as u32);
+                        (w << 1 & !firsts) | (w & tops) >> (s - 1)
+                    },
+                );
+                starts.push(first);
+                ends.push(last);
+                let mut empty = !fill.apply(w) & firsts & lay.valid(wi);
+                starts[wi] |= empty;
+                ends[wi] |= empty << (s - 1);
+                while empty != 0 {
+                    driverless.push((wi * 64 + empty.trailing_zeros() as usize) / s);
+                    empty &= empty - 1;
                 }
             }
         }
-        Form::Runs
+        for e in ends.iter_mut() {
+            *e = e.reverse_bits();
+        }
+        Form::Chain
     }
 
     fn compile_cols(&mut self) -> Form {
-        let (rows, cols) = (self.dim.rows, self.dim.cols);
-        let rw = cols.div_ceil(64);
-        self.rows.resize(rows * rw, 0);
-        for r in 0..rows {
-            read_bits(&self.open, r * cols, cols, &mut self.rows[r * rw..]);
+        let lay = self.lay;
+        let rw = lay.row_words();
+        self.rows.resize(lay.rows * rw, 0);
+        for (r, image) in self.rows.chunks_mut(rw).enumerate() {
+            lay.read_row(&self.open, r, image);
         }
         // Columns with an Open PE, and columns with two.
         let (mut seen, mut twice) = (vec![0u64; rw], vec![0u64; rw]);
@@ -639,23 +678,9 @@ impl Switch {
             }
         }
         self.driverless
-            .extend((0..cols).filter(|&c| !test_bit(&seen, c)));
+            .extend((0..lay.cols).filter(|&c| !test_bit(&seen, c)));
         if twice.iter().any(|&t| t != 0) {
             return Form::Carry;
-        }
-        if cols < 64 && row_period(cols) > 1 {
-            // Rows narrower than a word that straddle words: folding by
-            // the period would read every row, so broadcasts read each
-            // column's head directly.
-            self.heads.resize(cols, 0);
-            for (r, row) in self.rows.chunks(rw).enumerate() {
-                let mut bits = row[0];
-                while bits != 0 {
-                    let c = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.heads[c] = (r * cols + c) as u32;
-                }
-            }
         }
         self.rows.clear();
         Form::Fold
@@ -665,121 +690,73 @@ impl Switch {
     /// into the zeroed plane `out`.
     fn wired_or(&self, v: &[u64], gate: Option<&[u64]>, out: &mut [u64], s: &mut Scratch) {
         let word = |wi: usize| v[wi] & gate.map_or(!0, |g| g[wi]);
+        let lay = self.lay;
         match self.form {
-            Form::Slots(fill) => match gate {
+            Form::Slots(fill, keep) => match gate {
                 None => {
                     for (o, &x) in out.iter_mut().zip(v) {
-                        *o = fill.apply(x);
+                        *o = fill.apply(x) & keep;
                     }
                 }
                 Some(g) => {
                     for ((o, &x), &y) in out.iter_mut().zip(v).zip(g) {
-                        *o = fill.apply(x & y);
+                        *o = fill.apply(x & y) & keep;
                     }
                 }
             },
+            Form::Rows => {
+                let last = lay.valid(lay.row_words() - 1);
+                match lay.row_words() {
+                    2 => fill_rows(2, last, v, gate, out),
+                    rw => fill_rows(rw, last, v, gate, out),
+                }
+            }
             Form::Chain => {
-                // Prefixes within the runs between bounds, then each run's
-                // total handed back down from its last PE; a row's first
-                // and last runs form one cluster when the row wraps.
+                // Prefixes from each cluster's first bit, then each
+                // cluster's total handed back down from its last bit.
                 for (wi, o) in out.iter_mut().enumerate() {
                     *o = word(wi);
                 }
-                spread_up(&self.bounds, out);
-                spread_down(&self.bounds, out, self.dim.len());
-                let cols = self.dim.cols;
-                for &(start, last) in &self.wraps {
-                    let (start, last, end) = (start as usize, last as usize, start as usize + cols);
-                    if test_bit(out, start) || test_bit(out, end - 1) {
-                        set_range(out, start, next_set(&self.open, start, end));
-                        set_range(out, last, end);
-                    }
-                }
+                spread_up(lay, &self.starts, out);
+                spread_down(lay, &self.ends, out);
+                lay.trim(out);
             }
-            Form::Runs => {
-                for (wi, &a) in self.alone.iter().enumerate().filter(|&(_, &a)| a != 0) {
-                    out[wi] = word(wi) & a;
-                }
-                let mut start = 0;
-                for &(_, end) in &self.clusters {
-                    let cluster = &self.pieces[start..end as usize];
-                    start = end as usize;
-                    if cluster.iter().any(|&(w, m)| word(w as usize) & m != 0) {
-                        for &(w, m) in cluster {
-                            out[w as usize] |= m;
-                        }
-                    }
-                }
-            }
-            Form::Fold => fold_cols(self.dim, v, gate, out, s),
+            Form::Fold => fold_cols(lay, v, gate, out, &mut s.line),
             Form::Carry => {
                 let mut vals = std::mem::take(&mut s.vals);
                 vals.clear();
                 vals.extend((0..out.len()).map(word));
-                carry_cols(self.dim, self.dir, &self.rows, &vals, out, s);
+                carry_cols(lay, self.dir, &self.rows, &vals, out, s);
                 s.vals = vals;
             }
         }
     }
 
-    /// Broadcasts every `nw`-word bit-plane of `src` into the zeroed planes
-    /// of `out`. The caller has checked that the pattern drives every line.
-    fn broadcast(&self, nw: usize, src: &[u64], out: &mut [u64], s: &mut Scratch) {
+    /// Broadcasts every bit-plane of `src` into the zeroed planes of `out`.
+    /// The caller has checked that the pattern drives every line.
+    fn broadcast(&self, src: &[u64], out: &mut [u64], s: &mut Scratch) {
+        let nw = self.lay.words;
         let planes = src.chunks(nw).zip(out.chunks_mut(nw));
         match self.form {
             Form::Chain => {
-                // Each head's value carried up to the next bound; a row's
-                // first PE, when no head, starts with its last head's value.
+                // Each head's value carried round its row to the end of its
+                // cluster: up from the first bit going East, down from the
+                // last going West.
                 for (x, o) in planes {
                     for ((o, &x), &h) in o.iter_mut().zip(x).zip(&self.open) {
                         *o = x & h;
                     }
-                    for &(start, last) in &self.wraps {
-                        if test_bit(x, last as usize) {
-                            set_bit(o, start as usize);
-                        }
+                    if self.dir.is_increasing() {
+                        spread_up(self.lay, &self.starts, o);
+                    } else {
+                        spread_down(self.lay, &self.ends, o);
                     }
-                    spread_up(&self.bounds, o);
-                    trim_to(o, self.dim.len());
-                }
-            }
-            Form::Runs => {
-                // One-PE clusters keep their own bits; every other cluster
-                // reads its head's value once and fills its pieces in the
-                // planes of the value's one bits.
-                let bits = src.len() / nw;
-                for (wi, &a) in self.alone.iter().enumerate().filter(|&(_, &a)| a != 0) {
-                    for j in 0..bits {
-                        out[j * nw + wi] = src[j * nw + wi] & a;
-                    }
-                }
-                let mut start = 0;
-                for &(head, end) in &self.clusters {
-                    let cluster = &self.pieces[start..end as usize];
-                    start = end as usize;
-                    let (hw, hb) = (head as usize / 64, head % 64);
-                    let mut ones =
-                        (0..bits).fold(0, |v, j| v | ((src[j * nw + hw] >> hb) & 1) << j);
-                    while ones != 0 {
-                        let plane = ones.trailing_zeros() as usize * nw;
-                        ones &= ones - 1;
-                        for &(w, m) in cluster {
-                            out[plane + w as usize] |= m;
-                        }
-                    }
-                }
-            }
-            Form::Fold if !self.heads.is_empty() => {
-                for (x, o) in planes {
-                    let line = self.heads.iter().enumerate().fold(0, |line, (c, &p)| {
-                        line | ((x[p as usize / 64] >> (p % 64)) & 1) << c
-                    });
-                    tile_rows(self.dim, &[line], &mut s.pattern, o);
+                    self.lay.trim(o);
                 }
             }
             // Each cluster holds one Open PE, its head, so plane by plane the
             // broadcast is the wired-OR of `src & open`.
-            Form::Slots(_) | Form::Fold | Form::Carry => {
+            Form::Slots(..) | Form::Rows | Form::Fold | Form::Carry => {
                 for (x, o) in planes {
                     self.wired_or(x, Some(&self.open), o, s);
                 }
@@ -788,39 +765,111 @@ impl Switch {
     }
 }
 
-/// Carries every set bit of `g` up the flat bitset, towards higher
-/// positions, until the next bit of `bounds`, with one add per word: adding
-/// `g | !bounds` to `g` generates a carry at every set bit and propagates
-/// it through every position that is no bound.
-fn spread_up(bounds: &[u64], g: &mut [u64]) {
-    let mut carry = 0;
-    for (g, &b) in g.iter_mut().zip(bounds) {
-        let (x, pass) = (*g, !b);
-        let y = x | pass;
-        let (sum, c1) = x.overflowing_add(y);
-        let (sum, c2) = sum.overflowing_add(carry);
-        *g = x | ((sum ^ x ^ y) & pass);
-        carry = u64::from(c1 | c2);
+/// One word of a carry chain: adding `x | pass` and `carry` to `x`
+/// generates a carry at every set bit and propagates it through every
+/// `pass` position. Returns `x` with the carried positions set, the
+/// carries into every position, and the carry out.
+#[inline(always)]
+fn carry_word(x: u64, pass: u64, carry: u64) -> (u64, u64, u64) {
+    let y = x | pass;
+    let (sum, c1) = x.overflowing_add(y);
+    let (sum, c2) = sum.overflowing_add(carry);
+    let carries = sum ^ x ^ y;
+    (x | (carries & pass), carries, u64::from(c1 | c2))
+}
+
+/// Carries every set bit of `g` up its row, towards higher columns and
+/// round the row's end, until the next bit of `starts`. Each row is a
+/// cycle of `stride` bits, padding included, so padding may be set.
+fn spread_up(lay: Layout, starts: &[u64], g: &mut [u64]) {
+    if lay.stride >= 64 {
+        match lay.row_words() {
+            1 => up_rows(1, starts, g),
+            2 => up_rows(2, starts, g),
+            rw => up_rows(rw, starts, g),
+        }
+        return;
+    }
+    for (g, &b) in g.iter_mut().zip(starts) {
+        *g = up_slots(lay.stride, b, *g);
     }
 }
 
-/// Hands the value at the last PE of every run between `bounds` (the PE
-/// before a bound, or the last of `len`) down to the run's other PEs:
-/// [`spread_up`] on bit-reversed words, from the top word down.
-fn spread_down(bounds: &[u64], f: &mut [u64], len: usize) {
-    let mut carry = 0;
-    for wi in (0..f.len()).rev() {
-        let mut tails = bounds[wi] >> 1 | bounds.get(wi + 1).map_or(0, |&b| b << 63);
-        if wi == (len - 1) / 64 {
-            tails |= 1 << ((len - 1) % 64);
+/// Hands the value at every bit of `ends` down its row, towards lower
+/// columns and round the row's start, until the next bit of `ends`:
+/// [`spread_up`] on bit-reversed rows. `ends` is given bit-reversed.
+fn spread_down(lay: Layout, ends: &[u64], g: &mut [u64]) {
+    if lay.stride >= 64 {
+        match lay.row_words() {
+            1 => down_rows(1, ends, g),
+            2 => down_rows(2, ends, g),
+            rw => down_rows(rw, ends, g),
         }
-        let (x, pass) = ((f[wi] & tails).reverse_bits(), (!tails).reverse_bits());
-        let y = x | pass;
-        let (sum, c1) = x.overflowing_add(y);
-        let (sum, c2) = sum.overflowing_add(carry);
-        f[wi] = (x | ((sum ^ x ^ y) & pass)).reverse_bits();
-        carry = u64::from(c1 | c2);
+        return;
     }
+    for (g, &e) in g.iter_mut().zip(ends) {
+        *g = up_slots(lay.stride, e, g.reverse_bits() & e).reverse_bits();
+    }
+}
+
+/// [`spread_up`] on rows of `rw` words: the carry out of a row's last
+/// word re-enters at its first, up to the first word that holds a start
+/// (past it nothing changes).
+#[inline(always)]
+fn up_rows(rw: usize, starts: &[u64], g: &mut [u64]) {
+    for (g, b) in g.chunks_exact_mut(rw).zip(starts.chunks_exact(rw)) {
+        let mut carry = 0;
+        for (g, &b) in g.iter_mut().zip(b) {
+            (*g, _, carry) = carry_word(*g, !b, carry);
+        }
+        for (g, &b) in g.iter_mut().zip(b) {
+            if carry == 0 {
+                break;
+            }
+            (*g, _, carry) = carry_word(*g, !b, carry);
+            if b != 0 {
+                break;
+            }
+        }
+    }
+}
+
+/// [`spread_down`] on rows of `rw` words, from each row's last word down;
+/// the carry out of its first word re-enters at its last.
+#[inline(always)]
+fn down_rows(rw: usize, ends: &[u64], g: &mut [u64]) {
+    let word = |g: &mut u64, e: u64, carry: u64| {
+        let (v, _, c) = carry_word(g.reverse_bits() & e, !e, carry);
+        *g = v.reverse_bits();
+        c
+    };
+    for (g, e) in g.chunks_exact_mut(rw).zip(ends.chunks_exact(rw)) {
+        let mut carry = 0;
+        for (g, &e) in g.iter_mut().zip(e).rev() {
+            carry = word(g, e, carry);
+        }
+        for (g, &e) in g.iter_mut().zip(e).rev() {
+            if carry == 0 {
+                break;
+            }
+            carry = word(g, e, carry);
+            if e != 0 {
+                break;
+            }
+        }
+    }
+}
+
+/// [`spread_up`] on one word of `width`-bit row slots (`width` below 64):
+/// slot starts block the carry, then each slot's carry out of its top
+/// re-enters at its first bit, unless a cluster starts there.
+#[inline(always)]
+fn up_slots(width: usize, starts: u64, x: u64) -> u64 {
+    let firsts = lows(width);
+    let pass = !(starts | firsts);
+    let (v, carries, out) = carry_word(x, pass, 0);
+    let wrap = ((carries & firsts) >> width | out << (64 - width)) & !starts;
+    v | carry_word(wrap, pass, 0).0
 }
 
 /// Work buffers of the column kernels, reused across calls.
@@ -830,54 +879,34 @@ struct Scratch {
     rows: Vec<u64>,
     line: Vec<u64>,
     spare: Vec<u64>,
-    pattern: Vec<u64>,
 }
 
 /// The wired-OR of column buses holding at most one Open PE each, over the
 /// bit-plane `v` ANDed with `gate` when given: every column is one
-/// cluster, so every output row is the OR of all rows. Words a row period
-/// apart hold the same columns, so they are ORed into one period, whose
-/// rows are ORed into one row image and tiled back.
-fn fold_cols(dim: Dim, v: &[u64], gate: Option<&[u64]>, out: &mut [u64], s: &mut Scratch) {
-    let cols = dim.cols;
-    let period = row_period(cols);
-    s.vals.clear();
-    if period == 1 {
-        s.vals.push(match gate {
-            None => v.iter().fold(0, |acc, &x| acc | x),
-            Some(g) => v.iter().zip(g).fold(0, |acc, (&x, &y)| acc | (x & y)),
-        });
-    }
-    s.vals.extend((s.vals.len()..period).map(|k| {
-        let words = v.iter().skip(k).step_by(period);
-        match gate {
-            None => words.fold(0, |acc, &x| acc | x),
-            Some(g) => words
-                .zip(g.iter().skip(k).step_by(period))
-                .fold(0, |acc, (&x, &y)| acc | (x & y)),
-        }
-    }));
-    s.line.clear();
-    s.line.resize(cols.div_ceil(64), 0);
-    if period == 1 {
-        // `cols` divides 64: OR the row slots, halving.
-        let mut w = s.vals[0];
-        let mut width = 64;
-        while width > cols {
-            width /= 2;
-            w |= w >> width;
-        }
-        s.line[0] = w & range_mask(0, cols);
-    } else {
-        s.spare.resize(s.line.len(), 0);
-        for r in 0..(period * 64 / cols).min(dim.rows) {
-            read_bits(&s.vals, r * cols, cols, &mut s.spare);
-            for (l, &x) in s.line.iter_mut().zip(&s.spare) {
-                *l |= x;
+/// cluster, so every output row is the OR of all rows. Rows of up to 64
+/// columns share words, so the words are ORed into one and its row slots
+/// folded onto the first; wider rows OR their word ranges. The row image
+/// is then copied into every row.
+fn fold_cols(lay: Layout, v: &[u64], gate: Option<&[u64]>, out: &mut [u64], line: &mut Vec<u64>) {
+    line.clear();
+    line.resize(lay.row_words(), 0);
+    match line.len() {
+        1 => {
+            let mut w = match gate {
+                None => v.iter().fold(0, |a, &x| a | x),
+                Some(g) => v.iter().zip(g).fold(0, |a, (&x, &y)| a | (x & y)),
+            };
+            let mut width = 64;
+            while width > lay.stride {
+                width /= 2;
+                w |= w >> width;
             }
+            line[0] = w & ones(lay.stride);
         }
+        2 => or_rows(2, v, gate, line),
+        rw => or_rows(rw, v, gate, line),
     }
-    tile_rows(dim, &s.line, &mut s.pattern, out);
+    lay.tile_rows(line, out);
 }
 
 /// The wired-OR of column buses cut by the Open row images `open_rows`.
@@ -888,14 +917,14 @@ fn fold_cols(dim: Dim, v: &[u64], gate: Option<&[u64]>, out: &mut [u64], s: &mut
 /// twice round the line so that clusters wrapping past its end see their
 /// other part; a driverless column keeps the OR of the whole line.
 fn carry_cols(
-    dim: Dim,
+    lay: Layout,
     dir: Direction,
     open_rows: &[u64],
     v: &[u64],
     out: &mut [u64],
     s: &mut Scratch,
 ) {
-    let (rows, cols, rw) = (dim.rows, dim.cols, dim.cols.div_ceil(64));
+    let (rows, rw) = (lay.rows, lay.row_words());
     let at = |pos: usize| {
         if dir.is_increasing() {
             pos
@@ -905,8 +934,8 @@ fn carry_cols(
     };
     s.rows.clear();
     s.rows.resize(rows * rw, 0);
-    for r in 0..rows {
-        read_bits(v, r * cols, cols, &mut s.rows[r * rw..]);
+    for (r, image) in s.rows.chunks_mut(rw).enumerate() {
+        lay.read_row(v, r, image);
     }
     s.line.clear();
     s.line.resize(rw, 0);
@@ -935,12 +964,11 @@ fn carry_cols(
                 *t = (*t & !o) | (p & o);
             }
             if round == 1 {
-                write_bits(out, r * cols, cols, &s.spare);
+                lay.or_row(out, r, &s.spare);
             }
         }
     }
 }
-
 /// The shared word arena: spent buffers waiting to be reissued, bucketed by
 /// length. A backend leases a handful of lengths (one mask, one register,
 /// the wired-OR accumulator), so mixed mask and register traffic never
@@ -1014,13 +1042,15 @@ impl Clone for Lease {
     }
 }
 
-/// A boolean mask plane packed 64 PEs per `u64` word (row-major flat
-/// order).
+/// A boolean mask plane packed into `u64` words, rows aligned so that no
+/// row straddles a word (see the module docs): row `r` starts at bit
+/// `r * stride`, where the stride is the row width rounded up to a power
+/// of two up to 64, or to a multiple of 64.
 ///
 /// Buffers are leased from the backend's `WordPool`, so steady-state
-/// mask traffic allocates nothing. Bits at positions `>= dim.len()` in the
-/// last word are always zero (every producing operation maintains the
-/// invariant).
+/// mask traffic allocates nothing. Padding bits (past a row's last column,
+/// and past the last row) are always zero: every producing operation
+/// maintains the invariant.
 #[derive(Clone)]
 pub struct PackedMask {
     dim: Dim,
@@ -1031,7 +1061,7 @@ impl PackedMask {
     /// Whether the bit for flat PE index `i` is set.
     #[inline]
     pub fn bit(&self, i: usize) -> bool {
-        test_bit(&self.buf.words, i)
+        test_bit(&self.buf.words, Layout::of(self.dim).bit(i))
     }
 
     /// Number of set PEs (a popcount per word).
@@ -1067,7 +1097,7 @@ impl std::fmt::Debug for PackedMask {
 /// An `h`-bit unsigned integer register held as `h` bit-planes: plane `j`
 /// is a [`PackedMask`]-layout bitset of bit `j` of every PE, stored at
 /// words `j * nwords..(j + 1) * nwords`. Leased from the same arena as the
-/// masks; every plane keeps the mask trim invariant.
+/// masks; every plane keeps the mask's zero padding.
 #[derive(Clone)]
 pub struct PackedInt {
     dim: Dim,
@@ -1088,14 +1118,14 @@ impl PackedInt {
 
     /// The value at flat PE index `i`.
     pub fn value(&self, i: usize) -> i64 {
-        let nw = words_for(self.dim);
+        let at = Layout::of(self.dim).bit(i);
         (0..self.bits as usize).fold(0i64, |v, j| {
-            v | (i64::from(test_bit(&self.buf.words[j * nw..], i)) << j)
+            v | (i64::from(test_bit(self.plane(j), at)) << j)
         })
     }
 
     fn plane(&self, j: usize) -> &[u64] {
-        let nw = words_for(self.dim);
+        let nw = Layout::of(self.dim).words;
         &self.buf.words[j * nw..(j + 1) * nw]
     }
 }
@@ -1113,16 +1143,6 @@ impl std::fmt::Debug for PackedInt {
             .field("bits", &self.bits)
             .finish()
     }
-}
-
-/// FNV-1a over the packed words, seeded with the direction.
-fn fingerprint(dir: Direction, words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (dir as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &w in words {
-        h ^= w;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The kernel a mutation drill corrupts.
@@ -1210,7 +1230,7 @@ impl PackedBackend {
     fn alloc_mask(&mut self, dim: Dim) -> PackedMask {
         PackedMask {
             dim,
-            buf: Lease::new(&self.pool, words_for(dim)),
+            buf: Lease::new(&self.pool, Layout::of(dim).words),
         }
     }
 
@@ -1218,34 +1238,33 @@ impl PackedBackend {
         PackedInt {
             dim,
             bits,
-            buf: Lease::new(&self.pool, bits as usize * words_for(dim)),
+            buf: Lease::new(&self.pool, bits as usize * Layout::of(dim).words),
         }
     }
 
-    /// A mask computed word by word from `f(word index)`.
+    /// A mask computed word by word from `f(word index)`, which must keep
+    /// the padding zero.
     fn mask_from_words(&mut self, dim: Dim, f: impl Fn(usize) -> u64) -> PackedMask {
         let mut out = self.alloc_mask(dim);
         for (wi, w) in out.buf.words.iter_mut().enumerate() {
             *w = f(wi);
         }
-        trim_to(&mut out.buf.words, dim.len());
         out
     }
 
     /// The index of the compiled form of the switch pattern `open` along
     /// `dir`, compiled on a miss. The most recent pattern is checked
-    /// before any hashing: a scan's wired-ORs replay one pattern for all
-    /// `h` bits.
+    /// first: a scan's wired-ORs replay one pattern for all `h` bits.
     fn switch(&mut self, dim: Dim, dir: Direction, open: &[u64]) -> usize {
         self.clock += 1;
-        let same = |s: &Switch| s.dir == dir && s.dim == dim && s.open == open;
+        let lay = Layout::of(dim);
+        let same = |s: &Switch| s.dir == dir && s.lay == lay && s.open == open;
         let i = if self.switches.get(self.recent).is_some_and(same) {
             self.recent
         } else {
-            let fp = fingerprint(dir, open);
-            match self.switches.iter().position(|s| s.fp == fp && same(s)) {
+            match self.switches.iter().position(same) {
                 Some(i) => i,
-                None => return self.compile(dim, dir, fp, open),
+                None => return self.compile(lay, dir, open),
             }
         };
         self.plan_hits += 1;
@@ -1258,7 +1277,7 @@ impl PackedBackend {
     /// Compiles a missed pattern into a new slot, or over the least
     /// recently used pattern on probation once [`PROBATION`] are held, or
     /// over the least recently used one once the cache is full.
-    fn compile(&mut self, dim: Dim, dir: Direction, fp: u64, open: &[u64]) -> usize {
+    fn compile(&mut self, lay: Layout, dir: Direction, open: &[u64]) -> usize {
         self.plan_misses += 1;
         let fresh = self.switches.iter().filter(|s| !s.reused).count();
         let oldest = |fresh_only: bool| {
@@ -1276,11 +1295,11 @@ impl PackedBackend {
             None
         };
         let i = slot.unwrap_or_else(|| {
-            self.switches.push(Switch::new(dim, dir));
+            self.switches.push(Switch::new(lay, dir));
             self.switches.len() - 1
         });
         let sw = &mut self.switches[i];
-        sw.compile(dim, dir, fp, open);
+        sw.compile(lay, dir, open);
         sw.used = self.clock;
         self.recent = i;
         i
@@ -1297,28 +1316,28 @@ impl PackedBackend {
         mut value: impl FnMut(usize) -> i64,
     ) -> PackedInt {
         let mut out = self.alloc_int(dim, h);
-        let (nw, cols) = (words_for(dim), dim.cols);
+        let lay = Layout::of(dim);
+        let nw = lay.words;
         if by_row {
             for r in 0..dim.rows {
                 let v = value(r) as u64;
+                let bits = lay.row(r);
                 for j in (0..h as usize).filter(|&j| (v >> j) & 1 == 1) {
-                    set_range(&mut out.buf.words[j * nw..], r * cols, (r + 1) * cols);
+                    set_range(&mut out.buf.words[j * nw..], bits.start, bits.end);
                 }
             }
             return out;
         }
-        let rw = cols.div_ceil(64);
+        let rw = lay.row_words();
         let mut images = vec![0u64; h as usize * rw];
-        for c in 0..cols {
+        for c in 0..dim.cols {
             let v = value(c) as u64;
             for j in (0..h as usize).filter(|&j| (v >> j) & 1 == 1) {
                 set_bit(&mut images[j * rw..], c);
             }
         }
-        let mut pattern = Vec::new();
-        for (j, image) in images.chunks_exact(rw).enumerate() {
-            let plane = &mut out.buf.words[j * nw..(j + 1) * nw];
-            tile_rows(dim, image, &mut pattern, plane);
+        for (image, plane) in images.chunks_exact(rw).zip(out.buf.words.chunks_mut(nw)) {
+            lay.tile_rows(image, plane);
         }
         out
     }
@@ -1337,17 +1356,34 @@ impl Executor for PackedBackend {
     const NAME: &'static str = "packed";
 
     fn mask_from_plane(&mut self, dim: Dim, plane: &Plane<bool>) -> PackedMask {
+        let lay = Layout::of(dim);
         let mut mask = self.alloc_mask(dim);
-        pack(plane.as_slice(), &mut mask.buf.words);
+        let words = &mut mask.buf.words;
+        if lay.stride == lay.cols {
+            pack(plane.as_slice(), words);
+            return mask;
+        }
+        for (r, row) in plane.as_slice().chunks(dim.cols).enumerate() {
+            let at = lay.row(r).start;
+            if lay.stride > 64 {
+                pack(row, &mut words[at / 64..]);
+            } else {
+                words[at / 64] |= pack_word(row) << (at % 64);
+            }
+        }
         mask
     }
 
     fn mask_to_plane(&self, dim: Dim, mask: &PackedMask) -> Plane<bool> {
-        Plane::from_vec(dim, (0..dim.len()).map(|i| mask.bit(i)).collect())
+        let lay = Layout::of(dim);
+        let bits = (0..dim.rows).flat_map(|r| lay.row(r));
+        Plane::from_vec(dim, bits.map(|p| test_bit(mask.words(), p)).collect())
     }
 
     fn mask_filled(&mut self, dim: Dim, value: bool) -> PackedMask {
-        self.mask_from_words(dim, |_| if value { !0 } else { 0 })
+        let mut out = self.mask_from_words(dim, |_| if value { !0 } else { 0 });
+        Layout::of(dim).trim(&mut out.buf.words);
+        out
     }
 
     fn mask_count(&self, _dim: Dim, mask: &PackedMask) -> usize {
@@ -1355,7 +1391,7 @@ impl Executor for PackedBackend {
     }
 
     fn mask_any_in(&self, dim: Dim, mask: &PackedMask, row: usize, cols: Range<usize>) -> bool {
-        let base = row * dim.cols;
+        let base = Layout::of(dim).row(row).start;
         range_any(mask.words(), base + cols.start, base + cols.end)
     }
 
@@ -1368,7 +1404,9 @@ impl Executor for PackedBackend {
     }
 
     fn mask_not(&mut self, dim: Dim, a: &PackedMask) -> PackedMask {
-        self.mask_from_words(dim, |wi| !a.words()[wi])
+        let mut out = self.mask_from_words(dim, |wi| !a.words()[wi]);
+        Layout::of(dim).trim(&mut out.buf.words);
+        out
     }
 
     fn vote(
@@ -1435,31 +1473,30 @@ impl Executor for PackedBackend {
         mut value: impl FnMut(usize, usize) -> i64,
     ) -> PackedInt {
         let mut out = self.alloc_int(dim, h);
-        let (nw, bits) = (words_for(dim), h as usize);
+        let lay = Layout::of(dim);
+        let (nw, bits) = (lay.words, h as usize);
         let (mut chunk, mut planes) = ([0i64; 64], [0u64; 64]);
-        let (mut filled, mut wi) = (0, 0);
-        let mut flush = |chunk: &mut [i64; 64], filled: usize, wi: usize| {
-            // A partial last word's missing PEs slice as zeros (the trim
-            // invariant).
-            chunk[filled..].fill(0);
+        let (mut wi, mut end) = (0, 0);
+        let mut flush = |chunk: &mut [i64; 64], wi: usize, end: usize| {
+            // Padding inside row slots is never written, and the bits past
+            // a word's last PE slice as zeros.
+            chunk[end..].fill(0);
             slice_chunk(chunk, bits, &mut planes);
             for (j, &p) in planes[..bits].iter().enumerate() {
                 out.buf.words[j * nw + wi] = p;
             }
         };
         for r in 0..dim.rows {
-            for c in 0..dim.cols {
-                chunk[filled] = value(r, c);
-                filled += 1;
-                if filled == 64 {
-                    flush(&mut chunk, filled, wi);
-                    (filled, wi) = (0, wi + 1);
+            for (c, at) in lay.row(r).enumerate() {
+                if at / 64 != wi {
+                    flush(&mut chunk, wi, end);
+                    wi = at / 64;
                 }
+                chunk[at % 64] = value(r, c);
+                end = at % 64 + 1;
             }
         }
-        if filled > 0 {
-            flush(&mut chunk, filled, wi);
-        }
+        flush(&mut chunk, wi, end);
         out
     }
 
@@ -1472,15 +1509,16 @@ impl Executor for PackedBackend {
     }
 
     fn int_to_plane(&self, dim: Dim, reg: &PackedInt) -> Plane<i64> {
+        let lay = Layout::of(dim);
         let mut data = vec![0i64; dim.len()];
         for j in 0..reg.bits as usize {
-            for_each_set_bit_in(reg.plane(j), 0, dim.len(), |i| data[i] |= 1 << j);
+            for_each_set_pe(lay, reg.plane(j), |i| data[i] |= 1 << j);
         }
         Plane::from_vec(dim, data)
     }
 
     fn int_row(&self, dim: Dim, reg: &PackedInt, row: usize, cols: Range<usize>) -> Vec<i64> {
-        let start = row * dim.cols + cols.start;
+        let start = Layout::of(dim).row(row).start + cols.start;
         let mut out = vec![0i64; cols.len()];
         for j in 0..reg.bits as usize {
             for_each_set_bit_in(reg.plane(j), start, start + cols.len(), |i| {
@@ -1493,7 +1531,7 @@ impl Executor for PackedBackend {
     fn int_sat_add(&mut self, dim: Dim, h: u32, a: &PackedInt, b: &PackedInt) -> PackedInt {
         debug_assert!(a.bits == h && b.bits == h, "register width mismatch");
         let mut out = self.alloc_int(dim, h);
-        let nw = words_for(dim);
+        let nw = Layout::of(dim).words;
         // Ripple carry up the planes, one word vector per plane; a carry out
         // of the top plane means the sum reached 2^h, which saturates to
         // MAXINT (all ones).
@@ -1516,13 +1554,13 @@ impl Executor for PackedBackend {
             for w in &mut out.buf.words[..nw] {
                 *w = !*w;
             }
-            trim_to(&mut out.buf.words[..nw], dim.len());
+            Layout::of(dim).trim(&mut out.buf.words[..nw]);
         }
         out
     }
 
     fn int_eq(&mut self, dim: Dim, a: &PackedInt, b: &PackedInt, equal: bool) -> PackedMask {
-        let nw = words_for(dim);
+        let nw = Layout::of(dim).words;
         let mut out = self.alloc_mask(dim);
         for (x, y) in a.buf.words.chunks(nw).zip(b.buf.words.chunks(nw)) {
             for ((d, &p), &q) in out.buf.words.iter_mut().zip(x).zip(y) {
@@ -1533,7 +1571,7 @@ impl Executor for PackedBackend {
             for d in out.buf.words.iter_mut() {
                 *d = !*d;
             }
-            trim_to(&mut out.buf.words, dim.len());
+            Layout::of(dim).trim(&mut out.buf.words);
         }
         out
     }
@@ -1550,13 +1588,8 @@ impl Executor for PackedBackend {
             dst.buf.words.copy_from_slice(&src.buf.words);
             return;
         };
-        let m = mask.words();
-        for (d, s) in dst
-            .buf
-            .words
-            .chunks_mut(words_for(dim))
-            .zip(src.buf.words.chunks(words_for(dim)))
-        {
+        let (m, nw) = (mask.words(), Layout::of(dim).words);
+        for (d, s) in dst.buf.words.chunks_mut(nw).zip(src.buf.words.chunks(nw)) {
             for ((d, &s), &m) in d.iter_mut().zip(s).zip(m) {
                 *d = (*d & !m) | (s & m);
             }
@@ -1576,12 +1609,7 @@ impl Executor for PackedBackend {
         if !sw.driverless.is_empty() {
             return Err(bus_fault(dir, sw.driverless.clone()));
         }
-        sw.broadcast(
-            words_for(dim),
-            &src.buf.words,
-            &mut out.buf.words,
-            &mut self.scratch,
-        );
+        sw.broadcast(&src.buf.words, &mut out.buf.words, &mut self.scratch);
         Ok(out)
     }
 
@@ -1603,7 +1631,7 @@ impl Executor for PackedBackend {
         };
         // In place: a shared `dst` buffer is unshared first (copy-on-write).
         let (s, d) = (src.as_slice(), dst.as_mut_slice());
-        for_each_set_bit_in(mask.words(), 0, dim.len(), |i| d[i] = s[i]);
+        for_each_set_pe(Layout::of(dim), mask.words(), |i| d[i] = s[i]);
     }
 
     fn bus_or(
@@ -1671,7 +1699,7 @@ mod tests {
 
     #[test]
     fn pack_roundtrip_preserves_bits() {
-        let dim = Dim::new(5, 13); // 65 PEs: crosses a word boundary
+        let dim = Dim::new(5, 13); // 16-bit row slots: the fifth row opens a second word
         let plane = plane_of(dim, |i| i % 3 == 0 || i == 64);
         let mut be = PackedBackend::new();
         let mask = be.mask_from_plane(dim, &plane);
@@ -1680,15 +1708,40 @@ mod tests {
     }
 
     #[test]
-    fn filled_mask_trims_trailing_bits() {
+    fn filled_mask_leaves_the_padding_zero() {
+        // Rows of 3 take 4-bit slots: three slots of 0b0111.
         let dim = Dim::new(3, 3);
         let mut be = PackedBackend::new();
         let mask = be.mask_filled(dim, true);
         assert_eq!(mask.count(), 9);
-        assert_eq!(mask.words()[0], 0x1ff);
+        assert_eq!(mask.words()[0], 0x777);
         let none = be.mask_filled(dim, false);
         let not = be.mask_not(dim, &none);
-        assert_eq!(not.words()[0], 0x1ff, "negation keeps the trim");
+        assert_eq!(not.words()[0], 0x777, "negation keeps the padding zero");
+    }
+
+    #[test]
+    fn no_row_straddles_a_word() {
+        for cols in [
+            1, 3, 12, 17, 24, 33, 63, 64, 65, 96, 100, 127, 128, 129, 1024,
+        ] {
+            for rows in [1, 3, 7, 64] {
+                let lay = Layout::of(Dim::new(rows, cols));
+                assert!(lay.stride >= cols, "{rows}x{cols}");
+                assert!(lay.stride.is_power_of_two() || lay.stride.is_multiple_of(64));
+                if cols.is_multiple_of(64) || 64 % cols == 0 {
+                    assert_eq!(lay.stride, cols, "{rows}x{cols}: flat layout kept");
+                }
+                for r in 0..rows {
+                    let bits = lay.row(r);
+                    let (first, last) = (bits.start / 64, (bits.end - 1) / 64);
+                    assert_eq!(last - first + 1, lay.row_words(), "{rows}x{cols} row {r}");
+                    assert!(cols > 64 || first == last);
+                }
+                let valid: u32 = (0..lay.words).map(|wi| lay.valid(wi).count_ones()).sum();
+                assert_eq!(valid as usize, rows * cols, "{rows}x{cols}");
+            }
+        }
     }
 
     #[test]
@@ -1726,24 +1779,23 @@ mod tests {
     }
 
     #[test]
-    fn bit_reads_and_writes_round_trip_at_every_offset() {
-        let words: Vec<u64> = (0..6u64)
-            .map(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .collect();
-        for start in [0, 1, 31, 63, 64, 65, 100] {
-            for len in [1, 13, 32, 63, 64, 65, 96, 128] {
-                if start + len > 384 {
-                    continue;
+    fn row_images_round_trip_in_every_layout() {
+        for (rows, cols) in [(7, 3), (5, 13), (9, 32), (3, 64), (4, 96), (3, 129)] {
+            let dim = Dim::new(rows, cols);
+            let lay = Layout::of(dim);
+            let mut be = PackedBackend::new();
+            let plane = Plane::from_vec(dim, (0..dim.len()).map(|i| i % 7 < 3).collect());
+            let mask = be.mask_from_plane(dim, &plane);
+            let mut back = vec![0u64; lay.words];
+            let mut image = vec![0u64; lay.row_words()];
+            for r in 0..rows {
+                lay.read_row(mask.words(), r, &mut image);
+                for c in 0..cols {
+                    assert_eq!(test_bit(&image, c), plane.as_slice()[r * cols + c]);
                 }
-                let mut row = vec![0u64; 3];
-                read_bits(&words, start, len, &mut row);
-                let mut back = vec![0u64; 6];
-                write_bits(&mut back, start, len, &row);
-                for i in 0..384 {
-                    let want = (start..start + len).contains(&i) && test_bit(&words, i);
-                    assert_eq!(test_bit(&back, i), want, "start {start} len {len} bit {i}");
-                }
+                lay.or_row(&mut back, r, &image);
             }
+            assert_eq!(back, mask.words(), "{rows}x{cols}");
         }
     }
 
@@ -1776,7 +1828,8 @@ mod tests {
 
     #[test]
     fn packed_bus_or_matches_scalar_reference() {
-        // 9x9 = 81 PEs: row segments and column key walks straddle a word.
+        // Rows of 9 in 16-bit slots, four to a word: the last word is
+        // partial and every slot carries padding.
         let dim = Dim::square(9);
         let mut packed = PackedBackend::new();
         let mut scalar = ScalarBackend;
@@ -1798,7 +1851,7 @@ mod tests {
 
     #[test]
     fn vote_and_knockout_match_scalar() {
-        let dim = Dim::new(9, 31); // 279 PEs: four full words and a partial one
+        let dim = Dim::new(9, 31); // 32-bit row slots: four full words and a partial one
         let mut packed = PackedBackend::new();
         let mut scalar = ScalarBackend;
         let enable = plane_of(dim, |i| i % 2 == 0);
@@ -1961,7 +2014,7 @@ mod tests {
 
     #[test]
     fn perturbed_adder_flips_the_lowest_bit_of_every_sum() {
-        let dim = Dim::new(5, 13); // 65 PEs: the flip must keep the trim
+        let dim = Dim::new(5, 13); // rows in 16-bit slots: the flip keeps the padding zero
         let value = |r: usize, c: usize| (r * 13 + c) as i64;
         let mut clean = PackedBackend::new();
         let mut drilled = PackedBackend::with_perturbed_adder();
@@ -1972,6 +2025,9 @@ mod tests {
         for i in 0..dim.len() {
             assert_eq!(got.value(i), want.value(i) ^ 1, "PE {i}");
         }
-        assert_eq!(got.plane(0)[1], 1, "no bit past the last PE");
+        let lay = Layout::of(dim);
+        for (wi, &w) in got.plane(0).iter().enumerate() {
+            assert_eq!(w & !lay.valid(wi), 0, "no padding bit set in word {wi}");
+        }
     }
 }

@@ -610,73 +610,217 @@ const BUS_SHAPES: [(usize, usize, usize); 10] = [
     (64, 1024, 64),
 ];
 
+/// Row widths whose planes carry padding: rows of up to 64 columns sit in
+/// a power-of-two slot, wider rows in whole words.
+const PADDED_COLS: [usize; 12] = [1, 3, 12, 17, 24, 33, 63, 65, 96, 100, 127, 129];
+
+/// The padded shapes, at several row counts, with one lane per row, plus
+/// lane layouts with odd lane counts: three lanes of 32 and five of 20.
+fn padded_shapes() -> Vec<(usize, usize, usize)> {
+    let mut shapes: Vec<_> = PADDED_COLS
+        .into_iter()
+        .flat_map(|cols| [1, 5, 9].map(|rows| (rows, cols, cols)))
+        .collect();
+    shapes.extend([(32, 96, 32), (7, 96, 32), (20, 100, 20), (9, 100, 20)]);
+    shapes
+}
+
 #[test]
 fn bus_kernels_match_the_bus_reference_at_served_shapes() {
     for (rows, cols, lane) in BUS_SHAPES {
-        let dim = Dim::new(rows, cols);
-        let noise = h_bit_plane(dim, 7, (rows * cols) as u64);
-        let drawn = h_bit_plane(Dim::new(rows, 1), 16, cols as u64);
-        let (r0, c0) = (rows / 3, cols / 2 + 1);
-        let patterns = [
-            (
-                "one Open per row",
-                Plane::from_fn(dim, |c| c.col == drawn.as_slice()[c.row] as usize % cols),
-            ),
-            (
-                "lane ends",
-                Plane::from_fn(dim, |c| c.col % lane == lane - 1),
-            ),
-            (
-                "ROW == lane COL",
-                Plane::from_fn(dim, |c| c.row == c.col % lane),
-            ),
-            ("all Open", Plane::filled(dim, true)),
-            (
-                "an empty row and column",
-                Plane::from_fn(dim, |c| {
-                    c.row != r0 && c.col != c0 && *noise.get(c) % 3 == 0
-                }),
-            ),
-            ("sparse", Plane::from_fn(dim, |c| *noise.get(c) < 4)),
-        ];
-        let values = Plane::from_fn(dim, |c| *noise.get(c) % 19 == 0);
-        let mut s = Machine::<ScalarBackend>::new(rows, cols);
-        let mut p = Machine::new_packed(rows, cols);
-        let (vs, vp) = (s.pack_mask(&values).unwrap(), p.pack_mask(&values).unwrap());
-        let srcs: Vec<_> = [1u32, 11, 62]
-            .into_iter()
-            .map(|h| {
-                let src = h_bit_plane(dim, h, u64::from(h) + cols as u64);
-                let regs = (load(&mut s, h, &src), load(&mut p, h, &src));
-                (h, src, regs)
-            })
-            .collect();
-        for (name, open) in &patterns {
-            let (os, op) = (s.pack_mask(open).unwrap(), p.pack_mask(open).unwrap());
-            for dir in DIRECTIONS {
-                let at = format!("{rows}x{cols}, {name}, {dir:?}");
-                let want = bus::bus_or(dim, &values, dir, open).unwrap();
-                s.mask_bus_or(&vs, dir, &os).unwrap();
-                let got = p.mask_bus_or(&vp, dir, &op).unwrap();
-                assert_eq!(p.unpack_mask(&got), want, "{at}: mask_bus_or");
-                s.bus_or(&values, dir, open).unwrap();
-                assert_eq!(p.bus_or(&values, dir, open).unwrap(), want, "{at}: bus_or");
-                for (h, src, (rs, rp)) in &srcs {
-                    let want = bus::broadcast(dim, src, dir, open);
-                    let _ = s.int_broadcast(rs, dir, &os);
-                    let got = p.int_broadcast(rp, dir, &op).map(|r| p.read_int(&r));
-                    assert_eq!(got, want, "{at}: int_broadcast h={h}");
+        bus_kernels_match_the_bus_reference(rows, cols, lane);
+    }
+}
+
+#[test]
+fn bus_kernels_match_the_bus_reference_at_padded_widths() {
+    for (rows, cols, lane) in padded_shapes() {
+        bus_kernels_match_the_bus_reference(rows, cols, lane);
+    }
+}
+
+/// Every bus kernel in all four directions, against `bus::` and against
+/// the scalar backend's step reports, under the served switch patterns.
+/// Results are also counted, so a kernel that sets a padding bit shows.
+fn bus_kernels_match_the_bus_reference(rows: usize, cols: usize, lane: usize) {
+    let dim = Dim::new(rows, cols);
+    let noise = h_bit_plane(dim, 7, (rows * cols) as u64);
+    let drawn = h_bit_plane(Dim::new(rows, 1), 16, cols as u64);
+    let (r0, c0) = (rows / 3, cols / 2 + 1);
+    let patterns = [
+        (
+            "one Open per row",
+            Plane::from_fn(dim, |c| c.col == drawn.as_slice()[c.row] as usize % cols),
+        ),
+        (
+            "lane ends",
+            Plane::from_fn(dim, |c| c.col % lane == lane - 1),
+        ),
+        (
+            "ROW == lane COL",
+            Plane::from_fn(dim, |c| c.row == c.col % lane),
+        ),
+        ("all Open", Plane::filled(dim, true)),
+        (
+            "an empty row and column",
+            Plane::from_fn(dim, |c| {
+                c.row != r0 && c.col != c0 && *noise.get(c) % 3 == 0
+            }),
+        ),
+        ("sparse", Plane::from_fn(dim, |c| *noise.get(c) < 4)),
+    ];
+    let values = Plane::from_fn(dim, |c| *noise.get(c) % 19 == 0);
+    let mut s = Machine::<ScalarBackend>::new(rows, cols);
+    let mut p = Machine::new_packed(rows, cols);
+    let (vs, vp) = (s.pack_mask(&values).unwrap(), p.pack_mask(&values).unwrap());
+    let srcs: Vec<_> = [1u32, 11, 62]
+        .into_iter()
+        .map(|h| {
+            let src = h_bit_plane(dim, h, u64::from(h) + cols as u64);
+            let regs = (load(&mut s, h, &src), load(&mut p, h, &src));
+            (h, src, regs)
+        })
+        .collect();
+    for (name, open) in &patterns {
+        let (os, op) = (s.pack_mask(open).unwrap(), p.pack_mask(open).unwrap());
+        for dir in DIRECTIONS {
+            let at = format!("{rows}x{cols}, {name}, {dir:?}");
+            let want = bus::bus_or(dim, &values, dir, open).unwrap();
+            s.mask_bus_or(&vs, dir, &os).unwrap();
+            let got = p.mask_bus_or(&vp, dir, &op).unwrap();
+            assert_eq!(p.unpack_mask(&got), want, "{at}: mask_bus_or");
+            assert_eq!(p.mask_count(&got), want.count_true(), "{at}: padding");
+            s.bus_or(&values, dir, open).unwrap();
+            assert_eq!(p.bus_or(&values, dir, open).unwrap(), want, "{at}: bus_or");
+            for (h, src, (rs, rp)) in &srcs {
+                let want = bus::broadcast(dim, src, dir, open);
+                let scalar = s.int_broadcast(rs, dir, &os);
+                let packed = p.int_broadcast(rp, dir, &op);
+                if let (Ok(rs), Ok(rp)) = (&scalar, &packed) {
+                    same_plane_counts(&mut s, &mut p, rs, rp, *h, &at);
                 }
-                let src = &srcs[1].1;
-                let _ = s.broadcast(src, dir, open);
-                let got = p.broadcast(src, dir, open);
-                assert_eq!(got, bus::broadcast(dim, src, dir, open), "{at}: broadcast");
+                let got = packed.map(|r| p.read_int(&r));
+                assert_eq!(got, want, "{at}: int_broadcast h={h}");
             }
+            let src = &srcs[1].1;
+            let _ = s.broadcast(src, dir, open);
+            let got = p.broadcast(src, dir, open);
+            assert_eq!(got, bus::broadcast(dim, src, dir, open), "{at}: broadcast");
         }
-        assert_eq!(
-            s.controller().report(),
-            p.controller().report(),
-            "{rows}x{cols}: per-class steps"
-        );
+    }
+    assert_eq!(
+        s.controller().report(),
+        p.controller().report(),
+        "{rows}x{cols}: per-class steps"
+    );
+}
+
+/// Asserts that every bit-plane of two `h`-bit registers holds as many
+/// set PEs on both backends: a packed plane with a padding bit set counts
+/// one more.
+fn same_plane_counts(
+    s: &mut Machine<ScalarBackend>,
+    p: &mut Machine<PackedBackend>,
+    rs: &Plane<i64>,
+    rp: &<PackedBackend as Executor>::Int,
+    h: u32,
+    what: &str,
+) {
+    for j in 0..h {
+        let (bs, bp) = (s.int_bit(rs, j).unwrap(), p.int_bit(rp, j).unwrap());
+        assert_eq!(s.mask_count(&bs), p.mask_count(&bp), "{what}: plane {j}");
+    }
+}
+
+#[test]
+fn padded_layouts_round_trip_and_keep_padding_zero() {
+    for (rows, cols, lane) in padded_shapes() {
+        let dim = Dim::new(rows, cols);
+        for h in [1u32, 11, 62] {
+            let at = format!("{rows}x{cols} h={h}");
+            let max = (1i64 << h) - 1;
+            let mut t = Pair::new(rows, cols, h);
+            let a_plane = h_bit_plane(dim, h, 3 + cols as u64);
+            let a = t.load(&a_plane);
+            assert_eq!(t.p.read_int(&a.1), a_plane, "{at}: register round trip");
+            let sel_plane = Plane::from_fn(dim, |c| (c.row * 7 + c.col) % 5 < 2);
+            let sel = t.mask(&sel_plane);
+            assert_eq!(t.p.unpack_mask(&sel.1), sel_plane, "{at}: mask round trip");
+            assert_eq!(
+                t.s.mask_count(&sel.0),
+                t.p.mask_count(&sel.1),
+                "{at}: count"
+            );
+
+            // Host reads of single rows, at both ends of every row.
+            for row in 0..rows {
+                for range in [0..cols, cols / 2..cols, 0..1, cols - 1..cols] {
+                    assert_eq!(
+                        t.s.mask_any_in(&sel.0, row, range.clone()),
+                        t.p.mask_any_in(&sel.1, row, range.clone()),
+                        "{at}: any_in row {row} {range:?}"
+                    );
+                    assert_eq!(
+                        t.s.read_int_row(&a.0, row, range.clone()),
+                        t.p.read_int_row(&a.1, row, range.clone()),
+                        "{at}: int_row row {row} {range:?}"
+                    );
+                }
+            }
+
+            // Producers that could set padding: all ones, negation, equality
+            // and a saturating add. Counts and the global OR see padding.
+            let ones = (t.s.mask_imm(true), t.p.mask_imm(true));
+            t.same_mask("mask_imm(true)", &ones);
+            assert_eq!(t.p.mask_count(&ones.1), dim.len(), "{at}: filled");
+            let none = (
+                t.s.mask_not(&ones.0).unwrap(),
+                t.p.mask_not(&ones.1).unwrap(),
+            );
+            assert_eq!(t.p.mask_count(&none.1), 0, "{at}: NOT of all ones");
+            assert!(!t.s.mask_global_or(&none.0).unwrap());
+            assert!(!t.p.mask_global_or(&none.1).unwrap(), "{at}: global OR");
+            let not = (t.s.mask_not(&sel.0).unwrap(), t.p.mask_not(&sel.1).unwrap());
+            t.same_mask("not", &not);
+            assert_eq!(t.s.mask_count(&not.0), t.p.mask_count(&not.1), "{at}: NOT");
+            assert_eq!(
+                t.s.mask_global_or(&not.0).unwrap(),
+                t.p.mask_global_or(&not.1).unwrap(),
+                "{at}: global OR"
+            );
+            let b_plane = Plane::from_fn(dim, |c| if c.col % 2 == 0 { max } else { 0 });
+            let b = t.load(&b_plane);
+            for equal in [true, false] {
+                for other in [&a, &b] {
+                    let m = (
+                        t.s.int_eq(&a.0, &other.0, equal).unwrap(),
+                        t.p.int_eq(&a.1, &other.1, equal).unwrap(),
+                    );
+                    t.same_mask("eq/ne", &m);
+                    assert_eq!(t.s.mask_count(&m.0), t.p.mask_count(&m.1), "{at}: eq");
+                }
+            }
+            let sum = (
+                t.s.int_sat_add(&a.0, &b.0, h).unwrap(),
+                t.p.int_sat_add(&a.1, &b.1, h).unwrap(),
+            );
+            t.same_int("saturating add", &sum);
+            same_plane_counts(&mut t.s, &mut t.p, &sum.0, &sum.1, h, &at);
+            let mut regs = vec![
+                (t.s.int_imm(max, h), t.p.int_imm(max, h)),
+                (
+                    t.s.int_lane_imm(&vec![max; cols / lane], lane, h),
+                    t.p.int_lane_imm(&vec![max; cols / lane], lane, h),
+                ),
+            ];
+            if rows as i64 - 1 <= max {
+                regs.push((t.s.int_row_index(h), t.p.int_row_index(h)));
+            }
+            for r in &regs {
+                t.same_int("immediate", r);
+                same_plane_counts(&mut t.s, &mut t.p, &r.0, &r.1, h, &at);
+            }
+            assert_eq!(t.s.controller().report(), t.p.controller().report(), "{at}");
+        }
     }
 }

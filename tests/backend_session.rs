@@ -13,6 +13,7 @@ use ppa_machine::{CancelToken, PackedBackend, TransientFaults};
 use ppa_mcp::batch::replicate;
 use ppa_mcp::mcp::{fit_word_bits, McpOutput};
 use ppa_mcp::{apsp, mcp::minimum_cost_path, BatchSession, McpError, McpSession};
+use ppa_obs::{Event, TraceSink};
 use ppa_ppc::Ppa;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -222,12 +223,35 @@ proptest! {
     }
 }
 
-/// Cancellation mid-solve, 120 times on one long-lived packed runtime: a
-/// watchdog thread fires the token after a seeded delay drawn across the
-/// solve's duration. Whatever the race decides, the outcome is either
-/// the scalar reference answer or a clean `Cancelled` — never anything
-/// in between — and the runtime (plan cache, slice cache, mask arena)
-/// still solves correctly afterwards.
+/// A trace sink that raises `token` as it records the instruction just
+/// before step `at`, so the machine's guard refuses the instruction at
+/// step `at`.
+struct CancelAt {
+    token: CancelToken,
+    at: u64,
+}
+
+impl TraceSink for CancelAt {
+    fn enter_span(&mut self, _name: &str, _step: u64) {}
+
+    fn exit_span(&mut self, _step: u64) {}
+
+    fn event(&mut self, ev: &Event<'_>) {
+        if ev.step + ev.dur >= self.at {
+            self.token.cancel();
+        }
+    }
+}
+
+/// Cancellation mid-solve on one long-lived packed runtime. First, 60
+/// times, a sink raises the token at a drawn step inside the solve: every
+/// such solve must come back `Cancelled`. Then, 120 times, a watchdog
+/// thread fires the token after a seeded delay drawn across the solve's
+/// duration, covering the token across threads: whatever the race
+/// decides, the outcome is either the scalar reference answer or a clean
+/// `Cancelled`, never anything in between. After every cancelled solve
+/// the runtime (plan cache, slice cache, mask arena) solves
+/// bit-identically.
 #[test]
 fn packed_midflight_cancellation_leaves_the_runtime_usable() {
     let mut rng = SmallRng::seed_from_u64(0xCA9CE1);
@@ -240,7 +264,36 @@ fn packed_midflight_cancellation_leaves_the_runtime_usable() {
     let start = Instant::now();
     minimum_cost_path(&mut packed, &w, 0).unwrap();
     let solve_us = start.elapsed().as_micros().max(1) as u64;
-    let mut cancelled = 0u32;
+    let steps = packed.steps().total();
+    assert_eq!(steps, want.stats.total.total());
+    for draw in 0..60 {
+        let at = rng.gen_range(1..steps);
+        packed.reset_steps();
+        let token = CancelToken::new();
+        packed.attach_cancel(token.clone());
+        packed.install_sink(CancelAt { token, at });
+        let got = minimum_cost_path(&mut packed, &w, 0);
+        packed.take_sink();
+        assert!(
+            got.as_ref().is_err_and(McpError::is_cancelled),
+            "draw {draw}: cancelled before step {at} of {steps}, got {got:?}"
+        );
+        // Unguarded mask instructions (votes, knockouts) may run on until
+        // the next guarded one.
+        let stopped = packed.steps().total();
+        assert!(
+            (at..steps).contains(&stopped),
+            "draw {draw}: stopped at {stopped}"
+        );
+        packed.reset_steps();
+        packed.attach_cancel(CancelToken::new());
+        let after = minimum_cost_path(&mut packed, &w, 0).unwrap();
+        assert_eq!(after.sow, want.sow, "draw {draw}");
+        assert_eq!(after.ptn, want.ptn, "draw {draw}");
+        assert_eq!(packed.steps(), want.stats.total, "draw {draw}");
+    }
+
+    packed.reset_steps();
     for iter in 0..120 {
         let token = CancelToken::new();
         packed.attach_cancel(token.clone());
@@ -266,13 +319,12 @@ fn packed_midflight_cancellation_leaves_the_runtime_usable() {
                 assert_eq!(out.sow, want.sow, "iter {iter}");
                 assert_eq!(out.ptn, want.ptn, "iter {iter}");
             }
-            Err(e) if e.is_cancelled() => cancelled += 1,
+            Err(e) if e.is_cancelled() => {}
             Err(other) => panic!("iter {iter}: unexpected failure {other:?}"),
         }
         killer.join().expect("cancel thread must not panic");
         packed.reset_steps();
     }
-    assert!(cancelled > 0, "no solve was ever cancelled mid-flight");
 
     packed.attach_cancel(CancelToken::new());
     let after = minimum_cost_path(&mut packed, &w, 0).unwrap();
