@@ -26,14 +26,17 @@
 //! * **Compiled switch patterns** — the first time a (direction, Open
 //!   mask) pattern is seen it is compiled into word masks, in the form its
 //!   shape runs fastest:
-//!   - row buses whose clusters are exactly aligned slots of 1–64 bits
-//!     (rows of up to 64 columns with at most one Open PE each, and lanes
-//!     of a power-of-two width whose Open PE sits at the lane's upstream
-//!     end) fill every slot that holds a set bit with a handful of word
-//!     ops;
+//!   - row buses whose clusters are equal runs that never straddle a word
+//!     (rows of up to 64 columns with at most one Open PE each, and equal
+//!     lanes whose Open PE sits at the lane's upstream end, within such
+//!     rows or of a width dividing 64) fill every cluster that holds a set
+//!     bit with a handful of word ops;
 //!   - rows wider than a word with at most one Open PE each (the MCP
 //!     loop's `COL == n - 1` and the scans' survivor sets at n > 64) are
 //!     one cluster each: a row's words are ORed and filled;
+//!   - other such lanes (the lane-batched `COL == n - 1` at n = 24, 48 or
+//!     96) take the same fill with the plane as one integer, carrying and
+//!     borrowing across words;
 //!   - every other row pattern, in either direction, cuts the rows into
 //!     runs at the Open PEs and carries values along them with one add
 //!     per word;
@@ -45,8 +48,8 @@
 //!   holds exactly one Open PE, its head, so once the pattern's
 //!   driverless-line list is empty a register broadcast is, plane by
 //!   plane, the wired-OR of `src & open` over the same clusters; the
-//!   carry-chain form broadcasts more directly, carrying each head's bit
-//!   to the end of its cluster.
+//!   carry-chain and wide-lane forms broadcast more directly, carrying
+//!   each head's bit to the other end of its cluster.
 //!   Compiled patterns are cached, the most recent one checked first. A
 //!   pattern that has not been reused yet is held on probation: once four
 //!   such are held a new pattern evicts the oldest of them, so the scans'
@@ -142,6 +145,19 @@ impl Layout {
     /// Words of one row image: a row of up to 64 columns is one word.
     fn row_words(self) -> usize {
         self.stride.div_ceil(64)
+    }
+
+    /// The set bits of row `r` of the plane `words`.
+    fn count_row(self, words: &[u64], r: usize) -> u32 {
+        if self.stride >= 64 {
+            let rw = self.row_words();
+            return words[r * rw..(r + 1) * rw]
+                .iter()
+                .map(|w| w.count_ones())
+                .sum();
+        }
+        let at = r * self.stride;
+        ((words[at / 64] >> (at % 64)) & ones(self.stride)).count_ones()
     }
 
     /// The PE bits of every row slot of a word (rows of up to 64 columns).
@@ -430,23 +446,23 @@ fn bus_fault(dir: Direction, lines: Vec<usize>) -> MachineError {
     }
 }
 
-/// Fills every aligned `width`-bit slot of a word that holds a set bit
-/// (`width` a power of two up to 64): per slot, adding the slot's bits
-/// below its top to all ones below its top carries into the top bit
-/// exactly when one of them is set; then each top bit `t` becomes the
-/// slot's fill `2t - (t >> (width - 1))`, with no multiply.
+/// Fills every cluster of a word that holds a set bit, the clusters being
+/// runs of `width` bits (1 to 64) that start at the bits of `lows` and never
+/// straddle a word: per cluster, adding its bits below its top to all ones
+/// below its top carries into the top bit exactly when one of them is set;
+/// then each top bit `t` becomes the cluster's fill `2t - (t >> (width -
+/// 1))`, with no multiply. Bits outside every cluster stay zero.
 #[derive(Debug, Clone, Copy)]
 struct SlotFill {
     width: u32,
-    /// Bit 0 of every slot.
+    /// Bit 0 of every cluster.
     lows: u64,
-    /// Every bit of every slot but its top one.
+    /// Every bit of every cluster but its top one.
     rest: u64,
 }
 
 impl SlotFill {
-    fn new(width: usize) -> Self {
-        let lows = lows(width);
+    fn new(width: usize, lows: u64) -> Self {
         SlotFill {
             width: width as u32,
             lows,
@@ -461,46 +477,89 @@ impl SlotFill {
     }
 }
 
-/// The slot width when the clusters of a row pattern are exactly aligned
-/// slots: a row's whole slot, when rows of up to 64 columns hold at most
-/// one Open PE each (a row with none is one floating cluster), or narrower
-/// power-of-two slots dividing the row whose Open PEs are exactly the
-/// slots' upstream ends (lanes). Widest first.
-fn slot_width(lay: Layout, increasing: bool, open: &[u64]) -> Option<SlotFill> {
-    (0..=6u32)
-        .rev()
-        .map(|k| 1usize << k)
-        .filter(|&s| s == lay.stride || (s < lay.cols && lay.cols.is_multiple_of(s)))
-        .find(|&s| {
-            if s == lay.stride {
-                return s == 1
-                    || open.iter().all(|&w| {
-                        (0..64)
-                            .step_by(s)
-                            .all(|at| ((w >> at) & ones(s)).count_ones() <= 1)
-                    });
-            }
-            let ends = if increasing {
-                lows(s)
-            } else {
-                lows(s) << (s - 1)
-            };
-            open.iter()
-                .enumerate()
-                .all(|(wi, &w)| w == ends & lay.valid(wi))
+/// The lane width when every row is cut into equal lanes, each holding
+/// exactly one Open PE at its upstream end (its first column going East,
+/// its last going West): the lane-batched `COL == n - 1` West pattern and
+/// its East mirror.
+fn lane_width(lay: Layout, increasing: bool, open: &[u64]) -> Option<usize> {
+    // Row 0's Open PEs: how many, and where the first two sit.
+    let (row, mut heads, mut at) = (lay.row(0), 0, [0; 2]);
+    for_each_set_bit_in(open, row.start, row.end, |p| {
+        if heads < 2 {
+            at[heads] = p - row.start;
+        }
+        heads += 1;
+    });
+    let width = match (increasing, heads) {
+        (_, 0) | (true, 1) => return None,
+        (true, _) => at[1],
+        (false, _) => at[0] + 1,
+    };
+    if heads * width != lay.cols {
+        return None;
+    }
+    let (mut lane, mut image) = (vec![0u64; lay.row_words()], vec![0u64; lay.row_words()]);
+    let first = if increasing { 0 } else { width - 1 };
+    for c in (first..lay.cols).step_by(width) {
+        set_bit(&mut lane, c);
+    }
+    (0..lay.rows)
+        .all(|r| {
+            lay.read_row(open, r, &mut image);
+            image == lane
         })
-        .map(SlotFill::new)
+        .then_some(width)
+}
+
+/// The tops of the lanes of the words `x` that hold a set bit, into `out`;
+/// `tops` holds every lane's last bit. As [`SlotFill`], with the add
+/// carrying across words: `!t` stands for every lane's bits below its top
+/// (padding bits too, which the final AND clears), and no carry leaves a
+/// lane, whose top bit is clear in both terms.
+fn lane_tops(tops: &[u64], x: impl Iterator<Item = u64>, out: &mut [u64]) {
+    let mut carry = false;
+    for ((o, &t), x) in out.iter_mut().zip(tops).zip(x) {
+        let (sum, c1) = (x & !t).overflowing_add(!t);
+        let (sum, c2) = sum.overflowing_add(u64::from(carry));
+        (*o, carry) = ((sum | x) & t, c1 | c2);
+    }
+}
+
+/// `out = (a << up) - (a >> down)`, a plane taken as one integer, which
+/// fills every lane of `width` bits from one marked end: a lane's top `t`
+/// becomes `2t - (t >> (width - 1))`, its first bit `f` becomes `(f <<
+/// width) - f`. `a` holds the plane from word `pad`, with `pad` zero words
+/// either side (both shifts at most `64 * (pad - 1)` bits).
+fn shift_sub(a: &[u64], pad: usize, up: usize, down: usize, out: &mut [u64]) {
+    let (ui, us, di, ds) = (up / 64, up % 64, down / 64, down % 64);
+    let hi = a[pad - ui..].iter().zip(&a[pad - ui - 1..]);
+    let lo = a[pad + di..].iter().zip(&a[pad + di + 1..]);
+    let mut borrow = false;
+    for (o, ((&h, &hp), (&l, &ln))) in out.iter_mut().zip(hi.zip(lo)) {
+        // A shift by 64 is zero: the second halves shift twice.
+        let hi = h << us | (hp >> 1) >> (63 - us);
+        let lo = l >> ds | (ln << 1) << (63 - ds);
+        let (d, b1) = hi.overflowing_sub(lo);
+        let (d, b2) = d.overflowing_sub(u64::from(borrow));
+        (*o, borrow) = (d, b1 | b2);
+    }
 }
 
 /// How a compiled switch pattern runs, chosen from its shape.
 #[derive(Debug, Clone, Copy)]
 enum Form {
-    /// Row buses whose clusters are exactly the aligned slots; the output
-    /// keeps the given bits (a row's slot past its columns is padding).
-    Slots(SlotFill, u64),
+    /// Row buses whose clusters are equal runs that never straddle a word:
+    /// rows of up to 64 columns with at most one Open PE each (each row one
+    /// cluster), or lanes as [`lane_width`] finds them within such rows or
+    /// of a width dividing 64.
+    Slots(SlotFill),
     /// Rows wider than a word with at most one Open PE each: every row is
     /// one cluster.
     Rows,
+    /// Lanes as [`lane_width`] finds them in rows wider than a word, of the
+    /// given width, which does not divide 64: some straddle words. `tops`
+    /// holds their last bits.
+    Lanes(usize),
     /// Any other row pattern: carry chains round each row, cut at
     /// `starts` going up and at `ends` going down.
     Chain,
@@ -533,6 +592,8 @@ struct Switch {
     /// [`spread_down`]. A driverless row is one cluster from its first bit
     /// to its last.
     ends: Vec<u64>,
+    /// `Lanes`: the last bit of every lane.
+    tops: Vec<u64>,
     /// `Carry`: the Open row image of row `r` at words `r * rw..(r + 1) *
     /// rw`.
     rows: Vec<u64>,
@@ -550,6 +611,7 @@ impl Switch {
             form: Form::Chain,
             starts: Vec::new(),
             ends: Vec::new(),
+            tops: Vec::new(),
             rows: Vec::new(),
         }
     }
@@ -562,6 +624,7 @@ impl Switch {
         self.driverless.clear();
         self.starts.clear();
         self.ends.clear();
+        self.tops.clear();
         self.rows.clear();
         self.form = match dir.axis() {
             Axis::Row => self.compile_rows(),
@@ -577,28 +640,48 @@ impl Switch {
             driverless,
             starts,
             ends,
+            tops,
             ..
         } = self;
         let (lay, increasing) = (*lay, dir.is_increasing());
-        if let Some(fill) = slot_width(lay, increasing, open) {
-            // Narrower slots than the row put an Open PE in every slot.
-            if fill.width as usize != lay.stride {
-                return Form::Slots(fill, !0);
+        // Rows with at most one Open PE each are one cluster each (a row
+        // with none floating), and so are equal lanes headed upstream.
+        let mut one_each = true;
+        for r in 0..lay.rows {
+            match lay.count_row(open, r) {
+                0 => driverless.push(r),
+                1 => {}
+                _ => {
+                    one_each = false;
+                    break;
+                }
             }
-            driverless.extend((0..lay.rows).filter(|&r| {
-                let bits = lay.row(r);
-                !range_any(open, bits.start, bits.end)
-            }));
-            return Form::Slots(fill, lay.slot_mask());
         }
-        if lay.stride > 64 {
-            let heads = |row: &[u64]| row.iter().map(|w| w.count_ones()).sum::<u32>();
-            let rows = open.chunks(lay.row_words());
-            if rows.clone().all(|row| heads(row) <= 1) {
-                let none = rows.enumerate().filter(|(_, row)| heads(row) == 0);
-                driverless.extend(none.map(|(r, _)| r));
+        let width = if one_each {
+            if lay.stride > 64 {
                 return Form::Rows;
             }
+            Some(lay.cols)
+        } else {
+            driverless.clear();
+            lane_width(lay, increasing, open)
+        };
+        if let Some(width) = width {
+            if lay.stride <= 64 {
+                // A row's cluster starts, repeated in every row slot.
+                let firsts = (0..lay.cols).step_by(width).fold(0u64, |w, c| w | 1 << c);
+                return Form::Slots(SlotFill::new(width, firsts * lows(lay.stride)));
+            }
+            if 64 % width == 0 {
+                return Form::Slots(SlotFill::new(width, lows(width)));
+            }
+            let mut image = vec![0u64; lay.row_words()];
+            for c in (width - 1..lay.cols).step_by(width) {
+                set_bit(&mut image, c);
+            }
+            tops.resize(lay.words, 0);
+            lay.tile_rows(&image, tops);
+            return Form::Lanes(width);
         }
         // Each row is a cycle: going East a cluster runs from its head up
         // to the bit before the next head round the row, padding included;
@@ -634,15 +717,15 @@ impl Switch {
                 }
             }
         } else {
-            let (s, fill) = (lay.stride, SlotFill::new(lay.stride));
-            let (firsts, tops) = (lows(s), lows(s) << (s - 1));
+            let (s, fill) = (lay.stride, SlotFill::new(lay.stride, lows(lay.stride)));
+            let (firsts, lasts) = (lows(s), lows(s) << (s - 1));
             for (wi, &w) in open.iter().enumerate() {
                 let (first, last) = first_last(
                     w,
                     if increasing {
-                        (w >> 1 & !tops) | (w & firsts) << (s - 1)
+                        (w >> 1 & !lasts) | (w & firsts) << (s - 1)
                     } else {
-                        (w << 1 & !firsts) | (w & tops) >> (s - 1)
+                        (w << 1 & !firsts) | (w & lasts) >> (s - 1)
                     },
                 );
                 starts.push(first);
@@ -692,15 +775,15 @@ impl Switch {
         let word = |wi: usize| v[wi] & gate.map_or(!0, |g| g[wi]);
         let lay = self.lay;
         match self.form {
-            Form::Slots(fill, keep) => match gate {
+            Form::Slots(fill) => match gate {
                 None => {
                     for (o, &x) in out.iter_mut().zip(v) {
-                        *o = fill.apply(x) & keep;
+                        *o = fill.apply(x);
                     }
                 }
                 Some(g) => {
                     for ((o, &x), &y) in out.iter_mut().zip(v).zip(g) {
-                        *o = fill.apply(x & y) & keep;
+                        *o = fill.apply(x & y);
                     }
                 }
             },
@@ -710,6 +793,15 @@ impl Switch {
                     2 => fill_rows(2, last, v, gate, out),
                     rw => fill_rows(rw, last, v, gate, out),
                 }
+            }
+            Form::Lanes(width) => {
+                let (a, pad) = lane_buffer(width, out.len(), &mut s.vals);
+                let tops = &mut a[pad..pad + out.len()];
+                match gate {
+                    None => lane_tops(&self.tops, v.iter().copied(), tops),
+                    Some(g) => lane_tops(&self.tops, v.iter().zip(g).map(|(&x, &y)| x & y), tops),
+                }
+                shift_sub(a, pad, 1, width - 1, out);
             }
             Form::Chain => {
                 // Prefixes from each cluster's first bit, then each
@@ -754,15 +846,41 @@ impl Switch {
                     self.lay.trim(o);
                 }
             }
+            Form::Lanes(width) => {
+                // Each lane's head is its top going West and its first bit
+                // going East.
+                let (up, down) = if self.dir.is_increasing() {
+                    (width, 0)
+                } else {
+                    (1, width - 1)
+                };
+                let (a, pad) = lane_buffer(width, nw, &mut s.vals);
+                for (x, o) in planes {
+                    let heads = a[pad..pad + nw].iter_mut().zip(x).zip(&self.open);
+                    for ((a, &x), &h) in heads {
+                        *a = x & h;
+                    }
+                    shift_sub(a, pad, up, down, o);
+                }
+            }
             // Each cluster holds one Open PE, its head, so plane by plane the
             // broadcast is the wired-OR of `src & open`.
-            Form::Slots(..) | Form::Rows | Form::Fold | Form::Carry => {
+            Form::Slots(_) | Form::Rows | Form::Fold | Form::Carry => {
                 for (x, o) in planes {
                     self.wired_or(x, Some(&self.open), o, s);
                 }
             }
         }
     }
+}
+
+/// `buf` zeroed to a plane of `words` words with the zero words either side
+/// that [`shift_sub`] needs for lanes of `width` bits, and that pad.
+fn lane_buffer(width: usize, words: usize, buf: &mut Vec<u64>) -> (&mut [u64], usize) {
+    let pad = width / 64 + 2;
+    buf.clear();
+    buf.resize(words + 2 * pad, 0);
+    (buf, pad)
 }
 
 /// One word of a carry chain: adding `x | pass` and `carry` to `x`
@@ -1359,10 +1477,6 @@ impl Executor for PackedBackend {
         let lay = Layout::of(dim);
         let mut mask = self.alloc_mask(dim);
         let words = &mut mask.buf.words;
-        if lay.stride == lay.cols {
-            pack(plane.as_slice(), words);
-            return mask;
-        }
         for (r, row) in plane.as_slice().chunks(dim.cols).enumerate() {
             let at = lay.row(r).start;
             if lay.stride > 64 {
@@ -1740,6 +1854,40 @@ mod tests {
                 }
                 let valid: u32 = (0..lay.words).map(|wi| lay.valid(wi).count_ones()).sum();
                 assert_eq!(valid as usize, rows * cols, "{rows}x{cols}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_patterns_take_the_fill_forms() {
+        // `(rows, lanes, lane width)`: a lane-batched machine's `COL == n - 1`
+        // West and `COL == 0` East patterns fill their lanes whatever the
+        // width; only lanes that straddle words need the wide-lane form.
+        for (rows, lanes, width, slots) in [
+            (4, 3, 12, true),
+            (4, 3, 32, true),
+            (2, 16, 64, true),
+            (4, 3, 24, false),
+            (3, 2, 96, false),
+            (2, 2, 128, false),
+        ] {
+            let lay = Layout::of(Dim::new(rows, lanes * width));
+            for (dir, head) in [(Direction::West, width - 1), (Direction::East, 0)] {
+                let mut open = vec![0; lay.words];
+                for r in 0..rows {
+                    for l in 0..lanes {
+                        set_bit(&mut open, lay.row(r).start + l * width + head);
+                    }
+                }
+                let mut sw = Switch::new(lay, dir);
+                sw.compile(lay, dir, &open);
+                let at = format!("{lanes} lanes of {width}, {dir:?}");
+                match sw.form {
+                    Form::Slots(fill) => assert!(slots && fill.width as usize == width, "{at}"),
+                    Form::Lanes(w) => assert!(!slots && w == width, "{at}"),
+                    form => panic!("{at}: {form:?}"),
+                }
+                assert!(sw.driverless.is_empty(), "{at}");
             }
         }
     }

@@ -594,9 +594,9 @@ fn for_each_fault_model<E: Executor>(m: &mut Machine<E>, faults: &FaultMap, seed
 }
 
 /// The shapes the compiled bus kernels serve, with their lane width: rows
-/// of one 8-, 16- or 32-bit slot, narrow rows straddling words (27, and
-/// lanes of 12), whole-word rows, wide rows straddling words (96), rows of
-/// two words, and lanes of 64 columns.
+/// of one 8-, 16- or 32-bit slot, narrow rows with padding (27, and two
+/// lanes of 12), whole-word rows, wide rows with padding (96), rows of two
+/// words, and lanes of 64 columns.
 const BUS_SHAPES: [(usize, usize, usize); 10] = [
     (8, 8, 8),
     (16, 16, 16),
@@ -615,13 +615,23 @@ const BUS_SHAPES: [(usize, usize, usize); 10] = [
 const PADDED_COLS: [usize; 12] = [1, 3, 12, 17, 24, 33, 63, 65, 96, 100, 127, 129];
 
 /// The padded shapes, at several row counts, with one lane per row, plus
-/// lane layouts with odd lane counts: three lanes of 32 and five of 20.
+/// lane layouts with odd lane counts (three lanes of 32 and five of 20)
+/// and lanes that share a word-sized row (three of 12) or straddle words
+/// (three of 24, five of 40, two of 65, 96 and 128).
 fn padded_shapes() -> Vec<(usize, usize, usize)> {
     let mut shapes: Vec<_> = PADDED_COLS
         .into_iter()
         .flat_map(|cols| [1, 5, 9].map(|rows| (rows, cols, cols)))
         .collect();
     shapes.extend([(32, 96, 32), (7, 96, 32), (20, 100, 20), (9, 100, 20)]);
+    shapes.extend([
+        (6, 36, 12),
+        (4, 72, 24),
+        (3, 200, 40),
+        (3, 130, 65),
+        (5, 192, 96),
+        (2, 256, 128),
+    ]);
     shapes
 }
 
@@ -656,6 +666,7 @@ fn bus_kernels_match_the_bus_reference(rows: usize, cols: usize, lane: usize) {
             "lane ends",
             Plane::from_fn(dim, |c| c.col % lane == lane - 1),
         ),
+        ("lane starts", Plane::from_fn(dim, |c| c.col % lane == 0)),
         (
             "ROW == lane COL",
             Plane::from_fn(dim, |c| c.row == c.col % lane),
