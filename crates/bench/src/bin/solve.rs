@@ -59,6 +59,7 @@ use ppa_graph::{gen, io, WeightMatrix, INF};
 use ppa_machine::{BackendSpec, BackendVisitor, Executor};
 use ppa_mcp::batch::replicate;
 use ppa_mcp::closure::{hop_levels, reachability};
+use ppa_mcp::mcp::fit_word_bits;
 use ppa_mcp::path::extract_path;
 use ppa_mcp::widest::widest_path;
 use ppa_mcp::{BatchSession, McpSession, Redundancy};
@@ -377,7 +378,8 @@ fn solve_inline(run: Inline, w: &WeightMatrix, d: usize, opts: &Options) {
                     run_shortest(session, w, d, opts)
                 }
                 Inline::Widest => {
-                    let h = w.required_word_bits().clamp(4, 62);
+                    // The word width a served widest job and a session use.
+                    let h = fit_word_bits(w).clamp(2, 62);
                     run_widest(Ppa::with_backend(w.n(), exec).with_word_bits(h), w, d, opts)
                 }
                 Inline::Hops => run_hops(Ppa::with_backend(w.n(), exec), w, d, opts),

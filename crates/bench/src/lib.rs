@@ -3067,6 +3067,23 @@ mod tests {
         }
     }
 
+    /// The A1/A2 ablations and the T7 family table, rendered byte for byte
+    /// against `tests/golden/`: their step counts are the schedule that
+    /// widest paths and both ablation models share with the MCP driver.
+    #[test]
+    fn step_tables_match_the_golden_files() {
+        let tables = [
+            ("a1", a1_bus_ablation()),
+            ("a2", a2_min_ablation()),
+            ("t7", t7_family()),
+        ];
+        for (name, table) in tables {
+            let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+            let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert_eq!(table.render(), want, "{name} differs from {path}");
+        }
+    }
+
     #[test]
     fn t9_bit_serial_scans_dominate() {
         let t = t9_phase_profile();

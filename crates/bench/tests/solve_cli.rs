@@ -112,3 +112,23 @@ fn demo_outputs_match_the_golden_files() {
         }
     }
 }
+
+/// Inline widest and shortest solves fit the machine word as a served job
+/// does (`fit_word_bits`, at least 2 bits), so on a graph that fits h = 2
+/// both print the same steps per pass.
+#[test]
+fn inline_widest_and_shortest_share_the_word_width() {
+    let path = std::env::temp_dir().join(format!("solve-cli-{}.txt", std::process::id()));
+    std::fs::write(&path, "n 3\ne 0 1 1\ne 1 2 1\ne 0 2 1\n").expect("write the graph");
+    let graph = path.to_str().expect("utf-8 temp path");
+    let per_pass = |problem: &str| {
+        let out = solve(&[graph, "--dest", "2", "--steps", "--problem", problem]);
+        let line = out.lines().find(|l| l.contains("iterations:"));
+        line.unwrap_or_else(|| panic!("no iterations line in {out}"))
+            .to_owned()
+    };
+    let (widest, shortest) = (per_pass("widest"), per_pass("shortest"));
+    std::fs::remove_file(&path).expect("remove the graph");
+    assert_eq!(widest, shortest);
+    assert!(widest.ends_with("1 x 42.0 steps"), "{widest}");
+}

@@ -53,7 +53,8 @@
 use crate::apsp::AllPairs;
 use crate::error::McpError;
 pub use crate::mcp::LaneLimit;
-use crate::mcp::{self, McpOutput, Prepared};
+use crate::mcp::{self, Algebra, McpOutput, Prepared};
+use crate::variants::VariantConfig;
 use crate::Result;
 use ppa_graph::WeightMatrix;
 use ppa_machine::{Dim, ExecStats, Executor, LaneLayout, Machine, PackedBackend, ScalarBackend};
@@ -180,7 +181,8 @@ impl<E: Executor> BatchSession<E> {
                 actual: ppa.word_bits(),
             });
         }
-        let prep = Prepared::load(&mut ppa, graphs)?;
+        let paper = VariantConfig::reference();
+        let prep = Prepared::load(&mut ppa, graphs, Algebra::MinPlus, paper)?;
         Ok(BatchSession {
             ppa,
             layout,

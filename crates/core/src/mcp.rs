@@ -35,10 +35,13 @@
 //! per lane of a prepared machine. The one-shot entry points here,
 //! [`crate::session::McpSession`] and [`crate::apsp::all_pairs`] run it
 //! with one lane; [`crate::batch::BatchSession`] runs it with one lane per
-//! problem.
+//! problem. [`crate::widest::widest_path`] runs it on `(max, min)`
+//! registers and [`crate::variants::minimum_cost_path_variant`] under the
+//! A1/A2 bus and combining models, both with one lane.
 
 use crate::error::McpError;
 use crate::stats::McpStats;
+use crate::variants::{BusModel, MinModel, VariantConfig};
 use crate::Result;
 use ppa_graph::{Weight, WeightMatrix, INF};
 use ppa_machine::{CancelToken, Direction, ExecStats, Executor, MachineError, StepReport};
@@ -82,7 +85,7 @@ pub fn minimum_cost_path<E: Executor>(
     w: &WeightMatrix,
     d: usize,
 ) -> Result<McpOutput> {
-    mcp_run(ppa, w, d, false)
+    mcp_run(ppa, w, d, VariantConfig::reference(), false)
 }
 
 /// [`minimum_cost_path`] with host-side result verification: cheap
@@ -106,7 +109,39 @@ pub fn minimum_cost_path_verified<E: Executor>(
     w: &WeightMatrix,
     d: usize,
 ) -> Result<McpOutput> {
-    mcp_run(ppa, w, d, true)
+    mcp_run(ppa, w, d, VariantConfig::reference(), true)
+}
+
+/// The semiring a prepared machine's registers hold, fixed at load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Algebra {
+    /// `(min, +)`: minimum cost paths, the paper's algebra.
+    MinPlus,
+    /// `(max, min)`: widest (bottleneck) paths ([`crate::widest`]).
+    MaxMin,
+}
+
+impl Algebra {
+    /// "No path" on a machine whose largest word is `maxint`: `MAXINT` for
+    /// costs, 0 for capacities. Absent edges load as it and the loop
+    /// registers are declared at it; at `maxint = INF` it is the host's
+    /// output for an unreachable vertex.
+    fn none(self, maxint: i64) -> i64 {
+        match self {
+            Algebra::MinPlus => maxint,
+            Algebra::MaxMin => 0,
+        }
+    }
+
+    /// The diagonal's value, which makes the `j = i` candidate of
+    /// statement 10 a vertex's old value: 0 for costs, `MAXINT`
+    /// ("unlimited") for capacities. The destination reads out as it.
+    fn stay(self, maxint: i64) -> i64 {
+        match self {
+            Algebra::MinPlus => 0,
+            Algebra::MaxMin => maxint,
+        }
+    }
 }
 
 /// The destination-independent registers of `minimum_cost_path`:
@@ -122,6 +157,13 @@ pub fn minimum_cost_path_verified<E: Executor>(
 pub(crate) struct Prepared<E: Executor> {
     pub(crate) n: usize,
     maxint: i64,
+    /// The semiring the registers hold: the weights, the declared loop
+    /// registers, statement 10's combine, statement 11's scan and the
+    /// readout follow it.
+    algebra: Algebra,
+    /// The bus and combining model of the South folds and the two row
+    /// scans; the paper's is circular and bit-serial.
+    model: VariantConfig,
     row: E::Int,
     /// `COL` — lane-local on a lane-batched machine — the register that
     /// statement 12 selects from.
@@ -156,14 +198,15 @@ struct LoopRegs<E: Executor> {
 
 impl<E: Executor> LoopRegs<E> {
     /// Statement 3 and the PPC declarations (4 ALU steps). PPC leaves the
-    /// variables uninitialized; the simulator pins them to MAXINT (fidelity
-    /// note 2 at the crate root).
-    fn declare(ppa: &mut Ppa<E>, maxint: i64) -> Result<Self> {
+    /// variables uninitialized; the simulator pins them to "no path" —
+    /// MAXINT for costs (fidelity note 2 at the crate root), 0 for
+    /// capacities.
+    fn declare(ppa: &mut Ppa<E>, none: i64) -> Result<Self> {
         Ok(LoopRegs {
-            sow: ppa.int_constant(maxint)?,
-            min_sow: ppa.int_constant(maxint)?,
+            sow: ppa.int_constant(none)?,
+            min_sow: ppa.int_constant(none)?,
             ptn: ppa.int_constant(0)?,
-            old_sow: ppa.int_constant(maxint)?, // statement 3
+            old_sow: ppa.int_constant(none)?, // statement 3
         })
     }
 
@@ -222,15 +265,22 @@ impl<E: Executor> Prepared<E> {
     /// caller's current span and phase.
     pub(crate) fn build(ppa: &mut Ppa<E>, w: &WeightMatrix) -> Result<Self> {
         check_fit(ppa, w, None)?;
-        Prepared::load(ppa, std::slice::from_ref(w))
+        let paper = VariantConfig::reference();
+        Prepared::load(ppa, std::slice::from_ref(w), Algebra::MinPlus, paper)
     }
 
     /// Loads the lanes' weights side by side — lane `l` owns columns
-    /// `l*n .. (l+1)*n` of the `n x (n * L)` machine — and issues the five
-    /// prepare steps: `ROW`, the lane-local `COL`, the `n - 1` immediate and
-    /// the masks `ROW == COL` and `COL == n - 1`. The caller has checked the
-    /// machine's shape and word width.
-    pub(crate) fn load(ppa: &mut Ppa<E>, graphs: &[WeightMatrix]) -> Result<Self> {
+    /// `l*n .. (l+1)*n` of the `n x (n * L)` machine — as `algebra` holds
+    /// them, fixes the solve's `algebra` and bus/combining `model`, and
+    /// issues the five prepare steps: `ROW`, the lane-local `COL`, the
+    /// `n - 1` immediate and the masks `ROW == COL` and `COL == n - 1`. The
+    /// caller has checked the machine's shape and word width.
+    pub(crate) fn load(
+        ppa: &mut Ppa<E>,
+        graphs: &[WeightMatrix],
+        algebra: Algebra,
+        model: VariantConfig,
+    ) -> Result<Self> {
         // `parallel int W` arrives preloaded in each PE's memory (host I/O,
         // not a SIMD step), sliced straight into bit-planes. The diagonal
         // is loaded as 0 — the dynamic-program convention the paper's
@@ -240,26 +290,29 @@ impl<E: Executor> Prepared<E> {
         // "minimum between its old value and the new sums" (fidelity note 2
         // in DESIGN.md); it also pins `SOW_dd` to 0 so one-edge paths keep
         // their `j = d` witness in later iterations. The word-width check
-        // keeps every finite weight below MAXINT.
+        // keeps every finite weight below MAXINT. Capacities are the dual:
+        // the diagonal loads as MAXINT ("unlimited") and absent edges as 0.
         let dim = ppa.dim();
         let n = dim.rows;
         let maxint = ppa.maxint();
+        let (stay, none) = (algebra.stay(maxint), algebra.none(maxint));
+        let weight = |g: &WeightMatrix, r, c| loaded_weight(g, stay, none, r, c);
         let (w, wt) = match graphs {
             // One lane preloads no transpose (see `wt`) and reads `W` straight
             // from its graph: the composite-column lookup below made a packed
             // session's setup 11-15% slower at n = 16-64.
-            [g] => (ppa.load_with(|r, c| loaded_weight(g, maxint, r, c))?, None),
+            [g] => (ppa.load_with(|r, c| weight(g, r, c))?, None),
             _ => {
                 // Composite column -> (lane, lane-local column), once per load.
                 let lane_cols: Vec<(usize, usize)> =
                     (0..dim.cols).map(|c| (c / n, c % n)).collect();
                 let w = ppa.load_with(|r, c| {
                     let (l, c) = lane_cols[c];
-                    loaded_weight(&graphs[l], maxint, r, c)
+                    weight(&graphs[l], r, c)
                 })?;
                 let wt = ppa.load_with(|r, c| {
                     let (l, c) = lane_cols[c];
-                    loaded_weight(&graphs[l], maxint, c, r)
+                    weight(&graphs[l], c, r)
                 })?;
                 (w, Some(wt))
             }
@@ -272,6 +325,8 @@ impl<E: Executor> Prepared<E> {
         Ok(Prepared {
             n,
             maxint,
+            algebra,
+            model,
             row,
             col,
             diag,
@@ -314,17 +369,35 @@ impl<E: Executor> Prepared<E> {
             old_sow,
         } = regs;
 
+        let widest = self.algebra == Algebra::MaxMin;
+        let (stmt_10, stmt_11) = if widest {
+            ("stmt 10: broadcast+min", "stmt 11: max")
+        } else {
+            ("stmt 10: broadcast+add", "stmt 11: min")
+        };
+
         // ---- statements 9-13, under where (ROW != d) ----
-        // 10: SOW = broadcast(SOW, SOUTH, ROW == d) + W
-        //     (the bus transaction is global; the mask gates the write)
-        ppa.set_phase(Some("stmt 10: broadcast+add"));
-        let bsow = ppa.int_broadcast(sow, Direction::South, row_is_d)?;
-        let sum = ppa.int_sat_add(&bsow, &self.w)?;
+        // 10: SOW = broadcast(SOW, SOUTH, ROW == d) + W (min(..., W) for
+        //     capacities; the bus transaction is global, the mask gates
+        //     the write)
+        ppa.set_phase(Some(stmt_10));
+        let bsow = self.fold(ppa, sow, row_is_d)?;
+        let sum = if widest {
+            ppa.int_min2(&bsow, &self.w)?
+        } else {
+            ppa.int_sat_add(&bsow, &self.w)?
+        };
         ppa.where_mask(row_ne_d, |p| p.int_assign(sow, &sum))??;
 
-        // 11: MIN_SOW = min(SOW, WEST, COL == n-1)
-        ppa.set_phase(Some("stmt 11: min"));
-        let rowmin = ppa.int_min(sow, Direction::West, &self.last_col)?;
+        // 11: MIN_SOW = min(SOW, WEST, COL == n-1) (max for capacities)
+        ppa.set_phase(Some(stmt_11));
+        let rowmin = match self.model.min {
+            MinModel::BitSerial if widest => ppa.int_max(sow, Direction::West, &self.last_col)?,
+            MinModel::BitSerial => ppa.int_min(sow, Direction::West, &self.last_col)?,
+            // A2 models the shortest-path scan only: widest paths run the
+            // paper's model.
+            MinModel::Word => self.word_min(ppa, sow)?,
+        };
         ppa.where_mask(row_ne_d, |p| p.int_assign(min_sow, &rowmin))??;
 
         // 12: PTN = selected_min(COL, WEST, COL == n-1, MIN_SOW == SOW)
@@ -335,13 +408,25 @@ impl<E: Executor> Prepared<E> {
         ppa.set_phase(Some("stmt 12: selected_min"));
         let is_argmin = ppa.int_eq(min_sow, sow)?;
         let sel = ppa.mask_or(&is_argmin, row_is_d)?;
-        let argmin_col = ppa.int_selected_min(&self.col, Direction::West, &self.last_col, &sel)?;
+        let argmin_col = match self.model.min {
+            MinModel::BitSerial => {
+                ppa.int_selected_min(&self.col, Direction::West, &self.last_col, &sel)?
+            }
+            MinModel::Word => {
+                // Unselected indices read as MAXINT, then one word combine.
+                let mut masked = ppa.int_constant(self.maxint)?;
+                ppa.machine_mut()
+                    .int_assign(&mut masked, &self.col, Some(&sel))
+                    .map_err(machine_error)?;
+                self.word_min(ppa, &masked)?
+            }
+        };
         ppa.where_mask(row_ne_d, |p| p.int_assign(ptn, &argmin_col))??;
 
         // ---- statements 14-18, under where (ROW == d) ----
         ppa.set_phase(Some("stmts 14-18: fold into row d"));
-        let bc_min = ppa.int_broadcast(min_sow, Direction::South, &self.diag)?; // 16 (read)
-        let bc_ptn = ppa.int_broadcast(ptn, Direction::South, &self.diag)?; // 18 (read)
+        let bc_min = self.fold(ppa, min_sow, &self.diag)?; // 16 (read)
+        let bc_ptn = self.fold(ppa, ptn, &self.diag)?; // 18 (read)
         let changed = ppa.where_mask(row_is_d, |p| -> ppa_ppc::Result<E::Mask> {
             p.int_assign(old_sow, sow)?; // 15
             p.int_assign(sow, &bc_min)?; // 16 (write)
@@ -350,6 +435,42 @@ impl<E: Executor> Prepared<E> {
             Ok(changed)
         })??;
         Ok(changed)
+    }
+
+    /// A fold broadcast: every PE of a column receives `src` from the
+    /// column's one Open PE of `open` (statements 5, 10, 16 and 18). On
+    /// circular buses this is one instruction.
+    fn fold(&self, ppa: &mut Ppa<E>, src: &E::Int, open: &E::Mask) -> Result<E::Int> {
+        let down = ppa.int_broadcast(src, Direction::South, open)?;
+        if self.model.bus == BusModel::Circular {
+            return Ok(down);
+        }
+        // A1's linear buses: the down-pass reaches only the PEs below the
+        // injector, the up-pass those above it, and each PE keeps the copy
+        // that really came from its injector — decided against the
+        // injector's row, folded the same way. The hardware equivalent is
+        // a one-bit valid flag riding with each pass; the model charges the
+        // row copy, the compare and the merge.
+        let up = ppa.int_broadcast(src, Direction::North, open)?;
+        let row = ppa.int_row_index()?;
+        let injector = ppa.int_broadcast(&row, Direction::South, open)?;
+        let above = ppa.int_lt(&row, &injector)?;
+        let mut merged = down;
+        ppa.machine_mut()
+            .int_assign(&mut merged, &up, Some(&above))
+            .map_err(machine_error)?;
+        Ok(merged)
+    }
+
+    /// A2's word-combining bus along the rows, headed at `COL == n - 1`:
+    /// [`Ppa::min_word`]'s host combine on the register's image, loaded
+    /// back. The read and the load are uncosted host I/O; the combine
+    /// records its bus-or and broadcast steps.
+    fn word_min(&self, ppa: &mut Ppa<E>, src: &E::Int) -> Result<E::Int> {
+        let heads = ppa.machine().unpack_mask(&self.last_col);
+        let image = ppa.read(src);
+        let row_min = ppa.min_word(&image, Direction::West, &heads)?;
+        Ok(ppa.load(&row_min)?)
     }
 }
 
@@ -410,6 +531,8 @@ impl LaneLimit {
 /// destination per lane: the solve driver. Lane `l` solves toward
 /// `dests[l]` on `graphs[l]` under `limits[l]`; one lane is a solo solve.
 /// Callers run it inside [`in_solve_span`], after `prep`'s five steps.
+/// The host invariants are the shortest-path ones: a `(max, min)` solve
+/// never runs them, whatever `verify` says.
 ///
 /// Every lane's [`McpStats`] count from `start`: before the prepare steps
 /// for a one-shot, after them for a session or a wave. The outer `Result`
@@ -431,6 +554,7 @@ pub(crate) fn solve_lanes<E: Executor>(
     start: StepReport,
 ) -> Result<Vec<Result<McpOutput>>> {
     let n = prep.n;
+    let verify = verify && prep.algebra == Algebra::MinPlus;
     let cols = |l: usize| l * n..(l + 1) * n;
     let cancelled = |l: usize| {
         limits[l]
@@ -461,7 +585,7 @@ pub(crate) fn solve_lanes<E: Executor>(
     let origin = ppa.steps();
     let safe: Vec<i64> = dests.iter().map(|&d| d.min(n - 1) as i64).collect();
     let masks = prep.dest_masks(ppa, &safe)?;
-    let mut regs = LoopRegs::declare(ppa, prep.maxint)?;
+    let mut regs = LoopRegs::declare(ppa, prep.algebra.none(prep.maxint))?;
 
     // --- Step 1: statements 4-7 -------------------------------------------
     ppa.set_phase(Some("step 1 (stmts 4-7)"));
@@ -473,10 +597,10 @@ pub(crate) fn solve_lanes<E: Executor>(
         // one lane: spread column d across each row, [i][*] = w_id ...
         None => ppa.int_broadcast(&prep.w, Direction::East, &masks.col_is_d)?,
         // ... or, lane-safe, read row d of the transpose, [*][i] = w_id;
-        Some(wt) => ppa.int_broadcast(wt, Direction::South, &masks.row_is_d)?,
+        Some(wt) => prep.fold(ppa, wt, &masks.row_is_d)?,
     };
     // then fold the diagonal down, [*][i] = w_id either way.
-    let in_weights_t = ppa.int_broadcast(&spread, Direction::South, &prep.diag)?;
+    let in_weights_t = prep.fold(ppa, &spread, &prep.diag)?;
     regs.init(ppa, &masks, &in_weights_t)?;
     // The counters are monotonic within the run, so the subtraction cannot
     // fail; `checked_since` keeps the stats path panic-free regardless.
@@ -582,6 +706,7 @@ pub(crate) fn solve_lanes<E: Executor>(
                 read_out(
                     &graphs[l],
                     dests[l],
+                    prep.algebra,
                     prep.maxint,
                     &lane_row(ppa, &regs.sow, l),
                     &lane_row(ppa, &regs.ptn, l),
@@ -672,22 +797,23 @@ pub(crate) fn publish_backend_metrics<E: Executor>(ppa: &mut Ppa<E>, before: &Ex
     }
 }
 
-/// The preloaded `W` value of PE `(r, c)`: `w_rc` with absent edges as
-/// `MAXINT` and the diagonal as 0.
-fn loaded_weight(w: &WeightMatrix, maxint: i64, r: usize, c: usize) -> i64 {
+/// The preloaded `W` value of PE `(r, c)`: `w_rc`, with the diagonal as
+/// `stay` and absent edges as `none`.
+fn loaded_weight(w: &WeightMatrix, stay: i64, none: i64, r: usize, c: usize) -> i64 {
     match w.get(r, c) {
-        _ if r == c => 0,
-        INF => maxint,
+        _ if r == c => stay,
+        INF => none,
         x => x,
     }
 }
 
-/// Converts row `d` of the final `SOW`/`PTN` registers into the output
-/// vectors and, when `verify` is set, checks invariants 2 and 3 of
-/// [`minimum_cost_path_verified`] host-side.
+/// Converts row `d` of the final `SOW`/`PTN` registers, holding
+/// `algebra`'s values, into the output vectors and, when `verify` is set,
+/// checks invariants 2 and 3 of [`minimum_cost_path_verified`] host-side.
 fn read_out(
     w: &WeightMatrix,
     d: usize,
+    algebra: Algebra,
     maxint: i64,
     sow_d: &[i64],
     ptn_d: &[i64],
@@ -699,10 +825,10 @@ fn read_out(
     for i in 0..n {
         let cost = sow_d[i];
         if i == d {
-            out_sow.push(0);
+            out_sow.push(algebra.stay(maxint));
             out_ptn.push(d);
-        } else if cost >= maxint {
-            out_sow.push(INF);
+        } else if cost == algebra.none(maxint) {
+            out_sow.push(algebra.none(INF));
             out_ptn.push(i);
         } else {
             out_sow.push(cost);
@@ -743,18 +869,37 @@ fn read_out(
     Ok((out_sow, out_ptn))
 }
 
-/// The one-shot: every guard before any observation starts, then the
-/// prepare steps inside the `mcp` span and counted in the report.
-fn mcp_run<E: Executor>(
+/// The shortest-path one-shot under a bus/combining `model`: every guard
+/// before any observation starts, then [`one_shot`].
+pub(crate) fn mcp_run<E: Executor>(
     ppa: &mut Ppa<E>,
     w: &WeightMatrix,
     d: usize,
+    model: VariantConfig,
     verify: bool,
 ) -> Result<McpOutput> {
     check_fit(ppa, w, Some(d))?;
+    one_shot(ppa, w, d, Algebra::MinPlus, model, verify)
+}
+
+/// A one-shot past its caller's guards: `w` prepared for `algebra` under
+/// `model`, then the driver on one lane, inside the `mcp` span (`widest`
+/// for capacities). The report counts the prepare steps.
+pub(crate) fn one_shot<E: Executor>(
+    ppa: &mut Ppa<E>,
+    w: &WeightMatrix,
+    d: usize,
+    algebra: Algebra,
+    model: VariantConfig,
+    verify: bool,
+) -> Result<McpOutput> {
     let start = ppa.steps();
-    in_solve_span(ppa, "mcp", |ppa| {
-        let prep = Prepared::load(ppa, std::slice::from_ref(w))?;
+    let span = match algebra {
+        Algebra::MinPlus => "mcp",
+        Algebra::MaxMin => "widest",
+    };
+    in_solve_span(ppa, span, |ppa| {
+        let prep = Prepared::load(ppa, std::slice::from_ref(w), algebra, model)?;
         solve_solo(ppa, &prep, w, d, verify, start)
     })
 }

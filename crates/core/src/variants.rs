@@ -15,14 +15,15 @@
 //!
 //! Both variants compute *identical results* to the reference
 //! implementation — only the step counts move — which the tests assert.
+//! A variant is a model the MCP driver fixes at load, not a second copy of
+//! the loop: it governs the driver's South fold broadcasts and its two row
+//! scans.
 
-use crate::error::McpError;
-use crate::mcp::{fit_word_bits, McpOutput};
-use crate::stats::McpStats;
+use crate::mcp::{mcp_run, McpOutput};
 use crate::Result;
-use ppa_graph::{Weight, WeightMatrix, INF};
-use ppa_machine::{Direction, StepReport};
-use ppa_ppc::{Parallel, Ppa};
+use ppa_graph::WeightMatrix;
+use ppa_machine::Executor;
+use ppa_ppc::Ppa;
 
 /// Bus topology under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,185 +64,26 @@ impl VariantConfig {
     }
 }
 
-/// Runs the MCP dynamic program under a variant configuration.
+/// Runs the MCP dynamic program under a variant configuration: the MCP
+/// solve driver ([`crate::mcp`]) on one lane, with `config` fixed when the
+/// weights are loaded.
 ///
-/// Semantics match [`crate::mcp::minimum_cost_path`] exactly; only the
-/// realization (and therefore the step count) of the communication and
-/// combination phases differs.
-pub fn minimum_cost_path_variant(
-    ppa: &mut Ppa,
+/// Semantics match [`crate::mcp::minimum_cost_path`] exactly, guards
+/// included; only the realization (and therefore the step count) of the
+/// communication and combination phases differs.
+pub fn minimum_cost_path_variant<E: Executor>(
+    ppa: &mut Ppa<E>,
     w: &WeightMatrix,
     d: usize,
     config: VariantConfig,
 ) -> Result<McpOutput> {
-    let n = w.n();
-    let dim = ppa.dim();
-    if dim.rows != n || dim.cols != n {
-        return Err(McpError::SizeMismatch {
-            n,
-            rows: dim.rows,
-            cols: dim.cols,
-        });
-    }
-    if d >= n {
-        return Err(McpError::DestinationOutOfRange { d, n });
-    }
-    let required = fit_word_bits(w);
-    if ppa.word_bits() < required {
-        return Err(McpError::WordWidthTooSmall {
-            required,
-            actual: ppa.word_bits(),
-        });
-    }
-
-    let maxint = ppa.maxint();
-    let start = ppa.steps();
-
-    let row = ppa.row_index();
-    let col = ppa.col_index();
-    let d_imm = ppa.constant(d as i64);
-    let nm1_imm = ppa.constant(n as i64 - 1);
-    let row_is_d = ppa.eq(&row, &d_imm)?;
-    let row_ne_d = ppa.not(&row_is_d)?;
-    let col_is_d = ppa.eq(&col, &d_imm)?;
-    let diag = ppa.eq(&row, &col)?;
-    let last_col = ppa.eq(&col, &nm1_imm)?;
-
-    let mut w_vec = w.try_saturated_vec(maxint)?;
-    for i in 0..n {
-        w_vec[i * n + i] = 0;
-    }
-    let w_plane: Parallel<i64> = Parallel::from_vec(dim, w_vec);
-
-    // A fold broadcast: from the Open nodes of `open`, deliver to every
-    // node of the line. On circular buses this is one instruction; on
-    // linear buses it takes a pass in each direction plus a select.
-    let fold = |ppa: &mut Ppa,
-                src: &Parallel<i64>,
-                open: &Parallel<bool>|
-     -> ppa_ppc::Result<Parallel<i64>> {
-        match config.bus {
-            BusModel::Circular => ppa.broadcast(src, Direction::South, open),
-            BusModel::Linear => {
-                // Down-pass reaches nodes below the injector...
-                let down = ppa.broadcast(src, Direction::South, open)?;
-                // ...the up-pass reaches nodes above it...
-                let up = ppa.broadcast(src, Direction::North, open)?;
-                // ...and each node keeps the copy that really came
-                // from its line's injector. With exactly one Open
-                // node per column (all uses here), "below or at the
-                // injector" is decided by comparing against the
-                // injector's row, itself folded the same way; the
-                // hardware equivalent is a one-bit valid flag riding
-                // with each pass. We charge one select step.
-                let ri = ppa.row_index();
-                let rows_down = ppa.broadcast(&ri, Direction::South, open)?;
-                let below = ppa.le(&rows_down, &ri)?;
-                ppa.select(&below, &down, &up)
-            }
-        }
-    };
-
-    let rowmin = |ppa: &mut Ppa, src: &Parallel<i64>, heads: &Parallel<bool>| match config.min {
-        MinModel::BitSerial => ppa.min(src, Direction::West, heads),
-        MinModel::Word => ppa.min_word(src, Direction::West, heads),
-    };
-
-    // Step 1 (same intended initialization as the reference).
-    let in_weights = ppa.broadcast(&w_plane, Direction::East, &col_is_d)?;
-    let in_weights_t = fold(ppa, &in_weights, &diag)?;
-    let mut sow = ppa.constant(maxint);
-    let mut min_sow = ppa.constant(maxint);
-    let mut ptn = ppa.constant(0i64);
-    let mut old_sow = ppa.constant(maxint);
-    ppa.where_(&row_is_d, |p| -> ppa_ppc::Result<()> {
-        p.assign(&mut sow, &in_weights_t)?;
-        p.assign(&mut ptn, &d_imm)?;
-        p.assign(&mut min_sow, &in_weights_t)?;
-        Ok(())
-    })??;
-    let init_report = ppa.steps().since(&start);
-
-    let mut per_iteration: Vec<StepReport> = Vec::new();
-    let mut iterations = 0usize;
-    loop {
-        let iter_start = ppa.steps();
-        iterations += 1;
-
-        let bsow = fold(ppa, &sow, &row_is_d)?;
-        let sum = ppa.sat_add(&bsow, &w_plane)?;
-        ppa.where_(&row_ne_d, |p| p.assign(&mut sow, &sum))??;
-
-        let rm = rowmin(ppa, &sow, &last_col)?;
-        ppa.where_(&row_ne_d, |p| p.assign(&mut min_sow, &rm))??;
-
-        let is_argmin = ppa.eq(&min_sow, &sow)?;
-        let sel = ppa.or(&is_argmin, &row_is_d)?;
-        let argmin_col = match config.min {
-            MinModel::BitSerial => ppa.selected_min(&col, Direction::West, &last_col, &sel)?,
-            MinModel::Word => {
-                // Word model: mask unselected indices to MAXINT, then a
-                // single-step word combine.
-                let inf = ppa.constant(maxint);
-                let masked = ppa.select(&sel, &col, &inf)?;
-                ppa.min_word(&masked, Direction::West, &last_col)?
-            }
-        };
-        ppa.where_(&row_ne_d, |p| p.assign(&mut ptn, &argmin_col))??;
-
-        let bc_min = fold(ppa, &min_sow, &diag)?;
-        let bc_ptn = fold(ppa, &ptn, &diag)?;
-        let changed = ppa.where_(&row_is_d, |p| -> ppa_ppc::Result<Parallel<bool>> {
-            p.assign(&mut old_sow, &sow)?;
-            p.assign(&mut sow, &bc_min)?;
-            let changed = p.ne(&sow, &old_sow)?;
-            p.where_(&changed, |q| q.assign(&mut ptn, &bc_ptn))??;
-            Ok(changed)
-        })??;
-
-        per_iteration.push(ppa.steps().since(&iter_start));
-        let changed_in_row_d = ppa.and(&changed, &row_is_d)?;
-        if !ppa.any(&changed_in_row_d)? {
-            break;
-        }
-        if iterations > n {
-            return Err(McpError::NoConvergence { rounds: iterations });
-        }
-    }
-
-    let mut out_sow: Vec<Weight> = Vec::with_capacity(n);
-    let mut out_ptn: Vec<usize> = Vec::with_capacity(n);
-    for i in 0..n {
-        let cost = *sow.at(d, i);
-        if i == d {
-            out_sow.push(0);
-            out_ptn.push(d);
-        } else if cost >= maxint {
-            out_sow.push(INF);
-            out_ptn.push(i);
-        } else {
-            out_sow.push(cost);
-            out_ptn.push(*ptn.at(d, i) as usize);
-        }
-    }
-    let total = ppa.steps().since(&start);
-    Ok(McpOutput {
-        dest: d,
-        sow: out_sow,
-        ptn: out_ptn,
-        iterations,
-        stats: McpStats {
-            init: init_report,
-            per_iteration,
-            total,
-        },
-    })
+    mcp_run(ppa, w, d, config, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mcp::minimum_cost_path;
+    use crate::mcp::{fit_word_bits, minimum_cost_path};
     use ppa_graph::gen;
 
     fn machine_for(w: &WeightMatrix) -> Ppa {

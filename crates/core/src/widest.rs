@@ -16,14 +16,20 @@
 //!   trick that makes statement 16's overwrite correct for shortest
 //!   paths;
 //! * `CAP_dd = MAXINT` (a vertex reaches itself at unlimited capacity).
+//!
+//! The solve is the MCP driver's: the semiring is fixed when the weights
+//! are loaded, so statement 10 combines with an elementwise `min` and
+//! statement 11 scans for the row maximum, on the same registers, bus
+//! kernels and step schedule as a shortest-path one-shot.
 
 use crate::error::McpError;
+use crate::mcp::{one_shot, Algebra};
 use crate::stats::McpStats;
+use crate::variants::VariantConfig;
 use crate::Result;
 use ppa_graph::{Weight, WeightMatrix};
 use ppa_machine::Executor;
-use ppa_machine::{Direction, StepReport};
-use ppa_ppc::{Parallel, Ppa};
+use ppa_ppc::Ppa;
 
 /// Result of a widest-path run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,7 +85,8 @@ pub fn widest_path_oracle(w: &WeightMatrix, d: usize) -> Vec<Weight> {
     }
 }
 
-/// Runs the widest-path dynamic program on the PPA.
+/// Runs the widest-path dynamic program on the PPA: the MCP solve driver
+/// ([`crate::mcp`]) on one lane, with registers holding capacities.
 ///
 /// Requirements: square `n x n` machine; all finite capacities must fit
 /// strictly below the machine's `MAXINT` (which plays "unlimited").
@@ -108,117 +115,14 @@ pub fn widest_path<E: Executor>(
             actual: ppa.word_bits(),
         });
     }
-
-    let start = ppa.steps();
-    let row = ppa.row_index();
-    let col = ppa.col_index();
-    let d_imm = ppa.constant(d as i64);
-    let nm1_imm = ppa.constant(n as i64 - 1);
-    let row_is_d = ppa.eq(&row, &d_imm)?;
-    let row_ne_d = ppa.not(&row_is_d)?;
-    let col_is_d = ppa.eq(&col, &d_imm)?;
-    let diag = ppa.eq(&row, &col)?;
-    let last_col = ppa.eq(&col, &nm1_imm)?;
-
-    // Capacity plane: absent edge -> 0, diagonal -> MAXINT ("unlimited").
-    let cap_plane: Parallel<i64> = Parallel::from_fn(dim, |c| {
-        if c.row == c.col {
-            maxint
-        } else {
-            let e = w.get(c.row, c.col);
-            if e == ppa_graph::INF {
-                0
-            } else {
-                e
-            }
-        }
-    });
-
-    // Init: CAP[d][i] = capacity of edge i -> d (column-d fold, as in MCP);
-    // the diagonal MAXINT lands on CAP[d][d] automatically.
-    let in_caps = ppa.broadcast(&cap_plane, Direction::East, &col_is_d)?;
-    let in_caps_t = ppa.broadcast(&in_caps, Direction::South, &diag)?;
-    let mut cap = ppa.constant(0i64);
-    let mut max_cap_row = ppa.constant(0i64);
-    let mut ptn = ppa.constant(0i64);
-    let mut old_cap = ppa.constant(0i64);
-    ppa.where_(&row_is_d, |p| -> ppa_ppc::Result<()> {
-        p.assign(&mut cap, &in_caps_t)?;
-        p.assign(&mut ptn, &d_imm)?;
-        p.assign(&mut max_cap_row, &in_caps_t)?;
-        Ok(())
-    })??;
-    let init_report = ppa.steps().since(&start);
-
-    let mut per_iteration: Vec<StepReport> = Vec::new();
-    let mut iterations = 0usize;
-    loop {
-        let iter_start = ppa.steps();
-        iterations += 1;
-
-        // Candidate at PE (i,j): min(capacity(i->j), CAP_jd).
-        let bcap = ppa.broadcast(&cap, Direction::South, &row_is_d)?;
-        let cand = ppa.min2(&bcap, &cap_plane)?;
-        ppa.where_(&row_ne_d, |p| p.assign(&mut cap, &cand))??;
-
-        // Row-wise maximum (bit-serial, O(h)).
-        let rowmax = ppa.max(&cap, Direction::West, &last_col)?;
-        ppa.where_(&row_ne_d, |p| p.assign(&mut max_cap_row, &rowmax))??;
-
-        // Pointer: smallest column achieving the maximum (row-d repair
-        // as in MCP).
-        let is_arg = ppa.eq(&max_cap_row, &cap)?;
-        let sel = ppa.or(&is_arg, &row_is_d)?;
-        let arg_col = ppa.selected_min(&col, Direction::West, &last_col, &sel)?;
-        ppa.where_(&row_ne_d, |p| p.assign(&mut ptn, &arg_col))??;
-
-        // Fold the diagonal into row d.
-        let bc_max = ppa.broadcast(&max_cap_row, Direction::South, &diag)?;
-        let bc_ptn = ppa.broadcast(&ptn, Direction::South, &diag)?;
-        let changed = ppa.where_(&row_is_d, |p| -> ppa_ppc::Result<Parallel<bool>> {
-            p.assign(&mut old_cap, &cap)?;
-            p.assign(&mut cap, &bc_max)?;
-            let changed = p.ne(&cap, &old_cap)?;
-            p.where_(&changed, |q| q.assign(&mut ptn, &bc_ptn))??;
-            Ok(changed)
-        })??;
-
-        per_iteration.push(ppa.steps().since(&iter_start));
-        let changed_row_d = ppa.and(&changed, &row_is_d)?;
-        if !ppa.any(&changed_row_d)? {
-            break;
-        }
-        if iterations > n {
-            return Err(McpError::NoConvergence { rounds: iterations });
-        }
-    }
-
-    let mut out_cap = Vec::with_capacity(n);
-    let mut out_ptn = Vec::with_capacity(n);
-    for i in 0..n {
-        let c = *cap.at(d, i);
-        if i == d {
-            out_cap.push(maxint);
-            out_ptn.push(d);
-        } else if c <= 0 {
-            out_cap.push(0);
-            out_ptn.push(i);
-        } else {
-            out_cap.push(c);
-            out_ptn.push(*ptn.at(d, i) as usize);
-        }
-    }
-    let total = ppa.steps().since(&start);
+    let paper = VariantConfig::reference();
+    let out = one_shot(ppa, w, d, Algebra::MaxMin, paper, false)?;
     Ok(WidestOutput {
-        dest: d,
-        cap: out_cap,
-        ptn: out_ptn,
-        iterations,
-        stats: McpStats {
-            init: init_report,
-            per_iteration,
-            total,
-        },
+        dest: out.dest,
+        cap: out.sow,
+        ptn: out.ptn,
+        iterations: out.iterations,
+        stats: out.stats,
     })
 }
 
@@ -298,13 +202,26 @@ mod tests {
 
     #[test]
     fn same_step_complexity_class_as_mcp() {
+        // One schedule for both semirings: equal initializers and equal
+        // passes, class by class, on any graph and word width.
+        let graphs = [gen::ring(8), gen::random_digraph(10, 0.3, 20, 5)];
+        for (w, h) in graphs.iter().flat_map(|w| [(w, 8u32), (w, 16)]) {
+            let mut a = Ppa::square(w.n()).with_word_bits(h);
+            let widest = widest_path(&mut a, w, 0).unwrap();
+            let mut b = Ppa::square(w.n()).with_word_bits(h);
+            let mcp = crate::mcp::minimum_cost_path(&mut b, w, 0).unwrap();
+            assert_eq!(widest.stats.init, mcp.stats.init, "h={h}");
+            let pass = &mcp.stats.per_iteration[0];
+            let passes = widest.stats.per_iteration.iter();
+            for r in passes.chain(&mcp.stats.per_iteration) {
+                assert_eq!(r, pass, "h={h}");
+            }
+        }
+        // On a ring the two converge together, to the step.
         let w = gen::ring(8);
-        let mut a = machine_for(&w);
-        let widest = widest_path(&mut a, &w, 0).unwrap();
-        let mut b = machine_for(&w);
-        let mcp = crate::mcp::minimum_cost_path(&mut b, &w, 0).unwrap();
-        let ratio = widest.stats.steps_per_iteration() / mcp.stats.steps_per_iteration();
-        assert!((0.8..1.2).contains(&ratio), "ratio {ratio}");
+        let widest = widest_path(&mut machine_for(&w), &w, 0).unwrap();
+        let mcp = crate::mcp::minimum_cost_path(&mut machine_for(&w), &w, 0).unwrap();
+        assert_eq!(widest.stats, mcp.stats);
     }
 
     #[test]

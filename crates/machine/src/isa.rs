@@ -247,6 +247,12 @@ pub trait Executor: std::fmt::Debug + Clone {
     /// Elementwise `a == b` (or `a != b` when `equal` is false).
     fn int_eq(&mut self, dim: Dim, a: &Self::Int, b: &Self::Int, equal: bool) -> Self::Mask;
 
+    /// Elementwise `a < b`.
+    fn int_lt(&mut self, dim: Dim, a: &Self::Int, b: &Self::Int) -> Self::Mask;
+
+    /// Elementwise two-input minimum.
+    fn int_min2(&mut self, dim: Dim, a: &Self::Int, b: &Self::Int) -> Self::Int;
+
     /// Masked register write `where (mask) dst = src`; `None` writes
     /// every PE.
     fn int_assign(
@@ -458,6 +464,14 @@ impl Executor for ScalarBackend {
 
     fn int_eq(&mut self, dim: Dim, a: &Plane<i64>, b: &Plane<i64>, equal: bool) -> Plane<bool> {
         zip_planes(dim, a, b, |x, y| (x == y) == equal)
+    }
+
+    fn int_lt(&mut self, dim: Dim, a: &Plane<i64>, b: &Plane<i64>) -> Plane<bool> {
+        zip_planes(dim, a, b, |x, y| x < y)
+    }
+
+    fn int_min2(&mut self, dim: Dim, a: &Plane<i64>, b: &Plane<i64>) -> Plane<i64> {
+        zip_planes(dim, a, b, i64::min)
     }
 
     fn int_assign(

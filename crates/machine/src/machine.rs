@@ -989,6 +989,26 @@ impl<E: Executor> Machine<E> {
         Ok(out)
     }
 
+    /// Elementwise `a < b` into a mask: one step.
+    pub fn int_lt(&mut self, a: &E::Int, b: &E::Int) -> Result<E::Mask, MachineError> {
+        self.guard()?;
+        self.issue(MicroOp::Zip, None, None);
+        let t = self.micro_start();
+        let out = self.exec.int_lt(self.dim, a, b);
+        self.micro_stop(Op::Alu, t);
+        Ok(out)
+    }
+
+    /// Elementwise two-input minimum of two registers: one step.
+    pub fn int_min2(&mut self, a: &E::Int, b: &E::Int) -> Result<E::Int, MachineError> {
+        self.guard()?;
+        self.issue(MicroOp::Zip, None, None);
+        let t = self.micro_start();
+        let out = self.exec.int_min2(self.dim, a, b);
+        self.micro_stop(Op::Alu, t);
+        Ok(out)
+    }
+
     /// Bit-plane `j` of a register as a mask: one step (the PPC
     /// `bit(x, j)`).
     pub fn int_bit(&mut self, src: &E::Int, j: u32) -> Result<E::Mask, MachineError> {

@@ -17,9 +17,11 @@
 //! * **Bit-sliced registers** — an `h`-bit integer register is a
 //!   [`PackedInt`]: `h` plane-major bit-planes of such words, exactly the
 //!   bit-serial PPA's register file. `bit(j)` is plane `j`; the saturating
-//!   add is a ripple-carry chain over the planes; compares are an OR of
-//!   XORs; a masked write is one word blend per plane. Values are sliced
-//!   into planes once, when they are loaded (8×8 bit-matrix transposes).
+//!   add is a ripple-carry chain over the planes; equality is an OR of
+//!   XORs; `<` and the elementwise minimum share one comparator that walks
+//!   the planes from the most significant down; a masked write is one
+//!   word blend per plane. Values are sliced into planes once, when they
+//!   are loaded (8×8 bit-matrix transposes).
 //! * **Word arena** — mask and register words are recycled through a
 //!   shared `WordPool`, bucketed by length; after warm-up a solve
 //!   allocates nothing.
@@ -1087,6 +1089,24 @@ fn carry_cols(
         }
     }
 }
+
+/// The most-significant-bit-first comparator of two registers of
+/// `nw`-word planes: walking down from the top plane, a PE is decided at
+/// its highest differing bit, and `lt` (zeroed by the caller) gathers the
+/// PEs at which that bit is clear in `a` and set in `b` — `a < b`. `tie`
+/// holds the PEs still undecided; padding is zero in both operands, so it
+/// stays tied and never enters `lt`.
+fn less_than(nw: usize, a: &PackedInt, b: &PackedInt, lt: &mut [u64], tie: &mut [u64]) {
+    tie.fill(!0);
+    let planes = a.buf.words.chunks(nw).zip(b.buf.words.chunks(nw));
+    for (x, y) in planes.rev() {
+        for (((l, t), &p), &q) in lt.iter_mut().zip(tie.iter_mut()).zip(x).zip(y) {
+            *l |= *t & !p & q;
+            *t &= !(p ^ q);
+        }
+    }
+}
+
 /// The shared word arena: spent buffers waiting to be reissued, bucketed by
 /// length. A backend leases a handful of lengths (one mask, one register,
 /// the wired-OR accumulator), so mixed mask and register traffic never
@@ -1686,6 +1706,30 @@ impl Executor for PackedBackend {
                 *d = !*d;
             }
             Layout::of(dim).trim(&mut out.buf.words);
+        }
+        out
+    }
+
+    fn int_lt(&mut self, dim: Dim, a: &PackedInt, b: &PackedInt) -> PackedMask {
+        let nw = Layout::of(dim).words;
+        let mut out = self.alloc_mask(dim);
+        let mut tie = Lease::new(&self.pool, nw);
+        less_than(nw, a, b, &mut out.buf.words, &mut tie.words);
+        out
+    }
+
+    fn int_min2(&mut self, dim: Dim, a: &PackedInt, b: &PackedInt) -> PackedInt {
+        debug_assert_eq!(a.bits, b.bits, "register width mismatch");
+        let nw = Layout::of(dim).words;
+        let (mut lt, mut tie) = (Lease::new(&self.pool, nw), Lease::new(&self.pool, nw));
+        less_than(nw, a, b, &mut lt.words, &mut tie.words);
+        // Every plane of a PE comes from `a` where `a < b`, else from `b`.
+        let mut out = self.alloc_int(dim, a.bits);
+        let planes = a.buf.words.chunks(nw).zip(b.buf.words.chunks(nw));
+        for (o, (x, y)) in out.buf.words.chunks_mut(nw).zip(planes) {
+            for (((o, &p), &q), &m) in o.iter_mut().zip(x).zip(y).zip(&lt.words) {
+                *o = (p & m) | (q & !m);
+            }
         }
         out
     }

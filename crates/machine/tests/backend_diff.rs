@@ -401,6 +401,31 @@ fn register_opcodes_match_scalar() {
                 let m = (t.s.int_bit(&a.0, j).unwrap(), t.p.int_bit(&a.1, j).unwrap());
                 t.same_mask("bit", &m);
             }
+            // The most-significant-first comparator behind `<` and the
+            // elementwise minimum: equal operands, operands that differ only
+            // in the top plane, MAXINT stripes and zeros, both ways round.
+            let zero = t.load(&Plane::filled(dim, 0));
+            let pairs = [
+                ("a, b", &a, &b),
+                ("b, a", &b, &a),
+                ("a, c", &a, &c),
+                ("c, a", &c, &a),
+                ("a, a", &a, &a),
+                ("0, b", &zero, &b),
+                ("b, 0", &b, &zero),
+            ];
+            for (what, x, y) in pairs {
+                let lt = (
+                    t.s.int_lt(&x.0, &y.0).unwrap(),
+                    t.p.int_lt(&x.1, &y.1).unwrap(),
+                );
+                t.same_mask(&format!("lt {what}"), &lt);
+                let min = (
+                    t.s.int_min2(&x.0, &y.0).unwrap(),
+                    t.p.int_min2(&x.1, &y.1).unwrap(),
+                );
+                t.same_int(&format!("min2 {what}"), &min);
+            }
 
             // Immediates and index registers, where they fit the word.
             for v in [0, max, a_plane.as_slice()[0]] {
@@ -817,6 +842,20 @@ fn padded_layouts_round_trip_and_keep_padding_zero() {
             );
             t.same_int("saturating add", &sum);
             same_plane_counts(&mut t.s, &mut t.p, &sum.0, &sum.1, h, &at);
+            for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+                let lt = (
+                    t.s.int_lt(&x.0, &y.0).unwrap(),
+                    t.p.int_lt(&x.1, &y.1).unwrap(),
+                );
+                t.same_mask("lt", &lt);
+                assert_eq!(t.s.mask_count(&lt.0), t.p.mask_count(&lt.1), "{at}: lt");
+                let min = (
+                    t.s.int_min2(&x.0, &y.0).unwrap(),
+                    t.p.int_min2(&x.1, &y.1).unwrap(),
+                );
+                t.same_int("elementwise min", &min);
+                same_plane_counts(&mut t.s, &mut t.p, &min.0, &min.1, h, &at);
+            }
             let mut regs = vec![
                 (t.s.int_imm(max, h), t.p.int_imm(max, h)),
                 (

@@ -142,8 +142,9 @@ impl<E: Executor> Ppa<E> {
 
     // ----- integer registers and masks ----------------------------------------
     //
-    // The closed register opcode set the MCP loop issues. Each costs one ALU
-    // step, exactly like its plane twin above.
+    // The closed register opcode set the MCP driver issues for shortest and
+    // widest paths and their ablations. Each costs one ALU step, exactly
+    // like its plane twin above.
 
     /// Elementwise saturating `h`-bit addition of two registers (one step):
     /// a sum that reaches `MAXINT` yields `MAXINT`.
@@ -160,6 +161,17 @@ impl<E: Executor> Ppa<E> {
     /// Elementwise register inequality into a mask (one step).
     pub fn int_ne(&mut self, a: &E::Int, b: &E::Int) -> Result<E::Mask> {
         Ok(self.machine_mut().int_eq(a, b, false)?)
+    }
+
+    /// Elementwise register `<` into a mask (one step).
+    pub fn int_lt(&mut self, a: &E::Int, b: &E::Int) -> Result<E::Mask> {
+        Ok(self.machine_mut().int_lt(a, b)?)
+    }
+
+    /// Elementwise two-input minimum of two registers (one step); the
+    /// *bus* minimum across a cluster is [`Ppa::int_min`].
+    pub fn int_min2(&mut self, a: &E::Int, b: &E::Int) -> Result<E::Int> {
+        Ok(self.machine_mut().int_min2(a, b)?)
     }
 
     /// The paper's `bit(x, i)` on a register: bit-plane `i` as a mask
@@ -325,6 +337,8 @@ mod tests {
         let sum = ppa.int_sat_add(&ra, &rb).unwrap();
         let eq = ppa.int_eq(&ra, &rb).unwrap();
         let ne = ppa.int_ne(&ra, &rb).unwrap();
+        let lt = ppa.int_lt(&ra, &rb).unwrap();
+        let min = ppa.int_min2(&ra, &rb).unwrap();
         let bit = ppa.int_bit(&ra, 1).unwrap();
         let and = ppa.mask_and(&eq, &bit).unwrap();
         let or = ppa.mask_or(&eq, &bit).unwrap();
@@ -335,6 +349,8 @@ mod tests {
         let peq = ppa.eq(&a, &b).unwrap();
         assert_eq!(eq, peq);
         assert_eq!(ne, ppa.ne(&a, &b).unwrap());
+        assert_eq!(lt, ppa.lt(&a, &b).unwrap());
+        assert_eq!(ppa.read(&min), ppa.min2(&a, &b).unwrap());
         let pbit = ppa.bit(&a, 1).unwrap();
         assert_eq!(bit, pbit);
         assert_eq!(and, ppa.and(&peq, &pbit).unwrap());

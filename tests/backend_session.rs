@@ -2,16 +2,19 @@
 //! the packed backend solves MCP bit-identically to the scalar backend
 //! (outputs *and* step counters) — on random digraphs, under injected
 //! transient faults, exhausted step budgets and cancellation, and across
-//! lane seams — sessions match the one-shot drivers, and a session
-//! reuses its plan cache and mask arena across destinations instead of
-//! re-allocating.
+//! lane seams — and so do widest paths and the four bus/combining models
+//! the same driver runs; sessions match the one-shot drivers, and a
+//! session reuses its plan cache and mask arena across destinations
+//! instead of re-allocating.
 
 use std::time::{Duration, Instant};
 
-use ppa_graph::gen;
+use ppa_graph::{gen, WeightMatrix};
 use ppa_machine::{CancelToken, PackedBackend, TransientFaults};
 use ppa_mcp::batch::replicate;
 use ppa_mcp::mcp::{fit_word_bits, McpOutput};
+use ppa_mcp::variants::{minimum_cost_path_variant, BusModel, MinModel, VariantConfig};
+use ppa_mcp::widest::widest_path;
 use ppa_mcp::{apsp, mcp::minimum_cost_path, BatchSession, McpError, McpSession};
 use ppa_obs::{Event, TraceSink};
 use ppa_ppc::Ppa;
@@ -22,7 +25,8 @@ use rand::{Rng, SeedableRng};
 
 #[test]
 fn packed_mcp_matches_scalar_mcp_exactly() {
-    for (n, seed) in [(8usize, 1u64), (12, 7), (16, 42)] {
+    // n = 24 and 96 leave padding in every packed row.
+    for (n, seed) in [(8usize, 1u64), (12, 7), (16, 42), (24, 5), (96, 3)] {
         let w = gen::random_connected(n, 0.3, 20, seed);
         let h = ppa_mcp::mcp::fit_word_bits(&w).clamp(2, 62);
 
@@ -37,7 +41,55 @@ fn packed_mcp_matches_scalar_mcp_exactly() {
         // The acceptance bar: identical instruction streams, class by
         // class, not just identical answers.
         assert_eq!(scalar.steps(), packed.steps(), "n={n} seed={seed}");
+        extensions_match(&w, n / 2, h).unwrap();
     }
+}
+
+/// The four bus/combining models of the MCP driver.
+const MODELS: [VariantConfig; 4] = [
+    VariantConfig {
+        bus: BusModel::Circular,
+        min: MinModel::BitSerial,
+    },
+    VariantConfig {
+        bus: BusModel::Linear,
+        min: MinModel::BitSerial,
+    },
+    VariantConfig {
+        bus: BusModel::Circular,
+        min: MinModel::Word,
+    },
+    VariantConfig {
+        bus: BusModel::Linear,
+        min: MinModel::Word,
+    },
+];
+
+/// Widest paths and every model toward `d` on a scalar and a packed
+/// runtime at `h` bits: equal results — `McpStats` and errors included —
+/// and equal machine step reports.
+fn extensions_match(w: &WeightMatrix, d: usize, h: u32) -> Result<(), TestCaseError> {
+    let n = w.n();
+    let (mut scalar, mut packed) = (Ppa::square(n).with_word_bits(h), packed_ppa(n, h));
+    let want = widest_path(&mut scalar, w, d);
+    prop_assert!(want.is_ok(), "{:?}", want);
+    prop_assert_eq!(
+        widest_path(&mut packed, w, d),
+        want,
+        "widest n={} d={}",
+        n,
+        d
+    );
+    prop_assert_eq!(packed.steps(), scalar.steps());
+    for config in MODELS {
+        let (mut scalar, mut packed) = (Ppa::square(n).with_word_bits(h), packed_ppa(n, h));
+        let want = minimum_cost_path_variant(&mut scalar, w, d, config);
+        prop_assert!(want.is_ok(), "{:?}: {:?}", config, want);
+        let got = minimum_cost_path_variant(&mut packed, w, d, config);
+        prop_assert_eq!(got, want, "{:?} n={} d={}", config, n, d);
+        prop_assert_eq!(packed.steps(), scalar.steps());
+    }
+    Ok(())
 }
 
 #[test]
@@ -151,6 +203,7 @@ proptest! {
         prop_assert_eq!(&b.ptn, &a.ptn);
         prop_assert_eq!(b.iterations, a.iterations);
         prop_assert_eq!(packed.steps(), scalar.steps());
+        extensions_match(&w, d, h)?;
     }
 
     #[test]
